@@ -8,6 +8,15 @@ increase beyond Monte-Carlo slack; otherwise the penalty weight rho is
 grown and the update recomputed from the same states and adjoint.  The
 expected integrated Hamiltonian decrease mu is nonpositive by
 construction and its convergence to zero is the stopping signal.
+
+The update has two evaluators that choose the same actions.  For a
+problem with ``action_terms`` (every ``StructuredProblem``) only the
+action terms enter the argmin: per time step it is one (actions x
+paths) matrix product, a table of penalties indexed by (previous,
+candidate) action, and one reduction over actions.  Any other problem
+calls its coefficient functions once per action and time step.
+``compute_mu`` and ``verify_extended_pontryagin`` always use the full
+coefficient functions.
 """
 
 from __future__ import annotations
@@ -237,18 +246,22 @@ def update_control(
 
     Ties keep the previous action when it attains the minimum, else the
     lowest action index wins.  In deterministic mode the argmin is taken
-    over the path-averaged augmented Hamiltonian at each step.
+    over the path-averaged augmented Hamiltonian at each step.  Problems
+    with ``action_terms`` take a vectorised path that ignores ``workers``.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     m, n = prev.n_paths, prev.n_steps
+    new_idx = np.empty((m, n), dtype=np.int64)
+    if p.action_terms is not None:
+        _separable_update(p, grid, adjoint, prev, rho, new_idx)
+        return ControlEnsemble(action_indices=new_idx, mode=prev.mode)
     n_act = p.action_space.n_actions
     nodes = grid.nodes
     xs = states.values
     ys = adjoint.y_values
     zs = adjoint.z_values
     prev_idx = prev.action_indices
-    new_idx = np.empty((m, n), dtype=np.int64)
 
     for k in range(n):
         t = float(nodes[k])
@@ -286,6 +299,52 @@ def update_control(
 
             run_chunked(m, workers, block)
     return ControlEnsemble(action_indices=new_idx, mode=prev.mode)
+
+
+def _separable_update(p, grid, adjoint, prev, rho, out):
+    """update_control for a problem with action terms, written into out.
+
+    Under the ActionTerms contract H(a) = [y, vec z] . C_a + f2(a) plus
+    terms free of a, where C_a = [b2(a), vec sigma2(a)].  The grad_x H
+    part of the penalty vanishes, so the penalty against the previous
+    action is the table (rho/2) |C_a - C_prev|^2.
+    """
+    terms = p.action_terms
+    points = p.action_space.points
+    n_act = points.shape[0]
+    m, d = prev.n_paths, p.state_dim
+    ys = adjoint.y_values
+    zs = adjoint.z_values
+    prev_idx = prev.action_indices
+    rows = np.arange(m)
+    w = np.empty((d + d * p.noise_dim, m))  # [y, vec z] per path, transposed
+    for k in range(prev.n_steps):
+        t = float(grid.nodes[k])
+        c = np.concatenate(
+            [
+                np.asarray(terms.drift(t, points)),
+                np.asarray(terms.diffusion(t, points)).reshape(n_act, -1),
+            ],
+            axis=1,
+        )
+        f2 = np.asarray(terms.running_cost(t, points))
+        diff = c[:, None, :] - c[None, :, :]
+        half_pen = 0.5 * rho * np.einsum("apq,apq->ap", diff, diff)
+        w[:d] = ys[:, k].T
+        w[d:] = zs[:, k].reshape(m, -1).T
+        if prev.mode == "deterministic":
+            pk = int(prev_idx[0, k])
+            col = c @ w.mean(axis=1) + f2 + half_pen[pk]
+            out[:, k] = pk if col[pk] == col.min() else int(col.argmin())
+            continue
+        pk = prev_idx[:, k]
+        vals = c @ w  # (n_act, m): a reduction over actions is a row-wise pass
+        vals += f2[:, None]
+        if rho > 0:
+            vals += half_pen[:, pk]  # the table is symmetric
+        mins = vals.min(axis=0)
+        cand = (vals == mins).argmax(axis=0)  # lowest index attaining the min
+        out[:, k] = np.where(vals[pk, rows] == mins, pk, cand)
 
 
 def compute_mu(

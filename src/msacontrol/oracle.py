@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .problem import ActionSpace, ControlProblem
+from .problem import ActionSpace, ActionTerms, ControlProblem
 from .sde import NoiseBank, TimeGrid
 
 
@@ -31,7 +31,8 @@ class StructuredProblem:
 
     b(t,x,a) = b1(t) x + b2(t,a); sigma(t,x,a) = sigma1(t) x + sigma2(t,a);
     f(t,x,a) = f1(t,x) + f2(t,a).  sigma1 is a (d, d', d) tensor acting on
-    x; its second x-derivative vanishes by construction.
+    x; its second x-derivative vanishes by construction.  The assembled
+    problem carries b2, sigma2 and f2 as its action terms.
     """
 
     state_dim: int
@@ -49,7 +50,6 @@ class StructuredProblem:
     terminal_grad_x: Callable
     action_space: ActionSpace
     name: str = ""
-    lipschitz_bound: float | None = None
 
     def assemble(self) -> ControlProblem:
         b1, b2 = self.b1, self.b2
@@ -89,7 +89,7 @@ class StructuredProblem:
             running_cost_grad_x=running_cost_grad_x,
             terminal_cost_grad_x=self.terminal_grad_x,
             action_space=self.action_space,
-            lipschitz_bound=self.lipschitz_bound,
+            action_terms=ActionTerms(drift=b2, diffusion=sigma2, running_cost=f2),
             name=self.name,
         )
 

@@ -39,6 +39,12 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+# Mismatch allowed, relative to the coefficient values, between the change of
+# a coefficient across actions and the change of its action term: room for
+# rounding in the action-free part only.
+_TERMS_RTOL = 1e-10
+
+
 @dataclass(frozen=True)
 class ActionSpace:
     """Finite set of admissible actions, each a real m-vector.
@@ -79,13 +85,30 @@ class ActionSpace:
 
 
 @dataclass(frozen=True)
+class ActionTerms:
+    """Action-only parts of b, sigma and f for an action-separable problem.
+
+    Each callable takes (t, a) with a of shape (..., m) and returns b2
+    (..., d), sigma2 (..., d, d') and f2 (...,) respectively.  The
+    contract: b - b2, sigma - sigma2 and f - f2 do not depend on a, and
+    none of the three x-derivative callables depends on a.
+    """
+
+    drift: Callable
+    diffusion: Callable
+    running_cost: Callable
+
+
+@dataclass(frozen=True)
 class ControlProblem:
     """Finite-horizon stochastic control problem with a finite action set.
 
     The four coefficient functions and their x-derivatives are supplied
     analytically; ``check_derivatives`` validates them against central
-    finite differences.  ``lipschitz_bound`` is optional metadata and is
-    not used by the solver.
+    finite differences.  ``action_terms``, when given, declares the
+    problem action-separable; the control update then evaluates only
+    those terms on the action grid.  Construction rejects action terms
+    that do not match the coefficient functions at the probe points.
     """
 
     state_dim: int
@@ -101,7 +124,7 @@ class ControlProblem:
     running_cost_grad_x: Callable
     terminal_cost_grad_x: Callable
     action_space: ActionSpace
-    lipschitz_bound: float | None = None
+    action_terms: ActionTerms | None = None
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -150,6 +173,46 @@ class ControlProblem:
                 if not np.all(np.isfinite(out)):
                     raise ProblemDefinitionError(
                         f"{fname} returned non-finite values at the probe point"
+                    )
+        if self.action_terms is not None:
+            self._probe_action_terms()
+
+    def _probe_action_terms(self) -> None:
+        # At two (t, x) points, every action's coefficient must differ from
+        # action 0's by exactly what the action terms say, and the
+        # x-derivatives must not move with the action.
+        d, dn = self.state_dim, self.noise_dim
+        pts = self.action_space.points
+        n_act = pts.shape[0]
+        terms = self.action_terms
+        shapes = {
+            "drift": (n_act, d),
+            "diffusion": (n_act, d, dn),
+            "running_cost": (n_act,),
+        }
+        for t, shift in ((0.0, 0.0), (0.5 * self.horizon, 1.0)):
+            x = np.broadcast_to(self.initial_state + shift, (n_act, d))
+            for fname, shape in shapes.items():
+                full = np.asarray(getattr(self, fname)(t, x, pts))
+                part = np.asarray(getattr(terms, fname)(t, pts))
+                if part.shape != shape:
+                    raise ProblemDefinitionError(
+                        f"action_terms.{fname} returned shape {part.shape}, "
+                        f"expected {shape}"
+                    )
+                mismatch = np.max(np.abs((full - full[0]) - (part - part[0])))
+                scale = max(1.0, np.max(np.abs(full)), np.max(np.abs(part)))
+                if not mismatch <= _TERMS_RTOL * scale:  # also catches NaN
+                    raise ProblemDefinitionError(
+                        f"{fname} does not split as action_terms.{fname} plus "
+                        f"an action-free part (t={t})"
+                    )
+            for fname in ("drift_jac_x", "diffusion_jac_x", "running_cost_grad_x"):
+                out = np.asarray(getattr(self, fname)(t, x, pts))
+                if not np.array_equal(out, np.broadcast_to(out[0], out.shape)):
+                    raise ProblemDefinitionError(
+                        f"{fname} depends on the action, so the problem is not "
+                        f"action-separable as action_terms declares (t={t})"
                     )
 
     def replace(self, **kwargs) -> "ControlProblem":

@@ -12,11 +12,15 @@ from msacontrol import (
     MsaConfig,
     StateEnsemble,
     TimeGrid,
+    benchmark_names,
     compute_mu,
     constant_control,
     get_benchmark,
+    make_noise,
     run_msa,
     scalar_quadratic_problem,
+    simulate_forward,
+    solve_adjoint_lsmc,
     update_control,
     verify_extended_pontryagin,
 )
@@ -139,6 +143,46 @@ class TestUpdateControl:
         mu1 = compute_mu(p, grid, states, adjoint, lone, prev, workers=1)
         mu4 = compute_mu(p, grid, states, adjoint, lone, prev, workers=4)
         assert mu1 == mu4
+
+
+class TestSeparableUpdate:
+    """The action-terms path chooses the same actions as the generic one."""
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_matches_generic_path(self, name):
+        p = get_benchmark(name).problem
+        generic = p.replace(action_terms=None)
+        n_act = p.action_space.n_actions
+        m, n = 2000, 8
+        grid = TimeGrid(n_steps=n, horizon=p.horizon)
+        rng = np.random.default_rng(7)
+        # states and adjoint of a random, far-from-converged control
+        noise = make_noise(grid, m, p.noise_dim, seed=7)
+        rough = ControlEnsemble(action_indices=rng.integers(0, n_act, size=(m, n)))
+        states = simulate_forward(p, grid, noise, rough)
+        adjoint = solve_adjoint_lsmc(
+            p, grid, noise, states, rough, MsaConfig().basis
+        )
+        steps = rng.integers(0, n_act, size=n)
+        prevs = (
+            rough,
+            ControlEnsemble(
+                action_indices=np.broadcast_to(steps, (m, n)), mode="deterministic"
+            ),
+        )
+        for prev in prevs:
+            for rho in (0.0, 0.5, 64.0, 1e12):
+                for workers in (1, 4):
+                    fast = update_control(
+                        p, grid, states, adjoint, prev, rho, workers=workers
+                    )
+                    slow = update_control(
+                        generic, grid, states, adjoint, prev, rho, workers=workers
+                    )
+                    assert fast.mode == slow.mode == prev.mode
+                    assert np.array_equal(
+                        fast.action_indices, slow.action_indices
+                    ), (prev.mode, rho, workers)
 
 
 class TestComputeMu:

@@ -1,6 +1,7 @@
 """Problem model, Hamiltonian evaluation, and derivative validation."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 
 from msacontrol import (
     ActionSpace,
+    ActionTerms,
     ControlProblem,
     ProblemDefinitionError,
     augmented_hamiltonian,
+    benchmark_names,
     check_derivatives,
+    get_benchmark,
     hamiltonian,
     hamiltonian_grad_x,
     lq_hamiltonian_reference,
@@ -148,6 +152,84 @@ class TestProblemValidation:
         p = quadratic_drift_problem()
         with pytest.raises(ProblemDefinitionError):
             dataclasses.replace(p, initial_state=np.array([0.0, 1.0]))
+
+
+class TestActionTerms:
+    """Construction rejects action terms that disagree with the coefficients."""
+
+    def test_registered_problems_carry_matching_terms(self):
+        for name in benchmark_names():
+            p = get_benchmark(name).problem
+            assert p.action_terms is not None, name
+            # wrappers that return the same values pass the check again
+            coeffs = ("drift", "diffusion", "running_cost", "drift_jac_x",
+                      "diffusion_jac_x", "running_cost_grad_x")
+            p.replace(**{f: functools.partial(getattr(p, f)) for f in coeffs})
+
+    @pytest.mark.parametrize("fname", ["drift", "diffusion", "running_cost"])
+    def test_mismatched_coefficient_rejected(self, fname):
+        p = scalar_quadratic_problem(
+            name="separable",
+            horizon=1.0,
+            x0=0.5,
+            beta=0.2,
+            drift_gain=1.0,
+            sigma_const=0.3,
+            sigma_gain=0.4,
+            q=1.0,
+            r=0.5,
+            q_t=0.0,
+            action_points=np.linspace(-1.0, 1.0, 5),
+        ).assemble()
+        fn = getattr(p, fname)
+        # doubling a coefficient doubles its action-dependent part
+        doubled = lambda t, x, a: 2.0 * fn(t, x, a)
+        with pytest.raises(ProblemDefinitionError, match=fname):
+            p.replace(**{fname: doubled})
+        # without action terms the same callable is accepted
+        p.replace(**{fname: doubled, "action_terms": None})
+
+    def test_wrong_gain_drift_rejected(self, lq_bench):
+        p = lq_bench.problem
+        sp = lq_bench.structured
+
+        def drift(t, x, a):
+            return np.einsum("ji,...i->...j", sp.b1(t), x) + 1.5 * sp.b2(t, a)
+
+        with pytest.raises(ProblemDefinitionError, match="drift"):
+            p.replace(drift=drift)
+
+    def test_action_dependent_jacobian_rejected(self, lq_bench):
+        p = lq_bench.problem
+        sp = lq_bench.structured
+
+        def drift_jac_x(t, x, a):
+            return sp.b1(t) + 0.1 * a[..., None]
+
+        with pytest.raises(ProblemDefinitionError, match="drift_jac_x"):
+            p.replace(drift_jac_x=drift_jac_x)
+
+    def test_wrong_term_shape_rejected(self, lq_bench):
+        p = lq_bench.problem
+        terms = p.action_terms
+        flat = ActionTerms(
+            drift=lambda t, a: terms.drift(t, a)[..., 0],
+            diffusion=terms.diffusion,
+            running_cost=terms.running_cost,
+        )
+        with pytest.raises(ProblemDefinitionError, match="shape"):
+            p.replace(action_terms=flat)
+
+    def test_nonfinite_term_rejected(self, lq_bench):
+        p = lq_bench.problem
+        terms = p.action_terms
+        bad = ActionTerms(
+            drift=terms.drift,
+            diffusion=terms.diffusion,
+            running_cost=lambda t, a: np.full(a.shape[:-1], np.nan),
+        )
+        with pytest.raises(ProblemDefinitionError, match="running_cost"):
+            p.replace(action_terms=bad)
 
 
 class TestHamiltonian:
