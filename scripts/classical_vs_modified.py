@@ -12,20 +12,7 @@ import argparse
 import os
 from dataclasses import replace
 
-from msacontrol import MsaConfig, export_csv, get_benchmark, run_msa
-
-
-def first_upward_jump(trace):
-    prev_j, prev_se = trace.initial_cost, trace.initial_cost_se
-    for n, j, se, accepted in zip(
-        trace.iterations, trace.costs, trace.cost_ses, trace.accepted
-    ):
-        if not accepted:
-            continue
-        if j > prev_j + 3.0 * (se + prev_se):
-            return n
-        prev_j, prev_se = j, se
-    return None
+from msacontrol import MsaConfig, export_csv, get_benchmark, run_msa, upward_jumps
 
 
 def main():
@@ -65,7 +52,8 @@ def main():
         cells.append(f"{tr.rhos[i]:>8g}" if i < tr.n_rows else "")
         print(" ".join(cells))
 
-    jump = first_upward_jump(traces["classical"])
+    jumps = upward_jumps(traces["classical"])
+    jump = jumps[0] if jumps else None
     print(f"\nplain updates: first cost jump beyond noise at iteration {jump}")
     print(f"adaptive penalty: status={traces['modified'].status} "
           f"final J={traces['modified'].final_cost:.6f} "

@@ -96,14 +96,6 @@ class AdjointEnsemble:
         object.__setattr__(self, "z_values", z)
 
 
-@dataclass(frozen=True)
-class FundamentalSolutionEnsemble:
-    """Fundamental solution S of the linearised state SDE, per path/node."""
-
-    s_values: np.ndarray
-    s_inverse_values: np.ndarray
-
-
 def _ridge_solve(phi: np.ndarray, lam: float, targets: np.ndarray, step: int):
     gram = phi.T @ phi
     gram[np.diag_indices_from(gram)] += lam
@@ -168,50 +160,6 @@ def solve_adjoint_lsmc(
             raise RegressionError(f"non-finite adjoint values at step {k}")
         z[:, k] = z_k
     return AdjointEnsemble(y_values=y, z_values=z)
-
-
-def simulate_fundamental(
-    p: "ControlProblem",
-    grid: TimeGrid,
-    noise: NoiseBank,
-    states: StateEnsemble,
-    control: "ControlEnsemble",
-) -> FundamentalSolutionEnsemble:
-    """Euler scheme for the fundamental solution S, S_0 = I.
-
-    dS^{ij} = S^{il} d_l b^j dt + S^{il} d_l sigma^{jp} dW^p.
-    """
-    m, n, d = noise.n_paths, noise.n_steps, p.state_dim
-    dt = grid.dt
-    nodes = grid.nodes
-    points = p.action_space.points
-    idx = control.action_indices
-    xs = states.values
-    inc = noise.increments
-
-    s = np.empty((m, n + 1, d, d))
-    s[:, 0] = np.eye(d)
-    cur = s[:, 0].copy()
-    for k in range(n):
-        x = xs[:, k]
-        a = points[idx[:, k]]
-        t = float(nodes[k])
-        jb = np.asarray(p.drift_jac_x(t, x, a))
-        js = np.asarray(p.diffusion_jac_x(t, x, a))
-        cur = (
-            cur
-            + np.einsum("mil,mjl->mij", cur, jb) * dt
-            + np.einsum("mil,mjpl,mp->mij", cur, js, inc[:, k])
-        )
-        if not np.all(np.isfinite(cur)):
-            bad = int(np.where(~np.isfinite(cur).reshape(m, -1).all(axis=1))[0][0])
-            raise RegressionError(
-                f"non-finite fundamental solution at step {k + 1}, path {bad}"
-            )
-        s[:, k + 1] = cur
-    return FundamentalSolutionEnsemble(
-        s_values=s, s_inverse_values=np.linalg.inv(s)
-    )
 
 
 def solve_adjoint_linear_y0(

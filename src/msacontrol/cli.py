@@ -22,7 +22,7 @@ from .bsde import (
     solve_adjoint_linear_y0,
     solve_adjoint_lsmc,
 )
-from .diagnostics import export_csv, rate_fit
+from .diagnostics import export_csv, rate_fit, upward_jumps
 from .msa import (
     DescentFailureError,
     IterationTrace,
@@ -32,7 +32,7 @@ from .msa import (
 )
 from .oracle import benchmark_names, brute_force_optimal, get_benchmark, riccati_lq
 from .problem import ActionSpace, ControlProblem, check_derivatives
-from .sde import TimeGrid, cost_per_path, make_noise, simulate_forward
+from .sde import TimeGrid, make_noise, simulate_forward
 
 DEFAULT_SEED = 12345
 
@@ -217,7 +217,7 @@ def _trace_summary_lines(name: str, trace: IterationTrace) -> list[str]:
     ]
 
 
-def cmd_run(config_path: str, out: str | None = None, workers: int = 1, seed: int | None = None) -> int:
+def cmd_run(config_path: str, out: str | None = None, seed: int | None = None) -> int:
     """Solve the configured problem; write trace CSV and summary."""
     try:
         cfg = _apply_overrides(load_config(config_path), out, seed)
@@ -229,7 +229,7 @@ def cmd_run(config_path: str, out: str | None = None, workers: int = 1, seed: in
     trace_path = os.path.join(cfg.out_dir, f"{bench.name}_trace.csv")
     summary_path = os.path.join(cfg.out_dir, f"{bench.name}_summary.txt")
     try:
-        _, trace = run_msa(bench.problem, cfg.msa, workers=workers)
+        _, trace = run_msa(bench.problem, cfg.msa)
     except DescentFailureError as exc:
         trace = exc.trace
         export_csv(trace, trace_path, wall_clock=False)
@@ -304,7 +304,7 @@ def _driverless_problem() -> ControlProblem:
     )
 
 
-def cmd_validate(config_path: str, out: str | None = None, workers: int = 1, seed: int | None = None) -> int:
+def cmd_validate(config_path: str, out: str | None = None, seed: int | None = None) -> int:
     """Derivative checks, zero-driver sanity, linear-representation cross-check."""
     try:
         cfg = _apply_overrides(load_config(config_path), out, seed)
@@ -324,7 +324,7 @@ def cmd_validate(config_path: str, out: str | None = None, workers: int = 1, see
     n_paths = min(cfg.msa.n_paths, 4000)
     noise = make_noise(grid, n_paths, dp.noise_dim, cfg.msa.seed)
     control = constant_control(dp, n_paths, grid.n_steps, mode=cfg.msa.control_mode)
-    states = simulate_forward(dp, grid, noise, control, workers=workers)
+    states = simulate_forward(dp, grid, noise, control)
     adjoint = solve_adjoint_lsmc(dp, grid, noise, states, control, cfg.msa.basis)
     y_dev = float(np.max(np.abs(adjoint.y_values - 1.0)))
     z_max = float(np.max(np.abs(adjoint.z_values)))
@@ -336,7 +336,7 @@ def cmd_validate(config_path: str, out: str | None = None, workers: int = 1, see
     grid_p = TimeGrid(n_steps=cfg.msa.n_steps, horizon=p.horizon)
     noise_p = make_noise(grid_p, cfg.msa.n_paths, p.noise_dim, cfg.msa.seed)
     control_p = constant_control(p, cfg.msa.n_paths, grid_p.n_steps, mode=cfg.msa.control_mode)
-    states_p = simulate_forward(p, grid_p, noise_p, control_p, workers=workers)
+    states_p = simulate_forward(p, grid_p, noise_p, control_p)
     adjoint_p = solve_adjoint_lsmc(p, grid_p, noise_p, states_p, control_p, cfg.msa.basis)
     y0_lsmc = adjoint_p.y_values[:, 0, :].mean(axis=0)
     y0_lin, y0_se = solve_adjoint_linear_y0(p, grid_p, noise_p, states_p, control_p)
@@ -362,30 +362,7 @@ def cmd_validate(config_path: str, out: str | None = None, workers: int = 1, see
     return 0 if all_ok else 1
 
 
-def _monotone_within_noise(trace: IterationTrace) -> bool:
-    prev_j, prev_se = trace.initial_cost, trace.initial_cost_se
-    for j, se, ok in zip(trace.costs, trace.cost_ses, trace.accepted):
-        if not ok:
-            continue
-        if j > prev_j + 3.0 * (se + prev_se):
-            return False
-        prev_j, prev_se = j, se
-    return True
-
-
-def _first_upward_jump(trace: IterationTrace) -> int | None:
-    """1-based index of the first accepted step that raises J beyond noise."""
-    prev_j, prev_se = trace.initial_cost, trace.initial_cost_se
-    for n, j, se, ok in zip(trace.iterations, trace.costs, trace.cost_ses, trace.accepted):
-        if not ok:
-            continue
-        if j > prev_j + 3.0 * (se + prev_se):
-            return n
-        prev_j, prev_se = j, se
-    return None
-
-
-def cmd_bench(config_path: str, out: str | None = None, workers: int = 1, seed: int | None = None) -> int:
+def cmd_bench(config_path: str, out: str | None = None, seed: int | None = None) -> int:
     """Run the benchmark suite plus the unpenalised stress demonstration."""
     try:
         cfg = _apply_overrides(load_config(config_path), out, seed)
@@ -401,7 +378,7 @@ def cmd_bench(config_path: str, out: str | None = None, workers: int = 1, seed: 
     for bench in benchmark_suite():
         p = bench.problem
         try:
-            _, trace = run_msa(p, cfg.msa, workers=workers)
+            _, trace = run_msa(p, cfg.msa)
         except DescentFailureError as exc:
             trace = exc.trace
             descent_failed = True
@@ -412,7 +389,7 @@ def cmd_bench(config_path: str, out: str | None = None, workers: int = 1, seed: 
         export_csv(trace, os.path.join(cfg.out_dir, f"{bench.name}_trace.csv"), wall_clock=False)
         ok = True
         details = [f"status={trace.status}", f"iters={trace.n_rows}", f"J={_fmt(trace.final_cost)}"]
-        if not _monotone_within_noise(trace):
+        if upward_jumps(trace):
             ok = False
             details.append("non-monotone")
         if trace.status not in ("converged_mu", "converged_dj", "fixed_point"):
@@ -440,14 +417,14 @@ def cmd_bench(config_path: str, out: str | None = None, workers: int = 1, seed: 
         tol_mu=1e-12,
         tol_dj=1e-15,
     )
-    _, demo = run_msa(stress.problem, classical_cfg, workers=workers)
+    _, demo = run_msa(stress.problem, classical_cfg)
     export_csv(demo, os.path.join(cfg.out_dir, "msa_stress_classical_trace.csv"), wall_clock=False)
-    jump = _first_upward_jump(demo)
-    if jump is None:
+    jumps = upward_jumps(demo)
+    if not jumps:
         all_ok = False
         lines.append("FAIL msa_stress_classical no upward cost jump within the demo window")
     else:
-        lines.append(f"PASS msa_stress_classical upward jump at iteration {jump}")
+        lines.append(f"PASS msa_stress_classical upward jump at iteration {jumps[0]}")
 
     for line in lines:
         print(line)
@@ -467,7 +444,7 @@ def _synthetic_trace(kind: str, n_min: int, n_max: int) -> IterationTrace:
     return trace
 
 
-def cmd_rate(config_path: str, out: str | None = None, workers: int = 1, seed: int | None = None) -> int:
+def cmd_rate(config_path: str, out: str | None = None, seed: int | None = None) -> int:
     """Fit the optimality-gap decay against an oracle value."""
     try:
         cfg = _apply_overrides(load_config(config_path), out, seed)
@@ -507,7 +484,7 @@ def cmd_rate(config_path: str, out: str | None = None, workers: int = 1, seed: i
             noise = make_noise(grid, cfg.msa.n_paths, p.noise_dim, cfg.msa.seed)
             j_star = brute_force_optimal(p, grid, noise).j_star
         try:
-            _, trace = run_msa(p, cfg.msa, workers=workers)
+            _, trace = run_msa(p, cfg.msa)
         except DescentFailureError as exc:
             _status("rate", 2, problem=name, status=exc.trace.status)
             return 2
@@ -554,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=fn.__doc__)
         sp.add_argument("--config", required=True, help="path to the INI config file")
         sp.add_argument("--out", default=None, help="output directory override")
-        sp.add_argument("--workers", type=int, default=1, help="worker thread cap")
+        sp.add_argument("--workers", type=int, default=1, help="ignored; solves are single-threaded")
         sp.add_argument("--seed", type=int, default=None, help="seed override")
         sp.set_defaults(fn=fn)
     return parser
@@ -562,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args.config, out=args.out, workers=args.workers, seed=args.seed)
+    return args.fn(args.config, out=args.out, seed=args.seed)
 
 
 if __name__ == "__main__":

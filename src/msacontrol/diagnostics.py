@@ -1,4 +1,4 @@
-"""Convergence-rate analysis, a recursive sequence bound, and CSV export."""
+"""Convergence-rate analysis, descent checks, a recursive sequence bound, CSV export."""
 
 from __future__ import annotations
 
@@ -115,6 +115,26 @@ def rate_fit(
         passed=passed,
         status="rate-ok" if passed else "rate-fail",
     )
+
+
+def upward_jumps(trace: IterationTrace) -> list[int]:
+    """Accepted iterations whose cost rose beyond Monte-Carlo noise.
+
+    Each accepted J is compared with the previous accepted one, starting
+    from the initial cost; a rise of more than 3 (se + previous se) is a
+    jump.  An empty list means the accepted costs descend within noise.
+    """
+    prev_j, prev_se = trace.initial_cost, trace.initial_cost_se
+    jumps = []
+    for n, j, se, ok in zip(
+        trace.iterations, trace.costs, trace.cost_ses, trace.accepted
+    ):
+        if not ok:
+            continue
+        if j > prev_j + 3.0 * (se + prev_se):
+            jumps.append(n)
+        prev_j, prev_se = j, se
+    return jumps
 
 
 @dataclass(frozen=True)

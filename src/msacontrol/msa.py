@@ -9,14 +9,15 @@ grown and the update recomputed from the same states and adjoint.  The
 expected integrated Hamiltonian decrease mu is nonpositive by
 construction and its convergence to zero is the stopping signal.
 
-The update has two evaluators that choose the same actions.  For a
-problem with ``action_terms`` (every ``StructuredProblem``) only the
-action terms enter the argmin: per time step it is one (actions x
-paths) matrix product, a table of penalties indexed by (previous,
-candidate) action, and one reduction over actions.  Any other problem
-calls its coefficient functions once per action and time step.
-``compute_mu`` and ``verify_extended_pontryagin`` always use the full
-coefficient functions.
+There is one Hamiltonian evaluator, in ``problem.py``: ``hamiltonian``
+at given actions and ``augmented_hamiltonian`` over every (action, path)
+pair share one contraction.  ``compute_mu`` and
+``verify_extended_pontryagin`` always use it, and so does the update for
+a problem without ``action_terms``.  For a problem with ``action_terms`` (every
+``StructuredProblem``) the update takes a shortcut that chooses the same
+actions: only the action terms enter the argmin, so per time step it is
+one (actions x paths) matrix product, a table of penalties indexed by
+(previous, candidate) action, and one reduction over actions.
 """
 
 from __future__ import annotations
@@ -27,15 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsde import AdjointEnsemble, RegressionBasis, solve_adjoint_lsmc
-from .problem import ControlProblem
+from .problem import ControlProblem, augmented_hamiltonian, hamiltonian
 from .sde import (
-    NoiseBank,
     StateEnsemble,
     TimeGrid,
     cost_per_path,
     make_noise,
     mean_and_se,
-    run_chunked,
     simulate_forward,
 )
 
@@ -185,54 +184,6 @@ class IterationTrace:
         return accepted[-1] if accepted else float("nan")
 
 
-def _step_values(p, t, x, y, z, prev_indices, rho):
-    """Augmented-Hamiltonian values (n_actions, n) for one time slice.
-
-    prev_indices holds each row's previous action index, shape (n,).
-    """
-    points = p.action_space.points
-    n_act = points.shape[0]
-    n = x.shape[0]
-    h_all = np.empty((n_act, n))
-    if rho > 0:
-        b_all = np.empty((n_act,) + (n, p.state_dim))
-        s_all = np.empty((n_act,) + (n, p.state_dim, p.noise_dim))
-        g_all = np.empty((n_act,) + (n, p.state_dim))
-    for j in range(n_act):
-        a = np.broadcast_to(points[j], (n, points.shape[1]))
-        b = np.asarray(p.drift(t, x, a))
-        sig = np.asarray(p.diffusion(t, x, a))
-        f = np.asarray(p.running_cost(t, x, a))
-        h_all[j] = (
-            np.einsum("mj,mj->m", b, y) + np.einsum("mjp,mjp->m", sig, z) + f
-        )
-        if rho > 0:
-            b_all[j] = b
-            s_all[j] = sig
-            jb = np.asarray(p.drift_jac_x(t, x, a))
-            js = np.asarray(p.diffusion_jac_x(t, x, a))
-            fx = np.asarray(p.running_cost_grad_x(t, x, a))
-            g_all[j] = (
-                np.einsum("mji,mj->mi", jb, y)
-                + np.einsum("mjpi,mjp->mi", js, z)
-                + fx
-            )
-    if rho == 0:
-        return h_all
-    # differences against each path's own previous action
-    rows = np.arange(n)
-    pi = prev_indices
-    db = b_all - b_all[pi, rows][None]
-    ds = s_all - s_all[pi, rows][None]
-    dg = g_all - g_all[pi, rows][None]
-    pen = (
-        np.einsum("amj,amj->am", db, db)
-        + np.einsum("amjp,amjp->am", ds, ds)
-        + np.einsum("amj,amj->am", dg, dg)
-    )
-    return h_all + 0.5 * rho * pen
-
-
 def update_control(
     p: ControlProblem,
     grid: TimeGrid,
@@ -240,14 +191,12 @@ def update_control(
     adjoint: AdjointEnsemble,
     prev: ControlEnsemble,
     rho: float,
-    workers: int = 1,
 ) -> ControlEnsemble:
     """Pointwise argmin of the augmented Hamiltonian against prev.
 
     Ties keep the previous action when it attains the minimum, else the
     lowest action index wins.  In deterministic mode the argmin is taken
-    over the path-averaged augmented Hamiltonian at each step.  Problems
-    with ``action_terms`` take a vectorised path that ignores ``workers``.
+    over the path-averaged augmented Hamiltonian at each step.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
@@ -256,48 +205,24 @@ def update_control(
     if p.action_terms is not None:
         _separable_update(p, grid, adjoint, prev, rho, new_idx)
         return ControlEnsemble(action_indices=new_idx, mode=prev.mode)
-    n_act = p.action_space.n_actions
     nodes = grid.nodes
     xs = states.values
     ys = adjoint.y_values
     zs = adjoint.z_values
     prev_idx = prev.action_indices
-
+    rows = np.arange(m)
     for k in range(n):
-        t = float(nodes[k])
+        vals = augmented_hamiltonian(
+            p, float(nodes[k]), xs[:, k], ys[:, k], zs[:, k], prev_idx[:, k], rho
+        )
         if prev.mode == "deterministic":
-            vals = np.empty((n_act, m))
-
-            def fill(lo, hi, k=k, t=t, vals=vals):
-                vals[:, lo:hi] = _step_values(
-                    p, t, xs[lo:hi, k], ys[lo:hi, k], zs[lo:hi, k],
-                    prev_idx[lo:hi, k], rho,
-                )
-
-            run_chunked(m, workers, fill)
             col = vals.mean(axis=1)
-            best = float(col.min())
             pk = int(prev_idx[0, k])
-            if col[pk] == best:
-                choice = pk
-            else:
-                choice = int(col.argmin())
-            new_idx[:, k] = choice
-        else:
-
-            def block(lo, hi, k=k, t=t):
-                vals = _step_values(
-                    p, t, xs[lo:hi, k], ys[lo:hi, k], zs[lo:hi, k],
-                    prev_idx[lo:hi, k], rho,
-                )
-                pk = prev_idx[lo:hi, k]
-                rows = np.arange(hi - lo)
-                mins = vals.min(axis=0)
-                cand = vals.argmin(axis=0)
-                keep = vals[pk, rows] == mins
-                new_idx[lo:hi, k] = np.where(keep, pk, cand)
-
-            run_chunked(m, workers, block)
+            new_idx[:, k] = pk if col[pk] == col.min() else int(col.argmin())
+            continue
+        pk = prev_idx[:, k]
+        mins = vals.min(axis=0)
+        new_idx[:, k] = np.where(vals[pk, rows] == mins, pk, vals.argmin(axis=0))
     return ControlEnsemble(action_indices=new_idx, mode=prev.mode)
 
 
@@ -354,46 +279,32 @@ def compute_mu(
     adjoint: AdjointEnsemble,
     new: ControlEnsemble,
     prev: ControlEnsemble,
-    workers: int = 1,
 ) -> tuple[float, float]:
     """Estimate of E sum_k [H(new_k) - H(prev_k)] dt with standard error.
 
     Evaluated along the states and adjoint of the previous control, so
     the value is the integrated Hamiltonian decrease of the update.
     """
-    m, n = prev.n_paths, prev.n_steps
     dt = grid.dt
     nodes = grid.nodes
     points = p.action_space.points
     xs = states.values
     ys = adjoint.y_values
     zs = adjoint.z_values
-    acc = np.zeros(m)
-
-    def block(lo, hi):
-        for k in range(n):
-            t = float(nodes[k])
-            x, y, z = xs[lo:hi, k], ys[lo:hi, k], zs[lo:hi, k]
-            h_new = _hamiltonian_slice(p, t, x, y, z, points[new.action_indices[lo:hi, k]])
-            h_prev = _hamiltonian_slice(p, t, x, y, z, points[prev.action_indices[lo:hi, k]])
-            acc[lo:hi] += (h_new - h_prev) * dt
-
-    run_chunked(m, workers, block)
+    acc = np.zeros(prev.n_paths)
+    for k in range(prev.n_steps):
+        t = float(nodes[k])
+        x, y, z = xs[:, k], ys[:, k], zs[:, k]
+        h_new = hamiltonian(p, t, x, y, z, points[new.action_indices[:, k]])
+        h_prev = hamiltonian(p, t, x, y, z, points[prev.action_indices[:, k]])
+        acc += (h_new - h_prev) * dt
     return mean_and_se(acc)
-
-
-def _hamiltonian_slice(p, t, x, y, z, a):
-    b = np.asarray(p.drift(t, x, a))
-    sig = np.asarray(p.diffusion(t, x, a))
-    f = np.asarray(p.running_cost(t, x, a))
-    return np.einsum("mj,mj->m", b, y) + np.einsum("mjp,mjp->m", sig, z) + f
 
 
 def run_msa(
     p: ControlProblem,
     cfg: MsaConfig,
     initial: ControlEnsemble | None = None,
-    workers: int = 1,
 ) -> tuple[ControlEnsemble, IterationTrace]:
     """Full solver loop on a fixed noise bank.
 
@@ -411,8 +322,8 @@ def run_msa(
         current = initial
 
     trace = IterationTrace(problem_name=p.name)
-    states = simulate_forward(p, grid, noise, current, workers=workers)
-    costs = cost_per_path(p, grid, states, current, workers=workers)
+    states = simulate_forward(p, grid, noise, current)
+    costs = cost_per_path(p, grid, states, current)
     j_cur, j_se = mean_and_se(costs)
     trace.initial_cost, trace.initial_cost_se = j_cur, j_se
 
@@ -422,20 +333,16 @@ def run_msa(
         adjoint = solve_adjoint_lsmc(p, grid, noise, states, current, cfg.basis)
         n_backtracks = 0
         while True:
-            candidate = update_control(
-                p, grid, states, adjoint, current, rho, workers=workers
-            )
+            candidate = update_control(p, grid, states, adjoint, current, rho)
             if np.array_equal(candidate.action_indices, current.action_indices):
                 # argmin keeps every action: mu = 0 and nothing can move
                 wall = 1e3 * (time.perf_counter() - t0)
                 trace.add_row(n, j_cur, j_se, 0.0, 0.0, rho, n_backtracks, True, wall)
                 trace.status = "fixed_point"
                 return current, trace
-            mu, mu_se = compute_mu(
-                p, grid, states, adjoint, candidate, current, workers=workers
-            )
-            cand_states = simulate_forward(p, grid, noise, candidate, workers=workers)
-            cand_costs = cost_per_path(p, grid, cand_states, candidate, workers=workers)
+            mu, mu_se = compute_mu(p, grid, states, adjoint, candidate, current)
+            cand_states = simulate_forward(p, grid, noise, candidate)
+            cand_costs = cost_per_path(p, grid, cand_states, candidate)
             diff = cand_costs - costs
             dj, dj_se = mean_and_se(diff)
             if cfg.classical or dj <= 3.0 * dj_se:
@@ -493,6 +400,8 @@ def verify_extended_pontryagin(
     H(a*) - min_a H~(a*, a) is nonnegative and zero exactly when a* is
     the penalised argmin against itself.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     m, n = control.n_paths, control.n_steps
     rng = np.random.default_rng(seed)
     ii = rng.integers(0, m, size=n_samples)
@@ -508,7 +417,7 @@ def verify_extended_pontryagin(
         t = float(nodes[k])
         x, y, z = xs[i_sel, k], ys[i_sel, k], zs[i_sel, k]
         own = control.action_indices[i_sel, k]
-        vals = _step_values(p, t, x, y, z, own, rho)
+        vals = augmented_hamiltonian(p, t, x, y, z, own, rho)
         h_own = vals[own, np.arange(sel.size)]
         gaps[sel] = h_own - vals.min(axis=0)
     return PontryaginReport(

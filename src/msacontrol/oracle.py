@@ -25,6 +25,29 @@ def _as_time_fn(value) -> Callable[[float], float]:
     return lambda t: const
 
 
+def _rk4(rhs, t0: float, u0, h: float, n_steps: int, label: str | None = None):
+    """Classical RK4 from (t0, u0) in n_steps steps of signed size h.
+
+    A negative h integrates backward in time.  Returns the nodes
+    t0 + i h and the states there, shapes (n_steps + 1,) and
+    (n_steps + 1, len(u0)).  With a label, a non-finite state raises
+    RuntimeError naming the integration.
+    """
+    times = t0 + h * np.arange(n_steps + 1)
+    u = np.empty((n_steps + 1, len(u0)))
+    u[0] = u0
+    for i in range(n_steps):
+        t = times[i]
+        k1 = rhs(t, u[i])
+        k2 = rhs(t + 0.5 * h, u[i] + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, u[i] + 0.5 * h * k2)
+        k4 = rhs(t + h, u[i] + h * k3)
+        u[i + 1] = u[i] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if label is not None and not np.all(np.isfinite(u[i + 1])):
+            raise RuntimeError(f"{label} integration blew up near t={t + h}")
+    return times, u
+
+
 @dataclass(frozen=True)
 class StructuredProblem:
     """Problem with affine-in-state coefficients and split running cost.
@@ -171,19 +194,7 @@ def riccati_lq(spec: LqSpec, grid: TimeGrid, refine: int = 10) -> RiccatiSolutio
 
     n_fine = grid.n_steps * refine
     h = grid.horizon / n_fine
-    times = grid.horizon - h * np.arange(n_fine + 1)  # descending from T
-    u = np.empty((n_fine + 1, 2))
-    u[0] = (spec.q_t, 0.0)
-    for i in range(n_fine):
-        t = times[i]
-        k1 = rhs(t, u[i])
-        k2 = rhs(t - 0.5 * h, u[i] - 0.5 * h * k1)
-        k3 = rhs(t - 0.5 * h, u[i] - 0.5 * h * k2)
-        k4 = rhs(t - h, u[i] - h * k3)
-        u[i + 1] = u[i] - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(u[i + 1])):
-            raise RuntimeError(f"Riccati integration blew up near t={t - h}")
-
+    times, u = _rk4(rhs, grid.horizon, (spec.q_t, 0.0), -h, n_fine, label="Riccati")
     t_asc = times[::-1].copy()
     p_asc = u[::-1, 0].copy()
     c_asc = u[::-1, 1].copy()
@@ -240,17 +251,7 @@ def diffusion_lq_value(
         dc = -(p_val * nu0 * nu0 - gain * gain / (p_val * nu1 * nu1 + r))
         return np.array([-2.0 * beta * p_val - q, dc])
 
-    h = horizon / refine
-    times = horizon - h * np.arange(refine + 1)
-    u = np.empty((refine + 1, 2))
-    u[0] = (q_t, 0.0)
-    for i in range(refine):
-        t = times[i]
-        k1 = rhs(t, u[i])
-        k2 = rhs(t - 0.5 * h, u[i] - 0.5 * h * k1)
-        k3 = rhs(t - 0.5 * h, u[i] - 0.5 * h * k2)
-        k4 = rhs(t - h, u[i] - h * k3)
-        u[i + 1] = u[i] - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    times, u = _rk4(rhs, horizon, (q_t, 0.0), -horizon / refine, refine)
     t_asc = times[::-1].copy()
     p_asc = u[::-1, 0].copy()
     c0 = float(u[-1, 1])
@@ -293,16 +294,8 @@ def lq_adjoint_y0(
             ]
         )
 
-    h = horizon / refine
-    u = np.array([spec.x0, 1.0, 0.0])
-    for i in range(refine):
-        t = i * h
-        k1 = rhs(t, u)
-        k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, u + 0.5 * h * k2)
-        k4 = rhs(t + h, u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    m_t, s_t, acc = u
+    _, u = _rk4(rhs, 0.0, (spec.x0, 1.0, 0.0), horizon / refine, refine)
+    m_t, s_t, acc = u[-1]
     return float(s_t * 2.0 * spec.q_t * m_t + acc)
 
 

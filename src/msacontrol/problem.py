@@ -19,7 +19,7 @@ Derivative index conventions:
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -225,6 +225,22 @@ def _check_finite(name: str, value: np.ndarray) -> np.ndarray:
     return value
 
 
+def _coefficients(p: ControlProblem, t, x, a):
+    """(b, sigma, f) at (t, x, a), each checked finite."""
+    b = _check_finite("drift", np.asarray(p.drift(t, x, a)))
+    sig = _check_finite("diffusion", np.asarray(p.diffusion(t, x, a)))
+    f = _check_finite("running_cost", np.asarray(p.running_cost(t, x, a)))
+    return b, sig, f
+
+
+def _contract(b, sig, f, y, z):
+    return (
+        np.einsum("...j,...j->...", b, y)
+        + np.einsum("...jp,...jp->...", sig, z)
+        + f
+    )
+
+
 def hamiltonian(p: ControlProblem, t, x, y, z, a):
     """H(t, x, y, z, a) = b . y + trace(sigma^T z) + f.
 
@@ -234,14 +250,7 @@ def hamiltonian(p: ControlProblem, t, x, y, z, a):
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     a = np.asarray(a, dtype=float)
-    b = _check_finite("drift", np.asarray(p.drift(t, x, a)))
-    sig = _check_finite("diffusion", np.asarray(p.diffusion(t, x, a)))
-    f = _check_finite("running_cost", np.asarray(p.running_cost(t, x, a)))
-    return (
-        np.einsum("...j,...j->...", b, y)
-        + np.einsum("...jp,...jp->...", sig, z)
-        + f
-    )
+    return _contract(*_coefficients(p, t, x, a), y, z)
 
 
 def hamiltonian_grad_x(p: ControlProblem, t, x, y, z, a):
@@ -266,32 +275,47 @@ def hamiltonian_grad_x(p: ControlProblem, t, x, y, z, a):
     )
 
 
-def augmented_hamiltonian(p: ControlProblem, t, x, y, z, a_prev, a, rho):
-    """H(a) plus rho/2-weighted squared coefficient differences against a_prev.
+def augmented_hamiltonian(p: ControlProblem, t, x, y, z, prev_index, rho):
+    """Augmented Hamiltonian of every action, shape (n_actions, n).
 
-    With rho = 0 this is exactly the Hamiltonian at a.  The penalty is
-    (rho/2) (|b(a)-b(a_prev)|^2 + |sigma(a)-sigma(a_prev)|^2
-             + |grad_x H(a) - grad_x H(a_prev)|^2).
+    x, y and z are one time slice of n rows, shapes (n, d), (n, d) and
+    (n, d, d'); prev_index holds each row's previous action index.  Entry
+    [j, i] is H(a_j) at row i plus the penalty against that row's previous
+    action a_prev:
+
+        (rho/2) (|b(a_j)-b(a_prev)|^2 + |sigma(a_j)-sigma(a_prev)|^2
+                 + |grad_x H(a_j) - grad_x H(a_prev)|^2).
+
+    With rho = 0 this is exactly the Hamiltonian at each action.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    h = hamiltonian(p, t, x, y, z, a)
+    points = p.action_space.points
+    n = x.shape[0]
+    h_all = np.empty((points.shape[0], n))
+    b_all, s_all, g_all = [], [], []
+    for j, point in enumerate(points):
+        a = np.broadcast_to(point, (n, points.shape[1]))
+        b, sig, f = _coefficients(p, t, x, a)
+        h_all[j] = _contract(b, sig, f, y, z)
+        if rho > 0:
+            b_all.append(b)
+            s_all.append(sig)
+            g_all.append(hamiltonian_grad_x(p, t, x, y, z, a))
     if rho == 0:
-        return h
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    a_prev = np.asarray(a_prev, dtype=float)
-    db = np.asarray(p.drift(t, x, a)) - np.asarray(p.drift(t, x, a_prev))
-    dsig = np.asarray(p.diffusion(t, x, a)) - np.asarray(p.diffusion(t, x, a_prev))
-    dgrad = hamiltonian_grad_x(p, t, x, y, z, a) - hamiltonian_grad_x(
-        p, t, x, y, z, a_prev
+        return h_all
+    b_all, s_all, g_all = np.stack(b_all), np.stack(s_all), np.stack(g_all)
+    # differences against each row's own previous action
+    rows = np.arange(n)
+    db = b_all - b_all[prev_index, rows][None]
+    ds = s_all - s_all[prev_index, rows][None]
+    dg = g_all - g_all[prev_index, rows][None]
+    pen = (
+        np.einsum("amj,amj->am", db, db)
+        + np.einsum("amjp,amjp->am", ds, ds)
+        + np.einsum("amj,amj->am", dg, dg)
     )
-    penalty = (
-        np.einsum("...j,...j->...", db, db)
-        + np.einsum("...jp,...jp->...", dsig, dsig)
-        + np.einsum("...j,...j->...", dgrad, dgrad)
-    )
-    return h + 0.5 * rho * penalty
+    return h_all + 0.5 * rho * pen
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,11 @@
 """Time grid, Brownian noise bank, Euler-Maruyama simulation, cost estimate.
 
 The noise bank is drawn once per solve and reused across all iterations
-(common random numbers).  Path i's stream derives from (seed, i) alone,
-so simulation results are independent of the worker count.
+(common random numbers).  Path i's stream derives from (seed, i) alone.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -124,38 +122,6 @@ class StateEnsemble:
         return self.values.shape[1] - 1
 
 
-def path_chunks(n_items: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous path ranges, one per worker, covering range(n_items)."""
-    workers = max(1, min(int(workers), n_items))
-    bounds = np.linspace(0, n_items, workers + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def run_chunked(n_items: int, workers: int, fn) -> None:
-    """Run fn(lo, hi) over disjoint path ranges, possibly in threads.
-
-    Workers only split elementwise work over preallocated disjoint
-    output slices; results are bitwise independent of the worker count.
-    """
-    chunks = path_chunks(n_items, workers)
-    if len(chunks) == 1:
-        fn(*chunks[0])
-        return
-    with ThreadPoolExecutor(max_workers=len(chunks)) as ex:
-        futures = [ex.submit(fn, lo, hi) for lo, hi in chunks]
-        errors = []
-        for fut in futures:
-            exc = fut.exception()
-            if exc is not None:
-                errors.append(exc)
-        if errors:
-            sim = [e for e in errors if isinstance(e, SimulationError)]
-            if sim:
-                # deterministic choice: earliest step, then lowest path
-                raise min(sim, key=lambda e: (e.step, e.path))
-            raise errors[0]
-
-
 def _validate_control(control, n_paths: int, n_steps: int, n_actions: int) -> None:
     idx = control.action_indices
     if idx.shape != (n_paths, n_steps):
@@ -172,7 +138,6 @@ def simulate_forward(
     grid: TimeGrid,
     noise: NoiseBank,
     control: "ControlEnsemble",
-    workers: int = 1,
 ) -> StateEnsemble:
     """Euler-Maruyama forward simulation of all paths under the control.
 
@@ -191,26 +156,22 @@ def simulate_forward(
     idx = control.action_indices
     inc = noise.increments
     out = np.empty((m, n + 1, d))
-
-    def block(lo: int, hi: int) -> None:
-        x = np.broadcast_to(p.initial_state, (hi - lo, d)).copy()
-        out[lo:hi, 0] = x
-        for k in range(n):
-            a = points[idx[lo:hi, k]]
-            t = float(nodes[k])
-            b = np.asarray(p.drift(t, x, a))
-            sig = np.asarray(p.diffusion(t, x, a))
-            x = x + b * dt + np.einsum("mjp,mp->mj", sig, inc[lo:hi, k])
-            if not np.all(np.isfinite(x)):
-                bad = np.where(~np.isfinite(x).all(axis=1))[0][0]
-                raise SimulationError(
-                    f"non-finite state at step {k + 1}, path {lo + int(bad)}",
-                    step=k + 1,
-                    path=lo + int(bad),
-                )
-            out[lo:hi, k + 1] = x
-
-    run_chunked(m, workers, block)
+    x = np.broadcast_to(p.initial_state, (m, d)).copy()
+    out[:, 0] = x
+    for k in range(n):
+        a = points[idx[:, k]]
+        t = float(nodes[k])
+        b = np.asarray(p.drift(t, x, a))
+        sig = np.asarray(p.diffusion(t, x, a))
+        x = x + b * dt + np.einsum("mjp,mp->mj", sig, inc[:, k])
+        if not np.all(np.isfinite(x)):
+            bad = int(np.where(~np.isfinite(x).all(axis=1))[0][0])
+            raise SimulationError(
+                f"non-finite state at step {k + 1}, path {bad}",
+                step=k + 1,
+                path=bad,
+            )
+        out[:, k + 1] = x
     return StateEnsemble(values=out)
 
 
@@ -219,7 +180,6 @@ def cost_per_path(
     grid: TimeGrid,
     states: StateEnsemble,
     control: "ControlEnsemble",
-    workers: int = 1,
 ) -> np.ndarray:
     """Per-path cost sum_k f(t_k, X_k, a_k) dt + g(X_N), left-endpoint rule."""
     m, n = states.n_paths, states.n_steps
@@ -230,30 +190,14 @@ def cost_per_path(
     idx = control.action_indices
     xs = states.values
     acc = np.zeros(m)
-
-    def block(lo: int, hi: int) -> None:
-        for k in range(n):
-            a = points[idx[lo:hi, k]]
-            acc[lo:hi] += np.asarray(p.running_cost(float(nodes[k]), xs[lo:hi, k], a)) * dt
-        acc[lo:hi] += np.asarray(p.terminal_cost(xs[lo:hi, n]))
-
-    run_chunked(m, workers, block)
+    for k in range(n):
+        a = points[idx[:, k]]
+        acc += np.asarray(p.running_cost(float(nodes[k]), xs[:, k], a)) * dt
+    acc += np.asarray(p.terminal_cost(xs[:, n]))
     if not np.all(np.isfinite(acc)):
         bad = int(np.where(~np.isfinite(acc))[0][0])
         raise SimulationError(f"non-finite cost on path {bad}", path=bad)
     return acc
-
-
-def estimate_cost(
-    p: "ControlProblem",
-    grid: TimeGrid,
-    states: StateEnsemble,
-    control: "ControlEnsemble",
-    workers: int = 1,
-) -> tuple[float, float]:
-    """Monte-Carlo cost estimate: (sample mean, standard error of the mean)."""
-    costs = cost_per_path(p, grid, states, control, workers=workers)
-    return mean_and_se(costs)
 
 
 def mean_and_se(values: np.ndarray) -> tuple[float, float]:

@@ -18,7 +18,6 @@ from msacontrol import (
     make_noise,
     scalar_quadratic_problem,
     simulate_forward,
-    simulate_fundamental,
     solve_adjoint_linear_y0,
     solve_adjoint_lsmc,
 )
@@ -177,32 +176,39 @@ class TestLinearRepresentation:
         assert float(se[0]) == 0.0
 
     def test_constant_coefficient_growth_and_ode_value(self, lq_bench):
-        # b = beta x + a with constant action: S_T is the plain product
-        # (1 + beta dt)^N on every path, and y0 follows the linear ODE.
+        # b = beta x + a: S_T is the plain product (1 + beta dt)^N on every
+        # path, so with grad f = 0 and grad g = 1, Y_0 = mean S_T exactly.
+        beta = 0.2
+        z = lambda t, x, a: np.zeros_like(x)
+        growth = make_problem(
+            b=lambda t, x, a: beta * x + a,
+            sigma=lambda t, x, a: 0.2 + 0.0 * x,
+            f=z,
+            g=lambda x: x,
+            b_jac=lambda t, x, a: beta + 0.0 * x,
+            sigma_jac=z,
+            f_grad=z,
+            g_grad=np.ones_like,
+            actions=[-1.0, 0.0, 1.0],
+            x0=1.0,
+        )
+        m, n = 4000, 50
+        grid, noise, ctrl, states = solve_setup(growth, m, n)
+        y0, se = solve_adjoint_linear_y0(growth, grid, noise, states, ctrl)
+        want = (1.0 + beta * grid.dt) ** n
+        assert np.allclose(y0, want, rtol=1e-13, atol=0.0)
+        assert float(se[0]) <= 1e-13 * want
+
+        # y0 follows the linear ODE on the benchmark itself
         lq = lq_bench.lq
         p = lq_bench.problem
-        m, n = 4000, 50
         grid, noise, ctrl, states = solve_setup(p, m, n, rng_actions=False)
-        fund = simulate_fundamental(p, grid, noise, states, ctrl)
-        beta = 0.2
-        want = (1.0 + beta * grid.dt) ** n
-        got = fund.s_values[:, -1, 0, 0]
-        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
-
         y0, se = solve_adjoint_linear_y0(p, grid, noise, states, ctrl)
         centroid = p.action_space.points[p.action_space.centroid_index()][0]
         oracle = lq_adjoint_y0(lq, horizon=1.0, action=float(centroid))
         # left-endpoint quadrature bias is first order in dt, hence the
         # half-percent band beyond the Monte-Carlo noise
         assert abs(float(y0[0]) - oracle) <= 3.0 * float(se[0]) + 0.005 * abs(oracle)
-
-    def test_fundamental_identity_at_origin_and_inverse(self, lq_bench):
-        p = lq_bench.problem
-        grid, noise, ctrl, states = solve_setup(p, m=200, n=10)
-        fund = simulate_fundamental(p, grid, noise, states, ctrl)
-        assert np.all(fund.s_values[:, 0] == np.eye(1))
-        prod = np.einsum("mkij,mkjl->mkil", fund.s_values, fund.s_inverse_values)
-        assert np.max(np.abs(prod - np.eye(1))) <= 1e-6
 
     def test_agrees_with_lsmc_on_benchmarks(self, suite_benches):
         for bench in suite_benches:

@@ -13,6 +13,7 @@ from msacontrol import (
     export_csv,
     rate_fit,
     read_csv_columns,
+    upward_jumps,
 )
 from msacontrol.diagnostics import RATE_COLUMNS, TRACE_COLUMNS
 
@@ -117,6 +118,34 @@ class TestRateFit:
         last = max(n for n, ok in zip(trace.iterations, trace.accepted) if ok)
         rep = rate_fit(trace, lq_bench.continuous_optimum, 1, last)
         assert rep.passed, rep.status
+
+
+class TestUpwardJumps:
+    def test_descent_has_no_jumps(self):
+        assert upward_jumps(trace_from_costs([3.0, 2.0, 2.0, 1.5])) == []
+
+    def test_rise_within_noise_is_not_a_jump(self):
+        # 2.0 -> 2.5 with se 0.1 each: slack 3 * (0.1 + 0.1) = 0.6
+        trace = trace_from_costs([2.0, 2.5], ses=[0.1, 0.1])
+        assert upward_jumps(trace) == []
+        trace = trace_from_costs([2.0, 2.7], ses=[0.1, 0.1])
+        assert upward_jumps(trace) == [2]
+
+    def test_first_row_compares_with_initial_cost(self):
+        trace = trace_from_costs([5.0, 4.0])
+        trace.initial_cost = 1.0
+        assert upward_jumps(trace) == [1]
+
+    def test_rejected_rows_are_skipped(self):
+        # row 2 is rejected; row 3 is compared with row 1, not with row 2
+        trace = trace_from_costs([2.0, 9.0, 2.5], accepted=[True, False, True])
+        assert upward_jumps(trace) == [3]
+        trace = trace_from_costs([2.0, 9.0, 1.0], accepted=[True, False, True])
+        assert upward_jumps(trace) == []
+
+    def test_every_jump_is_listed(self):
+        trace = trace_from_costs([1.0, 2.0, 1.0, 3.0])
+        assert upward_jumps(trace) == [2, 4]
 
 
 class TestRecursiveBound:

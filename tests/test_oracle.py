@@ -14,11 +14,12 @@ from msacontrol import (
     benchmark_suite,
     brute_force_optimal,
     check_derivatives,
+    cost_per_path,
     diffusion_lq_value,
-    estimate_cost,
     get_benchmark,
     lq_adjoint_y0,
     make_noise,
+    mean_and_se,
     register_benchmark,
     riccati_lq,
     simulate_forward,
@@ -183,7 +184,7 @@ class TestBruteForce:
         idx = np.zeros((200, 4), dtype=np.int64)
         ctrl = ControlEnsemble(action_indices=idx, mode="per_path")
         states = simulate_forward(p, grid, noise, ctrl)
-        est, _ = estimate_cost(p, grid, states, ctrl)
+        est, _ = mean_and_se(cost_per_path(p, grid, states, ctrl))
         assert res.j_star == pytest.approx(est, rel=1e-12)
 
     def test_matches_sequence_by_sequence_evaluation(self):
@@ -200,7 +201,7 @@ class TestBruteForce:
             idx = np.tile(np.array(seq, dtype=np.int64), (50, 1))
             ctrl = ControlEnsemble(action_indices=idx, mode="deterministic")
             states = simulate_forward(small, grid, noise, ctrl)
-            est, _ = estimate_cost(small, grid, states, ctrl)
+            est, _ = mean_and_se(cost_per_path(small, grid, states, ctrl))
             if est < best:
                 best = est
                 arg = seq

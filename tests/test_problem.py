@@ -369,28 +369,28 @@ class TestAugmentedHamiltonian:
             g_grad=lambda x: np.zeros_like(x),
             actions=[0.0, 2.0],
         )
-        val = augmented_hamiltonian(
+        vals = augmented_hamiltonian(
             p,
             0.0,
-            np.array([0.0]),
-            np.array([1.0]),
             np.array([[0.0]]),
-            np.array([0.0]),
-            np.array([2.0]),
+            np.array([[1.0]]),
+            np.array([[[0.0]]]),
+            np.array([0]),  # previous action 0.0
             3.0,
         )
-        assert float(val) == 8.0
+        assert vals.shape == (2, 1)
+        assert float(vals[1, 0]) == 8.0  # candidate action 2.0
+        assert float(vals[0, 0]) == 0.0  # no move, no penalty
 
     def test_negative_rho_rejected(self):
         p = quadratic_drift_problem()
         args = (
             p,
             0.0,
-            np.array([0.0]),
-            np.array([1.0]),
             np.array([[0.0]]),
-            np.array([0.0]),
-            np.array([1.0]),
+            np.array([[1.0]]),
+            np.array([[[0.0]]]),
+            np.array([0]),
         )
         with pytest.raises(ValueError):
             augmented_hamiltonian(*args, -0.5)
@@ -424,18 +424,21 @@ class TestAugmentedHamiltonian:
             action_points=np.linspace(-1.0, 1.0, 5),
         )
         p = sp.assemble()
-        x = np.array([xv])
-        y = np.array([yv])
-        z = np.array([[zv]])
-        a = p.action_space.points[ia]
-        prev = p.action_space.points[ip]
-        h = float(hamiltonian(p, 0.3, x, y, z, a))
+        x = np.array([[xv]])
+        y = np.array([[yv]])
+        z = np.array([[[zv]]])
+        h = float(hamiltonian(p, 0.3, x[0], y[0], z[0], p.action_space.points[ia]))
+
+        def aug(prev_index, r):
+            vals = augmented_hamiltonian(p, 0.3, x, y, z, np.array([prev_index]), r)
+            return float(vals[ia, 0])
+
         # rho = 0 is the plain Hamiltonian, bit for bit
-        assert float(augmented_hamiltonian(p, 0.3, x, y, z, prev, a, 0.0)) == h
+        assert aug(ip, 0.0) == h
         # a == prev collapses the penalty for any rho
-        assert float(augmented_hamiltonian(p, 0.3, x, y, z, a, a, rho)) == h
+        assert aug(ia, rho) == h
         # penalty is nonnegative
-        assert float(augmented_hamiltonian(p, 0.3, x, y, z, prev, a, rho)) >= h
+        assert aug(ip, rho) >= h
 
 
 class TestCheckDerivatives:

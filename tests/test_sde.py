@@ -15,7 +15,6 @@ from msacontrol import (
     TimeGrid,
     constant_control,
     cost_per_path,
-    estimate_cost,
     make_noise,
     mean_and_se,
     riccati_lq,
@@ -170,11 +169,9 @@ class TestSimulateForward:
         rng = np.random.default_rng(0)
         idx = rng.integers(0, p.action_space.n_actions, size=(500, 20))
         ctrl = ControlEnsemble(action_indices=idx, mode="per_path")
-        base = simulate_forward(p, g, noise, ctrl, workers=1)
-        again = simulate_forward(p, g, noise, ctrl, workers=1)
-        threaded = simulate_forward(p, g, noise, ctrl, workers=4)
+        base = simulate_forward(p, g, noise, ctrl)
+        again = simulate_forward(p, g, noise, ctrl)
         assert np.array_equal(base.values, again.values)
-        assert np.array_equal(base.values, threaded.values)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blowup_names_path_and_step(self):
@@ -218,7 +215,7 @@ class TestEstimateCost:
         noise = make_noise(g, 8, 1, seed=1)
         ctrl = constant_control(p, 8, 4)
         states = simulate_forward(p, g, noise, ctrl)
-        assert estimate_cost(p, g, states, ctrl) == (0.0, 0.0)
+        assert mean_and_se(cost_per_path(p, g, states, ctrl)) == (0.0, 0.0)
 
     def test_unit_running_cost_integrates_to_horizon(self):
         z = lambda t, x, a: np.zeros_like(x)
@@ -237,7 +234,7 @@ class TestEstimateCost:
         noise = make_noise(g, 256, 1, seed=1)
         ctrl = constant_control(p, 256, 4)
         states = simulate_forward(p, g, noise, ctrl)
-        est, se = estimate_cost(p, g, states, ctrl)
+        est, se = mean_and_se(cost_per_path(p, g, states, ctrl))
         assert est == 1.0
         assert se == 0.0
 
@@ -274,7 +271,7 @@ class TestEstimateCost:
             x = x + (0.2 * x + a_used) * dt + 0.2 * noise.increments[:, k, 0]
         ctrl = ControlEnsemble(action_indices=idx, mode="per_path")
         states = simulate_forward(p, grid, noise, ctrl)
-        est, se = estimate_cost(p, grid, states, ctrl)
+        est, se = mean_and_se(cost_per_path(p, grid, states, ctrl))
         j_star = sol.optimal_value
         assert abs(est - j_star) <= 3.0 * se + 0.05 * abs(j_star)
 
@@ -286,7 +283,7 @@ class TestEstimateCost:
             noise = make_noise(grid, m, 1, seed=2)
             ctrl = constant_control(p, m, 20)
             states = simulate_forward(p, grid, noise, ctrl)
-            _, ses[m] = estimate_cost(p, grid, states, ctrl)
+            _, ses[m] = mean_and_se(cost_per_path(p, grid, states, ctrl))
         ratio = ses[1000] / ses[10_000]
         assert math.sqrt(10.0) / 1.5 <= ratio <= math.sqrt(10.0) * 1.5
 
