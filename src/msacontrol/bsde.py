@@ -41,13 +41,10 @@ class RegressionBasis:
     conditioned.
     """
 
-    kind: str = "polynomial"
     degree: int = 2
     ridge: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind != "polynomial":
-            raise ValueError(f"unknown basis kind {self.kind!r}")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
         if self.ridge is not None and self.ridge < 0:
@@ -131,7 +128,8 @@ def solve_adjoint_lsmc(
     n_basis = basis.n_functions(d)
     if n_basis > m / 10:
         raise RegressionError(
-            f"basis has {n_basis} functions for {m} paths; need n_basis <= M/10"
+            f"degree-{basis.degree} basis has {n_basis} functions for {m} paths;"
+            " need n_basis <= M/10"
         )
     lam = basis.ridge if basis.ridge is not None else 1e-8 * m
     dt = grid.dt

@@ -18,6 +18,7 @@ import numpy as np
 
 from .bsde import (
     RegressionBasis,
+    RegressionError,
     adjoint_residual,
     solve_adjoint_linear_y0,
     solve_adjoint_lsmc,
@@ -30,11 +31,16 @@ from .msa import (
     constant_control,
     run_msa,
 )
-from .oracle import benchmark_names, brute_force_optimal, get_benchmark, riccati_lq
-from .problem import ActionSpace, ControlProblem, check_derivatives
+from .oracle import (
+    benchmark_names,
+    benchmark_suite,
+    brute_force_optimal,
+    driverless_problem,
+    get_benchmark,
+    riccati_lq,
+)
+from .problem import ControlProblem, check_derivatives
 from .sde import TimeGrid, make_noise, simulate_forward
-
-DEFAULT_SEED = 12345
 
 
 class ConfigError(Exception):
@@ -43,48 +49,20 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    problem: str = ""
+    """A loaded config: field <section>_<key> holds INI key section.key,
+    except [msa] and [bsde], which build the solver's MsaConfig."""
+
     msa: MsaConfig = field(default_factory=MsaConfig)
-    out_dir: str = "out"
-    validate_samples: int = 200
+    problem_name: str = ""
+    problem_module: str = ""
+    output_directory: str = "out"
+    validate_n_samples: int = 200
     validate_step: float = 1e-5
-    validate_tol: float = 1e-4
+    validate_tolerance: float = 1e-4
     rate_n_min: int = 1
     rate_n_max: int = 100
     rate_oracle: str = "riccati"
     rate_synthetic: str = "one_over_n"
-
-
-_SCHEMA = {
-    "problem": {"name", "module"},
-    "msa": {
-        "n_paths",
-        "n_steps",
-        "seed",
-        "rho_initial",
-        "rho_growth",
-        "rho_max",
-        "tol_mu",
-        "tol_dj",
-        "max_iterations",
-        "control_mode",
-        "classical",
-    },
-    "bsde": {"kind", "degree", "ridge"},
-    "output": {"directory"},
-    "validate": {"n_samples", "step", "tolerance"},
-    "rate": {"n_min", "n_max", "oracle", "synthetic"},
-}
-
-
-def _get(parser, section, key, conv, current):
-    if not parser.has_option(section, key):
-        return current
-    raw = parser.get(section, key)
-    try:
-        return conv(raw)
-    except ValueError:
-        raise ConfigError(f"invalid value for {section}.{key}: {raw!r}") from None
 
 
 def _to_bool(raw: str) -> bool:
@@ -96,94 +74,91 @@ def _to_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+def _optional_float(raw: str) -> float | None:
+    return float(raw) if raw.strip() else None
+
+
+def _import_module(name: str) -> str:
+    # imported for its side effect: the module registers its problems
+    try:
+        importlib.import_module(name)
+    except ImportError as exc:
+        raise ConfigError(f"cannot import problem.module {name!r}: {exc}")
+    return name
+
+
+# section -> key -> converter of the raw value.  [msa] keys are MsaConfig
+# arguments and [bsde] keys RegressionBasis arguments.
+_SCHEMA = {
+    "problem": {"name": str, "module": _import_module},
+    "msa": {
+        "n_paths": int,
+        "n_steps": int,
+        "seed": int,
+        "rho_initial": float,
+        "rho_growth": float,
+        "rho_max": float,
+        "tol_mu": float,
+        "tol_dj": float,
+        "max_iterations": int,
+        "control_mode": str,
+        "classical": _to_bool,
+    },
+    "bsde": {"degree": int, "ridge": _optional_float},
+    "output": {"directory": str},
+    "validate": {"n_samples": int, "step": float, "tolerance": float},
+    "rate": {"n_min": int, "n_max": int, "oracle": str, "synthetic": str},
+}
+
+
 def load_config(path: str) -> RunConfig:
     """Parse and validate an INI config; reject anything not in the schema."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
+    values = {section: {} for section in _SCHEMA}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser.options(section):
+        for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
+            try:
+                values[section][key] = _SCHEMA[section][key](raw)
+            except ValueError:
+                raise ConfigError(f"invalid value for {section}.{key}: {raw!r}") from None
 
-    cfg = RunConfig()
-    if parser.has_option("problem", "module"):
-        module_name = parser.get("problem", "module")
-        try:
-            importlib.import_module(module_name)
-        except ImportError as exc:
-            raise ConfigError(f"cannot import problem.module {module_name!r}: {exc}")
-    cfg.problem = _get(parser, "problem", "name", str, cfg.problem)
-
-    msa = cfg.msa
-    kwargs = dict(
-        n_paths=_get(parser, "msa", "n_paths", int, msa.n_paths),
-        n_steps=_get(parser, "msa", "n_steps", int, msa.n_steps),
-        seed=_get(parser, "msa", "seed", int, msa.seed),
-        rho_initial=_get(parser, "msa", "rho_initial", float, msa.rho_initial),
-        rho_growth=_get(parser, "msa", "rho_growth", float, msa.rho_growth),
-        rho_max=_get(parser, "msa", "rho_max", float, msa.rho_max),
-        tol_mu=_get(parser, "msa", "tol_mu", float, msa.tol_mu),
-        tol_dj=_get(parser, "msa", "tol_dj", float, msa.tol_dj),
-        max_iterations=_get(parser, "msa", "max_iterations", int, msa.max_iterations),
-        control_mode=_get(parser, "msa", "control_mode", str, msa.control_mode),
-        classical=_get(parser, "msa", "classical", _to_bool, msa.classical),
-    )
-    kind = _get(parser, "bsde", "kind", str, "polynomial")
-    degree = _get(parser, "bsde", "degree", int, 2)
-    ridge_raw = parser.get("bsde", "ridge", fallback="").strip()
-    ridge = None
-    if ridge_raw:
-        try:
-            ridge = float(ridge_raw)
-        except ValueError:
-            raise ConfigError(f"invalid value for bsde.ridge: {ridge_raw!r}") from None
     try:
-        basis = RegressionBasis(kind=kind, degree=degree, ridge=ridge)
-        cfg.msa = MsaConfig(basis=basis, **kwargs)
+        msa = MsaConfig(basis=RegressionBasis(**values.pop("bsde")), **values.pop("msa"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    cfg.out_dir = _get(parser, "output", "directory", str, cfg.out_dir)
-    cfg.validate_samples = _get(parser, "validate", "n_samples", int, cfg.validate_samples)
-    cfg.validate_step = _get(parser, "validate", "step", float, cfg.validate_step)
-    cfg.validate_tol = _get(parser, "validate", "tolerance", float, cfg.validate_tol)
-    cfg.rate_n_min = _get(parser, "rate", "n_min", int, cfg.rate_n_min)
-    cfg.rate_n_max = _get(parser, "rate", "n_max", int, cfg.rate_n_max)
-    cfg.rate_oracle = _get(parser, "rate", "oracle", str, cfg.rate_oracle)
-    cfg.rate_synthetic = _get(parser, "rate", "synthetic", str, cfg.rate_synthetic)
+    cfg = RunConfig(msa=msa, **{f"{s}_{k}": v for s, keys in values.items() for k, v in keys.items()})
     if cfg.rate_oracle not in ("riccati", "brute_force", "synthetic"):
         raise ConfigError(f"rate.oracle must be riccati|brute_force|synthetic, got {cfg.rate_oracle!r}")
     if cfg.rate_synthetic not in ("one_over_n", "one_over_log"):
         raise ConfigError(f"rate.synthetic must be one_over_n|one_over_log, got {cfg.rate_synthetic!r}")
     if cfg.rate_n_min < 1 or cfg.rate_n_max < cfg.rate_n_min:
         raise ConfigError(f"bad rate window [{cfg.rate_n_min}, {cfg.rate_n_max}]")
-    return cfg
-
-
-def _apply_overrides(cfg: RunConfig, out: str | None, seed: int | None) -> RunConfig:
-    if out is not None:
-        cfg.out_dir = out
-    if seed is not None:
-        cfg.msa = replace(cfg.msa, seed=seed)
+    if cfg.validate_n_samples < 1:
+        raise ConfigError(f"validate.n_samples must be >= 1, got {cfg.validate_n_samples}")
+    if cfg.validate_step <= 0:
+        raise ConfigError(f"validate.step must be positive, got {cfg.validate_step}")
     return cfg
 
 
 def _require_problem(cfg: RunConfig):
-    if not cfg.problem:
+    if not cfg.problem_name:
         raise ConfigError("problem.name is required for this command")
     try:
-        return get_benchmark(cfg.problem)
+        return get_benchmark(cfg.problem_name)
     except KeyError:
         raise ConfigError(
-            f"unknown problem {cfg.problem!r}; known: {', '.join(benchmark_names())}"
+            f"unknown problem {cfg.problem_name!r}; known: {', '.join(benchmark_names())}"
         ) from None
 
 
@@ -197,6 +172,10 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _last_se(trace: IterationTrace) -> float:
+    return trace.cost_ses[-1] if trace.cost_ses else trace.initial_cost_se
+
+
 def _write_summary(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -204,128 +183,65 @@ def _write_summary(path: str, lines: list[str]) -> None:
 
 def _trace_summary_lines(name: str, trace: IterationTrace) -> list[str]:
     rho_history = sorted(set(trace.rhos))
-    final_se = trace.cost_ses[-1] if trace.cost_ses else trace.initial_cost_se
     return [
         f"problem: {name}",
         f"status: {trace.status}",
         f"iterations: {trace.n_rows}",
         f"initial_cost: {_fmt(trace.initial_cost)} +- {_fmt(trace.initial_cost_se)}",
-        f"final_cost: {_fmt(trace.final_cost)} +- {_fmt(final_se)}",
+        f"final_cost: {_fmt(trace.final_cost)} +- {_fmt(_last_se(trace))}",
         f"final_mu: {_fmt(trace.final_mu)}",
         f"total_backtracks: {sum(trace.backtracks)}",
         f"rho_history: {' '.join(_fmt(r) for r in rho_history)}",
     ]
 
 
-def cmd_run(config_path: str, out: str | None = None, seed: int | None = None) -> int:
+def cmd_run(cfg: RunConfig) -> int:
     """Solve the configured problem; write trace CSV and summary."""
-    try:
-        cfg = _apply_overrides(load_config(config_path), out, seed)
-        bench = _require_problem(cfg)
-    except ConfigError as exc:
-        _status("run", 1, error=repr(str(exc)))
-        return 1
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    trace_path = os.path.join(cfg.out_dir, f"{bench.name}_trace.csv")
-    summary_path = os.path.join(cfg.out_dir, f"{bench.name}_summary.txt")
+    bench = _require_problem(cfg)
+    os.makedirs(cfg.output_directory, exist_ok=True)
+    trace_path = os.path.join(cfg.output_directory, f"{bench.name}_trace.csv")
+    summary_path = os.path.join(cfg.output_directory, f"{bench.name}_summary.txt")
     try:
         _, trace = run_msa(bench.problem, cfg.msa)
+        code = 0
+        outcome = dict(
+            J=_fmt(trace.final_cost),
+            J_se=_fmt(_last_se(trace)),
+            mu=_fmt(trace.final_mu),
+            trace=trace_path,
+        )
     except DescentFailureError as exc:
         trace = exc.trace
-        export_csv(trace, trace_path, wall_clock=False)
-        _write_summary(summary_path, _trace_summary_lines(bench.name, trace))
-        _status(
-            "run",
-            2,
-            problem=bench.name,
-            status=trace.status,
-            iterations=trace.n_rows,
-            rho=_fmt(trace.rhos[-1]) if trace.rhos else "0",
-        )
-        return 2
+        code = 2
+        outcome = dict(rho=_fmt(trace.rhos[-1]) if trace.rhos else "0")
     export_csv(trace, trace_path, wall_clock=False)
     _write_summary(summary_path, _trace_summary_lines(bench.name, trace))
-    _status(
-        "run",
-        0,
-        problem=bench.name,
-        status=trace.status,
-        iterations=trace.n_rows,
-        J=_fmt(trace.final_cost),
-        J_se=_fmt(trace.cost_ses[-1] if trace.cost_ses else trace.initial_cost_se),
-        mu=_fmt(trace.final_mu),
-        trace=trace_path,
-    )
-    return 0
+    _status("run", code, problem=bench.name, status=trace.status, iterations=trace.n_rows, **outcome)
+    return code
 
 
-def _driverless_problem() -> ControlProblem:
-    """Zero-driver scalar case: b=0, sigma=1, f=0, g=x."""
-
-    def drift(t, x, a):
-        return np.zeros_like(x)
-
-    def diffusion(t, x, a):
-        return np.ones(x.shape[:-1] + (1, 1))
-
-    def running_cost(t, x, a):
-        return np.zeros(x.shape[:-1])
-
-    def terminal_cost(x):
-        return x[..., 0]
-
-    def jac_zero(t, x, a):
-        return np.zeros(x.shape[:-1] + (1, 1))
-
-    def diff_jac_zero(t, x, a):
-        return np.zeros(x.shape[:-1] + (1, 1, 1))
-
-    def grad_zero(t, x, a):
-        return np.zeros_like(x)
-
-    def terminal_grad(x):
-        return np.ones_like(x)
-
-    return ControlProblem(
-        state_dim=1,
-        noise_dim=1,
-        horizon=1.0,
-        initial_state=np.array([0.0]),
-        drift=drift,
-        diffusion=diffusion,
-        running_cost=running_cost,
-        terminal_cost=terminal_cost,
-        drift_jac_x=jac_zero,
-        diffusion_jac_x=diff_jac_zero,
-        running_cost_grad_x=grad_zero,
-        terminal_cost_grad_x=terminal_grad,
-        action_space=ActionSpace(points=np.array([0.0])),
-        name="driverless",
-    )
+def _centroid_solve(p: ControlProblem, n_paths: int, msa: MsaConfig):
+    """Forward paths and LSMC adjoint under the constant centroid control."""
+    grid = TimeGrid(n_steps=msa.n_steps, horizon=p.horizon)
+    noise = make_noise(grid, n_paths, p.noise_dim, msa.seed)
+    control = constant_control(p, n_paths, grid.n_steps, mode=msa.control_mode)
+    states = simulate_forward(p, grid, noise, control)
+    adjoint = solve_adjoint_lsmc(p, grid, noise, states, control, msa.basis)
+    return grid, noise, control, states, adjoint
 
 
-def cmd_validate(config_path: str, out: str | None = None, seed: int | None = None) -> int:
+def cmd_validate(cfg: RunConfig) -> int:
     """Derivative checks, zero-driver sanity, linear-representation cross-check."""
-    try:
-        cfg = _apply_overrides(load_config(config_path), out, seed)
-        bench = _require_problem(cfg)
-    except ConfigError as exc:
-        _status("validate", 1, error=repr(str(exc)))
-        return 1
+    bench = _require_problem(cfg)
     p = bench.problem
     checks: list[tuple[str, bool, str]] = []
 
-    report = check_derivatives(p, n_samples=cfg.validate_samples, step=cfg.validate_step)
+    report = check_derivatives(p, n_samples=cfg.validate_n_samples, step=cfg.validate_step)
     for key, err in sorted(report.max_errors.items()):
-        checks.append((f"derivative:{key}", err <= cfg.validate_tol, f"max_rel_err={err:.3e}"))
+        checks.append((f"derivative:{key}", err <= cfg.validate_tolerance, f"max_rel_err={err:.3e}"))
 
-    dp = _driverless_problem()
-    grid = TimeGrid(n_steps=cfg.msa.n_steps, horizon=dp.horizon)
-    n_paths = min(cfg.msa.n_paths, 4000)
-    noise = make_noise(grid, n_paths, dp.noise_dim, cfg.msa.seed)
-    control = constant_control(dp, n_paths, grid.n_steps, mode=cfg.msa.control_mode)
-    states = simulate_forward(dp, grid, noise, control)
-    adjoint = solve_adjoint_lsmc(dp, grid, noise, states, control, cfg.msa.basis)
+    dp = driverless_problem(1.0)
+    grid, noise, control, states, adjoint = _centroid_solve(dp, min(cfg.msa.n_paths, 4000), cfg.msa)
     y_dev = float(np.max(np.abs(adjoint.y_values - 1.0)))
     z_max = float(np.max(np.abs(adjoint.z_values)))
     resid = adjoint_residual(dp, grid, noise, states, control, adjoint)
@@ -333,13 +249,9 @@ def cmd_validate(config_path: str, out: str | None = None, seed: int | None = No
     checks.append(("driverless:z_small", z_max <= 1e-2, f"max|Z|={z_max:.3e}"))
     checks.append(("driverless:residual", resid <= 1e-8, f"residual={resid:.3e}"))
 
-    grid_p = TimeGrid(n_steps=cfg.msa.n_steps, horizon=p.horizon)
-    noise_p = make_noise(grid_p, cfg.msa.n_paths, p.noise_dim, cfg.msa.seed)
-    control_p = constant_control(p, cfg.msa.n_paths, grid_p.n_steps, mode=cfg.msa.control_mode)
-    states_p = simulate_forward(p, grid_p, noise_p, control_p)
-    adjoint_p = solve_adjoint_lsmc(p, grid_p, noise_p, states_p, control_p, cfg.msa.basis)
-    y0_lsmc = adjoint_p.y_values[:, 0, :].mean(axis=0)
-    y0_lin, y0_se = solve_adjoint_linear_y0(p, grid_p, noise_p, states_p, control_p)
+    grid, noise, control, states, adjoint = _centroid_solve(p, cfg.msa.n_paths, cfg.msa)
+    y0_lsmc = adjoint.y_values[:, 0, :].mean(axis=0)
+    y0_lin, y0_se = solve_adjoint_linear_y0(p, grid, noise, states, control)
     gap = np.abs(y0_lsmc - y0_lin)
     allow = 3.0 * y0_se + 1e-9
     checks.append(
@@ -354,26 +266,19 @@ def cmd_validate(config_path: str, out: str | None = None, seed: int | None = No
     for name, ok, detail in checks:
         lines.append(f"{'PASS' if ok else 'FAIL'} {name} {detail}")
         print(lines[-1])
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_summary(os.path.join(cfg.out_dir, f"{bench.name}_validate.txt"), lines)
+    os.makedirs(cfg.output_directory, exist_ok=True)
+    _write_summary(os.path.join(cfg.output_directory, f"{bench.name}_validate.txt"), lines)
     all_ok = all(ok for _, ok, _ in checks)
     n_failed = sum(0 if ok else 1 for _, ok, _ in checks)
     _status("validate", 0 if all_ok else 1, problem=bench.name, checks=len(checks), failed=n_failed)
     return 0 if all_ok else 1
 
 
-def cmd_bench(config_path: str, out: str | None = None, seed: int | None = None) -> int:
+def cmd_bench(cfg: RunConfig) -> int:
     """Run the benchmark suite plus the unpenalised stress demonstration."""
-    try:
-        cfg = _apply_overrides(load_config(config_path), out, seed)
-    except ConfigError as exc:
-        _status("bench", 1, error=repr(str(exc)))
-        return 1
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    os.makedirs(cfg.output_directory, exist_ok=True)
     lines: list[str] = []
-    all_ok = True
     descent_failed = False
-    from .oracle import benchmark_suite  # imported here to keep module load light
 
     for bench in benchmark_suite():
         p = bench.problem
@@ -381,12 +286,11 @@ def cmd_bench(config_path: str, out: str | None = None, seed: int | None = None)
             _, trace = run_msa(p, cfg.msa)
         except DescentFailureError as exc:
             trace = exc.trace
+        export_csv(trace, os.path.join(cfg.output_directory, f"{bench.name}_trace.csv"), wall_clock=False)
+        if trace.status == "descent_failure":
             descent_failed = True
-            all_ok = False
-            export_csv(trace, os.path.join(cfg.out_dir, f"{bench.name}_trace.csv"), wall_clock=False)
             lines.append(f"FAIL {bench.name} descent_failure after {trace.n_rows} rows")
             continue
-        export_csv(trace, os.path.join(cfg.out_dir, f"{bench.name}_trace.csv"), wall_clock=False)
         ok = True
         details = [f"status={trace.status}", f"iters={trace.n_rows}", f"J={_fmt(trace.final_cost)}"]
         if upward_jumps(trace):
@@ -399,14 +303,12 @@ def cmd_bench(config_path: str, out: str | None = None, seed: int | None = None)
             grid = TimeGrid(n_steps=cfg.msa.n_steps, horizon=p.horizon)
             ric = riccati_lq(bench.lq, grid)
             j_gap = abs(trace.final_cost - ric.optimal_value)
-            se = trace.cost_ses[-1] if trace.cost_ses else trace.initial_cost_se
-            band = max(0.02 * abs(ric.optimal_value), 3.0 * se + 0.05 * abs(ric.optimal_value))
+            band = max(0.02 * abs(ric.optimal_value), 3.0 * _last_se(trace) + 0.05 * abs(ric.optimal_value))
             details.append(f"riccati_gap={_fmt(j_gap)} band={_fmt(band)}")
             if j_gap > band:
                 ok = False
                 details.append("outside-band")
         lines.append(f"{'PASS' if ok else 'FAIL'} {bench.name} {' '.join(details)}")
-        all_ok = all_ok and ok
 
     stress = get_benchmark("msa_stress")
     classical_cfg = replace(
@@ -418,20 +320,19 @@ def cmd_bench(config_path: str, out: str | None = None, seed: int | None = None)
         tol_dj=1e-15,
     )
     _, demo = run_msa(stress.problem, classical_cfg)
-    export_csv(demo, os.path.join(cfg.out_dir, "msa_stress_classical_trace.csv"), wall_clock=False)
+    export_csv(demo, os.path.join(cfg.output_directory, "msa_stress_classical_trace.csv"), wall_clock=False)
     jumps = upward_jumps(demo)
     if not jumps:
-        all_ok = False
         lines.append("FAIL msa_stress_classical no upward cost jump within the demo window")
     else:
         lines.append(f"PASS msa_stress_classical upward jump at iteration {jumps[0]}")
 
     for line in lines:
         print(line)
-    _write_summary(os.path.join(cfg.out_dir, "bench_summary.txt"), lines)
-    code = 0 if all_ok else (2 if descent_failed else 1)
+    _write_summary(os.path.join(cfg.output_directory, "bench_summary.txt"), lines)
     n_failed = sum(1 for line in lines if line.startswith("FAIL"))
-    _status("bench", code, problems=len(lines), failed=n_failed, out=cfg.out_dir)
+    code = 0 if n_failed == 0 else (2 if descent_failed else 1)
+    _status("bench", code, problems=len(lines), failed=n_failed, out=cfg.output_directory)
     return code
 
 
@@ -444,43 +345,28 @@ def _synthetic_trace(kind: str, n_min: int, n_max: int) -> IterationTrace:
     return trace
 
 
-def cmd_rate(config_path: str, out: str | None = None, seed: int | None = None) -> int:
+def cmd_rate(cfg: RunConfig) -> int:
     """Fit the optimality-gap decay against an oracle value."""
-    try:
-        cfg = _apply_overrides(load_config(config_path), out, seed)
-        if cfg.rate_oracle == "synthetic":
-            bench = None
-            name = f"synthetic_{cfg.rate_synthetic}"
-        else:
-            bench = _require_problem(cfg)
-            name = bench.name
-    except ConfigError as exc:
-        _status("rate", 1, error=repr(str(exc)))
-        return 1
-    os.makedirs(cfg.out_dir, exist_ok=True)
-
-    if cfg.rate_oracle == "synthetic":
+    bench = None if cfg.rate_oracle == "synthetic" else _require_problem(cfg)
+    os.makedirs(cfg.output_directory, exist_ok=True)
+    if bench is None:
+        name = f"synthetic_{cfg.rate_synthetic}"
         trace = _synthetic_trace(cfg.rate_synthetic, cfg.rate_n_min, cfg.rate_n_max)
         j_star = 0.0
     else:
+        name = bench.name
         p = bench.problem
         grid = TimeGrid(n_steps=cfg.msa.n_steps, horizon=p.horizon)
         if cfg.rate_oracle == "riccati":
             if bench.lq is None:
-                _status("rate", 1, error=repr(f"problem {name} has no Riccati oracle"))
-                return 1
+                raise ConfigError(f"problem {name} has no Riccati oracle")
             j_star = riccati_lq(bench.lq, grid).optimal_value
         else:
             total = p.action_space.n_actions ** grid.n_steps
             if total > 1_000_000:
-                _status(
-                    "rate",
-                    1,
-                    error=repr(
-                        f"brute force needs |A|^N <= 1e6, got {total}; shrink n_steps or the action grid"
-                    ),
+                raise ConfigError(
+                    f"brute force needs |A|^N <= 1e6, got {total}; shrink n_steps or the action grid"
                 )
-                return 1
             noise = make_noise(grid, cfg.msa.n_paths, p.noise_dim, cfg.msa.seed)
             j_star = brute_force_optimal(p, grid, noise).j_star
         try:
@@ -495,7 +381,7 @@ def cmd_rate(config_path: str, out: str | None = None, seed: int | None = None) 
         return 0
     n_max = min(cfg.rate_n_max, max(accepted_n))
     report = rate_fit(trace, j_star, cfg.rate_n_min, n_max)
-    export_csv(report, os.path.join(cfg.out_dir, f"{name}_rate.csv"))
+    export_csv(report, os.path.join(cfg.output_directory, f"{name}_rate.csv"))
     slope = "none" if report.slope is None else _fmt(report.slope)
     sup = "none" if report.sup_n_times_bn is None else _fmt(report.sup_n_times_bn)
     code = 0 if report.passed else 1
@@ -538,8 +424,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Load the config, apply --out and --seed, run the command.
+
+    A ConfigError or RegressionError from any step ends the command
+    with exit code 1 and a STATUS line naming the problem.
+    """
     args = build_parser().parse_args(argv)
-    return args.fn(args.config, out=args.out, seed=args.seed)
+    try:
+        cfg = load_config(args.config)
+        if args.out is not None:
+            cfg.output_directory = args.out
+        if args.seed is not None:
+            try:
+                cfg.msa = replace(cfg.msa, seed=args.seed)
+            except ValueError as exc:
+                raise ConfigError(f"--seed {args.seed}: {exc}") from None
+        return args.fn(cfg)
+    except (ConfigError, RegressionError) as exc:
+        _status(args.command, 1, error=repr(str(exc)))
+        return 1
 
 
 if __name__ == "__main__":

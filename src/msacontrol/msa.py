@@ -3,11 +3,12 @@
 Each iteration simulates the state forward under the current control,
 solves the adjoint backward, and replaces the control at every (path,
 step) by the argmin of the augmented Hamiltonian against the previous
-action.  A candidate is accepted only if the estimated cost does not
-increase beyond Monte-Carlo slack; otherwise the penalty weight rho is
-grown and the update recomputed from the same states and adjoint.  The
-expected integrated Hamiltonian decrease mu is nonpositive by
-construction and its convergence to zero is the stopping signal.
+action.  A candidate is accepted when its paired cost change satisfies
+dJ <= 3 SE(dJ), so the estimated cost may rise within Monte-Carlo noise;
+otherwise the penalty weight rho is grown and the update recomputed from
+the same states and adjoint.  The expected integrated Hamiltonian
+decrease mu is nonpositive by construction and its convergence to zero
+is the stopping signal.
 
 There is one Hamiltonian evaluator, in ``problem.py``: ``hamiltonian``
 at given actions and ``augmented_hamiltonian`` over every (action, path)
@@ -126,6 +127,8 @@ class MsaConfig:
     def __post_init__(self) -> None:
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("n_paths and n_steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.rho_initial < 0:
             raise ValueError("rho_initial must be nonnegative")
         if self.rho_growth <= 1:

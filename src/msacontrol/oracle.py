@@ -455,6 +455,31 @@ def scalar_quadratic_problem(
     )
 
 
+def driverless_problem(c: float) -> ControlProblem:
+    """Scalar problem whose adjoint is known: Y = c and Z = 0 on every path.
+
+    b = a, sigma = 1, f = a^2/2, g = c x, actions (-1, 0, 1).  No
+    coefficient depends on x, so the adjoint equation has no driver.
+    """
+    return StructuredProblem(
+        state_dim=1,
+        noise_dim=1,
+        horizon=1.0,
+        initial_state=np.array([0.0]),
+        b1=lambda t: np.zeros((1, 1)),
+        b2=lambda t, a: a,
+        sigma1=lambda t: np.zeros((1, 1, 1)),
+        sigma2=lambda t, a: np.ones(a.shape[:-1] + (1, 1)),
+        f1=lambda t, x: np.zeros(x.shape[:-1]),
+        f1_grad_x=lambda t, x: np.zeros_like(x),
+        f2=lambda t, a: 0.5 * a[..., 0] * a[..., 0],
+        terminal=lambda x: c * x[..., 0],
+        terminal_grad_x=lambda x: np.full_like(x, c),
+        action_space=ActionSpace(points=np.array([-1.0, 0.0, 1.0])),
+        name="driverless",
+    ).assemble()
+
+
 # Pinned benchmark instances.  The stress instance was found empirically:
 # with the penalty frozen at zero its update overshoots through the large
 # drift gain and the cost oscillates upward within a few iterations.

@@ -18,6 +18,7 @@ from msacontrol import (
     TimeGrid,
     adjoint_residual,
     check_recursive_bound,
+    driverless_problem,
     make_noise,
     rate_fit,
     simulate_forward,
@@ -28,7 +29,7 @@ from msacontrol import (
 from msacontrol.cli import main
 
 from conftest import combined_se
-from test_bsde import driverless_problem, solve_setup
+from test_bsde import solve_setup
 
 TOL_MU = 1e-3
 
@@ -151,7 +152,7 @@ def test_criterion_06_classical_jumps_modified_descends(stress_classical_run, st
 
 
 def test_criterion_07a_driverless_adjoint_is_constant(lq_bench):
-    p = driverless_problem()
+    p = driverless_problem(2.5)
     grid, noise, ctrl, states = solve_setup(p, m=10_000, n=50, rng_actions=False)
     adjoint = solve_adjoint_lsmc(p, grid, noise, states, ctrl, RegressionBasis())
     y_dev = float(np.max(np.abs(adjoint.y_values - 2.5)))

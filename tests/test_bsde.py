@@ -14,6 +14,7 @@ from msacontrol import (
     TimeGrid,
     adjoint_residual,
     constant_control,
+    driverless_problem,
     lq_adjoint_y0,
     make_noise,
     scalar_quadratic_problem,
@@ -23,22 +24,6 @@ from msacontrol import (
 )
 
 from test_problem import make_problem
-
-
-def driverless_problem(c=2.5):
-    """b, sigma, f free of x and g = c x, so Y is constant and Z vanishes."""
-    z = lambda t, x, a: np.zeros_like(x)
-    return make_problem(
-        b=lambda t, x, a: a + 0.0 * x,
-        sigma=lambda t, x, a: np.ones_like(x),
-        f=lambda t, x, a: 0.5 * a * a + 0.0 * x,
-        g=lambda x: c * x,
-        b_jac=z,
-        sigma_jac=z,
-        f_grad=z,
-        g_grad=lambda x: np.full_like(x, c),
-        actions=[-1.0, 0.0, 1.0],
-    )
 
 
 def solve_setup(p, m, n, seed=17, mode="per_path", rng_actions=True):
@@ -61,8 +46,6 @@ class TestRegressionBasis:
         assert RegressionBasis(degree=0).n_functions(5) == 1
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            RegressionBasis(kind="fourier")
         with pytest.raises(ValueError):
             RegressionBasis(degree=-1)
         with pytest.raises(ValueError):

@@ -1,13 +1,16 @@
 """Command-line interface: config parsing, exit codes, output files."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+import msacontrol.cli as cli
 import msacontrol.oracle as oracle_mod
 from msacontrol import get_benchmark, read_csv_columns, register_benchmark
 from msacontrol.cli import ConfigError, load_config, main
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 FAST_MSA = {"n_paths": 2000, "n_steps": 25, "max_iterations": 30}
 
 
@@ -35,31 +38,69 @@ class TestLoadConfig:
         path = tmp_path / "empty.ini"
         path.write_text("")
         cfg = load_config(str(path))
-        assert cfg.problem == ""
+        assert cfg.problem_name == ""
         assert cfg.msa.n_paths == 10000
         assert cfg.msa.n_steps == 50
-        assert cfg.out_dir == "out"
+        assert cfg.output_directory == "out"
         assert cfg.rate_oracle == "riccati"
 
     def test_values_are_applied(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            problem={"name": "lq_drift"},
-            msa={"n_paths": 256, "rho_initial": 0.5, "classical": "true", "control_mode": "deterministic"},
+        sections = dict(
+            problem={"name": "lq_drift", "module": "msacontrol.oracle"},
+            msa={
+                "n_paths": 256,
+                "n_steps": 7,
+                "seed": 3,
+                "rho_initial": 0.5,
+                "rho_growth": 3.0,
+                "rho_max": 99.0,
+                "tol_mu": 1e-4,
+                "tol_dj": 1e-7,
+                "max_iterations": 11,
+                "control_mode": "deterministic",
+                "classical": "true",
+            },
             bsde={"degree": 3, "ridge": 1e-6},
             output={"directory": "elsewhere"},
-            rate={"oracle": "synthetic", "synthetic": "one_over_log"},
+            validate={"n_samples": 17, "step": 1e-6, "tolerance": 1e-3},
+            rate={"n_min": 4, "n_max": 40, "oracle": "synthetic", "synthetic": "one_over_log"},
         )
-        cfg = load_config(path)
-        assert cfg.problem == "lq_drift"
+        # every key the loader knows is set here, so a dropped key fails below
+        assert {s: set(kv) for s, kv in sections.items()} == {
+            s: set(kv) for s, kv in cli._SCHEMA.items()
+        }
+        cfg = load_config(write_config(tmp_path, **sections))
+        assert cfg.problem_name == "lq_drift"
+        assert cfg.problem_module == "msacontrol.oracle"
         assert cfg.msa.n_paths == 256
+        assert cfg.msa.n_steps == 7
+        assert cfg.msa.seed == 3
         assert cfg.msa.rho_initial == 0.5
-        assert cfg.msa.classical is True
+        assert cfg.msa.rho_growth == 3.0
+        assert cfg.msa.rho_max == 99.0
+        assert cfg.msa.tol_mu == 1e-4
+        assert cfg.msa.tol_dj == 1e-7
+        assert cfg.msa.max_iterations == 11
         assert cfg.msa.control_mode == "deterministic"
+        assert cfg.msa.classical is True
         assert cfg.msa.basis.degree == 3
         assert cfg.msa.basis.ridge == 1e-6
-        assert cfg.out_dir == "elsewhere"
+        assert cfg.output_directory == "elsewhere"
+        assert cfg.validate_n_samples == 17
+        assert cfg.validate_step == 1e-6
+        assert cfg.validate_tolerance == 1e-3
+        assert cfg.rate_n_min == 4
+        assert cfg.rate_n_max == 40
+        assert cfg.rate_oracle == "synthetic"
         assert cfg.rate_synthetic == "one_over_log"
+
+    def test_shipped_configs_load(self):
+        paths = sorted(CONFIG_DIR.glob("*.ini"))
+        assert paths
+        for path in paths:
+            cfg = load_config(str(path))
+            if cfg.problem_name:
+                get_benchmark(cfg.problem_name)
 
     def test_unknown_section_rejected(self, tmp_path):
         path = write_config(tmp_path, extras={"x": 1})
@@ -72,9 +113,16 @@ class TestLoadConfig:
             load_config(path)
 
     def test_bad_value_is_named(self, tmp_path):
-        path = write_config(tmp_path, msa={"n_paths": "plenty"})
-        with pytest.raises(ConfigError, match=r"msa\.n_paths"):
-            load_config(path)
+        for section, key, value, named in (
+            ("msa", "n_paths", "plenty", r"msa\.n_paths"),
+            ("msa", "n_paths", "50%", r"msa\.n_paths"),
+            ("msa", "seed", -1, "seed"),
+            ("validate", "n_samples", 0, r"validate\.n_samples"),
+            ("validate", "step", -1e-5, r"validate\.step"),
+        ):
+            path = write_config(tmp_path, **{section: {key: value}})
+            with pytest.raises(ConfigError, match=named):
+                load_config(path)
 
     def test_solver_validation_surfaces_as_config_error(self, tmp_path):
         path = write_config(tmp_path, msa={"control_mode": "sideways"})
@@ -171,6 +219,24 @@ class TestRun:
         assert main(["run", "--config", cfg]) == 1
         status, _ = status_line(capsys)
         assert "msa.n_path" in status
+
+    @pytest.mark.parametrize(
+        "command, sections, flags, named",
+        [
+            ("run", {"msa": {"seed": -1}}, [], "seed"),
+            ("run", {}, ["--seed", "-5"], "--seed"),
+            ("validate", {"validate": {"n_samples": 0}}, [], "validate.n_samples"),
+            ("validate", {"validate": {"step": -1e-5}}, [], "validate.step"),
+            ("run", {"msa": {"n_paths": 200, "n_steps": 5}, "bsde": {"degree": 30}}, [], "degree"),
+        ],
+    )
+    def test_bad_value_exits_one_naming_it(self, tmp_path, capsys, command, sections, flags, named):
+        cfg = write_config(tmp_path, problem={"name": "lq_drift"}, **sections)
+        out = str(tmp_path / "out")
+        assert main([command, "--config", cfg, "--out", out, *flags]) == 1
+        status, _ = status_line(capsys)
+        assert status.startswith(f"STATUS command={command} exit=1 error=")
+        assert named in status
 
     def test_descent_failure_exits_two_with_trace(self, tmp_path, capsys):
         cfg = write_config(
