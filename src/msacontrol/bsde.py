@@ -47,8 +47,8 @@ class RegressionBasis:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        if self.ridge is not None and self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
+        if self.ridge is not None and not 0 <= self.ridge < np.inf:
+            raise ValueError("ridge must be nonnegative and finite")
 
     def n_functions(self, state_dim: int) -> int:
         return comb(state_dim + self.degree, self.degree)

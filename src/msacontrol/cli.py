@@ -3,7 +3,7 @@
 Configuration is a strict INI file with one section per module; unknown
 sections or keys are rejected.  Every invocation ends with a single
 machine-parseable STATUS line.  Exit codes: 0 success, 2 descent
-failure, 1 usage or configuration errors and failed checks.
+failure, 1 usage, configuration and solver errors and failed checks.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .oracle import (
     get_benchmark,
     riccati_lq,
 )
-from .problem import ControlProblem, check_derivatives
-from .sde import TimeGrid, make_noise, simulate_forward
+from .problem import ControlProblem, EvaluationError, check_derivatives
+from .sde import SimulationError, TimeGrid, make_noise, simulate_forward
 
 
 class ConfigError(Exception):
@@ -426,8 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Load the config, apply --out and --seed, run the command.
 
-    A ConfigError or RegressionError from any step ends the command
-    with exit code 1 and a STATUS line naming the problem.
+    A ConfigError, a RegressionError, a non-finite state or coefficient
+    (SimulationError, EvaluationError) or a refused noise bank
+    (MemoryError) from any step ends the command with exit code 1 and a
+    STATUS line naming the problem.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -440,7 +442,7 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"--seed {args.seed}: {exc}") from None
         return args.fn(cfg)
-    except (ConfigError, RegressionError) as exc:
+    except (ConfigError, RegressionError, SimulationError, EvaluationError, MemoryError) as exc:
         _status(args.command, 1, error=repr(str(exc)))
         return 1
 

@@ -12,13 +12,13 @@ is the stopping signal.
 
 There is one Hamiltonian evaluator, in ``problem.py``: ``hamiltonian``
 at given actions and ``augmented_hamiltonian`` over every (action, path)
-pair share one contraction.  ``compute_mu`` and
-``verify_extended_pontryagin`` always use it, and so does the update for
-a problem without ``action_terms``.  For a problem with ``action_terms`` (every
-``StructuredProblem``) the update takes a shortcut that chooses the same
-actions: only the action terms enter the argmin, so per time step it is
-one (actions x paths) matrix product, a table of penalties indexed by
-(previous, candidate) action, and one reduction over actions.
+pair share one contraction; ``compute_mu`` and
+``verify_extended_pontryagin`` always use it.  ``update_control`` is one
+loop over time steps.  Each step's (actions x paths) value table comes
+from ``augmented_hamiltonian`` or, for a problem with ``action_terms``
+(every ``StructuredProblem``), from one matrix product of the action
+terms plus a (previous, candidate) penalty table; one helper applies
+the tie rule to either, and the Pontryagin check reads its gap there.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsde import AdjointEnsemble, RegressionBasis, solve_adjoint_lsmc
-from .problem import ControlProblem, augmented_hamiltonian, hamiltonian
+from .problem import ControlProblem, _check_finite, augmented_hamiltonian, hamiltonian
 from .sde import (
     StateEnsemble,
     TimeGrid,
@@ -129,6 +129,9 @@ class MsaConfig:
             raise ValueError("n_paths and n_steps must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        for name in ("rho_initial", "rho_growth", "rho_max", "tol_mu", "tol_dj"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rho_initial < 0:
             raise ValueError("rho_initial must be nonnegative")
         if self.rho_growth <= 1:
@@ -203,34 +206,41 @@ def update_control(
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    m, n = prev.n_paths, prev.n_steps
-    new_idx = np.empty((m, n), dtype=np.int64)
-    if p.action_terms is not None:
-        _separable_update(p, grid, adjoint, prev, rho, new_idx)
-        return ControlEnsemble(action_indices=new_idx, mode=prev.mode)
-    nodes = grid.nodes
-    xs = states.values
-    ys = adjoint.y_values
-    zs = adjoint.z_values
+    producer = _hamiltonian_values if p.action_terms is None else _term_values
+    tables = producer(p, grid, states, adjoint, prev, rho)
     prev_idx = prev.action_indices
-    rows = np.arange(m)
-    for k in range(n):
-        vals = augmented_hamiltonian(
-            p, float(nodes[k]), xs[:, k], ys[:, k], zs[:, k], prev_idx[:, k], rho
-        )
-        if prev.mode == "deterministic":
-            col = vals.mean(axis=1)
-            pk = int(prev_idx[0, k])
-            new_idx[:, k] = pk if col[pk] == col.min() else int(col.argmin())
-            continue
-        pk = prev_idx[:, k]
-        mins = vals.min(axis=0)
-        new_idx[:, k] = np.where(vals[pk, rows] == mins, pk, vals.argmin(axis=0))
+    new_idx = np.empty_like(prev_idx)
+    for k in range(prev.n_steps):
+        pk = prev_idx[:, k] if prev.mode == "per_path" else prev_idx[:1, k]
+        new_idx[:, k], _ = _keep_or_lowest(next(tables), pk)
+    tables.close()  # no table or producer buffer outlives the loop
     return ControlEnsemble(action_indices=new_idx, mode=prev.mode)
 
 
-def _separable_update(p, grid, adjoint, prev, rho, out):
-    """update_control for a problem with action terms, written into out.
+def _keep_or_lowest(vals, prev):
+    """Column-wise argmin of an (actions, columns) table, and its gap.
+
+    A column keeps its previous action where that action attains the
+    column minimum, else takes the lowest index attaining it.  The gap
+    is vals[prev] - min, nonnegative and zero where prev is kept.
+    """
+    mins = vals.min(axis=0)
+    at_prev = vals[prev, np.arange(vals.shape[1])]
+    lowest = (vals == mins).argmax(axis=0)  # equals argmin on finite tables
+    return np.where(at_prev == mins, prev, lowest), at_prev - mins
+
+
+def _hamiltonian_values(p, grid, states, adjoint, prev, rho):
+    """Per step, the augmented Hamiltonian, (actions, paths) or path mean."""
+    for k in range(prev.n_steps):
+        x, y, z = states.values[:, k], adjoint.y_values[:, k], adjoint.z_values[:, k]
+        t, pk = float(grid.nodes[k]), prev.action_indices[:, k]
+        vals = augmented_hamiltonian(p, t, x, y, z, pk, rho)
+        yield vals.mean(axis=1, keepdims=True) if prev.mode == "deterministic" else vals
+
+
+def _term_values(p, grid, states, adjoint, prev, rho):
+    """Per step, the same argmin's values from the action terms alone.
 
     Under the ActionTerms contract H(a) = [y, vec z] . C_a + f2(a) plus
     terms free of a, where C_a = [b2(a), vec sigma2(a)].  The grad_x H
@@ -239,40 +249,30 @@ def _separable_update(p, grid, adjoint, prev, rho, out):
     """
     terms = p.action_terms
     points = p.action_space.points
-    n_act = points.shape[0]
     m, d = prev.n_paths, p.state_dim
+    nodes = grid.nodes
     ys = adjoint.y_values
     zs = adjoint.z_values
     prev_idx = prev.action_indices
-    rows = np.arange(m)
     w = np.empty((d + d * p.noise_dim, m))  # [y, vec z] per path, transposed
     for k in range(prev.n_steps):
-        t = float(grid.nodes[k])
-        c = np.concatenate(
-            [
-                np.asarray(terms.drift(t, points)),
-                np.asarray(terms.diffusion(t, points)).reshape(n_act, -1),
-            ],
-            axis=1,
-        )
-        f2 = np.asarray(terms.running_cost(t, points))
+        t = float(nodes[k])
+        b2 = np.asarray(terms.drift(t, points))
+        s2 = np.asarray(terms.diffusion(t, points)).reshape(len(points), -1)
+        c = _check_finite("action terms", np.concatenate([b2, s2], axis=1))
+        f2 = _check_finite("action terms", np.asarray(terms.running_cost(t, points)))
         diff = c[:, None, :] - c[None, :, :]
         half_pen = 0.5 * rho * np.einsum("apq,apq->ap", diff, diff)
         w[:d] = ys[:, k].T
         w[d:] = zs[:, k].reshape(m, -1).T
-        if prev.mode == "deterministic":
-            pk = int(prev_idx[0, k])
-            col = c @ w.mean(axis=1) + f2 + half_pen[pk]
-            out[:, k] = pk if col[pk] == col.min() else int(col.argmin())
+        if prev.mode == "deterministic":  # path mean first: a matrix-vector product
+            yield (c @ w.mean(axis=1) + f2 + half_pen[prev_idx[0, k]])[:, None]
             continue
-        pk = prev_idx[:, k]
-        vals = c @ w  # (n_act, m): a reduction over actions is a row-wise pass
+        vals = c @ w  # (actions, m): a reduction over actions is a row-wise pass
         vals += f2[:, None]
         if rho > 0:
-            vals += half_pen[:, pk]  # the table is symmetric
-        mins = vals.min(axis=0)
-        cand = (vals == mins).argmax(axis=0)  # lowest index attaining the min
-        out[:, k] = np.where(vals[pk, rows] == mins, pk, cand)
+            vals += half_pen[:, prev_idx[:, k]]  # the table is symmetric
+        yield vals
 
 
 def compute_mu(
@@ -395,7 +395,6 @@ def verify_extended_pontryagin(
     rho: float,
     n_samples: int,
     tol: float = 1e-3,
-    seed: int = 0,
 ) -> PontryaginReport:
     """Check H~(a*, a*) <= H~(a*, a) + tol at sampled (path, step) pairs.
 
@@ -405,10 +404,9 @@ def verify_extended_pontryagin(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    m, n = control.n_paths, control.n_steps
-    rng = np.random.default_rng(seed)
-    ii = rng.integers(0, m, size=n_samples)
-    kk = rng.integers(0, n, size=n_samples)
+    rng = np.random.default_rng(0)
+    ii = rng.integers(0, control.n_paths, size=n_samples)
+    kk = rng.integers(0, control.n_steps, size=n_samples)
     nodes = grid.nodes
     xs = states.values
     ys = adjoint.y_values
@@ -421,8 +419,7 @@ def verify_extended_pontryagin(
         x, y, z = xs[i_sel, k], ys[i_sel, k], zs[i_sel, k]
         own = control.action_indices[i_sel, k]
         vals = augmented_hamiltonian(p, t, x, y, z, own, rho)
-        h_own = vals[own, np.arange(sel.size)]
-        gaps[sel] = h_own - vals.min(axis=0)
+        _, gaps[sel] = _keep_or_lowest(vals, own)
     return PontryaginReport(
         violation_fraction=float(np.mean(gaps > tol)),
         worst_gap=float(gaps.max()),

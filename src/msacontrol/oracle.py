@@ -311,7 +311,6 @@ def brute_force_optimal(
     p: ControlProblem,
     grid: TimeGrid,
     noise: NoiseBank,
-    actions: ActionSpace | None = None,
     max_sequences: int = 1_000_000,
 ) -> BruteForceResult:
     """Exhaustive minimum of the estimated cost over deterministic controls.
@@ -321,8 +320,7 @@ def brute_force_optimal(
     is independent of enumeration order; on exact ties the first sequence
     in lexicographic index order is kept.
     """
-    space = actions if actions is not None else p.action_space
-    n_act = space.n_actions
+    n_act = p.action_space.n_actions
     n = grid.n_steps
     m = noise.n_paths
     total = n_act ** n
@@ -332,7 +330,7 @@ def brute_force_optimal(
         )
     dt = grid.dt
     nodes = grid.nodes
-    points = space.points
+    points = p.action_space.points
     inc = noise.increments
     d = p.state_dim
 
@@ -390,7 +388,6 @@ class Benchmark:
     structured: StructuredProblem
     lq: LqSpec | None = None
     continuous_optimum: float | None = None
-    notes: str = ""
 
 
 def scalar_quadratic_problem(
@@ -494,6 +491,7 @@ _SMALL_GRID = np.linspace(-1.0, 1.0, 3)
 
 
 def _make_lq_drift(grid_points: np.ndarray, name: str) -> Benchmark:
+    # control in the drift only; Riccati-verifiable
     c = _LQ_DRIFT
     sp = scalar_quadratic_problem(
         name,
@@ -524,11 +522,11 @@ def _make_lq_drift(grid_points: np.ndarray, name: str) -> Benchmark:
         structured=sp,
         lq=lq,
         continuous_optimum=ric.optimal_value,
-        notes="control in the drift only; Riccati-verifiable",
     )
 
 
 def _make_ctrl_diffusion(grid_points: np.ndarray, name: str) -> Benchmark:
+    # control enters the diffusion; verified by brute force
     c = _CTRL_DIFFUSION
     sp = scalar_quadratic_problem(
         name,
@@ -559,11 +557,11 @@ def _make_ctrl_diffusion(grid_points: np.ndarray, name: str) -> Benchmark:
         structured=sp,
         lq=None,
         continuous_optimum=j_star,
-        notes="control enters the diffusion; verified by brute force",
     )
 
 
 def _make_msa_stress() -> Benchmark:
+    # strong control-to-adjoint coupling; unpenalised updates oscillate
     c = _MSA_STRESS
     sp = scalar_quadratic_problem(
         "msa_stress",
@@ -583,7 +581,6 @@ def _make_msa_stress() -> Benchmark:
         problem=sp.assemble(),
         structured=sp,
         lq=None,
-        notes="strong control-to-adjoint coupling; unpenalised updates oscillate",
     )
 
 

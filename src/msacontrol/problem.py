@@ -141,12 +141,12 @@ class ControlProblem:
         self._probe()
 
     def _probe(self) -> None:
-        # Shape checks at (t=0, x0, a0), single point and a batch of 3,
-        # so non-broadcasting coefficient functions fail at construction.
+        # Shape checks at (t=0, x0, a0) for batches (), (3,) and a two-axis (2, 3)
+        # as augmented_hamiltonian uses, so non-broadcasting coefficients fail here.
         d, dn, m = self.state_dim, self.noise_dim, self.action_space.dim
         x0 = self.initial_state
         a0 = self.action_space.points[0]
-        for batch in ((), (3,)):
+        for batch in ((), (3,), (2, 3)):
             x = np.broadcast_to(x0, batch + (d,))
             a = np.broadcast_to(a0, batch + (m,))
             expected = {
@@ -291,22 +291,16 @@ def augmented_hamiltonian(p: ControlProblem, t, x, y, z, prev_index, rho):
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     points = p.action_space.points
-    n = x.shape[0]
-    h_all = np.empty((points.shape[0], n))
-    b_all, s_all, g_all = [], [], []
-    for j, point in enumerate(points):
-        a = np.broadcast_to(point, (n, points.shape[1]))
-        b, sig, f = _coefficients(p, t, x, a)
-        h_all[j] = _contract(b, sig, f, y, z)
-        if rho > 0:
-            b_all.append(b)
-            s_all.append(sig)
-            g_all.append(hamiltonian_grad_x(p, t, x, y, z, a))
+    # one call per coefficient over the (actions, rows) batch
+    xa = np.broadcast_to(x, (points.shape[0],) + x.shape)
+    a = np.broadcast_to(points[:, None, :], xa.shape[:2] + points.shape[1:])
+    b_all, s_all, f_all = _coefficients(p, t, xa, a)
+    h_all = _contract(b_all, s_all, f_all, y, z)
     if rho == 0:
         return h_all
-    b_all, s_all, g_all = np.stack(b_all), np.stack(s_all), np.stack(g_all)
+    g_all = hamiltonian_grad_x(p, t, xa, y, z, a)
     # differences against each row's own previous action
-    rows = np.arange(n)
+    rows = np.arange(x.shape[0])
     db = b_all - b_all[prev_index, rows][None]
     ds = s_all - s_all[prev_index, rows][None]
     dg = g_all - g_all[prev_index, rows][None]
@@ -345,12 +339,11 @@ def check_derivatives(
     n_samples: int,
     step: float,
     seed: int = 0,
-    state_box: tuple | None = None,
 ) -> DerivativeReport:
     """Compare supplied x-derivatives with central finite differences.
 
-    Samples (t, x, a) uniformly from [0, T] x state box x action points.
-    The state box defaults to [x0 - 5, x0 + 5] per coordinate.
+    Samples (t, x, a) uniformly from [0, T] x [x0 - 5, x0 + 5]^d x action
+    points.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -358,13 +351,8 @@ def check_derivatives(
         raise ValueError("step must be positive")
     d = p.state_dim
     rng = np.random.default_rng(seed)
-    if state_box is None:
-        lo, hi = p.initial_state - 5.0, p.initial_state + 5.0
-    else:
-        lo = np.broadcast_to(np.asarray(state_box[0], dtype=float), (d,))
-        hi = np.broadcast_to(np.asarray(state_box[1], dtype=float), (d,))
     ts = rng.uniform(0.0, p.horizon, size=n_samples)
-    xs = rng.uniform(lo, hi, size=(n_samples, d))
+    xs = rng.uniform(p.initial_state - 5.0, p.initial_state + 5.0, size=(n_samples, d))
     a_idx = rng.integers(0, p.action_space.n_actions, size=n_samples)
 
     errors = {

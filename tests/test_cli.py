@@ -3,6 +3,7 @@
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import msacontrol.cli as cli
@@ -119,6 +120,12 @@ class TestLoadConfig:
             ("msa", "seed", -1, "seed"),
             ("validate", "n_samples", 0, r"validate\.n_samples"),
             ("validate", "step", -1e-5, r"validate\.step"),
+            ("msa", "rho_initial", "nan", "rho_initial"),
+            ("msa", "rho_growth", "inf", "rho_growth"),
+            ("msa", "rho_max", "inf", "rho_max"),
+            ("msa", "tol_mu", "nan", "tol_mu"),
+            ("msa", "tol_dj", "inf", "tol_dj"),
+            ("bsde", "ridge", "nan", "ridge"),
         ):
             path = write_config(tmp_path, **{section: {key: value}})
             with pytest.raises(ConfigError, match=named):
@@ -228,6 +235,7 @@ class TestRun:
             ("validate", {"validate": {"n_samples": 0}}, [], "validate.n_samples"),
             ("validate", {"validate": {"step": -1e-5}}, [], "validate.step"),
             ("run", {"msa": {"n_paths": 200, "n_steps": 5}, "bsde": {"degree": 30}}, [], "degree"),
+            ("run", {"msa": {"n_paths": 100_000_000}}, [], "noise bank"),
         ],
     )
     def test_bad_value_exits_one_naming_it(self, tmp_path, capsys, command, sections, flags, named):
@@ -275,6 +283,33 @@ class TestRun:
         finally:
             oracle_mod._FACTORIES.pop("hooked", None)
         capsys.readouterr()
+
+    def test_problem_module_overflow_exits_one(self, tmp_path, capsys, monkeypatch):
+        mod_dir = tmp_path / "mods"
+        mod_dir.mkdir()
+        (mod_dir / "overflow_bench_mod.py").write_text(
+            "import numpy as np\n"
+            "from msacontrol import Benchmark, register_benchmark, scalar_quadratic_problem\n"
+            "_sp = scalar_quadratic_problem('overflow', horizon=1.0, x0=1.0, beta=1e40,\n"
+            "    drift_gain=1.0, sigma_const=0.5, sigma_gain=0.0, q=1.0, r=0.1, q_t=1.0,\n"
+            "    action_points=np.array([-1.0, 0.0, 1.0]))\n"
+            "register_benchmark('overflow', lambda: Benchmark('overflow', _sp.assemble(), _sp))\n"
+        )
+        monkeypatch.syspath_prepend(str(mod_dir))
+        try:
+            cfg = write_config(
+                tmp_path,
+                problem={"name": "overflow", "module": "overflow_bench_mod"},
+                msa={"n_paths": 50, "n_steps": 20},
+                output={"directory": str(tmp_path / "overflow_out")},
+            )
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main(["run", "--config", cfg]) == 1
+        finally:
+            oracle_mod._FACTORIES.pop("overflow", None)
+        status, _ = status_line(capsys)
+        assert status.startswith("STATUS command=run exit=1 error=")
+        assert "non-finite state" in status
 
 
 class TestValidate:

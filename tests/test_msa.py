@@ -1,5 +1,7 @@
 """Control updates, descent monitoring, the solver loop, certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from msacontrol import (
     AdjointEnsemble,
     ControlEnsemble,
     DescentFailureError,
+    EvaluationError,
     MsaConfig,
+    RegressionBasis,
     StateEnsemble,
     TimeGrid,
     benchmark_names,
@@ -162,6 +166,24 @@ class TestSeparableUpdate:
                     fast.action_indices, slow.action_indices
                 ), (prev.mode, rho)
 
+    def test_non_finite_action_terms_raise_on_both_paths(self):
+        # b2 blows up at t = 0.25, which the construction probe (t = 0 and
+        # T/2) never samples; the N = 4 grid does
+        sp = dataclasses.replace(
+            get_benchmark("lq_drift_small").structured, b2=lambda t, a: a / (t - 0.25)
+        )
+        fast = sp.assemble()
+        m, n = 6, 4
+        grid = TimeGrid(n_steps=n, horizon=fast.horizon)
+        states, adjoint = flat_artifacts(m, n)
+        prev = constant_control(fast, m, n)
+        for p in (fast, fast.replace(action_terms=None)):
+            for mode in ("per_path", "deterministic"):
+                start = ControlEnsemble(action_indices=prev.action_indices, mode=mode)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    with pytest.raises(EvaluationError, match="non-finite"):
+                        update_control(p, grid, states, adjoint, start, rho=1.0)
+
 
 class TestComputeMu:
     def test_identical_controls_zero(self):
@@ -247,6 +269,12 @@ class TestRunMsa:
             MsaConfig(tol_mu=0.0)
         with pytest.raises(ValueError):
             MsaConfig(control_mode="average")
+        for name in ("rho_initial", "rho_growth", "rho_max", "tol_mu", "tol_dj"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=name):
+                    MsaConfig(**{name: bad})
+        with pytest.raises(ValueError, match="ridge"):
+            MsaConfig(basis=RegressionBasis(ridge=np.nan))
 
     def test_accepted_steps_descend_within_noise(self, lq_bench):
         cfg = MsaConfig(n_paths=2000, n_steps=20)

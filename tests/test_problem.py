@@ -382,6 +382,45 @@ class TestAugmentedHamiltonian:
         assert float(vals[1, 0]) == 8.0  # candidate action 2.0
         assert float(vals[0, 0]) == 0.0  # no move, no penalty
 
+    def test_matches_per_action_loop(self, rng):
+        # x-derivatives that move with the action, so all three penalty
+        # terms are nonzero; the reference evaluates one action at a time
+        p = make_problem(
+            b=lambda t, x, a: a * x + a,
+            sigma=lambda t, x, a: 1.0 + a * a * x,
+            f=lambda t, x, a: a * x * x + a * a,
+            g=lambda x: x * x,
+            b_jac=lambda t, x, a: a + 0.0 * x,
+            sigma_jac=lambda t, x, a: a * a + 0.0 * x,
+            f_grad=lambda t, x, a: 2.0 * a * x,
+            g_grad=lambda x: 2.0 * x,
+            actions=[-1.0, 0.0, 0.5, 2.0],
+        )
+        n = 50
+        x, y = rng.normal(size=(2, n, 1))
+        z = rng.normal(size=(n, 1, 1))
+        prev = rng.integers(0, 4, size=n)
+        h, parts = [], []
+        for point in p.action_space.points:
+            a = np.broadcast_to(point, (n, 1))
+            h.append(hamiltonian(p, 0.3, x, y, z, a))
+            parts.append(
+                np.concatenate(
+                    [
+                        p.drift(0.3, x, a),
+                        p.diffusion(0.3, x, a)[..., 0],
+                        hamiltonian_grad_x(p, 0.3, x, y, z, a),
+                    ],
+                    axis=1,
+                )
+            )
+        h, parts = np.array(h), np.array(parts)
+        pen = ((parts - parts[prev, np.arange(n)]) ** 2).sum(axis=2)
+        assert np.array_equal(augmented_hamiltonian(p, 0.3, x, y, z, prev, 0.0), h)
+        for rho in (0.5, 1e6):
+            vals = augmented_hamiltonian(p, 0.3, x, y, z, prev, rho)
+            np.testing.assert_allclose(vals, h + 0.5 * rho * pen, rtol=1e-12)
+
     def test_negative_rho_rejected(self):
         p = quadratic_drift_problem()
         args = (
