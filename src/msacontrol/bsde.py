@@ -11,6 +11,7 @@ equation, which needs no conditional expectations at t = 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -66,13 +67,33 @@ class RegressionBasis:
         return np.array(rows)
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        """Design matrix (M, B) of monomials of the standardised state."""
+        """Design matrix (M, B) of monomials of the standardised state.
+
+        Column b is the product over j of u_j ** e_bj, in increasing j,
+        with the factors e = 0 left out and u_j itself for e = 1: both are
+        exact, so this is bitwise np.prod(u ** exps, axis=2).  Each power
+        with e >= 2 is numpy's pow, computed once per (j, e).
+        """
         mu = x.mean(axis=0)
         sd = x.std(axis=0)
         sd = np.where(sd > 0, sd, 1.0)
         u = (x - mu) / sd
-        exps = self.exponents(x.shape[1])
-        return np.prod(u[:, None, :] ** exps[None, :, :], axis=2)
+        m, d = u.shape
+        # an exponent array, not a scalar: numpy evaluates pow(u, 2.0) with
+        # a scalar exponent as u*u, which differs from pow in the last bit
+        powers = {
+            (j, e): np.power(u[:, j], np.full(m, float(e)))
+            for j in range(d)
+            for e in range(2, self.degree + 1)
+        }
+        exps = self.exponents(d)
+        phi = np.empty((m, exps.shape[0]))
+        for b, row in enumerate(exps):
+            factors = [
+                u[:, j] if e == 1 else powers[j, e] for j, e in enumerate(row) if e
+            ]
+            phi[:, b] = functools.reduce(np.multiply, factors) if factors else 1.0
+        return phi
 
 
 @dataclass(frozen=True)
@@ -93,9 +114,7 @@ class AdjointEnsemble:
         object.__setattr__(self, "z_values", z)
 
 
-def _ridge_solve(phi: np.ndarray, lam: float, targets: np.ndarray, step: int):
-    gram = phi.T @ phi
-    gram[np.diag_indices_from(gram)] += lam
+def _ridge_solve(gram: np.ndarray, phi: np.ndarray, targets: np.ndarray, step: int):
     try:
         coef = np.linalg.solve(gram, phi.T @ targets)
     except np.linalg.LinAlgError as exc:
@@ -144,12 +163,15 @@ def solve_adjoint_lsmc(
     y[:, n] = np.asarray(p.terminal_cost_grad_x(xs[:, n]))
     for k in range(n - 1, -1, -1):
         phi = basis.features(xs[:, k])
+        # one ridge Gram matrix per step serves the Y and the Z solve
+        gram = phi.T @ phi
+        gram[np.diag_indices_from(gram)] += lam
         y_next = y[:, k + 1]
-        coef_y = _ridge_solve(phi, lam, y_next, k)
+        coef_y = _ridge_solve(gram, phi, y_next, k)
         y_hat = phi @ coef_y
         resid = y_next - y_hat
         z_target = resid[:, :, None] * inc[:, k, None, :] / dt
-        coef_z = _ridge_solve(phi, lam, z_target.reshape(m, d * dn), k)
+        coef_z = _ridge_solve(gram, phi, z_target.reshape(m, d * dn), k)
         z_k = (phi @ coef_z).reshape(m, d, dn)
         a = points[idx[:, k]]
         drv = hamiltonian_grad_x(p, float(nodes[k]), xs[:, k], y_hat, z_k, a)

@@ -70,7 +70,8 @@ class ControlEnsemble:
         if self.mode not in CONTROL_MODES:
             raise ValueError(f"mode must be one of {CONTROL_MODES}")
         if self.mode == "deterministic" and idx.shape[0] > 1:
-            if np.any(idx != idx[0]):
+            # rows are identical iff every column's min equals its max
+            if np.any(idx.min(axis=0) != idx.max(axis=0)):
                 raise ValueError("deterministic mode requires identical rows")
         idx = np.ascontiguousarray(idx, dtype=np.int64)
         idx.setflags(write=False)

@@ -320,14 +320,6 @@ class DerivativeReport:
     n_samples: int
     step: float
 
-    @property
-    def worst(self) -> tuple[str, float]:
-        name = max(self.max_errors, key=self.max_errors.get)
-        return name, self.max_errors[name]
-
-    def within(self, tol: float) -> bool:
-        return all(e <= tol for e in self.max_errors.values())
-
 
 def _rel_error(analytic: np.ndarray, fd: np.ndarray) -> float:
     scale = max(1.0, float(np.max(np.abs(analytic))), float(np.max(np.abs(fd))))

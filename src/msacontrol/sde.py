@@ -1,11 +1,16 @@
 """Time grid, Brownian noise bank, Euler-Maruyama simulation, cost estimate.
 
 The noise bank is drawn once per solve and reused across all iterations
-(common random numbers).  Path i's stream derives from (seed, i) alone.
+(common random numbers).  Path i's stream derives from (seed, i) alone:
+it is numpy's ``PCG64(SeedSequence(seed).spawn(M)[i])`` normal stream,
+scaled by sqrt(dt).  The children's seed words are computed for every
+path in one vectorised pass of SeedSequence's hash (``_child_words``)
+instead of building one SeedSequence object per path.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -17,6 +22,13 @@ if TYPE_CHECKING:
 
 # refuse to allocate noise banks beyond this size instead of thrashing
 _MAX_BANK_BYTES = 2 ** 31
+
+# numpy.random.SeedSequence's hash constants (32-bit words, pool of 4)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
 
 
 class SimulationError(RuntimeError):
@@ -79,6 +91,60 @@ class NoiseBank:
         return self.increments.shape[2]
 
 
+def _child_words(seed: int, n_paths: int) -> np.ndarray:
+    """Seed words of the children of numpy's ``SeedSequence(seed)``.
+
+    Row i is ``SeedSequence(seed).spawn(n_paths)[i].generate_state(4,
+    np.uint64)``, the words PCG64 seeds itself from.  The entropy of
+    child i is seed's 32-bit words, zero-padded to the pool size, followed
+    by the spawn key i; each word is a uint32 array over i, and the hash
+    is numpy's, step for step.  The key i is one word because the bank
+    size limit keeps n_paths below 2**32.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.full(n_paths, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(n_paths, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+
+    state = np.empty((n_paths, 8), dtype="<u4")
+    hash_const = _INIT_B
+    for j in range(8):
+        value = pool[j % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, j] = value ^ (value >> np.uint32(16))
+    return state.view("<u8").astype(np.uint64)
+
+
 def make_noise(grid: TimeGrid, n_paths: int, noise_dim: int, seed: int) -> NoiseBank:
     """Draw the full increment bank, one independent substream per path."""
     if n_paths < 1:
@@ -91,12 +157,25 @@ def make_noise(grid: TimeGrid, n_paths: int, noise_dim: int, seed: int) -> Noise
             f"noise bank would need {total} bytes "
             f"(M={n_paths}, N={grid.n_steps}, d'={noise_dim}); refusing"
         )
-    scale = np.sqrt(grid.dt)
+    words = _child_words(seed, n_paths)
+    # defined here, not at module level, so that importing msacontrol
+    # does not load numpy.random
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Precomputed(ISeedSequence):
+        """Hands PCG64 one child's precomputed generate_state(4, uint64)."""
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    generator, pcg64 = np.random.Generator, np.random.PCG64
     out = np.empty((n_paths, grid.n_steps, noise_dim))
-    children = np.random.SeedSequence(seed).spawn(n_paths)
-    for i, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        out[i] = scale * rng.standard_normal((grid.n_steps, noise_dim))
+    for i in range(n_paths):
+        generator(pcg64(_Precomputed(words[i]))).standard_normal(out=out[i])
+    out *= np.sqrt(grid.dt)
     return NoiseBank(increments=out, seed=seed)
 
 

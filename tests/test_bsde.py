@@ -58,6 +58,23 @@ class TestRegressionBasis:
         assert phi.shape == (40, 6)
         assert np.all(phi[:, 0] == 1.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    def test_features_equal_their_definition(self, rng, d, degree):
+        # the solver passes xs[:, k], a strided slice of the state array
+        xs = 1.0 + 3.0 * rng.normal(size=(5000, 4, d))
+        xs[:, 3, d - 1] = 2.5  # a zero-variance coordinate
+        basis = RegressionBasis(degree=degree)
+        exps = basis.exponents(d)
+        for x in (xs[:, 1], xs[:7, 2], xs[:, 3]):
+            mu = x.mean(axis=0)
+            sd = x.std(axis=0)
+            u = (x - mu) / np.where(sd > 0, sd, 1.0)
+            ref = np.prod(u[:, None, :] ** exps[None, :, :], axis=2)
+            phi = basis.features(x)
+            assert phi.shape == ref.shape
+            assert np.array_equal(phi.view(np.uint64), ref.view(np.uint64))
+
     def test_overdetermination_guard(self, lq_bench):
         p = lq_bench.problem
         grid, noise, ctrl, states = solve_setup(p, m=20, n=4)

@@ -1,6 +1,10 @@
 """Noise bank, forward Euler simulation, and cost estimation."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +92,61 @@ class TestMakeNoise:
             make_noise(g, 1, 0, seed=0)
         with pytest.raises(MemoryError):
             make_noise(g, 10**8, 100, seed=0)
+
+
+def spawned_bank(grid, n_paths, noise_dim, seed):
+    """The bank as numpy's own SeedSequence.spawn streams, path by path."""
+    out = np.empty((n_paths, grid.n_steps, noise_dim))
+    children = np.random.SeedSequence(seed).spawn(n_paths)
+    for i, child in enumerate(children):
+        rng = np.random.Generator(np.random.PCG64(child))
+        out[i] = np.sqrt(grid.dt) * rng.standard_normal((grid.n_steps, noise_dim))
+    return out
+
+
+class TestNoiseStream:
+    """make_noise computes the spawned seeds itself; the stream is numpy's."""
+
+    SEEDS = [0, 1, 12345, 2**32 - 1, 2**32 + 5, 2**70 + 3]
+    SEEDS += [np.int64(s) for s in SEEDS if s < 2**63]
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=repr)
+    def test_bank_is_spawned_stream(self, seed):
+        g = TimeGrid(n_steps=7, horizon=0.3)
+        for n_paths, noise_dim in ((1000, 1), (300, 2), (57, 3)):
+            bank = make_noise(g, n_paths, noise_dim, seed=seed)
+            ref = spawned_bank(g, n_paths, noise_dim, seed)
+            assert np.array_equal(bank.increments.view(np.uint64), ref.view(np.uint64))
+
+    def test_invalid_seed_raises_as_numpy_does(self):
+        g = TimeGrid(n_steps=2, horizon=1.0)
+        for seed, error in ((-1, ValueError), (1.5, TypeError)):
+            with pytest.raises(error):
+                np.random.SeedSequence(seed)
+            with pytest.raises(error):
+                make_noise(g, 3, 1, seed=seed)
+
+    def test_import_does_not_load_numpy_random(self):
+        # numpy.random is loaded on the first make_noise call, not at import,
+        # which keeps the start-up cost of building a problem flat
+        import msacontrol
+
+        src = str(Path(msacontrol.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, msacontrol\n"
+            "msacontrol.get_benchmark('lq_drift_small')\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert out.stdout.strip() == "False"
 
 
 def constant_dynamics_problem(c, actions=(0.0,)):
