@@ -4,75 +4,55 @@ Solves finite-horizon problems where the control enters both the drift
 and the diffusion: forward Euler simulation, a regression-based adjoint
 solver, and an iteration that minimises an augmented Hamiltonian with an
 adaptive penalty, accepting a step when its cost change dJ <= 3 SE(dJ).
+
+The package exports what the ``msactl`` command and the benchmark use
+and what a user problem needs; everything else is imported from its
+submodule.
 """
 
 from .bsde import (
-    AdjointEnsemble,
     RegressionBasis,
     RegressionError,
     adjoint_residual,
     solve_adjoint_linear_y0,
     solve_adjoint_lsmc,
 )
-from .diagnostics import (
-    RateReport,
-    RecursiveBoundCheck,
-    check_recursive_bound,
-    export_csv,
-    rate_fit,
-    read_csv_columns,
-    upward_jumps,
-)
+from .diagnostics import export_csv, rate_fit, upward_jumps
 from .msa import (
-    ControlEnsemble,
     DescentFailureError,
     IterationTrace,
     MsaConfig,
-    PontryaginReport,
     compute_mu,
     constant_control,
     run_msa,
     update_control,
-    verify_extended_pontryagin,
 )
 from .oracle import (
     Benchmark,
-    BruteForceResult,
-    LqSpec,
-    RiccatiSolution,
     StructuredProblem,
     benchmark_names,
     benchmark_suite,
     brute_force_optimal,
-    diffusion_lq_value,
     driverless_problem,
     get_benchmark,
-    lq_adjoint_y0,
-    lq_hamiltonian_reference,
     register_benchmark,
     riccati_lq,
-    scalar_quadratic_problem,
 )
 from .problem import (
     ActionSpace,
     ActionTerms,
     ControlProblem,
-    DerivativeReport,
     EvaluationError,
     ProblemDefinitionError,
     augmented_hamiltonian,
     check_derivatives,
     hamiltonian,
-    hamiltonian_grad_x,
 )
 from .sde import (
-    NoiseBank,
     SimulationError,
-    StateEnsemble,
     TimeGrid,
     cost_per_path,
     make_noise,
-    mean_and_se,
     simulate_forward,
 )
 
@@ -81,27 +61,16 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionSpace",
     "ActionTerms",
-    "AdjointEnsemble",
     "Benchmark",
-    "BruteForceResult",
-    "ControlEnsemble",
     "ControlProblem",
-    "DerivativeReport",
     "DescentFailureError",
     "EvaluationError",
     "IterationTrace",
-    "LqSpec",
     "MsaConfig",
-    "NoiseBank",
-    "PontryaginReport",
     "ProblemDefinitionError",
-    "RateReport",
-    "RecursiveBoundCheck",
     "RegressionBasis",
     "RegressionError",
-    "RiccatiSolution",
     "SimulationError",
-    "StateEnsemble",
     "StructuredProblem",
     "TimeGrid",
     "adjoint_residual",
@@ -110,30 +79,21 @@ __all__ = [
     "benchmark_suite",
     "brute_force_optimal",
     "check_derivatives",
-    "check_recursive_bound",
     "compute_mu",
     "constant_control",
     "cost_per_path",
-    "diffusion_lq_value",
     "driverless_problem",
     "export_csv",
     "get_benchmark",
     "hamiltonian",
-    "hamiltonian_grad_x",
-    "lq_adjoint_y0",
-    "lq_hamiltonian_reference",
     "make_noise",
-    "mean_and_se",
     "rate_fit",
-    "read_csv_columns",
     "register_benchmark",
     "riccati_lq",
     "run_msa",
-    "scalar_quadratic_problem",
     "simulate_forward",
     "solve_adjoint_linear_y0",
     "solve_adjoint_lsmc",
     "update_control",
     "upward_jumps",
-    "verify_extended_pontryagin",
 ]

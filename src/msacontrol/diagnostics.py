@@ -1,4 +1,4 @@
-"""Convergence-rate analysis, descent checks, a recursive sequence bound, CSV export."""
+"""Convergence-rate analysis, descent checks, CSV export."""
 
 from __future__ import annotations
 
@@ -29,9 +29,6 @@ class RateReport:
     sup_reference: float | None
     passed: bool
     status: str
-
-    def n_times_bn(self) -> np.ndarray:
-        return self.n_values * self.gaps
 
 
 def rate_fit(
@@ -137,63 +134,6 @@ def upward_jumps(trace: IterationTrace) -> list[int]:
     return jumps
 
 
-@dataclass(frozen=True)
-class RecursiveBoundCheck:
-    """Outcome of checking b_{k+1} <= b_k - q b_k^2 and k b_k <= max(b_1, 1/q).
-
-    first_violation is the 1-based k of the first failing comparison, or
-    None; kind names the failing part ("hypothesis" or "bound").
-    """
-
-    ok: bool
-    hypothesis_ok: bool
-    bound_ok: bool
-    first_violation: int | None
-    kind: str
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_recursive_bound(seq, q: float) -> RecursiveBoundCheck:
-    """Verify the quadratic-decrement hypothesis and the implied 1/k bound.
-
-    The comparisons are exact (no tolerance): the bound is a discrete
-    statement about the sequence, not an estimate.
-    """
-    b = np.asarray(seq, dtype=float)
-    if b.ndim != 1 or b.size == 0:
-        raise ValueError("seq must be a nonempty 1-d sequence")
-    if not np.all(b >= 0.0):
-        raise ValueError("seq entries must be nonnegative")
-    q = float(q)
-    if not q > 0.0:
-        raise ValueError(f"q must be positive, got {q}")
-
-    for i in range(b.size - 1):
-        if not b[i + 1] <= b[i] - q * b[i] * b[i]:
-            return RecursiveBoundCheck(
-                ok=False,
-                hypothesis_ok=False,
-                bound_ok=False,
-                first_violation=i + 1,
-                kind="hypothesis",
-            )
-    cap = max(b[0], 1.0 / q)
-    for k in range(1, b.size + 1):
-        if not k * b[k - 1] <= cap:
-            return RecursiveBoundCheck(
-                ok=False,
-                hypothesis_ok=True,
-                bound_ok=False,
-                first_violation=k,
-                kind="bound",
-            )
-    return RecursiveBoundCheck(
-        ok=True, hypothesis_ok=True, bound_ok=True, first_violation=None, kind=""
-    )
-
-
 TRACE_COLUMNS = ("n", "J", "J_se", "mu", "mu_se", "rho", "backtracks", "accepted", "wall_ms")
 RATE_COLUMNS = ("n", "b_n", "n_times_bn")
 
@@ -252,18 +192,3 @@ def export_csv(obj, path, wall_clock: bool = True) -> None:
             writer.writerows(rows)
     except OSError as exc:
         raise OSError(f"failed to write CSV to {path}: {exc}") from exc
-
-
-def read_csv_columns(path) -> dict[str, list[str]]:
-    """Read a CSV written by export_csv back as raw string columns."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            cols: dict[str, list[str]] = {name: [] for name in header}
-            for row in reader:
-                for name, cell in zip(header, row):
-                    cols[name].append(cell)
-            return cols
-    except OSError as exc:
-        raise OSError(f"failed to read CSV from {path}: {exc}") from exc

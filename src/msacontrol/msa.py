@@ -12,13 +12,12 @@ is the stopping signal.
 
 There is one Hamiltonian evaluator, in ``problem.py``: ``hamiltonian``
 at given actions and ``augmented_hamiltonian`` over every (action, path)
-pair share one contraction; ``compute_mu`` and
-``verify_extended_pontryagin`` always use it.  ``update_control`` is one
-loop over time steps.  Each step's (actions x paths) value table comes
-from ``augmented_hamiltonian`` or, for a problem with ``action_terms``
-(every ``StructuredProblem``), from one matrix product of the action
-terms plus a (previous, candidate) penalty table; one helper applies
-the tie rule to either, and the Pontryagin check reads its gap there.
+pair share one contraction; ``compute_mu`` always uses it.
+``update_control`` is one loop over time steps.  Each step's (actions x
+paths) value table comes from ``augmented_hamiltonian`` or, for a
+problem with ``action_terms`` (every ``StructuredProblem``), from one
+matrix product of the action terms plus a (previous, candidate) penalty
+table; one helper applies the tie rule to either.
 """
 
 from __future__ import annotations
@@ -213,22 +212,21 @@ def update_control(
     new_idx = np.empty_like(prev_idx)
     for k in range(prev.n_steps):
         pk = prev_idx[:, k] if prev.mode == "per_path" else prev_idx[:1, k]
-        new_idx[:, k], _ = _keep_or_lowest(next(tables), pk)
+        new_idx[:, k] = _keep_or_lowest(next(tables), pk)
     tables.close()  # no table or producer buffer outlives the loop
     return ControlEnsemble(action_indices=new_idx, mode=prev.mode)
 
 
 def _keep_or_lowest(vals, prev):
-    """Column-wise argmin of an (actions, columns) table, and its gap.
+    """Column-wise argmin of an (actions, columns) table.
 
     A column keeps its previous action where that action attains the
-    column minimum, else takes the lowest index attaining it.  The gap
-    is vals[prev] - min, nonnegative and zero where prev is kept.
+    column minimum, else takes the lowest index attaining it.
     """
     mins = vals.min(axis=0)
     at_prev = vals[prev, np.arange(vals.shape[1])]
     lowest = (vals == mins).argmax(axis=0)  # equals argmin on finite tables
-    return np.where(at_prev == mins, prev, lowest), at_prev - mins
+    return np.where(at_prev == mins, prev, lowest)
 
 
 def _hamiltonian_values(p, grid, states, adjoint, prev, rho):
@@ -305,25 +303,16 @@ def compute_mu(
     return mean_and_se(acc)
 
 
-def run_msa(
-    p: ControlProblem,
-    cfg: MsaConfig,
-    initial: ControlEnsemble | None = None,
-) -> tuple[ControlEnsemble, IterationTrace]:
+def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, IterationTrace]:
     """Full solver loop on a fixed noise bank.
 
-    Returns the final control and the iteration trace.  Raises
-    DescentFailureError (carrying the trace) when no acceptable step
-    exists below rho_max.
+    Starts from the centroid action in cfg.control_mode.  Returns the
+    final control and the iteration trace.  Raises DescentFailureError
+    (carrying the trace) when no acceptable step exists below rho_max.
     """
     grid = TimeGrid(n_steps=cfg.n_steps, horizon=p.horizon)
     noise = make_noise(grid, cfg.n_paths, p.noise_dim, cfg.seed)
-    if initial is None:
-        current = constant_control(p, cfg.n_paths, cfg.n_steps, mode=cfg.control_mode)
-    else:
-        if initial.action_indices.shape != (cfg.n_paths, cfg.n_steps):
-            raise ValueError("initial control has wrong shape for the config")
-        current = initial
+    current = constant_control(p, cfg.n_paths, cfg.n_steps, mode=cfg.control_mode)
 
     trace = IterationTrace(problem_name=p.name)
     states = simulate_forward(p, grid, noise, current)
@@ -374,57 +363,3 @@ def run_msa(
                 )
     trace.status = "max_iterations"
     return current, trace
-
-
-@dataclass(frozen=True)
-class PontryaginReport:
-    """Sampled check of the optimality condition on the augmented Hamiltonian."""
-
-    violation_fraction: float
-    worst_gap: float
-    n_samples: int
-    tol: float
-    rho: float
-
-
-def verify_extended_pontryagin(
-    p: ControlProblem,
-    grid: TimeGrid,
-    states: StateEnsemble,
-    adjoint: AdjointEnsemble,
-    control: ControlEnsemble,
-    rho: float,
-    n_samples: int,
-    tol: float = 1e-3,
-) -> PontryaginReport:
-    """Check H~(a*, a*) <= H~(a*, a) + tol at sampled (path, step) pairs.
-
-    H~(a*, a) penalises a against the control's own action, so the gap
-    H(a*) - min_a H~(a*, a) is nonnegative and zero exactly when a* is
-    the penalised argmin against itself.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(0)
-    ii = rng.integers(0, control.n_paths, size=n_samples)
-    kk = rng.integers(0, control.n_steps, size=n_samples)
-    nodes = grid.nodes
-    xs = states.values
-    ys = adjoint.y_values
-    zs = adjoint.z_values
-    gaps = np.empty(n_samples)
-    for k in np.unique(kk):
-        sel = np.where(kk == k)[0]
-        i_sel = ii[sel]
-        t = float(nodes[k])
-        x, y, z = xs[i_sel, k], ys[i_sel, k], zs[i_sel, k]
-        own = control.action_indices[i_sel, k]
-        vals = augmented_hamiltonian(p, t, x, y, z, own, rho)
-        _, gaps[sel] = _keep_or_lowest(vals, own)
-    return PontryaginReport(
-        violation_fraction=float(np.mean(gaps > tol)),
-        worst_gap=float(gaps.max()),
-        n_samples=n_samples,
-        tol=tol,
-        rho=rho,
-    )

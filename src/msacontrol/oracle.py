@@ -1,9 +1,9 @@
 """Ground-truth generators and the benchmark problem suite.
 
 Independent of the solver path: a Riccati ODE oracle for the scalar
-linear-quadratic benchmark, exhaustive enumeration over deterministic
-action sequences for small instances, a duplicate scalar Hamiltonian
-evaluator, and a linear-ODE adjoint oracle for constant controls.
+linear-quadratic benchmark, a value ODE for the benchmark with control
+in the diffusion, and exhaustive enumeration over deterministic action
+sequences for small instances.
 """
 
 from __future__ import annotations
@@ -164,14 +164,6 @@ class RiccatiSolution:
     feedback_gain: Callable[[float], float]
     value_curve: tuple  # (times, p_values, c_values), ascending in t
 
-    @property
-    def p0(self) -> float:
-        return float(self.value_curve[1][0])
-
-    @property
-    def c0(self) -> float:
-        return float(self.value_curve[2][0])
-
 
 def riccati_lq(spec: LqSpec, grid: TimeGrid, refine: int = 10) -> RiccatiSolution:
     """Solve the scalar Riccati ODE backward with classical RK4.
@@ -209,17 +201,6 @@ def riccati_lq(spec: LqSpec, grid: TimeGrid, refine: int = 10) -> RiccatiSolutio
         feedback_gain=feedback_gain,
         value_curve=(t_asc, p_asc, c_asc),
     )
-
-
-def lq_hamiltonian_reference(spec: LqSpec, t, x, y, z, a):
-    """Scalar Hamiltonian for LqSpec data, coded independently.
-
-    Plain scalar arithmetic, no shared code with the problem module.
-    """
-    b = spec.beta_fn()(t) * x + spec.control_gain * a
-    sig = spec.nu
-    f = spec.q_fn()(t) * x * x + spec.r_fn()(t) * a * a
-    return (b * y + sig * z) + f
 
 
 def diffusion_lq_value(
@@ -262,41 +243,6 @@ def diffusion_lq_value(
         return -p_t * nu0 * nu1 / (p_t * nu1 * nu1 + r)
 
     return p0 * x0 * x0 + c0, optimal_action
-
-
-def lq_adjoint_y0(
-    spec: LqSpec,
-    horizon: float,
-    action: float = 0.0,
-    feedback: float = 0.0,
-    refine: int = 4000,
-) -> float:
-    """Adjoint value Y_0 for the LQ problem under a = action + feedback * x.
-
-    The adjoint driver keeps D_x b = beta regardless of the feedback (the
-    control enters the driver as a process, not through x), so only the
-    state mean m(t) sees the feedback: m' = beta m + gain (action +
-    feedback m).  The fundamental solution s(t) = exp(integral beta) and
-    Y_0 = s(T) 2 q_t m(T) + integral s(t) 2 q(t) m(t) dt.  Solved by RK4
-    at a resolution unrelated to the solver grid.
-    """
-    beta, q = spec.beta_fn(), spec.q_fn()
-    abar = float(action)
-    fb = float(feedback)
-
-    def rhs(t, u):
-        m_val, s_val, acc = u
-        return np.array(
-            [
-                beta(t) * m_val + spec.control_gain * (abar + fb * m_val),
-                beta(t) * s_val,
-                s_val * 2.0 * q(t) * m_val,
-            ]
-        )
-
-    _, u = _rk4(rhs, 0.0, (spec.x0, 1.0, 0.0), horizon / refine, refine)
-    m_t, s_t, acc = u[-1]
-    return float(s_t * 2.0 * spec.q_t * m_t + acc)
 
 
 @dataclass(frozen=True)

@@ -312,15 +312,6 @@ def augmented_hamiltonian(p: ControlProblem, t, x, y, z, prev_index, rho):
     return h_all + 0.5 * rho * pen
 
 
-@dataclass(frozen=True)
-class DerivativeReport:
-    """Maximum relative finite-difference error per supplied derivative."""
-
-    max_errors: dict[str, float]
-    n_samples: int
-    step: float
-
-
 def _rel_error(analytic: np.ndarray, fd: np.ndarray) -> float:
     scale = max(1.0, float(np.max(np.abs(analytic))), float(np.max(np.abs(fd))))
     return float(np.max(np.abs(analytic - fd))) / scale
@@ -331,11 +322,12 @@ def check_derivatives(
     n_samples: int,
     step: float,
     seed: int = 0,
-) -> DerivativeReport:
+) -> dict[str, float]:
     """Compare supplied x-derivatives with central finite differences.
 
     Samples (t, x, a) uniformly from [0, T] x [x0 - 5, x0 + 5]^d x action
-    points.
+    points.  Returns the maximum relative error of each derivative,
+    keyed by the name of its callable.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -387,4 +379,4 @@ def check_derivatives(
             errors["terminal_cost_grad_x"], _rel_error(an_g, fd_g)
         )
 
-    return DerivativeReport(max_errors=errors, n_samples=n_samples, step=step)
+    return errors

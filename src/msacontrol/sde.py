@@ -64,17 +64,16 @@ class TimeGrid:
 class NoiseBank:
     """Frozen Gaussian increments, shape (n_paths, n_steps, noise_dim).
 
-    Each increment has mean 0 and variance dt per component.
+    Each increment has mean 0 and variance dt per component.  The bank
+    takes ownership of the array and makes it read-only.
     """
 
     increments: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         inc = np.asarray(self.increments, dtype=float)
         if inc.ndim != 3:
             raise ValueError("increments must have shape (M, N, noise_dim)")
-        inc = inc.copy()
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
 
@@ -176,7 +175,7 @@ def make_noise(grid: TimeGrid, n_paths: int, noise_dim: int, seed: int) -> Noise
     for i in range(n_paths):
         generator(pcg64(_Precomputed(words[i]))).standard_normal(out=out[i])
     out *= np.sqrt(grid.dt)
-    return NoiseBank(increments=out, seed=seed)
+    return NoiseBank(increments=out)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ refinement, the classical-mode stress demo) are session-scoped so the
 unit tests and the acceptance tests share one computation each.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,12 @@ def small_results():
 def combined_se(se_a, se_b):
     """Conservative standard error for a difference of two estimates."""
     return float(se_a) + float(se_b)
+
+
+def csv_rows(path):
+    """The rows of a CSV file with a header line, as dicts of raw strings."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture(scope="session")

@@ -6,23 +6,23 @@ import numpy as np
 import pytest
 
 from msacontrol import (
-    AdjointEnsemble,
-    ControlEnsemble,
     RegressionBasis,
     RegressionError,
-    StateEnsemble,
     TimeGrid,
     adjoint_residual,
     constant_control,
     driverless_problem,
-    lq_adjoint_y0,
     make_noise,
-    scalar_quadratic_problem,
     simulate_forward,
     solve_adjoint_linear_y0,
     solve_adjoint_lsmc,
 )
+from msacontrol.bsde import AdjointEnsemble
+from msacontrol.msa import ControlEnsemble
+from msacontrol.oracle import scalar_quadratic_problem
+from msacontrol.sde import StateEnsemble
 
+from references import lq_adjoint_y0
 from test_problem import make_problem
 
 

@@ -8,8 +8,10 @@ import pytest
 
 import msacontrol.cli as cli
 import msacontrol.oracle as oracle_mod
-from msacontrol import get_benchmark, read_csv_columns, register_benchmark
+from msacontrol import get_benchmark, register_benchmark
 from msacontrol.cli import ConfigError, load_config, main
+
+from conftest import csv_rows
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 FAST_MSA = {"n_paths": 2000, "n_steps": 25, "max_iterations": 30}
@@ -169,9 +171,9 @@ class TestRun:
         assert code == 0
         assert "STATUS command=run exit=0" in status
         assert "problem=lq_drift" in status
-        cols = read_csv_columns(tmp_path / "out" / "lq_drift_trace.csv")
-        assert len(cols["n"]) >= 1
-        assert all(v == "0.0" for v in cols["wall_ms"])
+        rows = csv_rows(tmp_path / "out" / "lq_drift_trace.csv")
+        assert len(rows) >= 1
+        assert all(r["wall_ms"] == "0.0" for r in rows)
         text = (tmp_path / "out" / "lq_drift_summary.txt").read_text()
         assert "problem: lq_drift" in text
         assert "final_cost:" in text
@@ -201,9 +203,10 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", b, "--seed", "1"]) == 0
         assert main(["run", "--config", cfg, "--out", c, "--seed", "2"]) == 0
         capsys.readouterr()
-        ja = read_csv_columns(tmp_path / "a" / "lq_drift_small_trace.csv")["J"]
-        jb = read_csv_columns(tmp_path / "b" / "lq_drift_small_trace.csv")["J"]
-        jc = read_csv_columns(tmp_path / "c" / "lq_drift_small_trace.csv")["J"]
+        ja, jb, jc = (
+            [r["J"] for r in csv_rows(tmp_path / d / "lq_drift_small_trace.csv")]
+            for d in ("a", "b", "c")
+        )
         assert ja == jb
         assert ja != jc
 
@@ -258,8 +261,8 @@ class TestRun:
         assert code == 2
         assert "STATUS command=run exit=2" in status
         assert "status=descent_failure" in status
-        cols = read_csv_columns(tmp_path / "fail" / "msa_stress_trace.csv")
-        assert cols["accepted"][-1] == "0"
+        rows = csv_rows(tmp_path / "fail" / "msa_stress_trace.csv")
+        assert rows[-1]["accepted"] == "0"
 
     def test_problem_module_hook_registers_benchmark(self, tmp_path, capsys, monkeypatch):
         mod_dir = tmp_path / "mods"
@@ -289,7 +292,8 @@ class TestRun:
         mod_dir.mkdir()
         (mod_dir / "overflow_bench_mod.py").write_text(
             "import numpy as np\n"
-            "from msacontrol import Benchmark, register_benchmark, scalar_quadratic_problem\n"
+            "from msacontrol import Benchmark, register_benchmark\n"
+            "from msacontrol.oracle import scalar_quadratic_problem\n"
             "_sp = scalar_quadratic_problem('overflow', horizon=1.0, x0=1.0, beta=1e40,\n"
             "    drift_gain=1.0, sigma_const=0.5, sigma_gain=0.0, q=1.0, r=0.1, q_t=1.0,\n"
             "    action_points=np.array([-1.0, 0.0, 1.0]))\n"
@@ -397,8 +401,7 @@ class TestRate:
         assert code == 0
         assert "status=rate-ok" in status
         assert "passed=True" in status
-        cols = read_csv_columns(tmp_path / "r" / "synthetic_one_over_n_rate.csv")
-        assert len(cols["n"]) == 91
+        assert len(csv_rows(tmp_path / "r" / "synthetic_one_over_n_rate.csv")) == 91
 
     def test_synthetic_log_decay_fails(self, tmp_path, capsys):
         cfg = write_config(

@@ -7,15 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msacontrol import (
-    IterationTrace,
-    check_recursive_bound,
-    export_csv,
-    rate_fit,
-    read_csv_columns,
-    upward_jumps,
-)
+from msacontrol import IterationTrace, export_csv, rate_fit, upward_jumps
 from msacontrol.diagnostics import RATE_COLUMNS, TRACE_COLUMNS
+
+from conftest import csv_rows
+from references import check_recursive_bound
 
 
 def trace_from_costs(costs, ses=None, accepted=None):
@@ -42,7 +38,7 @@ class TestRateFit:
         assert rep.slope == pytest.approx(-1.0, abs=1e-9)
         assert rep.sup_n_times_bn == pytest.approx(1.0, abs=1e-12)
         assert rep.sup_reference == pytest.approx(2.0, rel=1e-12)
-        assert np.allclose(rep.n_times_bn(), 1.0, rtol=0.0, atol=1e-12)
+        assert np.allclose(rep.n_values * rep.gaps, 1.0, rtol=0.0, atol=1e-12)
 
     def test_one_over_log_decay_fails(self):
         trace = trace_from_costs([1.0 / math.log(n + 1.0) for n in range(1, 101)])
@@ -230,45 +226,45 @@ class TestCsvExport:
         trace.add_row(3, 1.2345678901234567e-07, 0.1, -1e-3, 1e-5, 2.0, 4, True, 12.5)
         path = tmp_path / "one.csv"
         export_csv(trace, path)
-        cols = read_csv_columns(path)
-        assert cols["n"] == ["3"]
-        assert float(cols["J"][0]) == 1.2345678901234567e-07
-        assert float(cols["J_se"][0]) == 0.1
-        assert float(cols["mu"][0]) == -1e-3
-        assert cols["backtracks"] == ["4"]
-        assert cols["accepted"] == ["1"]
-        assert float(cols["wall_ms"][0]) == 12.5
+        rows = csv_rows(path)
+        assert [r["n"] for r in rows] == ["3"]
+        assert float(rows[0]["J"]) == 1.2345678901234567e-07
+        assert float(rows[0]["J_se"]) == 0.1
+        assert float(rows[0]["mu"]) == -1e-3
+        assert [r["backtracks"] for r in rows] == ["4"]
+        assert [r["accepted"] for r in rows] == ["1"]
+        assert float(rows[0]["wall_ms"]) == 12.5
 
     def test_wall_clock_flag_zeroes_timing(self, tmp_path):
         trace = IterationTrace()
         trace.add_row(1, 0.5, 0.01, 0.0, 0.0, 1.0, 0, True, 833.25)
         path = tmp_path / "zeroed.csv"
         export_csv(trace, path, wall_clock=False)
-        assert read_csv_columns(path)["wall_ms"] == ["0.0"]
+        assert [r["wall_ms"] for r in csv_rows(path)] == ["0.0"]
 
     def test_solver_trace_round_trip(self, lq_run, tmp_path):
         _, trace = lq_run
         path = tmp_path / "trace.csv"
         export_csv(trace, path)
-        cols = read_csv_columns(path)
-        assert list(cols) == list(TRACE_COLUMNS)
-        assert [int(v) for v in cols["n"]] == trace.iterations
-        assert [float(v) for v in cols["J"]] == trace.costs
-        assert [float(v) for v in cols["J_se"]] == trace.cost_ses
-        assert [float(v) for v in cols["mu"]] == trace.mus
-        assert [float(v) for v in cols["rho"]] == trace.rhos
-        assert [bool(int(v)) for v in cols["accepted"]] == trace.accepted
+        rows = csv_rows(path)
+        assert list(rows[0]) == list(TRACE_COLUMNS)
+        assert [int(r["n"]) for r in rows] == trace.iterations
+        assert [float(r["J"]) for r in rows] == trace.costs
+        assert [float(r["J_se"]) for r in rows] == trace.cost_ses
+        assert [float(r["mu"]) for r in rows] == trace.mus
+        assert [float(r["rho"]) for r in rows] == trace.rhos
+        assert [bool(int(r["accepted"])) for r in rows] == trace.accepted
 
     def test_rate_report_round_trip(self, tmp_path):
         trace = trace_from_costs([1.0 / n for n in range(1, 21)])
         rep = rate_fit(trace, 0.0, 1, 20)
         path = tmp_path / "rate.csv"
         export_csv(rep, path)
-        cols = read_csv_columns(path)
-        assert list(cols) == list(RATE_COLUMNS)
-        assert [int(v) for v in cols["n"]] == [int(v) for v in rep.n_values]
-        assert [float(v) for v in cols["b_n"]] == list(rep.gaps)
-        got = np.array([float(v) for v in cols["n_times_bn"]])
+        rows = csv_rows(path)
+        assert list(rows[0]) == list(RATE_COLUMNS)
+        assert [int(r["n"]) for r in rows] == [int(v) for v in rep.n_values]
+        assert [float(r["b_n"]) for r in rows] == list(rep.gaps)
+        got = np.array([float(r["n_times_bn"]) for r in rows])
         assert np.array_equal(got, rep.n_values * rep.gaps)
 
     def test_unknown_object_raises_type_error(self, tmp_path):
@@ -280,7 +276,3 @@ class TestCsvExport:
         bad = tmp_path / "missing_dir" / "x.csv"
         with pytest.raises(OSError, match="missing_dir"):
             export_csv(trace, str(bad))
-
-    def test_read_failure_names_the_path(self, tmp_path):
-        with pytest.raises(OSError, match="no_such_file"):
-            read_csv_columns(str(tmp_path / "no_such_file.csv"))

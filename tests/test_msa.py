@@ -8,13 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msacontrol import (
-    AdjointEnsemble,
-    ControlEnsemble,
     DescentFailureError,
     EvaluationError,
     MsaConfig,
     RegressionBasis,
-    StateEnsemble,
     TimeGrid,
     benchmark_names,
     compute_mu,
@@ -22,13 +19,16 @@ from msacontrol import (
     get_benchmark,
     make_noise,
     run_msa,
-    scalar_quadratic_problem,
     simulate_forward,
     solve_adjoint_lsmc,
     update_control,
-    verify_extended_pontryagin,
 )
+from msacontrol.bsde import AdjointEnsemble
+from msacontrol.msa import ControlEnsemble
+from msacontrol.oracle import scalar_quadratic_problem
+from msacontrol.sde import StateEnsemble
 
+from references import pontryagin_gaps
 from test_problem import quadratic_drift_problem
 
 
@@ -239,12 +239,6 @@ class TestRunMsa:
         assert a.rhos == b.rhos
         assert np.array_equal(a_control.action_indices, b_control.action_indices)
 
-    def test_initial_control_shape_checked(self, lq_bench):
-        cfg = MsaConfig(n_paths=10, n_steps=5)
-        bad = constant_control(lq_bench.problem, 10, 4)
-        with pytest.raises(ValueError):
-            run_msa(lq_bench.problem, cfg, initial=bad)
-
     def test_descent_failure_raises_with_trace(self, stress_bench):
         cfg = MsaConfig(
             n_paths=500,
@@ -299,12 +293,10 @@ class TestPontryaginCertificate:
         )
         prev = constant_control(p, m, n)
         new = update_control(p, grid, states, adjoint, prev, rho=0.0)
-        report = verify_extended_pontryagin(
-            p, grid, states, adjoint, new, rho=0.0, n_samples=400
-        )
-        assert report.violation_fraction == 0.0
-        assert report.worst_gap == 0.0
-        assert report.n_samples == 400
+        gaps = pontryagin_gaps(p, grid, states, adjoint, new, rho=0.0, n_samples=400)
+        assert np.mean(gaps > 1e-3) == 0.0
+        assert gaps.max() == 0.0
+        assert gaps.shape == (400,)
 
     def test_fixed_point_control_has_zero_gap_at_positive_rho(self):
         p = control_free_problem()
@@ -314,19 +306,6 @@ class TestPontryaginCertificate:
         ctrl = constant_control(p, m, n)
         fixed = update_control(p, grid, states, adjoint, ctrl, rho=2.0)
         assert np.array_equal(fixed.action_indices, ctrl.action_indices)
-        report = verify_extended_pontryagin(
-            p, grid, states, adjoint, fixed, rho=2.0, n_samples=200
-        )
-        assert report.violation_fraction == 0.0
-        assert report.worst_gap == 0.0
-
-    def test_sample_count_must_be_positive(self):
-        p = get_benchmark("lq_drift_small").problem
-        m, n = 10, 3
-        grid = TimeGrid(n_steps=n, horizon=p.horizon)
-        states, adjoint = flat_artifacts(m, n)
-        ctrl = constant_control(p, m, n)
-        with pytest.raises(ValueError, match="n_samples must be >= 1"):
-            verify_extended_pontryagin(
-                p, grid, states, adjoint, ctrl, rho=1.0, n_samples=0
-            )
+        gaps = pontryagin_gaps(p, grid, states, adjoint, fixed, rho=2.0, n_samples=200)
+        assert np.mean(gaps > 1e-3) == 0.0
+        assert gaps.max() == 0.0

@@ -7,23 +7,23 @@ import pytest
 
 import msacontrol.oracle as oracle_mod
 from msacontrol import (
-    ControlEnsemble,
-    LqSpec,
     TimeGrid,
     benchmark_names,
     benchmark_suite,
     brute_force_optimal,
     check_derivatives,
     cost_per_path,
-    diffusion_lq_value,
     get_benchmark,
-    lq_adjoint_y0,
     make_noise,
-    mean_and_se,
     register_benchmark,
     riccati_lq,
     simulate_forward,
 )
+from msacontrol.msa import ControlEnsemble
+from msacontrol.oracle import LqSpec, diffusion_lq_value
+from msacontrol.sde import mean_and_se
+
+from references import lq_adjoint_y0
 
 LQ_DRIFT_OPTIMUM = 1.1188145592565684
 CTRL_DIFFUSION_OPTIMUM = 1.955913960085863
@@ -49,7 +49,7 @@ class TestRiccati:
     def test_tanh_case(self):
         spec = LqSpec(beta=0.0, control_gain=1.0, nu=0.0, q=1.0, r=1.0, q_t=0.0, x0=1.0)
         sol = riccati_lq(spec, TimeGrid(n_steps=50, horizon=1.0))
-        assert abs(sol.p0 - math.tanh(1.0)) <= 2e-12
+        assert abs(sol.value_curve[1][0] - math.tanh(1.0)) <= 2e-12
         assert abs(sol.optimal_value - math.tanh(1.0)) <= 2e-12
 
     def test_no_state_cost_means_zero_value(self):
@@ -82,7 +82,7 @@ class TestRiccati:
         sol = riccati_lq(lq_bench.lq, TimeGrid(n_steps=50, horizon=1.0))
         # P(T) = q_t, so gain(T) = -control_gain q_t / r
         assert abs(sol.feedback_gain(1.0) + 0.5) <= 1e-12
-        assert abs(sol.feedback_gain(0.0) + sol.p0) <= 1e-12
+        assert abs(sol.feedback_gain(0.0) + sol.value_curve[1][0]) <= 1e-12
 
     def test_value_curve_nonnegative(self, lq_bench):
         sol = riccati_lq(lq_bench.lq, TimeGrid(n_steps=50, horizon=1.0))
@@ -253,11 +253,8 @@ class TestBenchmarkRegistry:
 
     def test_suite_derivatives_validate(self, suite_benches):
         for bench in suite_benches:
-            report = check_derivatives(bench.problem, n_samples=200, step=1e-5)
-            assert max(report.max_errors.values()) <= 1e-6, (
-                bench.name,
-                report.max_errors,
-            )
+            errors = check_derivatives(bench.problem, n_samples=200, step=1e-5)
+            assert max(errors.values()) <= 1e-6, (bench.name, errors)
 
     def test_structured_split_matches_assembled_problem(self, suite_benches, rng):
         for bench in suite_benches:

@@ -1,0 +1,34 @@
+"""The package exports only names that a non-test caller uses.
+
+Every name in ``msacontrol.__all__`` must be used by the ``msactl``
+command, by the benchmark under ``perfbench/`` or be documented for user
+code in the README.  A function that only tests call belongs in its
+submodule, or in ``tests/references.py`` when it is a reference the
+tests compare against.
+"""
+
+import inspect
+import re
+from pathlib import Path
+
+import msacontrol
+
+ROOT = Path(__file__).resolve().parent.parent
+CALLERS = [ROOT / "README.md", ROOT / "src" / "msacontrol" / "cli.py"]
+CALLERS += sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def test_every_exported_name_has_a_non_test_caller():
+    text = "\n".join(path.read_text(encoding="utf-8") for path in CALLERS)
+    orphans = [n for n in msacontrol.__all__ if not re.search(rf"\b{n}\b", text)]
+    assert orphans == []
+
+
+def test_all_lists_exactly_the_public_names_bound():
+    bound = {
+        name
+        for name, value in vars(msacontrol).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert len(msacontrol.__all__) == len(set(msacontrol.__all__))
+    assert set(msacontrol.__all__) == bound

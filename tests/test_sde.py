@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,18 +14,18 @@ from hypothesis import strategies as st
 
 from msacontrol import (
     ActionSpace,
-    ControlEnsemble,
     SimulationError,
     StructuredProblem,
     TimeGrid,
     constant_control,
     cost_per_path,
     make_noise,
-    mean_and_se,
     riccati_lq,
-    scalar_quadratic_problem,
     simulate_forward,
 )
+from msacontrol.msa import ControlEnsemble
+from msacontrol.oracle import scalar_quadratic_problem
+from msacontrol.sde import mean_and_se
 
 from test_problem import make_problem
 
@@ -83,6 +84,18 @@ class TestMakeNoise:
         bank = make_noise(g, 3, 1, seed=0)
         with pytest.raises(ValueError):
             bank.increments[0, 0, 0] = 1.0
+
+    def test_bank_is_not_copied(self):
+        # the bank owns the array make_noise filled: peak memory stays
+        # near one bank, where a copy would need two
+        g = TimeGrid(n_steps=50, horizon=1.0)
+        tracemalloc.start()
+        try:
+            bank = make_noise(g, 20_000, 1, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * bank.increments.nbytes
 
     def test_rejects_bad_sizes(self):
         g = TimeGrid(n_steps=10, horizon=1.0)
