@@ -362,13 +362,11 @@ def cmd_rate(cfg: RunConfig) -> int:
                 raise ConfigError(f"problem {name} has no Riccati oracle")
             j_star = riccati_lq(bench.lq, grid).optimal_value
         else:
-            total = p.action_space.n_actions ** grid.n_steps
-            if total > 1_000_000:
-                raise ConfigError(
-                    f"brute force needs |A|^N <= 1e6, got {total}; shrink n_steps or the action grid"
-                )
             noise = make_noise(grid, cfg.msa.n_paths, p.noise_dim, cfg.msa.seed)
-            j_star = brute_force_optimal(p, grid, noise).j_star
+            try:
+                j_star = brute_force_optimal(p, grid, noise).j_star
+            except ValueError as exc:
+                raise ConfigError(f"brute force: {exc}; shrink n_steps or the action grid") from None
         try:
             _, trace = run_msa(p, cfg.msa)
         except DescentFailureError as exc:

@@ -10,6 +10,9 @@ import numpy as np
 from .msa import IterationTrace
 
 
+_NOISE_FLOOR_FACTOR = 5.0  # gaps within this many standard errors are noise
+
+
 @dataclass(frozen=True)
 class RateReport:
     """Optimality-gap decay fitted over a window of accepted iterations.
@@ -22,7 +25,6 @@ class RateReport:
 
     n_values: np.ndarray
     gaps: np.ndarray
-    gap_ses: np.ndarray
     kept: np.ndarray
     slope: float | None
     sup_n_times_bn: float | None
@@ -36,11 +38,10 @@ def rate_fit(
     j_star: float,
     n_min: int,
     n_max: int,
-    noise_floor_factor: float = 5.0,
 ) -> RateReport:
     """Fit the decay of b_n = J_n - j_star on accepted iterations.
 
-    Iterations with b_n <= noise_floor_factor * se are excluded from the
+    Iterations with b_n <= _NOISE_FLOOR_FACTOR * se are excluded from the
     fit; if everything is excluded the run converged before the window
     and the report passes vacuously.  A gap below -3 se marks the oracle
     and the run as mutually inconsistent.
@@ -66,7 +67,6 @@ def rate_fit(
         return RateReport(
             n_values=n_values,
             gaps=gaps,
-            gap_ses=gap_ses,
             kept=np.zeros(len(gaps), dtype=bool),
             slope=None,
             sup_n_times_bn=None,
@@ -75,12 +75,11 @@ def rate_fit(
             status="oracle-inconsistent",
         )
 
-    kept = gaps > noise_floor_factor * gap_ses
+    kept = gaps > _NOISE_FLOOR_FACTOR * gap_ses
     if not kept.any():
         return RateReport(
             n_values=n_values,
             gaps=gaps,
-            gap_ses=gap_ses,
             kept=kept,
             slope=None,
             sup_n_times_bn=None,
@@ -104,7 +103,6 @@ def rate_fit(
     return RateReport(
         n_values=n_values,
         gaps=gaps,
-        gap_ses=gap_ses,
         kept=kept,
         slope=slope,
         sup_n_times_bn=sup_val,

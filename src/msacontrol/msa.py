@@ -89,16 +89,10 @@ def constant_control(
     p: ControlProblem,
     n_paths: int,
     n_steps: int,
-    action_index: int | None = None,
     mode: str = "per_path",
 ) -> ControlEnsemble:
-    """Control constant in time and across paths.
-
-    Defaults to the action closest to the action-set centroid.
-    """
-    if action_index is None:
-        action_index = p.action_space.centroid_index()
-    idx = np.full((n_paths, n_steps), int(action_index), dtype=np.int64)
+    """The action closest to the action-set centroid, at every step and path."""
+    idx = np.full((n_paths, n_steps), p.action_space.centroid_index(), dtype=np.int64)
     return ControlEnsemble(action_indices=idx, mode=mode)
 
 

@@ -1,28 +1,23 @@
 """Ground-truth generators and the benchmark problem suite.
 
-Independent of the solver path: a Riccati ODE oracle for the scalar
-linear-quadratic benchmark, a value ODE for the benchmark with control
-in the diffusion, and exhaustive enumeration over deterministic action
-sequences for small instances.
+Every suite problem is one constant-coefficient scalar ``LqSpec``; the
+solver's problem (``scalar_quadratic_problem``) and its oracle read the
+same spec.  Independent of the solver path: a Riccati ODE oracle for
+control in the drift, a value ODE for control in the diffusion, and
+exhaustive enumeration over deterministic action sequences for small
+instances.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable
 
 import numpy as np
 
 from .problem import ActionSpace, ActionTerms, ControlProblem
 from .sde import NoiseBank, TimeGrid
-
-
-def _as_time_fn(value) -> Callable[[float], float]:
-    if callable(value):
-        return value
-    const = float(value)
-    return lambda t: const
 
 
 def _rk4(rhs, t0: float, u0, h: float, n_steps: int, label: str | None = None):
@@ -119,41 +114,31 @@ class StructuredProblem:
 
 @dataclass(frozen=True)
 class LqSpec:
-    """Scalar linear-quadratic data.
+    """Scalar linear-quadratic data with constant coefficients.
 
-    dx = (beta(t) x + control_gain a) dt + nu dW
-    cost = integral (q(t) x^2 + r(t) a^2) dt + q_t x_T^2
-
-    beta, q, r may be constants or callables of t; r must stay positive.
+    dx = (beta x + control_gain a) dt + (nu + sigma_gain a) dW,  x(0) = x0
+    cost = integral (q x^2 + r a^2) dt + q_t x_T^2
     """
 
-    beta: float | Callable = 0.0
+    beta: float = 0.0
     control_gain: float = 1.0
     nu: float = 0.0
-    q: float | Callable = 1.0
-    r: float | Callable = 1.0
+    sigma_gain: float = 0.0
+    q: float = 1.0
+    r: float = 1.0
     q_t: float = 0.0
     x0: float = 1.0
 
-    def beta_fn(self) -> Callable[[float], float]:
-        return _as_time_fn(self.beta)
+    def validate(self) -> None:
+        if not self.r > 0:
+            raise ValueError(f"r must be positive, got {self.r}")
+        if self.q < 0 or self.q_t < 0 or self.nu < 0:
+            raise ValueError("q, q_t and nu must be nonnegative")
 
-    def q_fn(self) -> Callable[[float], float]:
-        return _as_time_fn(self.q)
 
-    def r_fn(self) -> Callable[[float], float]:
-        return _as_time_fn(self.r)
-
-    def validate(self, horizon: float) -> None:
-        r = self.r_fn()
-        q = self.q_fn()
-        for t in np.linspace(0.0, horizon, 33):
-            if not r(t) > 0:
-                raise ValueError(f"r(t) must be positive, got {r(t)} at t={t}")
-            if q(t) < 0:
-                raise ValueError(f"q(t) must be nonnegative, got {q(t)} at t={t}")
-        if self.q_t < 0 or self.nu < 0:
-            raise ValueError("q_t and nu must be nonnegative")
+_RICCATI_REFINE = 10  # RK4 steps per solver step
+_DIFFUSION_STEPS = 4000  # RK4 steps over the horizon
+_BRUTE_FORCE_BUDGET = 1_000_000  # action sequences
 
 
 @dataclass(frozen=True)
@@ -165,26 +150,29 @@ class RiccatiSolution:
     value_curve: tuple  # (times, p_values, c_values), ascending in t
 
 
-def riccati_lq(spec: LqSpec, grid: TimeGrid, refine: int = 10) -> RiccatiSolution:
+def riccati_lq(spec: LqSpec, grid: TimeGrid) -> RiccatiSolution:
     """Solve the scalar Riccati ODE backward with classical RK4.
 
     P' = -2 beta P + (gain^2 / r) P^2 - q,  P(T) = q_t
     c' = -nu^2 P,                           c(T) = 0
 
-    Integrates on a grid refine-times finer than the solver grid.
+    Integrates on a grid _RICCATI_REFINE times finer than the solver
+    grid.  Control in the diffusion (sigma_gain != 0) is not covered.
     """
-    spec.validate(grid.horizon)
-    beta, q, r = spec.beta_fn(), spec.q_fn(), spec.r_fn()
+    spec.validate()
+    if spec.sigma_gain != 0:
+        raise ValueError("riccati_lq needs sigma_gain = 0; see diffusion_lq_value")
+    beta, q, r = spec.beta, spec.q, spec.r
     gain2 = spec.control_gain * spec.control_gain
     nu2 = spec.nu * spec.nu
 
     def rhs(t, u):
         p_val, c_val = u
-        dp = -2.0 * beta(t) * p_val + gain2 * p_val * p_val / r(t) - q(t)
+        dp = -2.0 * beta * p_val + gain2 * p_val * p_val / r - q
         dc = -nu2 * p_val
         return np.array([dp, dc])
 
-    n_fine = grid.n_steps * refine
+    n_fine = grid.n_steps * _RICCATI_REFINE
     h = grid.horizon / n_fine
     times, u = _rk4(rhs, grid.horizon, (spec.q_t, 0.0), -h, n_fine, label="Riccati")
     t_asc = times[::-1].copy()
@@ -194,7 +182,7 @@ def riccati_lq(spec: LqSpec, grid: TimeGrid, refine: int = 10) -> RiccatiSolutio
 
     def feedback_gain(t: float) -> float:
         p_t = float(np.interp(t, t_asc, p_asc))
-        return -spec.control_gain * p_t / r(t)
+        return -spec.control_gain * p_t / r
 
     return RiccatiSolution(
         optimal_value=p0 * spec.x0 * spec.x0 + c0,
@@ -203,28 +191,21 @@ def riccati_lq(spec: LqSpec, grid: TimeGrid, refine: int = 10) -> RiccatiSolutio
     )
 
 
-def diffusion_lq_value(
-    beta: float,
-    nu0: float,
-    nu1: float,
-    q: float,
-    r: float,
-    q_t: float,
-    x0: float,
-    horizon: float,
-    refine: int = 4000,
-) -> tuple[float, Callable[[float], float]]:
-    """Optimal cost for dx = beta x dt + (nu0 + nu1 a) dW with quadratic costs.
+def diffusion_lq_value(spec: LqSpec, horizon: float) -> float:
+    """Optimal cost when the control enters the diffusion only.
 
-    The value function stays quadratic, V = P(t) x^2 + c(t), because the
-    minimising action is state-free: a*(t) = -P nu0 nu1 / (P nu1^2 + r).
-    P solves the linear ODE P' = -2 beta P - q with P(T) = q_t, and
+    With nu0 = nu, nu1 = sigma_gain and control_gain = 0 the value
+    function stays quadratic, V = P(t) x^2 + c(t), because the minimising
+    action is state-free: a*(t) = -P nu0 nu1 / (P nu1^2 + r).  P solves
+    the linear ODE P' = -2 beta P - q with P(T) = q_t, and
     c' = -(P nu0^2 - (P nu0 nu1)^2 / (P nu1^2 + r)), c(T) = 0.  Returns
-    (V(0, x0), a*(t)).  The action is unconstrained here; for a bounded
-    grid this is a lower bound plus quantisation allowance.
+    V(0, x0).  The action is unconstrained here; for a bounded grid this
+    is a lower bound plus quantisation allowance.
     """
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
+    spec.validate()
+    if spec.control_gain != 0:
+        raise ValueError("diffusion_lq_value needs control_gain = 0; see riccati_lq")
+    beta, nu0, nu1, q, r = spec.beta, spec.nu, spec.sigma_gain, spec.q, spec.r
 
     def rhs(t, u):
         p_val, c_val = u
@@ -232,17 +213,10 @@ def diffusion_lq_value(
         dc = -(p_val * nu0 * nu0 - gain * gain / (p_val * nu1 * nu1 + r))
         return np.array([-2.0 * beta * p_val - q, dc])
 
-    times, u = _rk4(rhs, horizon, (q_t, 0.0), -horizon / refine, refine)
-    t_asc = times[::-1].copy()
-    p_asc = u[::-1, 0].copy()
+    _, u = _rk4(rhs, horizon, (spec.q_t, 0.0), -horizon / _DIFFUSION_STEPS, _DIFFUSION_STEPS)
     c0 = float(u[-1, 1])
     p0 = float(u[-1, 0])
-
-    def optimal_action(t: float) -> float:
-        p_t = float(np.interp(t, t_asc, p_asc))
-        return -p_t * nu0 * nu1 / (p_t * nu1 * nu1 + r)
-
-    return p0 * x0 * x0 + c0, optimal_action
+    return p0 * spec.x0 * spec.x0 + c0
 
 
 @dataclass(frozen=True)
@@ -257,22 +231,22 @@ def brute_force_optimal(
     p: ControlProblem,
     grid: TimeGrid,
     noise: NoiseBank,
-    max_sequences: int = 1_000_000,
 ) -> BruteForceResult:
     """Exhaustive minimum of the estimated cost over deterministic controls.
 
     Enumerates every time-indexed action sequence, estimates J for each
     on the shared noise bank, and returns the minimum.  The minimum value
     is independent of enumeration order; on exact ties the first sequence
-    in lexicographic index order is kept.
+    in lexicographic index order is kept.  More than _BRUTE_FORCE_BUDGET
+    sequences raise ValueError before any is evaluated.
     """
     n_act = p.action_space.n_actions
     n = grid.n_steps
     m = noise.n_paths
     total = n_act ** n
-    if total > max_sequences:
+    if total > _BRUTE_FORCE_BUDGET:
         raise ValueError(
-            f"{n_act}^{n} = {total} sequences exceeds the budget {max_sequences}"
+            f"{n_act}^{n} = {total} sequences exceeds the budget {_BRUTE_FORCE_BUDGET}"
         )
     dt = grid.dt
     nodes = grid.nodes
@@ -324,66 +298,56 @@ def brute_force_optimal(
 class Benchmark:
     """A named problem plus whatever oracle data applies to it.
 
-    continuous_optimum is the optimal cost of the continuous-time,
-    unconstrained-action problem when an ODE oracle exists; the solver's
-    grid-restricted value sits above it by discretisation bias.
+    lq is set when riccati_lq verifies the problem.  continuous_optimum
+    is the optimal cost of the continuous-time, unconstrained-action
+    problem when an ODE oracle exists; the solver's grid-restricted value
+    sits above it by discretisation bias.
     """
 
     name: str
     problem: ControlProblem
-    structured: StructuredProblem
+    _: KW_ONLY
     lq: LqSpec | None = None
     continuous_optimum: float | None = None
 
 
 def scalar_quadratic_problem(
-    name: str,
-    horizon: float,
-    x0: float,
-    beta: float,
-    drift_gain: float,
-    sigma_const: float,
-    sigma_gain: float,
-    q: float,
-    r: float,
-    q_t: float,
-    action_points: np.ndarray,
-) -> StructuredProblem:
-    """Scalar benchmark family: affine coefficients, quadratic costs.
+    name: str, spec: LqSpec, horizon: float, action_points: np.ndarray
+) -> ControlProblem:
+    """The problem that spec describes, on the given action grid.
 
-    b = beta x + drift_gain a; sigma = sigma_const + sigma_gain a;
+    b = beta x + control_gain a; sigma = nu + sigma_gain a;
     f = q x^2 + r a^2; g = q_t x^2.
     """
-
-    b1_mat = np.array([[beta]])
+    b1_mat = np.array([[spec.beta]])
     s1_tensor = np.zeros((1, 1, 1))
 
     def b2(t, a):
-        return drift_gain * a
+        return spec.control_gain * a
 
     def sigma2(t, a):
-        return sigma_const + sigma_gain * a[..., None, :]
+        return spec.nu + spec.sigma_gain * a[..., None, :]
 
     def f1(t, x):
-        return q * x[..., 0] * x[..., 0]
+        return spec.q * x[..., 0] * x[..., 0]
 
     def f1_grad(t, x):
-        return 2.0 * q * x
+        return 2.0 * spec.q * x
 
     def f2(t, a):
-        return r * a[..., 0] * a[..., 0]
+        return spec.r * a[..., 0] * a[..., 0]
 
     def terminal(x):
-        return q_t * x[..., 0] * x[..., 0]
+        return spec.q_t * x[..., 0] * x[..., 0]
 
     def terminal_grad(x):
-        return 2.0 * q_t * x
+        return 2.0 * spec.q_t * x
 
     return StructuredProblem(
         state_dim=1,
         noise_dim=1,
         horizon=horizon,
-        initial_state=np.array([x0]),
+        initial_state=np.array([spec.x0]),
         b1=lambda t: b1_mat,
         b2=b2,
         sigma1=lambda t: s1_tensor,
@@ -395,7 +359,7 @@ def scalar_quadratic_problem(
         terminal_grad_x=terminal_grad,
         action_space=ActionSpace(points=action_points),
         name=name,
-    )
+    ).assemble()
 
 
 def driverless_problem(c: float) -> ControlProblem:
@@ -423,121 +387,48 @@ def driverless_problem(c: float) -> ControlProblem:
     ).assemble()
 
 
-# Pinned benchmark instances.  The stress instance was found empirically:
-# with the penalty frozen at zero its update overshoots through the large
-# drift gain and the cost oscillates upward within a few iterations.
-_LQ_DRIFT = dict(beta=0.2, gain=1.0, nu=0.2, q=1.0, r=1.0, q_t=0.5, x0=1.0, horizon=1.0)
-_CTRL_DIFFUSION = dict(
-    beta=0.2, nu0=0.6, nu1=0.3, q=1.0, r=0.45, q_t=0.3, x0=1.0, horizon=1.0
+# Pinned benchmark instances, all on the unit horizon.  The stress
+# instance was found empirically: with the penalty frozen at zero its
+# update overshoots through the large drift gain and the cost oscillates
+# upward within a few iterations.
+_HORIZON = 1.0
+_LQ_DRIFT = LqSpec(beta=0.2, control_gain=1.0, nu=0.2, q=1.0, r=1.0, q_t=0.5, x0=1.0)
+_CTRL_DIFFUSION = LqSpec(
+    beta=0.2, control_gain=0.0, nu=0.6, sigma_gain=0.3, q=1.0, r=0.45, q_t=0.3, x0=1.0
 )
-_MSA_STRESS = dict(kappa=3.0, nu=1.0, eps=0.1, q_t=1.0, x0=1.0, horizon=1.0)
+_MSA_STRESS = LqSpec(beta=0.0, control_gain=3.0, nu=1.0, q=0.0, r=0.1, q_t=1.0, x0=1.0)
 
 _WIDE_GRID = np.linspace(-2.0, 2.0, 21)
 _SMALL_GRID = np.linspace(-1.0, 1.0, 3)
 
 
-def _make_lq_drift(grid_points: np.ndarray, name: str) -> Benchmark:
-    # control in the drift only; Riccati-verifiable
-    c = _LQ_DRIFT
-    sp = scalar_quadratic_problem(
-        name,
-        horizon=c["horizon"],
-        x0=c["x0"],
-        beta=c["beta"],
-        drift_gain=c["gain"],
-        sigma_const=c["nu"],
-        sigma_gain=0.0,
-        q=c["q"],
-        r=c["r"],
-        q_t=c["q_t"],
-        action_points=grid_points,
-    )
-    lq = LqSpec(
-        beta=c["beta"],
-        control_gain=c["gain"],
-        nu=c["nu"],
-        q=c["q"],
-        r=c["r"],
-        q_t=c["q_t"],
-        x0=c["x0"],
-    )
-    ric = riccati_lq(lq, TimeGrid(n_steps=50, horizon=c["horizon"]))
-    return Benchmark(
-        name=name,
-        problem=sp.assemble(),
-        structured=sp,
-        lq=lq,
-        continuous_optimum=ric.optimal_value,
-    )
-
-
-def _make_ctrl_diffusion(grid_points: np.ndarray, name: str) -> Benchmark:
-    # control enters the diffusion; verified by brute force
-    c = _CTRL_DIFFUSION
-    sp = scalar_quadratic_problem(
-        name,
-        horizon=c["horizon"],
-        x0=c["x0"],
-        beta=c["beta"],
-        drift_gain=0.0,
-        sigma_const=c["nu0"],
-        sigma_gain=c["nu1"],
-        q=c["q"],
-        r=c["r"],
-        q_t=c["q_t"],
-        action_points=grid_points,
-    )
-    j_star, _ = diffusion_lq_value(
-        beta=c["beta"],
-        nu0=c["nu0"],
-        nu1=c["nu1"],
-        q=c["q"],
-        r=c["r"],
-        q_t=c["q_t"],
-        x0=c["x0"],
-        horizon=c["horizon"],
-    )
-    return Benchmark(
-        name=name,
-        problem=sp.assemble(),
-        structured=sp,
-        lq=None,
-        continuous_optimum=j_star,
-    )
-
-
-def _make_msa_stress() -> Benchmark:
-    # strong control-to-adjoint coupling; unpenalised updates oscillate
-    c = _MSA_STRESS
-    sp = scalar_quadratic_problem(
-        "msa_stress",
-        horizon=c["horizon"],
-        x0=c["x0"],
-        beta=0.0,
-        drift_gain=c["kappa"],
-        sigma_const=c["nu"],
-        sigma_gain=0.0,
-        q=0.0,
-        r=c["eps"],
-        q_t=c["q_t"],
-        action_points=_WIDE_GRID,
-    )
-    return Benchmark(
-        name="msa_stress",
-        problem=sp.assemble(),
-        structured=sp,
-        lq=None,
-    )
+def _suite_benchmark(name: str, spec: LqSpec, points: np.ndarray, oracle: str = "") -> Benchmark:
+    """A suite problem with the continuous optimum of the named oracle."""
+    problem = scalar_quadratic_problem(name, spec, _HORIZON, points)
+    if oracle == "riccati":
+        grid = TimeGrid(n_steps=50, horizon=_HORIZON)
+        optimum = riccati_lq(spec, grid).optimal_value
+        return Benchmark(name, problem, lq=spec, continuous_optimum=optimum)
+    if oracle == "diffusion":
+        return Benchmark(name, problem, continuous_optimum=diffusion_lq_value(spec, _HORIZON))
+    return Benchmark(name, problem)
 
 
 _FACTORIES: dict[str, Callable[[], Benchmark]] = {
-    "lq_drift": lambda: _make_lq_drift(_WIDE_GRID, "lq_drift"),
-    "lq_drift_small": lambda: _make_lq_drift(_SMALL_GRID, "lq_drift_small"),
-    "ctrl_diffusion": lambda: _make_ctrl_diffusion(_WIDE_GRID, "ctrl_diffusion"),
-    "ctrl_diffusion_small": lambda: _make_ctrl_diffusion(
-        _SMALL_GRID, "ctrl_diffusion_small"
+    # control in the drift only; Riccati-verifiable
+    "lq_drift": lambda: _suite_benchmark("lq_drift", _LQ_DRIFT, _WIDE_GRID, "riccati"),
+    "lq_drift_small": lambda: _suite_benchmark(
+        "lq_drift_small", _LQ_DRIFT, _SMALL_GRID, "riccati"
     ),
-    "msa_stress": lambda: _make_msa_stress(),
+    # control enters the diffusion; verified by brute force
+    "ctrl_diffusion": lambda: _suite_benchmark(
+        "ctrl_diffusion", _CTRL_DIFFUSION, _WIDE_GRID, "diffusion"
+    ),
+    "ctrl_diffusion_small": lambda: _suite_benchmark(
+        "ctrl_diffusion_small", _CTRL_DIFFUSION, _SMALL_GRID, "diffusion"
+    ),
+    # strong control-to-adjoint coupling; unpenalised updates oscillate
+    "msa_stress": lambda: _suite_benchmark("msa_stress", _MSA_STRESS, _WIDE_GRID),
 }
 
 _SUITE_NAMES = ("lq_drift", "ctrl_diffusion", "msa_stress")

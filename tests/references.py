@@ -19,9 +19,9 @@ def lq_hamiltonian_reference(spec: LqSpec, t, x, y, z, a):
 
     Plain scalar arithmetic, no shared code with the problem module.
     """
-    b = spec.beta_fn()(t) * x + spec.control_gain * a
-    sig = spec.nu
-    f = spec.q_fn()(t) * x * x + spec.r_fn()(t) * a * a
+    b = spec.beta * x + spec.control_gain * a
+    sig = spec.nu + spec.sigma_gain * a
+    f = spec.q * x * x + spec.r * a * a
     return (b * y + sig * z) + f
 
 
@@ -41,7 +41,7 @@ def lq_adjoint_y0(
     Y_0 = s(T) 2 q_t m(T) + integral s(t) 2 q(t) m(t) dt.  Solved by RK4
     at a resolution unrelated to the solver grid.
     """
-    beta, q = spec.beta_fn(), spec.q_fn()
+    beta, q = spec.beta, spec.q
     abar = float(action)
     fb = float(feedback)
 
@@ -49,9 +49,9 @@ def lq_adjoint_y0(
         m_val, s_val, acc = u
         return np.array(
             [
-                beta(t) * m_val + spec.control_gain * (abar + fb * m_val),
-                beta(t) * s_val,
-                s_val * 2.0 * q(t) * m_val,
+                beta * m_val + spec.control_gain * (abar + fb * m_val),
+                beta * s_val,
+                s_val * 2.0 * q * m_val,
             ]
         )
 

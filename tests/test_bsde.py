@@ -129,20 +129,7 @@ class TestSolveAdjointLsmc:
         m, n = 10_000, 50
         grid = TimeGrid(n_steps=n, horizon=1.0)
         pts = np.linspace(-3.0, 3.0, 601)
-        sp = scalar_quadratic_problem(
-            name="lq_feedback",
-            horizon=1.0,
-            x0=lq.x0,
-            beta=0.2,
-            drift_gain=1.0,
-            sigma_const=0.2,
-            sigma_gain=0.0,
-            q=1.0,
-            r=1.0,
-            q_t=0.5,
-            action_points=pts,
-        )
-        p = sp.assemble()
+        p = scalar_quadratic_problem("lq_feedback", lq, 1.0, pts)
         noise = make_noise(grid, m, 1, seed=29)
         dt = grid.dt
         h = pts[1] - pts[0]

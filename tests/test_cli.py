@@ -8,7 +8,7 @@ import pytest
 
 import msacontrol.cli as cli
 import msacontrol.oracle as oracle_mod
-from msacontrol import get_benchmark, register_benchmark
+from msacontrol import Benchmark, get_benchmark, register_benchmark
 from msacontrol.cli import ConfigError, load_config, main
 
 from conftest import csv_rows
@@ -269,7 +269,7 @@ class TestRun:
         mod_dir.mkdir()
         (mod_dir / "extra_bench_mod.py").write_text(
             "import dataclasses\n"
-            "from msacontrol import get_benchmark, register_benchmark\n"
+            "from msacontrol import Benchmark, get_benchmark, register_benchmark\n"
             "_b = dataclasses.replace(get_benchmark('lq_drift_small'), name='hooked')\n"
             "register_benchmark('hooked', lambda: _b)\n"
         )
@@ -287,17 +287,59 @@ class TestRun:
             oracle_mod._FACTORIES.pop("hooked", None)
         capsys.readouterr()
 
+    def test_problem_module_plain_control_problem(self, tmp_path, capsys, monkeypatch):
+        # no action terms and no oracle data: the update takes the general path
+        mod_dir = tmp_path / "mods"
+        mod_dir.mkdir()
+        (mod_dir / "plain_bench_mod.py").write_text(
+            "import numpy as np\n"
+            "from msacontrol import ActionSpace, Benchmark, ControlProblem, register_benchmark\n"
+            "_p = ControlProblem(\n"
+            "    state_dim=1, noise_dim=1, horizon=1.0, initial_state=np.array([1.0]),\n"
+            "    drift=lambda t, x, a: 0.2 * x + a,\n"
+            "    diffusion=lambda t, x, a: (0.2 + 0.3 * a + 0.0 * x)[..., None],\n"
+            "    running_cost=lambda t, x, a: x[..., 0] ** 2 + a[..., 0] ** 2,\n"
+            "    terminal_cost=lambda x: 0.5 * x[..., 0] ** 2,\n"
+            "    drift_jac_x=lambda t, x, a: (0.2 + 0.0 * (x + a))[..., None],\n"
+            "    diffusion_jac_x=lambda t, x, a: (0.0 * (x + a))[..., None, None],\n"
+            "    running_cost_grad_x=lambda t, x, a: 2.0 * x + 0.0 * a,\n"
+            "    terminal_cost_grad_x=lambda x: x,\n"
+            "    action_space=ActionSpace(points=np.linspace(-1.0, 1.0, 5)),\n"
+            ")\n"
+            "register_benchmark('plain', lambda: Benchmark('plain', _p))\n"
+        )
+        monkeypatch.syspath_prepend(str(mod_dir))
+        try:
+            cfg = write_config(
+                tmp_path,
+                problem={"name": "plain", "module": "plain_bench_mod"},
+                msa={"n_paths": 500, "n_steps": 5},
+                output={"directory": str(tmp_path / "plain_out")},
+            )
+            assert main(["run", "--config", cfg]) == 0
+            rows = csv_rows(tmp_path / "plain_out" / "plain_trace.csv")
+            bench = get_benchmark("plain")
+        finally:
+            oracle_mod._FACTORIES.pop("plain", None)
+        status, _ = status_line(capsys)
+        assert "problem=plain" in status
+        assert rows
+        assert bench.problem.action_terms is None
+        assert bench.lq is None and bench.continuous_optimum is None
+        # the oracle fields are keyword-only, so the old three-argument form fails
+        with pytest.raises(TypeError):
+            Benchmark("plain", bench.problem, bench.problem)
+
     def test_problem_module_overflow_exits_one(self, tmp_path, capsys, monkeypatch):
         mod_dir = tmp_path / "mods"
         mod_dir.mkdir()
         (mod_dir / "overflow_bench_mod.py").write_text(
             "import numpy as np\n"
             "from msacontrol import Benchmark, register_benchmark\n"
-            "from msacontrol.oracle import scalar_quadratic_problem\n"
-            "_sp = scalar_quadratic_problem('overflow', horizon=1.0, x0=1.0, beta=1e40,\n"
-            "    drift_gain=1.0, sigma_const=0.5, sigma_gain=0.0, q=1.0, r=0.1, q_t=1.0,\n"
-            "    action_points=np.array([-1.0, 0.0, 1.0]))\n"
-            "register_benchmark('overflow', lambda: Benchmark('overflow', _sp.assemble(), _sp))\n"
+            "from msacontrol.oracle import LqSpec, scalar_quadratic_problem\n"
+            "_spec = LqSpec(beta=1e40, control_gain=1.0, nu=0.5, q=1.0, r=0.1, q_t=1.0, x0=1.0)\n"
+            "_p = scalar_quadratic_problem('overflow', _spec, 1.0, np.array([-1.0, 0.0, 1.0]))\n"
+            "register_benchmark('overflow', lambda: Benchmark('overflow', _p))\n"
         )
         monkeypatch.syspath_prepend(str(mod_dir))
         try:

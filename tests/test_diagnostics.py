@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msacontrol import IterationTrace, export_csv, rate_fit, upward_jumps
-from msacontrol.diagnostics import RATE_COLUMNS, TRACE_COLUMNS
+from msacontrol.diagnostics import _NOISE_FLOOR_FACTOR, RATE_COLUMNS, TRACE_COLUMNS
 
 from conftest import csv_rows
 from references import check_recursive_bound
@@ -93,9 +93,12 @@ class TestRateFit:
     def test_noise_floor_factor_controls_inclusion(self):
         trace = trace_from_costs([1.0, 0.5], ses=[0.3, 0.3])
         assert rate_fit(trace, 0.0, 1, 2).status == "converged-before-rate-window"
-        tight = rate_fit(trace, 0.0, 1, 2, noise_floor_factor=1.0)
-        assert tight.kept.tolist() == [True, True]
-        assert tight.slope is not None
+        # only gaps strictly above the floor of _NOISE_FLOOR_FACTOR se are fitted
+        floor = _NOISE_FLOOR_FACTOR * 0.3
+        above = float(np.nextafter(floor, np.inf))
+        rep = rate_fit(trace_from_costs([2.0 * floor, above, floor], ses=[0.3] * 3), 0.0, 1, 3)
+        assert rep.kept.tolist() == [True, True, False]
+        assert rep.slope is not None
 
     def test_window_validation(self):
         trace = trace_from_costs([1.0, 0.5])

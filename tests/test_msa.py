@@ -25,7 +25,7 @@ from msacontrol import (
 )
 from msacontrol.bsde import AdjointEnsemble
 from msacontrol.msa import ControlEnsemble
-from msacontrol.oracle import scalar_quadratic_problem
+from msacontrol.oracle import LqSpec, scalar_quadratic_problem
 from msacontrol.sde import StateEnsemble
 
 from references import pontryagin_gaps
@@ -44,20 +44,8 @@ def flat_artifacts(m, n, y=2.0, z=7.0, x=0.0):
 
 def control_free_problem():
     """Costs and dynamics that ignore the action entirely."""
-    sp = scalar_quadratic_problem(
-        name="control_free",
-        horizon=1.0,
-        x0=1.0,
-        beta=0.3,
-        drift_gain=0.0,
-        sigma_const=0.5,
-        sigma_gain=0.0,
-        q=1.0,
-        r=0.0,
-        q_t=0.5,
-        action_points=np.array([-1.0, 0.0, 1.0]),
-    )
-    return sp.assemble()
+    spec = LqSpec(beta=0.3, control_gain=0.0, nu=0.5, q=1.0, r=0.0, q_t=0.5, x0=1.0)
+    return scalar_quadratic_problem("control_free", spec, 1.0, np.array([-1.0, 0.0, 1.0]))
 
 
 class TestControlEnsemble:
@@ -87,7 +75,7 @@ class TestUpdateControl:
         m, n = 4, 2
         grid = TimeGrid(n_steps=n, horizon=1.0)
         states, adjoint = flat_artifacts(m, n, y=2.0, z=7.0)
-        prev = constant_control(p, m, n, action_index=1)
+        prev = ControlEnsemble(np.full((m, n), 1))
         new = update_control(p, grid, states, adjoint, prev, rho=0.0)
         assert np.all(new.action_indices == 0)
 
@@ -96,7 +84,7 @@ class TestUpdateControl:
         m, n = 5, 3
         grid = TimeGrid(n_steps=n, horizon=1.0)
         states, adjoint = flat_artifacts(m, n, x=1.0)
-        prev = constant_control(p, m, n, action_index=2)
+        prev = ControlEnsemble(np.full((m, n), 2))
         new = update_control(p, grid, states, adjoint, prev, rho=0.0)
         assert np.array_equal(new.action_indices, prev.action_indices)
 
@@ -105,7 +93,7 @@ class TestUpdateControl:
         m, n = 4, 2
         grid = TimeGrid(n_steps=n, horizon=1.0)
         states, adjoint = flat_artifacts(m, n, y=2.0)
-        prev = constant_control(p, m, n, action_index=2)
+        prev = ControlEnsemble(np.full((m, n), 2))
         new = update_control(p, grid, states, adjoint, prev, rho=1e12)
         assert np.array_equal(new.action_indices, prev.action_indices)
 
@@ -169,10 +157,12 @@ class TestSeparableUpdate:
     def test_non_finite_action_terms_raise_on_both_paths(self):
         # b2 blows up at t = 0.25, which the construction probe (t = 0 and
         # T/2) never samples; the N = 4 grid does
-        sp = dataclasses.replace(
-            get_benchmark("lq_drift_small").structured, b2=lambda t, a: a / (t - 0.25)
+        base = get_benchmark("lq_drift_small").problem
+        b2 = lambda t, a: a / (t - 0.25)
+        fast = base.replace(
+            drift=lambda t, x, a: base.drift(t, x, a) - base.action_terms.drift(t, a) + b2(t, a),
+            action_terms=dataclasses.replace(base.action_terms, drift=b2),
         )
-        fast = sp.assemble()
         m, n = 6, 4
         grid = TimeGrid(n_steps=n, horizon=fast.horizon)
         states, adjoint = flat_artifacts(m, n)

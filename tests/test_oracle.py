@@ -1,5 +1,6 @@
 """Ground-truth oracles: Riccati, adjoint ODE, enumeration, benchmarks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -66,18 +67,6 @@ class TestRiccati:
         assert abs(sol.optimal_value - want) <= 1e-9
         assert abs(lq_bench.continuous_optimum - LQ_DRIFT_OPTIMUM) <= 1e-10
 
-    def test_refinement_stable(self, lq_bench):
-        grid = TimeGrid(n_steps=50, horizon=1.0)
-        specs = [
-            lq_bench.lq,
-            LqSpec(beta=0.0, nu=0.0, q=1.0, r=1.0, q_t=0.0, x0=1.0),
-            LqSpec(beta=lambda t: 0.2 + 0.1 * t, nu=0.3, q=2.0, r=0.5, q_t=1.0, x0=1.0),
-        ]
-        for spec in specs:
-            coarse = riccati_lq(spec, grid, refine=10).optimal_value
-            fine = riccati_lq(spec, grid, refine=20).optimal_value
-            assert abs(coarse - fine) <= 1e-8
-
     def test_terminal_feedback_gain(self, lq_bench):
         sol = riccati_lq(lq_bench.lq, TimeGrid(n_steps=50, horizon=1.0))
         # P(T) = q_t, so gain(T) = -control_gain q_t / r
@@ -97,6 +86,8 @@ class TestRiccati:
             riccati_lq(LqSpec(q=-1.0), TimeGrid(n_steps=10, horizon=1.0))
         with pytest.raises(ValueError):
             riccati_lq(LqSpec(nu=-0.1), TimeGrid(n_steps=10, horizon=1.0))
+        with pytest.raises(ValueError, match="sigma_gain"):
+            riccati_lq(LqSpec(sigma_gain=0.3), TimeGrid(n_steps=10, horizon=1.0))
 
 
 class TestAdjointOdeOracle:
@@ -122,21 +113,15 @@ class TestAdjointOdeOracle:
 
 class TestDiffusionControlOracle:
     def test_reduces_to_uncontrolled_when_nu1_zero(self):
-        beta, nu0, q, r, q_t, x0 = 0.2, 0.6, 1.0, 0.45, 0.3, 1.0
-        value, action = diffusion_lq_value(
-            beta=beta, nu0=nu0, nu1=0.0, q=q, r=r, q_t=q_t, x0=x0, horizon=1.0
-        )
-        ref = riccati_lq(
-            LqSpec(beta=beta, control_gain=0.0, nu=nu0, q=q, r=r, q_t=q_t, x0=x0),
-            TimeGrid(n_steps=50, horizon=1.0),
-        )
+        spec = dataclasses.replace(oracle_mod._CTRL_DIFFUSION, sigma_gain=0.0)
+        value = diffusion_lq_value(spec, horizon=1.0)
+        ref = riccati_lq(spec, TimeGrid(n_steps=50, horizon=1.0))
         assert abs(value - ref.optimal_value) <= 1e-9
-        assert action(0.5) == 0.0
 
     def test_control_never_hurts(self):
-        kw = dict(beta=0.2, nu0=0.6, q=1.0, r=0.45, q_t=0.3, x0=1.0, horizon=1.0)
-        with_ctrl, _ = diffusion_lq_value(nu1=0.3, **kw)
-        without, _ = diffusion_lq_value(nu1=0.0, **kw)
+        spec = oracle_mod._CTRL_DIFFUSION
+        with_ctrl = diffusion_lq_value(spec, horizon=1.0)
+        without = diffusion_lq_value(dataclasses.replace(spec, sigma_gain=0.0), horizon=1.0)
         assert with_ctrl <= without + 1e-12
 
     def test_pinned_benchmark_value(self, ctrl_bench):
@@ -145,8 +130,12 @@ class TestDiffusionControlOracle:
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
             diffusion_lq_value(
-                beta=0.0, nu0=1.0, nu1=1.0, q=1.0, r=0.0, q_t=0.0, x0=1.0, horizon=1.0
+                LqSpec(control_gain=0.0, nu=1.0, sigma_gain=1.0, r=0.0), horizon=1.0
             )
+
+    def test_rejects_control_in_the_drift(self):
+        with pytest.raises(ValueError, match="control_gain"):
+            diffusion_lq_value(LqSpec(control_gain=1.0, nu=1.0, sigma_gain=1.0), horizon=1.0)
 
 
 class TestBruteForce:
@@ -210,10 +199,11 @@ class TestBruteForce:
 
     def test_budget_guard(self, lq_bench):
         small = get_benchmark("lq_drift_small").problem
-        grid = TimeGrid(n_steps=5, horizon=1.0)
+        grid = TimeGrid(n_steps=13, horizon=1.0)  # 3^13 sequences
+        assert 3**13 > oracle_mod._BRUTE_FORCE_BUDGET
         noise = make_noise(grid, 10, 1, seed=0)
-        with pytest.raises(ValueError):
-            brute_force_optimal(small, grid, noise, max_sequences=10)
+        with pytest.raises(ValueError, match="budget"):
+            brute_force_optimal(small, grid, noise)
 
     def test_small_grid_sits_above_continuous_optimum(self, small_results, lq_bench):
         _, _, bf = small_results["lq_drift_small"]
@@ -256,19 +246,47 @@ class TestBenchmarkRegistry:
             errors = check_derivatives(bench.problem, n_samples=200, step=1e-5)
             assert max(errors.values()) <= 1e-6, (bench.name, errors)
 
-    def test_structured_split_matches_assembled_problem(self, suite_benches, rng):
-        for bench in suite_benches:
-            p = bench.problem
-            sp = bench.structured
+    def test_structured_split_matches_assembled_problem(self, rng):
+        # each suite problem is the one its spec describes, term for term
+        specs = {
+            "lq_drift": oracle_mod._LQ_DRIFT,
+            "lq_drift_small": oracle_mod._LQ_DRIFT,
+            "ctrl_diffusion": oracle_mod._CTRL_DIFFUSION,
+            "ctrl_diffusion_small": oracle_mod._CTRL_DIFFUSION,
+            "msa_stress": oracle_mod._MSA_STRESS,
+        }
+        for name, s in specs.items():
+            p = get_benchmark(name).problem
+            terms = p.action_terms
             x = rng.normal(size=(8, 1))
             ai = rng.integers(0, p.action_space.n_actions, size=8)
             a = p.action_space.points[ai]
             t = 0.4
+            assert p.initial_state.tolist() == [s.x0]
+            assert np.array_equal(terms.drift(t, a), s.control_gain * a)
+            assert np.array_equal(np.asarray(p.drift(t, x, a)), s.beta * x + s.control_gain * a)
             assert np.array_equal(
-                np.asarray(p.running_cost(t, x, a)), sp.f1(t, x) + sp.f2(t, a)
+                np.asarray(p.diffusion(t, x, a)), (s.nu + s.sigma_gain * a)[..., None]
             )
-            b1x = np.einsum("ji,...i->...j", sp.b1(t), x)
-            assert np.array_equal(np.asarray(p.drift(t, x, a)), b1x + sp.b2(t, a))
+            assert np.array_equal(terms.running_cost(t, a), s.r * a[:, 0] * a[:, 0])
+            assert np.array_equal(
+                np.asarray(p.running_cost(t, x, a)),
+                s.q * x[:, 0] * x[:, 0] + s.r * a[:, 0] * a[:, 0],
+            )
+            assert np.array_equal(p.terminal_cost(x), s.q_t * x[:, 0] * x[:, 0])
+
+    def test_oracles_read_the_problem_spec(self):
+        names = ("lq_drift", "lq_drift_small", "ctrl_diffusion", "ctrl_diffusion_small", "msa_stress")
+        benches = {name: get_benchmark(name) for name in names}
+        assert benches["lq_drift"].lq is benches["lq_drift_small"].lq is oracle_mod._LQ_DRIFT
+        for name in ("ctrl_diffusion", "ctrl_diffusion_small", "msa_stress"):
+            assert benches[name].lq is None
+        optima = {name: b.continuous_optimum for name, b in benches.items()}
+        # the pinned optima, to the last bit
+        assert optima["lq_drift"] == optima["lq_drift_small"] == LQ_DRIFT_OPTIMUM
+        assert optima["ctrl_diffusion"] == optima["ctrl_diffusion_small"] == CTRL_DIFFUSION_OPTIMUM
+        assert optima["ctrl_diffusion"] == diffusion_lq_value(oracle_mod._CTRL_DIFFUSION, 1.0)
+        assert optima["msa_stress"] is None
 
     def test_wide_grid_centroid_is_zero_action(self, lq_bench):
         space = lq_bench.problem.action_space

@@ -19,7 +19,7 @@ from msacontrol import (
     get_benchmark,
     hamiltonian,
 )
-from msacontrol.oracle import scalar_quadratic_problem
+from msacontrol.oracle import LqSpec, scalar_quadratic_problem
 from msacontrol.problem import hamiltonian_grad_x
 
 from references import lq_hamiltonian_reference
@@ -169,19 +169,8 @@ class TestActionTerms:
 
     @pytest.mark.parametrize("fname", ["drift", "diffusion", "running_cost"])
     def test_mismatched_coefficient_rejected(self, fname):
-        p = scalar_quadratic_problem(
-            name="separable",
-            horizon=1.0,
-            x0=0.5,
-            beta=0.2,
-            drift_gain=1.0,
-            sigma_const=0.3,
-            sigma_gain=0.4,
-            q=1.0,
-            r=0.5,
-            q_t=0.0,
-            action_points=np.linspace(-1.0, 1.0, 5),
-        ).assemble()
+        spec = LqSpec(beta=0.2, control_gain=1.0, nu=0.3, sigma_gain=0.4, q=1.0, r=0.5, x0=0.5)
+        p = scalar_quadratic_problem("separable", spec, 1.0, np.linspace(-1.0, 1.0, 5))
         fn = getattr(p, fname)
         # doubling a coefficient doubles its action-dependent part
         doubled = lambda t, x, a: 2.0 * fn(t, x, a)
@@ -192,20 +181,18 @@ class TestActionTerms:
 
     def test_wrong_gain_drift_rejected(self, lq_bench):
         p = lq_bench.problem
-        sp = lq_bench.structured
 
         def drift(t, x, a):
-            return np.einsum("ji,...i->...j", sp.b1(t), x) + 1.5 * sp.b2(t, a)
+            return p.drift(t, x, a) + 0.5 * p.action_terms.drift(t, a)
 
         with pytest.raises(ProblemDefinitionError, match="drift"):
             p.replace(drift=drift)
 
     def test_action_dependent_jacobian_rejected(self, lq_bench):
         p = lq_bench.problem
-        sp = lq_bench.structured
 
         def drift_jac_x(t, x, a):
-            return sp.b1(t) + 0.1 * a[..., None]
+            return p.drift_jac_x(t, x, a) + 0.1 * a[..., None]
 
         with pytest.raises(ProblemDefinitionError, match="drift_jac_x"):
             p.replace(drift_jac_x=drift_jac_x)
@@ -450,20 +437,8 @@ class TestAugmentedHamiltonian:
     )
     @settings(max_examples=60, deadline=None)
     def test_penalty_properties(self, beta, gain, sig_gain, q, r, rho, xv, yv, zv, ia, ip):
-        sp = scalar_quadratic_problem(
-            name="prop",
-            horizon=1.0,
-            x0=0.5,
-            beta=beta,
-            drift_gain=gain,
-            sigma_const=1.0,
-            sigma_gain=sig_gain,
-            q=q,
-            r=r,
-            q_t=0.0,
-            action_points=np.linspace(-1.0, 1.0, 5),
-        )
-        p = sp.assemble()
+        spec = LqSpec(beta=beta, control_gain=gain, nu=1.0, sigma_gain=sig_gain, q=q, r=r, x0=0.5)
+        p = scalar_quadratic_problem("prop", spec, 1.0, np.linspace(-1.0, 1.0, 5))
         x = np.array([[xv]])
         y = np.array([[yv]])
         z = np.array([[[zv]]])

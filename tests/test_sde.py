@@ -316,20 +316,7 @@ class TestEstimateCost:
         n, m = 50, 4000
         grid = TimeGrid(n_steps=n, horizon=1.0)
         sol = riccati_lq(lq, grid)
-        sp = scalar_quadratic_problem(
-            name="lq_fine",
-            horizon=1.0,
-            x0=lq.x0,
-            beta=0.2,
-            drift_gain=1.0,
-            sigma_const=0.2,
-            sigma_gain=0.0,
-            q=1.0,
-            r=1.0,
-            q_t=0.5,
-            action_points=np.linspace(-2.0, 2.0, 401),
-        )
-        p = sp.assemble()
+        p = scalar_quadratic_problem("lq_fine", lq, 1.0, np.linspace(-2.0, 2.0, 401))
         noise = make_noise(grid, m, 1, seed=33)
         pts = p.action_space.points[:, 0]
         idx = np.zeros((m, n), dtype=int)
