@@ -154,7 +154,6 @@ def solve_adjoint_lsmc(
     dt = grid.dt
     nodes = grid.nodes
     points = p.action_space.points
-    idx = control.action_indices
     xs = states.values
     inc = noise.increments
 
@@ -173,7 +172,7 @@ def solve_adjoint_lsmc(
         z_target = resid[:, :, None] * inc[:, k, None, :] / dt
         coef_z = _ridge_solve(gram, phi, z_target.reshape(m, d * dn), k)
         z_k = (phi @ coef_z).reshape(m, d, dn)
-        a = points[idx[:, k]]
+        a = control.actions(points, k, m)
         drv = hamiltonian_grad_x(p, float(nodes[k]), xs[:, k], y_hat, z_k, a)
         y[:, k] = y_hat + dt * np.asarray(drv)
         if not (np.all(np.isfinite(y[:, k])) and np.all(np.isfinite(z_k))):
@@ -199,7 +198,6 @@ def solve_adjoint_linear_y0(
     dt = grid.dt
     nodes = grid.nodes
     points = p.action_space.points
-    idx = control.action_indices
     xs = states.values
     inc = noise.increments
 
@@ -207,7 +205,7 @@ def solve_adjoint_linear_y0(
     contrib = np.zeros((m, d))
     for k in range(n):
         x = xs[:, k]
-        a = points[idx[:, k]]
+        a = control.actions(points, k, m)
         t = float(nodes[k])
         fx = np.asarray(p.running_cost_grad_x(t, x, a))
         contrib += np.einsum("mij,mj->mi", s, fx) * dt
@@ -250,7 +248,6 @@ def adjoint_residual(
     dt = grid.dt
     nodes = grid.nodes
     points = p.action_space.points
-    idx = control.action_indices
     xs = states.values
     inc = noise.increments
     y = adjoint.y_values
@@ -258,7 +255,7 @@ def adjoint_residual(
 
     acc = np.zeros(m)
     for k in range(n):
-        a = points[idx[:, k]]
+        a = control.actions(points, k, m)
         drv = hamiltonian_grad_x(p, float(nodes[k]), xs[:, k], y[:, k], z[:, k], a)
         r = (
             y[:, k + 1]

@@ -146,8 +146,10 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"bad rate window [{cfg.rate_n_min}, {cfg.rate_n_max}]")
     if cfg.validate_n_samples < 1:
         raise ConfigError(f"validate.n_samples must be >= 1, got {cfg.validate_n_samples}")
-    if cfg.validate_step <= 0:
-        raise ConfigError(f"validate.step must be positive, got {cfg.validate_step}")
+    if not 0 < cfg.validate_step < np.inf:
+        raise ConfigError(f"validate.step must be positive and finite, got {cfg.validate_step}")
+    if not np.isfinite(cfg.validate_tolerance):
+        raise ConfigError(f"validate.tolerance must be finite, got {cfg.validate_tolerance}")
     return cfg
 
 
@@ -214,7 +216,7 @@ def cmd_run(cfg: RunConfig) -> int:
         trace = exc.trace
         code = 2
         outcome = dict(rho=_fmt(trace.rhos[-1]) if trace.rhos else "0")
-    export_csv(trace, trace_path, wall_clock=False)
+    export_csv(trace, trace_path)
     _write_summary(summary_path, _trace_summary_lines(bench.name, trace))
     _status("run", code, problem=bench.name, status=trace.status, iterations=trace.n_rows, **outcome)
     return code
@@ -286,7 +288,7 @@ def cmd_bench(cfg: RunConfig) -> int:
             _, trace = run_msa(p, cfg.msa)
         except DescentFailureError as exc:
             trace = exc.trace
-        export_csv(trace, os.path.join(cfg.output_directory, f"{bench.name}_trace.csv"), wall_clock=False)
+        export_csv(trace, os.path.join(cfg.output_directory, f"{bench.name}_trace.csv"))
         if trace.status == "descent_failure":
             descent_failed = True
             lines.append(f"FAIL {bench.name} descent_failure after {trace.n_rows} rows")
@@ -320,7 +322,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         tol_dj=1e-15,
     )
     _, demo = run_msa(stress.problem, classical_cfg)
-    export_csv(demo, os.path.join(cfg.output_directory, "msa_stress_classical_trace.csv"), wall_clock=False)
+    export_csv(demo, os.path.join(cfg.output_directory, "msa_stress_classical_trace.csv"))
     jumps = upward_jumps(demo)
     if not jumps:
         lines.append("FAIL msa_stress_classical no upward cost jump within the demo window")
@@ -337,10 +339,10 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 
 def _synthetic_trace(kind: str, n_min: int, n_max: int) -> IterationTrace:
-    trace = IterationTrace(problem_name=f"synthetic_{kind}")
+    trace = IterationTrace()
     for n in range(n_min, n_max + 1):
         gap = 1.0 / n if kind == "one_over_n" else 1.0 / np.log(n + 1.0)
-        trace.add_row(n, gap, 0.0, 0.0, 0.0, 0.0, 0, True, 0.0)
+        trace.add_row(n, gap, 0.0, 0.0, 0.0, 0.0, 0, True)
     trace.status = "synthetic"
     return trace
 

@@ -63,43 +63,23 @@ def rate_fit(
     gaps = np.array([r[1] - j_star for r in rows])
     gap_ses = np.array([r[2] for r in rows])
 
-    if np.any(gaps < -3.0 * gap_ses):
-        return RateReport(
-            n_values=n_values,
-            gaps=gaps,
-            kept=np.zeros(len(gaps), dtype=bool),
-            slope=None,
-            sup_n_times_bn=None,
-            sup_reference=None,
-            passed=False,
-            status="oracle-inconsistent",
-        )
-
     kept = gaps > _NOISE_FLOOR_FACTOR * gap_ses
-    if not kept.any():
-        return RateReport(
-            n_values=n_values,
-            gaps=gaps,
-            kept=kept,
-            slope=None,
-            sup_n_times_bn=None,
-            sup_reference=None,
-            passed=True,
-            status="converged-before-rate-window",
-        )
-
-    nk = n_values[kept]
-    bk = gaps[kept]
-    n_times = nk * bk
-    sup_val = float(n_times.max())
-    reference = 2.0 * float(n_times[0])
-    slope = None
-    if nk.size >= 2:
-        coeffs = np.polyfit(np.log(nk), np.log(bk), 1)
-        slope = float(coeffs[0])
-    slope_ok = slope is not None and slope <= -0.8
-    sup_ok = sup_val <= reference
-    passed = slope_ok or sup_ok
+    slope = sup_val = reference = None
+    if np.any(gaps < -3.0 * gap_ses):
+        kept[:] = False
+        passed, status = False, "oracle-inconsistent"
+    elif not kept.any():
+        passed, status = True, "converged-before-rate-window"
+    else:
+        nk = n_values[kept]
+        bk = gaps[kept]
+        n_times = nk * bk
+        sup_val = float(n_times.max())
+        reference = 2.0 * float(n_times[0])
+        if nk.size >= 2:
+            slope = float(np.polyfit(np.log(nk), np.log(bk), 1)[0])
+        passed = (slope is not None and slope <= -0.8) or sup_val <= reference
+        status = "rate-ok" if passed else "rate-fail"
     return RateReport(
         n_values=n_values,
         gaps=gaps,
@@ -108,7 +88,7 @@ def rate_fit(
         sup_n_times_bn=sup_val,
         sup_reference=reference,
         passed=passed,
-        status="rate-ok" if passed else "rate-fail",
+        status=status,
     )
 
 
@@ -141,13 +121,13 @@ def _num(x) -> str:
     return repr(float(x))
 
 
-def export_csv(obj, path, wall_clock: bool = True) -> None:
+def export_csv(obj, path) -> None:
     """Write a trace or a rate report as CSV.
 
     Numbers are rendered with shortest round-trip decimals, so reading
-    the file back reproduces the in-memory doubles exactly.  Passing
-    wall_clock=False zeroes the wall_ms column, which makes repeated
-    runs byte-identical.
+    the file back reproduces the in-memory doubles exactly.  A trace's
+    wall_ms column is always 0.0, which keeps repeated runs
+    byte-identical.
     """
     if isinstance(obj, IterationTrace):
         header = TRACE_COLUMNS
@@ -161,9 +141,9 @@ def export_csv(obj, path, wall_clock: bool = True) -> None:
                 _num(rho),
                 str(bt),
                 str(int(acc)),
-                _num(wall if wall_clock else 0.0),
+                _num(0.0),
             ]
-            for n, j, j_se, mu, mu_se, rho, bt, acc, wall in zip(
+            for n, j, j_se, mu, mu_se, rho, bt, acc in zip(
                 obj.iterations,
                 obj.costs,
                 obj.cost_ses,
@@ -172,7 +152,6 @@ def export_csv(obj, path, wall_clock: bool = True) -> None:
                 obj.rhos,
                 obj.backtracks,
                 obj.accepted,
-                obj.wall_ms,
             )
         ]
     elif isinstance(obj, RateReport):

@@ -18,11 +18,15 @@ paths) value table comes from ``augmented_hamiltonian`` or, for a
 problem with ``action_terms`` (every ``StructuredProblem``), from one
 matrix product of the action terms plus a (previous, candidate) penalty
 table; one helper applies the tie rule to either.
+
+Only ``ControlEnsemble`` knows how a control is stored: one row of
+action indices per path, or a single row that every path follows for a
+deterministic control.  The simulation, the adjoint solve and mu ask it
+for each step's actions.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,36 +57,40 @@ class DescentFailureError(RuntimeError):
 class ControlEnsemble:
     """Action choices as indices into the problem's ActionSpace.
 
-    action_indices has shape (n_paths, n_steps).  In deterministic mode
-    all paths share one action per step (rows identical).
+    action_indices has shape (M, N), one row per path, or (1, N), one
+    row that every path follows: a deterministic control.
     """
 
     action_indices: np.ndarray
-    mode: str = "per_path"
 
     def __post_init__(self) -> None:
         idx = np.asarray(self.action_indices)
         if idx.ndim != 2:
-            raise ValueError("action_indices must have shape (M, N)")
+            raise ValueError("action_indices must have shape (M, N) or (1, N)")
         if not np.issubdtype(idx.dtype, np.integer):
             raise ValueError("action_indices must be integers")
-        if self.mode not in CONTROL_MODES:
-            raise ValueError(f"mode must be one of {CONTROL_MODES}")
-        if self.mode == "deterministic" and idx.shape[0] > 1:
-            # rows are identical iff every column's min equals its max
-            if np.any(idx.min(axis=0) != idx.max(axis=0)):
-                raise ValueError("deterministic mode requires identical rows")
         idx = np.ascontiguousarray(idx, dtype=np.int64)
         idx.setflags(write=False)
         object.__setattr__(self, "action_indices", idx)
 
     @property
-    def n_paths(self) -> int:
-        return self.action_indices.shape[0]
-
-    @property
     def n_steps(self) -> int:
         return self.action_indices.shape[1]
+
+    def validate(self, n_paths: int, n_steps: int, n_actions: int) -> None:
+        """Raise ValueError unless this control fits M paths, N steps and the actions."""
+        idx = self.action_indices
+        if idx.shape[0] not in (1, n_paths) or idx.shape[1] != n_steps:
+            raise ValueError(
+                f"control shape {idx.shape} does not match (M, N) = "
+                f"({n_paths}, {n_steps}) or (1, N)"
+            )
+        if idx.min() < 0 or idx.max() >= n_actions:
+            raise ValueError("control has action indices out of range")
+
+    def actions(self, points: np.ndarray, k: int, n_paths: int) -> np.ndarray:
+        """Step k's action points for n_paths paths, (n_paths, m), read-only."""
+        return np.broadcast_to(points[self.action_indices[:, k]], (n_paths, points.shape[1]))
 
 
 def constant_control(
@@ -91,9 +99,15 @@ def constant_control(
     n_steps: int,
     mode: str = "per_path",
 ) -> ControlEnsemble:
-    """The action closest to the action-set centroid, at every step and path."""
-    idx = np.full((n_paths, n_steps), p.action_space.centroid_index(), dtype=np.int64)
-    return ControlEnsemble(action_indices=idx, mode=mode)
+    """The action closest to the action-set centroid, at every step and path.
+
+    A deterministic control is the single row that every path follows.
+    """
+    if mode not in CONTROL_MODES:
+        raise ValueError(f"mode must be one of {CONTROL_MODES}")
+    rows = n_paths if mode == "per_path" else 1
+    idx = np.full((rows, n_steps), p.action_space.centroid_index(), dtype=np.int64)
+    return ControlEnsemble(action_indices=idx)
 
 
 @dataclass(frozen=True)
@@ -150,13 +164,11 @@ class IterationTrace:
     rhos: list = field(default_factory=list)
     backtracks: list = field(default_factory=list)
     accepted: list = field(default_factory=list)
-    wall_ms: list = field(default_factory=list)
     initial_cost: float = float("nan")
     initial_cost_se: float = float("nan")
     status: str = "running"
-    problem_name: str = ""
 
-    def add_row(self, n, j, j_se, mu, mu_se, rho, n_backtracks, was_accepted, wall):
+    def add_row(self, n, j, j_se, mu, mu_se, rho, n_backtracks, was_accepted):
         self.iterations.append(int(n))
         self.costs.append(float(j))
         self.cost_ses.append(float(j_se))
@@ -165,7 +177,6 @@ class IterationTrace:
         self.rhos.append(float(rho))
         self.backtracks.append(int(n_backtracks))
         self.accepted.append(bool(was_accepted))
-        self.wall_ms.append(float(wall))
 
     @property
     def n_rows(self) -> int:
@@ -195,8 +206,9 @@ def update_control(
     """Pointwise argmin of the augmented Hamiltonian against prev.
 
     Ties keep the previous action when it attains the minimum, else the
-    lowest action index wins.  In deterministic mode the argmin is taken
-    over the path-averaged augmented Hamiltonian at each step.
+    lowest action index wins.  For a deterministic (one-row) prev the
+    argmin is taken over the path-averaged augmented Hamiltonian at each
+    step, and the result is again one row.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
@@ -205,10 +217,9 @@ def update_control(
     prev_idx = prev.action_indices
     new_idx = np.empty_like(prev_idx)
     for k in range(prev.n_steps):
-        pk = prev_idx[:, k] if prev.mode == "per_path" else prev_idx[:1, k]
-        new_idx[:, k] = _keep_or_lowest(next(tables), pk)
+        new_idx[:, k] = _keep_or_lowest(next(tables), prev_idx[:, k])
     tables.close()  # no table or producer buffer outlives the loop
-    return ControlEnsemble(action_indices=new_idx, mode=prev.mode)
+    return ControlEnsemble(action_indices=new_idx)
 
 
 def _keep_or_lowest(vals, prev):
@@ -225,11 +236,13 @@ def _keep_or_lowest(vals, prev):
 
 def _hamiltonian_values(p, grid, states, adjoint, prev, rho):
     """Per step, the augmented Hamiltonian, (actions, paths) or path mean."""
+    m = states.n_paths
+    shared = prev.action_indices.shape[0] == 1
     for k in range(prev.n_steps):
         x, y, z = states.values[:, k], adjoint.y_values[:, k], adjoint.z_values[:, k]
-        t, pk = float(grid.nodes[k]), prev.action_indices[:, k]
+        t, pk = float(grid.nodes[k]), np.broadcast_to(prev.action_indices[:, k], m)
         vals = augmented_hamiltonian(p, t, x, y, z, pk, rho)
-        yield vals.mean(axis=1, keepdims=True) if prev.mode == "deterministic" else vals
+        yield vals.mean(axis=1, keepdims=True) if shared else vals
 
 
 def _term_values(p, grid, states, adjoint, prev, rho):
@@ -242,7 +255,8 @@ def _term_values(p, grid, states, adjoint, prev, rho):
     """
     terms = p.action_terms
     points = p.action_space.points
-    m, d = prev.n_paths, p.state_dim
+    m, d = states.n_paths, p.state_dim
+    shared = prev.action_indices.shape[0] == 1
     nodes = grid.nodes
     ys = adjoint.y_values
     zs = adjoint.z_values
@@ -258,7 +272,7 @@ def _term_values(p, grid, states, adjoint, prev, rho):
         half_pen = 0.5 * rho * np.einsum("apq,apq->ap", diff, diff)
         w[:d] = ys[:, k].T
         w[d:] = zs[:, k].reshape(m, -1).T
-        if prev.mode == "deterministic":  # path mean first: a matrix-vector product
+        if shared:  # path mean first: a matrix-vector product
             yield (c @ w.mean(axis=1) + f2 + half_pen[prev_idx[0, k]])[:, None]
             continue
         vals = c @ w  # (actions, m): a reduction over actions is a row-wise pass
@@ -287,12 +301,13 @@ def compute_mu(
     xs = states.values
     ys = adjoint.y_values
     zs = adjoint.z_values
-    acc = np.zeros(prev.n_paths)
+    m = states.n_paths
+    acc = np.zeros(m)
     for k in range(prev.n_steps):
         t = float(nodes[k])
         x, y, z = xs[:, k], ys[:, k], zs[:, k]
-        h_new = hamiltonian(p, t, x, y, z, points[new.action_indices[:, k]])
-        h_prev = hamiltonian(p, t, x, y, z, points[prev.action_indices[:, k]])
+        h_new = hamiltonian(p, t, x, y, z, new.actions(points, k, m))
+        h_prev = hamiltonian(p, t, x, y, z, prev.actions(points, k, m))
         acc += (h_new - h_prev) * dt
     return mean_and_se(acc)
 
@@ -308,7 +323,7 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
     noise = make_noise(grid, cfg.n_paths, p.noise_dim, cfg.seed)
     current = constant_control(p, cfg.n_paths, cfg.n_steps, mode=cfg.control_mode)
 
-    trace = IterationTrace(problem_name=p.name)
+    trace = IterationTrace()
     states = simulate_forward(p, grid, noise, current)
     costs = cost_per_path(p, grid, states, current)
     j_cur, j_se = mean_and_se(costs)
@@ -316,15 +331,13 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
 
     rho = cfg.rho_initial
     for n in range(1, cfg.max_iterations + 1):
-        t0 = time.perf_counter()
         adjoint = solve_adjoint_lsmc(p, grid, noise, states, current, cfg.basis)
         n_backtracks = 0
         while True:
             candidate = update_control(p, grid, states, adjoint, current, rho)
             if np.array_equal(candidate.action_indices, current.action_indices):
                 # argmin keeps every action: mu = 0 and nothing can move
-                wall = 1e3 * (time.perf_counter() - t0)
-                trace.add_row(n, j_cur, j_se, 0.0, 0.0, rho, n_backtracks, True, wall)
+                trace.add_row(n, j_cur, j_se, 0.0, 0.0, rho, n_backtracks, True)
                 trace.status = "fixed_point"
                 return current, trace
             mu, mu_se = compute_mu(p, grid, states, adjoint, candidate, current)
@@ -337,8 +350,7 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
                 states = cand_states
                 costs = cand_costs
                 j_cur, j_se = mean_and_se(costs)
-                wall = 1e3 * (time.perf_counter() - t0)
-                trace.add_row(n, j_cur, j_se, mu, mu_se, rho, n_backtracks, True, wall)
+                trace.add_row(n, j_cur, j_se, mu, mu_se, rho, n_backtracks, True)
                 if abs(mu) <= cfg.tol_mu:
                     trace.status = "converged_mu"
                     return current, trace
@@ -349,8 +361,7 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
             n_backtracks += 1
             rho = rho * cfg.rho_growth if rho > 0 else 1.0
             if rho > cfg.rho_max:
-                wall = 1e3 * (time.perf_counter() - t0)
-                trace.add_row(n, j_cur, j_se, mu, mu_se, rho, n_backtracks, False, wall)
+                trace.add_row(n, j_cur, j_se, mu, mu_se, rho, n_backtracks, False)
                 trace.status = "descent_failure"
                 raise DescentFailureError(
                     f"no descent step found below rho_max={cfg.rho_max}", trace

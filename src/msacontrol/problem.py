@@ -9,7 +9,9 @@ set.  Dynamics and cost:
 
 All coefficient callables must be vectorised over paths: x arrives with
 shape (..., d) and a with shape (..., m), sharing leading batch axes,
-and outputs carry the same batch axes (t is always a scalar).
+and outputs carry the same batch axes (t is always a scalar).  Neither
+may be written to: a may be a read-only broadcast view, as when every
+path follows one deterministic control.
 Derivative index conventions:
 
     drift_jac_x(t, x, a)[..., j, i]        = d b^j / d x_i
@@ -313,6 +315,9 @@ def augmented_hamiltonian(p: ControlProblem, t, x, y, z, prev_index, rho):
 
 
 def _rel_error(analytic: np.ndarray, fd: np.ndarray) -> float:
+    # a non-finite value on either side fails the audit; max() would drop a NaN
+    if not (np.all(np.isfinite(analytic)) and np.all(np.isfinite(fd))):
+        return np.inf
     scale = max(1.0, float(np.max(np.abs(analytic))), float(np.max(np.abs(fd))))
     return float(np.max(np.abs(analytic - fd))) / scale
 
@@ -327,12 +332,13 @@ def check_derivatives(
 
     Samples (t, x, a) uniformly from [0, T] x [x0 - 5, x0 + 5]^d x action
     points.  Returns the maximum relative error of each derivative,
-    keyed by the name of its callable.
+    keyed by the name of its callable; a non-finite analytic or
+    finite-difference value makes that error inf.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     d = p.state_dim
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0.0, p.horizon, size=n_samples)

@@ -200,17 +200,6 @@ class StateEnsemble:
         return self.values.shape[1] - 1
 
 
-def _validate_control(control, n_paths: int, n_steps: int, n_actions: int) -> None:
-    idx = control.action_indices
-    if idx.shape != (n_paths, n_steps):
-        raise ValueError(
-            f"control shape {idx.shape} does not match (M, N) = "
-            f"({n_paths}, {n_steps})"
-        )
-    if idx.min() < 0 or idx.max() >= n_actions:
-        raise ValueError("control has action indices out of range")
-
-
 def simulate_forward(
     p: "ControlProblem",
     grid: TimeGrid,
@@ -226,18 +215,17 @@ def simulate_forward(
         raise ValueError("grid and noise bank disagree on n_steps")
     if noise.noise_dim != p.noise_dim:
         raise ValueError("noise bank dimension does not match the problem")
-    _validate_control(control, m, n, p.action_space.n_actions)
+    control.validate(m, n, p.action_space.n_actions)
 
     dt = grid.dt
     nodes = grid.nodes
     points = p.action_space.points
-    idx = control.action_indices
     inc = noise.increments
     out = np.empty((m, n + 1, d))
     x = np.broadcast_to(p.initial_state, (m, d)).copy()
     out[:, 0] = x
     for k in range(n):
-        a = points[idx[:, k]]
+        a = control.actions(points, k, m)
         t = float(nodes[k])
         b = np.asarray(p.drift(t, x, a))
         sig = np.asarray(p.diffusion(t, x, a))
@@ -261,15 +249,14 @@ def cost_per_path(
 ) -> np.ndarray:
     """Per-path cost sum_k f(t_k, X_k, a_k) dt + g(X_N), left-endpoint rule."""
     m, n = states.n_paths, states.n_steps
-    _validate_control(control, m, n, p.action_space.n_actions)
+    control.validate(m, n, p.action_space.n_actions)
     dt = grid.dt
     nodes = grid.nodes
     points = p.action_space.points
-    idx = control.action_indices
     xs = states.values
     acc = np.zeros(m)
     for k in range(n):
-        a = points[idx[:, k]]
+        a = control.actions(points, k, m)
         acc += np.asarray(p.running_cost(float(nodes[k]), xs[:, k], a)) * dt
     acc += np.asarray(p.terminal_cost(xs[:, n]))
     if not np.all(np.isfinite(acc)):

@@ -126,13 +126,13 @@ def pontryagin_gaps(p, grid, states, adjoint, control, rho, n_samples):
     are drawn from default_rng(0), paths first, then steps.
     """
     rng = np.random.default_rng(0)
-    ii = rng.integers(0, control.n_paths, size=n_samples)
+    ii = rng.integers(0, states.n_paths, size=n_samples)
     kk = rng.integers(0, control.n_steps, size=n_samples)
     gaps = np.empty(n_samples)
     for k in np.unique(kk):
         sel = np.flatnonzero(kk == k)
         i = ii[sel]
-        own = control.action_indices[i, k]
+        own = np.broadcast_to(control.action_indices[:, k], states.n_paths)[i]
         x, y, z = states.values[i, k], adjoint.y_values[i, k], adjoint.z_values[i, k]
         vals = augmented_hamiltonian(p, float(grid.nodes[k]), x, y, z, own, rho)
         gaps[sel] = vals[own, np.arange(sel.size)] - vals.min(axis=0)

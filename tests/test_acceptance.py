@@ -129,10 +129,10 @@ def test_criterion_05_rate_fit_passes_and_log_control_fails(lq_bench, lq_run):
     _, tr = lq_run
     last = max(n for n, accepted in zip(tr.iterations, tr.accepted) if accepted)
     rep = rate_fit(tr, lq_bench.continuous_optimum, 1, min(last, 100))
-    synthetic = IterationTrace(problem_name="one_over_log")
+    synthetic = IterationTrace()
     synthetic.initial_cost, synthetic.initial_cost_se = 2.0, 0.0
     for n in range(1, 101):
-        synthetic.add_row(n, 1.0 / math.log(n + 1.0), 0.0, 0.0, 0.0, 0.0, 0, True, 0.0)
+        synthetic.add_row(n, 1.0 / math.log(n + 1.0), 0.0, 0.0, 0.0, 0.0, 0, True)
     bad = rate_fit(synthetic, 0.0, 10, 100)
     emit(
         "05",

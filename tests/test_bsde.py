@@ -32,7 +32,7 @@ def solve_setup(p, m, n, seed=17, mode="per_path", rng_actions=True):
     if rng_actions:
         rng = np.random.default_rng(seed + 1)
         idx = rng.integers(0, p.action_space.n_actions, size=(m, n))
-        ctrl = ControlEnsemble(action_indices=idx, mode="per_path")
+        ctrl = ControlEnsemble(action_indices=idx)
     else:
         ctrl = constant_control(p, m, n, mode=mode)
     states = simulate_forward(p, grid, noise, ctrl)
@@ -143,7 +143,7 @@ class TestSolveAdjointLsmc:
             a_used = pts[idx[:, k]]
             x = x + (0.2 * x + a_used) * dt + 0.2 * noise.increments[:, k, 0]
             values[:, k + 1, 0] = x
-        ctrl = ControlEnsemble(action_indices=idx, mode="per_path")
+        ctrl = ControlEnsemble(action_indices=idx)
         states = StateEnsemble(values=values)
         adj = solve_adjoint_lsmc(p, grid, noise, states, ctrl, RegressionBasis())
         y0_mean = float(adj.y_values[:, 0, 0].mean())

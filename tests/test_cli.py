@@ -122,6 +122,10 @@ class TestLoadConfig:
             ("msa", "seed", -1, "seed"),
             ("validate", "n_samples", 0, r"validate\.n_samples"),
             ("validate", "step", -1e-5, r"validate\.step"),
+            ("validate", "step", "nan", r"validate\.step"),
+            ("validate", "step", "inf", r"validate\.step"),
+            ("validate", "tolerance", "nan", r"validate\.tolerance"),
+            ("validate", "tolerance", "inf", r"validate\.tolerance"),
             ("msa", "rho_initial", "nan", "rho_initial"),
             ("msa", "rho_growth", "inf", "rho_growth"),
             ("msa", "rho_max", "inf", "rho_max"),

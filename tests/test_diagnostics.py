@@ -19,11 +19,11 @@ def trace_from_costs(costs, ses=None, accepted=None):
     m = len(costs)
     ses = [0.0] * m if ses is None else ses
     accepted = [True] * m if accepted is None else accepted
-    trace = IterationTrace(problem_name="synthetic")
+    trace = IterationTrace()
     trace.initial_cost = float(costs[0]) + 1.0 if m else 1.0
     trace.initial_cost_se = 0.0
     for i in range(m):
-        trace.add_row(i + 1, costs[i], ses[i], 0.0, 0.0, 1.0, 0, accepted[i], 0.0)
+        trace.add_row(i + 1, costs[i], ses[i], 0.0, 0.0, 1.0, 0, accepted[i])
     trace.status = "converged_mu"
     return trace
 
@@ -77,7 +77,7 @@ class TestRateFit:
 
     def test_rejected_rows_are_excluded(self):
         trace = trace_from_costs([1.0 / n for n in range(1, 101)])
-        trace.add_row(55, 50.0, 0.0, 0.0, 0.0, 4.0, 2, False, 0.0)
+        trace.add_row(55, 50.0, 0.0, 0.0, 0.0, 4.0, 2, False)
         rep = rate_fit(trace, 0.0, 10, 100)
         assert rep.slope == pytest.approx(-1.0, abs=1e-9)
         assert rep.gaps.max() < 0.2
@@ -226,7 +226,7 @@ class TestCsvExport:
 
     def test_single_row_round_trip(self, tmp_path):
         trace = IterationTrace()
-        trace.add_row(3, 1.2345678901234567e-07, 0.1, -1e-3, 1e-5, 2.0, 4, True, 12.5)
+        trace.add_row(3, 1.2345678901234567e-07, 0.1, -1e-3, 1e-5, 2.0, 4, True)
         path = tmp_path / "one.csv"
         export_csv(trace, path)
         rows = csv_rows(path)
@@ -236,14 +236,8 @@ class TestCsvExport:
         assert float(rows[0]["mu"]) == -1e-3
         assert [r["backtracks"] for r in rows] == ["4"]
         assert [r["accepted"] for r in rows] == ["1"]
-        assert float(rows[0]["wall_ms"]) == 12.5
-
-    def test_wall_clock_flag_zeroes_timing(self, tmp_path):
-        trace = IterationTrace()
-        trace.add_row(1, 0.5, 0.01, 0.0, 0.0, 1.0, 0, True, 833.25)
-        path = tmp_path / "zeroed.csv"
-        export_csv(trace, path, wall_clock=False)
-        assert [r["wall_ms"] for r in csv_rows(path)] == ["0.0"]
+        # the column stays for the file layout; no timing is recorded
+        assert [r["wall_ms"] for r in rows] == ["0.0"]
 
     def test_solver_trace_round_trip(self, lq_run, tmp_path):
         _, trace = lq_run

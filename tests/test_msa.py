@@ -13,13 +13,16 @@ from msacontrol import (
     MsaConfig,
     RegressionBasis,
     TimeGrid,
+    adjoint_residual,
     benchmark_names,
     compute_mu,
     constant_control,
+    cost_per_path,
     get_benchmark,
     make_noise,
     run_msa,
     simulate_forward,
+    solve_adjoint_linear_y0,
     solve_adjoint_lsmc,
     update_control,
 )
@@ -54,18 +57,63 @@ class TestControlEnsemble:
             ControlEnsemble(action_indices=np.zeros(4, dtype=np.int64))
         with pytest.raises(ValueError):
             ControlEnsemble(action_indices=np.zeros((2, 2)))  # floats
-        with pytest.raises(ValueError):
-            ControlEnsemble(action_indices=np.zeros((2, 2), dtype=np.int64), mode="x")
-
-    def test_deterministic_requires_identical_rows(self):
-        idx = np.array([[0, 1], [1, 1]])
-        with pytest.raises(ValueError):
-            ControlEnsemble(action_indices=idx, mode="deterministic")
+        with pytest.raises(ValueError, match="mode"):
+            constant_control(quadratic_drift_problem(), 2, 2, mode="x")
 
     def test_constant_control_defaults_to_centroid(self):
         p = quadratic_drift_problem()
         ctrl = constant_control(p, 3, 4)
         assert np.all(ctrl.action_indices == 1)  # action 0.0 of {-1, 0, 1}
+
+
+class TestOneRowControl:
+    """A deterministic control is one row that every path follows."""
+
+    @pytest.mark.parametrize("name", ["lq_drift", "ctrl_diffusion"])
+    def test_one_row_matches_its_expansion(self, name):
+        p = get_benchmark(name).problem
+        n_act = p.action_space.n_actions
+        m, n = 300, 6
+        grid = TimeGrid(n_steps=n, horizon=p.horizon)
+        noise = make_noise(grid, m, p.noise_dim, seed=3)
+        rng = np.random.default_rng(3)
+        prev_row, new_row = rng.integers(0, n_act, size=(2, 1, n))
+        results = []
+        for rows in (1, m):
+            prev = ControlEnsemble(action_indices=np.broadcast_to(prev_row, (rows, n)))
+            new = ControlEnsemble(action_indices=np.broadcast_to(new_row, (rows, n)))
+            assert prev.action_indices.shape == (rows, n)
+            states = simulate_forward(p, grid, noise, prev)
+            adjoint = solve_adjoint_lsmc(p, grid, noise, states, prev, RegressionBasis())
+            results.append(
+                (
+                    states.values,
+                    cost_per_path(p, grid, states, prev),
+                    adjoint.y_values,
+                    adjoint.z_values,
+                    *solve_adjoint_linear_y0(p, grid, noise, states, prev),
+                    adjoint_residual(p, grid, noise, states, prev, adjoint),
+                    compute_mu(p, grid, states, adjoint, new, prev),
+                )
+            )
+        one, full = results
+        for a, b in zip(one, full):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_rows_must_be_one_or_m(self):
+        p = quadratic_drift_problem()
+        grid = TimeGrid(n_steps=3, horizon=1.0)
+        noise = make_noise(grid, 5, 1, seed=1)
+        for idx in (np.ones((2, 3), dtype=np.int64), np.ones((1, 4), dtype=np.int64)):
+            with pytest.raises(ValueError, match="does not match"):
+                simulate_forward(p, grid, noise, ControlEnsemble(action_indices=idx))
+
+    def test_deterministic_run_returns_one_row(self):
+        p = get_benchmark("lq_drift_small").problem
+        cfg = MsaConfig(n_paths=500, n_steps=5, control_mode="deterministic")
+        control, trace = run_msa(p, cfg)
+        assert control.action_indices.shape == (1, 5)
+        assert trace.n_rows >= 1
 
 
 class TestUpdateControl:
@@ -116,8 +164,10 @@ class TestUpdateControl:
         )
         prev = constant_control(p, m, n, mode="deterministic")
         new = update_control(p, grid, states, adjoint, prev, rho=0.5)
-        assert new.mode == "deterministic"
-        assert np.all(new.action_indices == new.action_indices[0])
+        assert new.action_indices.shape == (1, n)
+        for k in range(n):
+            a = new.actions(p.action_space.points, k, m)
+            assert a.shape == (m, 1) and np.all(a == a[0])
 
 
 class TestSeparableUpdate:
@@ -141,18 +191,15 @@ class TestSeparableUpdate:
         steps = rng.integers(0, n_act, size=n)
         prevs = (
             rough,
-            ControlEnsemble(
-                action_indices=np.broadcast_to(steps, (m, n)), mode="deterministic"
-            ),
+            ControlEnsemble(action_indices=steps[None, :]),  # one row: deterministic
         )
         for prev in prevs:
             for rho in (0.0, 0.5, 64.0, 1e12):
                 fast = update_control(p, grid, states, adjoint, prev, rho)
                 slow = update_control(generic, grid, states, adjoint, prev, rho)
-                assert fast.mode == slow.mode == prev.mode
-                assert np.array_equal(
-                    fast.action_indices, slow.action_indices
-                ), (prev.mode, rho)
+                shape = prev.action_indices.shape
+                assert fast.action_indices.shape == slow.action_indices.shape == shape
+                assert np.array_equal(fast.action_indices, slow.action_indices), (shape, rho)
 
     def test_non_finite_action_terms_raise_on_both_paths(self):
         # b2 blows up at t = 0.25, which the construction probe (t = 0 and
@@ -166,10 +213,9 @@ class TestSeparableUpdate:
         m, n = 6, 4
         grid = TimeGrid(n_steps=n, horizon=fast.horizon)
         states, adjoint = flat_artifacts(m, n)
-        prev = constant_control(fast, m, n)
         for p in (fast, fast.replace(action_terms=None)):
             for mode in ("per_path", "deterministic"):
-                start = ControlEnsemble(action_indices=prev.action_indices, mode=mode)
+                start = constant_control(fast, m, n, mode=mode)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     with pytest.raises(EvaluationError, match="non-finite"):
                         update_control(p, grid, states, adjoint, start, rho=1.0)
@@ -196,9 +242,7 @@ class TestComputeMu:
             y_values=rng.normal(size=(m, n + 1, 1)),
             z_values=rng.normal(size=(m, n, 1, 1)),
         )
-        prev = ControlEnsemble(
-            action_indices=rng.integers(0, 3, size=(m, n)), mode="per_path"
-        )
+        prev = ControlEnsemble(action_indices=rng.integers(0, 3, size=(m, n)))
         new = update_control(p, grid, states, adjoint, prev, rho=rho)
         mu, se = compute_mu(p, grid, states, adjoint, new, prev)
         if rho == 0.0:

@@ -83,12 +83,12 @@ def test_separable_update_matches_generic():
     states = simulate_forward(planar, grid, noise, rough)
     adjoint = solve_adjoint_lsmc(planar, grid, noise, states, rough, MsaConfig().basis)
     steps = rng.integers(0, n_act, size=n)
-    shared = ControlEnsemble(action_indices=np.broadcast_to(steps, (m, n)), mode="deterministic")
+    shared = ControlEnsemble(action_indices=steps[None, :])  # one row: deterministic
     for prev in (rough, shared):
         for rho in (0.0, 1.0, 64.0):
             fast = update_control(planar, grid, states, adjoint, prev, rho)
             slow = update_control(generic, grid, states, adjoint, prev, rho)
-            assert np.array_equal(fast.action_indices, slow.action_indices), (prev.mode, rho)
+            assert np.array_equal(fast.action_indices, slow.action_indices), (prev.action_indices.shape, rho)
 
 
 def test_linear_representation_matches_lsmc_per_component():

@@ -171,7 +171,7 @@ class TestBruteForce:
         assert res.n_sequences == 3**4
         assert list(res.best_sequence) == [0, 0, 0, 0]
         idx = np.zeros((200, 4), dtype=np.int64)
-        ctrl = ControlEnsemble(action_indices=idx, mode="per_path")
+        ctrl = ControlEnsemble(action_indices=idx)
         states = simulate_forward(p, grid, noise, ctrl)
         est, _ = mean_and_se(cost_per_path(p, grid, states, ctrl))
         assert res.j_star == pytest.approx(est, rel=1e-12)
@@ -187,8 +187,7 @@ class TestBruteForce:
         arg = None
         # reversed order: the minimum value must not depend on enumeration
         for seq in reversed(list(itertools.product(range(3), repeat=3))):
-            idx = np.tile(np.array(seq, dtype=np.int64), (50, 1))
-            ctrl = ControlEnsemble(action_indices=idx, mode="deterministic")
+            ctrl = ControlEnsemble(action_indices=np.array([seq], dtype=np.int64))
             states = simulate_forward(small, grid, noise, ctrl)
             est, _ = mean_and_se(cost_per_path(small, grid, states, ctrl))
             if est < best:

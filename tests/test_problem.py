@@ -503,3 +503,27 @@ class TestCheckDerivatives:
             check_derivatives(p, n_samples=0, step=1e-5)
         with pytest.raises(ValueError):
             check_derivatives(p, n_samples=10, step=0.0)
+        for step in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="step"):
+                check_derivatives(p, n_samples=10, step=step)
+
+    def test_non_finite_values_fail_the_audit(self):
+        # a NaN must give a failing error, not drop out of the running max
+        z = lambda t, x, a: np.zeros_like(x)
+        base = dict(
+            b=lambda t, x, a: a + 0.0 * x,
+            sigma=lambda t, x, a: np.ones_like(x),
+            f=lambda t, x, a: x * x,
+            g=lambda x: np.zeros_like(x),
+            b_jac=z,
+            sigma_jac=z,
+            f_grad=lambda t, x, a: 2.0 * x,
+            g_grad=lambda x: np.zeros_like(x),
+            actions=[0.0, 1.0],
+        )
+        nan_analytic = make_problem(**{**base, "f_grad": lambda t, x, a: np.where(x < 0, np.nan, 2.0 * x)})
+        nan_difference = make_problem(**{**base, "f": lambda t, x, a: np.where(x < -4, np.nan, x * x)})
+        for p in (nan_analytic, nan_difference):
+            errors = check_derivatives(p, n_samples=100, step=1e-5)
+            assert errors["running_cost_grad_x"] == np.inf
+            assert errors["drift_jac_x"] <= 1e-10

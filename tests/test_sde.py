@@ -240,7 +240,7 @@ class TestSimulateForward:
         noise = make_noise(g, 500, 1, seed=21)
         rng = np.random.default_rng(0)
         idx = rng.integers(0, p.action_space.n_actions, size=(500, 20))
-        ctrl = ControlEnsemble(action_indices=idx, mode="per_path")
+        ctrl = ControlEnsemble(action_indices=idx)
         base = simulate_forward(p, g, noise, ctrl)
         again = simulate_forward(p, g, noise, ctrl)
         assert np.array_equal(base.values, again.values)
@@ -328,7 +328,7 @@ class TestEstimateCost:
             idx[:, k] = np.rint((a - pts[0]) / (pts[1] - pts[0])).astype(int)
             a_used = pts[idx[:, k]]
             x = x + (0.2 * x + a_used) * dt + 0.2 * noise.increments[:, k, 0]
-        ctrl = ControlEnsemble(action_indices=idx, mode="per_path")
+        ctrl = ControlEnsemble(action_indices=idx)
         states = simulate_forward(p, grid, noise, ctrl)
         est, se = mean_and_se(cost_per_path(p, grid, states, ctrl))
         j_star = sol.optimal_value
