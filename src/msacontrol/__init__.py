@@ -23,7 +23,6 @@ from .msa import (
     IterationTrace,
     MsaConfig,
     compute_mu,
-    constant_control,
     run_msa,
     update_control,
 )
@@ -51,6 +50,7 @@ from .problem import (
 from .sde import (
     SimulationError,
     TimeGrid,
+    constant_control,
     cost_per_path,
     make_noise,
     simulate_forward,

@@ -15,16 +15,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .problem import hamiltonian_grad_x
-from .sde import NoiseBank, StateEnsemble, TimeGrid
-
-if TYPE_CHECKING:
-    from .msa import ControlEnsemble
-    from .problem import ControlProblem
+from .problem import ControlProblem, hamiltonian_grad_x
+from .sde import ControlEnsemble, NoiseBank, StateEnsemble, TimeGrid
 
 
 class RegressionError(RuntimeError):
@@ -125,11 +120,11 @@ def _ridge_solve(gram: np.ndarray, phi: np.ndarray, targets: np.ndarray, step: i
 
 
 def solve_adjoint_lsmc(
-    p: "ControlProblem",
+    p: ControlProblem,
     grid: TimeGrid,
     noise: NoiseBank,
     states: StateEnsemble,
-    control: "ControlEnsemble",
+    control: ControlEnsemble,
     basis: RegressionBasis,
 ) -> AdjointEnsemble:
     """Backward induction for the adjoint pair.
@@ -144,6 +139,7 @@ def solve_adjoint_lsmc(
     term, so a driverless problem yields Z = 0 up to the ridge bias.
     """
     m, n, d, dn = noise.n_paths, noise.n_steps, p.state_dim, p.noise_dim
+    control.validate(m, n, p.action_space.n_actions)
     n_basis = basis.n_functions(d)
     if n_basis > m / 10:
         raise RegressionError(
@@ -182,11 +178,11 @@ def solve_adjoint_lsmc(
 
 
 def solve_adjoint_linear_y0(
-    p: "ControlProblem",
+    p: ControlProblem,
     grid: TimeGrid,
     noise: NoiseBank,
     states: StateEnsemble,
-    control: "ControlEnsemble",
+    control: ControlEnsemble,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Plain Monte-Carlo estimate of Y_0 from the explicit representation.
 
@@ -195,6 +191,7 @@ def solve_adjoint_linear_y0(
     (estimate, standard error), both d-vectors.
     """
     m, n, d = noise.n_paths, noise.n_steps, p.state_dim
+    control.validate(m, n, p.action_space.n_actions)
     dt = grid.dt
     nodes = grid.nodes
     points = p.action_space.points
@@ -232,11 +229,11 @@ def solve_adjoint_linear_y0(
 
 
 def adjoint_residual(
-    p: "ControlProblem",
+    p: ControlProblem,
     grid: TimeGrid,
     noise: NoiseBank,
     states: StateEnsemble,
-    control: "ControlEnsemble",
+    control: ControlEnsemble,
     adjoint: AdjointEnsemble,
 ) -> float:
     """Mean-square one-step backward residual, averaged over paths and steps.
@@ -245,6 +242,7 @@ def adjoint_residual(
     Z_k, a_k) - Z_k dW_k|^2.
     """
     m, n = noise.n_paths, noise.n_steps
+    control.validate(m, n, p.action_space.n_actions)
     dt = grid.dt
     nodes = grid.nodes
     points = p.action_space.points

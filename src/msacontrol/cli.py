@@ -28,7 +28,6 @@ from .msa import (
     DescentFailureError,
     IterationTrace,
     MsaConfig,
-    constant_control,
     run_msa,
 )
 from .oracle import (
@@ -40,7 +39,7 @@ from .oracle import (
     riccati_lq,
 )
 from .problem import ControlProblem, EvaluationError, check_derivatives
-from .sde import SimulationError, TimeGrid, make_noise, simulate_forward
+from .sde import SimulationError, TimeGrid, constant_control, make_noise, simulate_forward
 
 
 class ConfigError(Exception):
@@ -62,7 +61,6 @@ class RunConfig:
     rate_n_min: int = 1
     rate_n_max: int = 100
     rate_oracle: str = "riccati"
-    rate_synthetic: str = "one_over_n"
 
 
 def _to_bool(raw: str) -> bool:
@@ -87,6 +85,9 @@ def _import_module(name: str) -> str:
     return name
 
 
+# rate.oracle values that replay a synthetic gap sequence instead of solving
+_SYNTHETIC = ("one_over_n", "one_over_log")
+
 # section -> key -> converter of the raw value.  [msa] keys are MsaConfig
 # arguments and [bsde] keys RegressionBasis arguments.
 _SCHEMA = {
@@ -107,7 +108,7 @@ _SCHEMA = {
     "bsde": {"degree": int, "ridge": _optional_float},
     "output": {"directory": str},
     "validate": {"n_samples": int, "step": float, "tolerance": float},
-    "rate": {"n_min": int, "n_max": int, "oracle": str, "synthetic": str},
+    "rate": {"n_min": int, "n_max": int, "oracle": str},
 }
 
 
@@ -138,10 +139,8 @@ def load_config(path: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     cfg = RunConfig(msa=msa, **{f"{s}_{k}": v for s, keys in values.items() for k, v in keys.items()})
-    if cfg.rate_oracle not in ("riccati", "brute_force", "synthetic"):
-        raise ConfigError(f"rate.oracle must be riccati|brute_force|synthetic, got {cfg.rate_oracle!r}")
-    if cfg.rate_synthetic not in ("one_over_n", "one_over_log"):
-        raise ConfigError(f"rate.synthetic must be one_over_n|one_over_log, got {cfg.rate_synthetic!r}")
+    if cfg.rate_oracle not in ("riccati", "brute_force") + _SYNTHETIC:
+        raise ConfigError(f"rate.oracle must be riccati|brute_force|one_over_n|one_over_log, got {cfg.rate_oracle!r}")
     if cfg.rate_n_min < 1 or cfg.rate_n_max < cfg.rate_n_min:
         raise ConfigError(f"bad rate window [{cfg.rate_n_min}, {cfg.rate_n_max}]")
     if cfg.validate_n_samples < 1:
@@ -349,11 +348,11 @@ def _synthetic_trace(kind: str, n_min: int, n_max: int) -> IterationTrace:
 
 def cmd_rate(cfg: RunConfig) -> int:
     """Fit the optimality-gap decay against an oracle value."""
-    bench = None if cfg.rate_oracle == "synthetic" else _require_problem(cfg)
+    bench = None if cfg.rate_oracle in _SYNTHETIC else _require_problem(cfg)
     os.makedirs(cfg.output_directory, exist_ok=True)
     if bench is None:
-        name = f"synthetic_{cfg.rate_synthetic}"
-        trace = _synthetic_trace(cfg.rate_synthetic, cfg.rate_n_min, cfg.rate_n_max)
+        name = f"synthetic_{cfg.rate_oracle}"
+        trace = _synthetic_trace(cfg.rate_oracle, cfg.rate_n_min, cfg.rate_n_max)
         j_star = 0.0
     else:
         name = bench.name

@@ -17,12 +17,8 @@ pair share one contraction; ``compute_mu`` always uses it.
 paths) value table comes from ``augmented_hamiltonian`` or, for a
 problem with ``action_terms`` (every ``StructuredProblem``), from one
 matrix product of the action terms plus a (previous, candidate) penalty
-table; one helper applies the tie rule to either.
-
-Only ``ControlEnsemble`` knows how a control is stored: one row of
-action indices per path, or a single row that every path follows for a
-deterministic control.  The simulation, the adjoint solve and mu ask it
-for each step's actions.
+table; one helper applies the tie rule to either.  Controls and the
+kernels that read them live in ``sde.py``.
 """
 
 from __future__ import annotations
@@ -34,15 +30,16 @@ import numpy as np
 from .bsde import AdjointEnsemble, RegressionBasis, solve_adjoint_lsmc
 from .problem import ControlProblem, _check_finite, augmented_hamiltonian, hamiltonian
 from .sde import (
+    CONTROL_MODES,
+    ControlEnsemble,
     StateEnsemble,
     TimeGrid,
+    constant_control,
     cost_per_path,
     make_noise,
     mean_and_se,
     simulate_forward,
 )
-
-CONTROL_MODES = ("per_path", "deterministic")
 
 
 class DescentFailureError(RuntimeError):
@@ -51,63 +48,6 @@ class DescentFailureError(RuntimeError):
     def __init__(self, message: str, trace: "IterationTrace"):
         super().__init__(message)
         self.trace = trace
-
-
-@dataclass(frozen=True)
-class ControlEnsemble:
-    """Action choices as indices into the problem's ActionSpace.
-
-    action_indices has shape (M, N), one row per path, or (1, N), one
-    row that every path follows: a deterministic control.
-    """
-
-    action_indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.action_indices)
-        if idx.ndim != 2:
-            raise ValueError("action_indices must have shape (M, N) or (1, N)")
-        if not np.issubdtype(idx.dtype, np.integer):
-            raise ValueError("action_indices must be integers")
-        idx = np.ascontiguousarray(idx, dtype=np.int64)
-        idx.setflags(write=False)
-        object.__setattr__(self, "action_indices", idx)
-
-    @property
-    def n_steps(self) -> int:
-        return self.action_indices.shape[1]
-
-    def validate(self, n_paths: int, n_steps: int, n_actions: int) -> None:
-        """Raise ValueError unless this control fits M paths, N steps and the actions."""
-        idx = self.action_indices
-        if idx.shape[0] not in (1, n_paths) or idx.shape[1] != n_steps:
-            raise ValueError(
-                f"control shape {idx.shape} does not match (M, N) = "
-                f"({n_paths}, {n_steps}) or (1, N)"
-            )
-        if idx.min() < 0 or idx.max() >= n_actions:
-            raise ValueError("control has action indices out of range")
-
-    def actions(self, points: np.ndarray, k: int, n_paths: int) -> np.ndarray:
-        """Step k's action points for n_paths paths, (n_paths, m), read-only."""
-        return np.broadcast_to(points[self.action_indices[:, k]], (n_paths, points.shape[1]))
-
-
-def constant_control(
-    p: ControlProblem,
-    n_paths: int,
-    n_steps: int,
-    mode: str = "per_path",
-) -> ControlEnsemble:
-    """The action closest to the action-set centroid, at every step and path.
-
-    A deterministic control is the single row that every path follows.
-    """
-    if mode not in CONTROL_MODES:
-        raise ValueError(f"mode must be one of {CONTROL_MODES}")
-    rows = n_paths if mode == "per_path" else 1
-    idx = np.full((rows, n_steps), p.action_space.centroid_index(), dtype=np.int64)
-    return ControlEnsemble(action_indices=idx)
 
 
 @dataclass(frozen=True)
@@ -295,17 +235,16 @@ def compute_mu(
     Evaluated along the states and adjoint of the previous control, so
     the value is the integrated Hamiltonian decrease of the update.
     """
+    m, n = states.n_paths, states.n_steps
+    for control in (new, prev):
+        control.validate(m, n, p.action_space.n_actions)
     dt = grid.dt
     nodes = grid.nodes
     points = p.action_space.points
-    xs = states.values
-    ys = adjoint.y_values
-    zs = adjoint.z_values
-    m = states.n_paths
     acc = np.zeros(m)
-    for k in range(prev.n_steps):
+    for k in range(n):
         t = float(nodes[k])
-        x, y, z = xs[:, k], ys[:, k], zs[:, k]
+        x, y, z = states.values[:, k], adjoint.y_values[:, k], adjoint.z_values[:, k]
         h_new = hamiltonian(p, t, x, y, z, new.actions(points, k, m))
         h_prev = hamiltonian(p, t, x, y, z, prev.actions(points, k, m))
         acc += (h_new - h_prev) * dt

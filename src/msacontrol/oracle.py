@@ -2,10 +2,11 @@
 
 Every suite problem is one constant-coefficient scalar ``LqSpec``; the
 solver's problem (``scalar_quadratic_problem``) and its oracle read the
-same spec.  Independent of the solver path: a Riccati ODE oracle for
-control in the drift, a value ODE for control in the diffusion, and
-exhaustive enumeration over deterministic action sequences for small
-instances.
+same spec.  Independent of the MSA iteration and the LSMC adjoint: a
+Riccati ODE oracle for control in the drift, a value ODE for control in
+the diffusion, and, for small instances, exhaustive enumeration of the
+deterministic action sequences of the discretised problem, each priced
+with the solver's own simulation and cost kernels.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from typing import Callable
 import numpy as np
 
 from .problem import ActionSpace, ActionTerms, ControlProblem
-from .sde import NoiseBank, TimeGrid
+from .sde import (
+    ControlEnsemble,
+    NoiseBank,
+    TimeGrid,
+    cost_per_path,
+    mean_and_se,
+    simulate_forward,
+)
 
 
 def _rk4(rhs, t0: float, u0, h: float, n_steps: int, label: str | None = None):
@@ -139,6 +147,7 @@ class LqSpec:
 _RICCATI_REFINE = 10  # RK4 steps per solver step
 _DIFFUSION_STEPS = 4000  # RK4 steps over the horizon
 _BRUTE_FORCE_BUDGET = 1_000_000  # action sequences
+_BRUTE_FORCE_ROWS = 50_000  # (sequence, path) rows simulated at once
 
 
 @dataclass(frozen=True)
@@ -234,61 +243,42 @@ def brute_force_optimal(
 ) -> BruteForceResult:
     """Exhaustive minimum of the estimated cost over deterministic controls.
 
-    Enumerates every time-indexed action sequence, estimates J for each
-    on the shared noise bank, and returns the minimum.  The minimum value
-    is independent of enumeration order; on exact ties the first sequence
-    in lexicographic index order is kept.  More than _BRUTE_FORCE_BUDGET
-    sequences raise ValueError before any is evaluated.
+    Enumerates every time-indexed action sequence and prices each on the
+    shared noise bank with the solver's own kernels: a chunk of c
+    sequences runs as one bank of c * M (sequence, path) rows through
+    simulate_forward and cost_per_path.  The minimum value is independent
+    of enumeration order; on exact ties the first sequence in
+    lexicographic index order is kept.  More than _BRUTE_FORCE_BUDGET
+    sequences raise ValueError before any is evaluated, and a non-finite
+    state or cost raises SimulationError.
     """
-    n_act = p.action_space.n_actions
-    n = grid.n_steps
-    m = noise.n_paths
+    n_act, n, m = p.action_space.n_actions, grid.n_steps, noise.n_paths
     total = n_act ** n
     if total > _BRUTE_FORCE_BUDGET:
         raise ValueError(
             f"{n_act}^{n} = {total} sequences exceeds the budget {_BRUTE_FORCE_BUDGET}"
         )
-    dt = grid.dt
-    nodes = grid.nodes
-    points = p.action_space.points
-    inc = noise.increments
-    d = p.state_dim
-
-    chunk_rows = max(1, 500_000 // max(1, m))
+    chunk = max(1, _BRUTE_FORCE_ROWS // m)
     best_j = np.inf
-    best_se = 0.0
-    best_seq = None
-    it = itertools.product(range(n_act), repeat=n)
-    count = 0
-    while True:
-        block = list(itertools.islice(it, chunk_rows))
-        if not block:
-            break
+    best_costs = best_seq = None
+    tiled = np.tile(noise.increments, (min(chunk, total), 1, 1))
+    sequences = itertools.product(range(n_act), repeat=n)
+    while block := list(itertools.islice(sequences, chunk)):
         seqs = np.array(block, dtype=np.int64)
         c = seqs.shape[0]
-        count += c
-        x = np.broadcast_to(p.initial_state, (c, m, d)).copy()
-        cost = np.zeros((c, m))
-        for k in range(n):
-            a = np.broadcast_to(points[seqs[:, k]][:, None, :], (c, m, points.shape[1]))
-            t = float(nodes[k])
-            cost += np.asarray(p.running_cost(t, x, a)) * dt
-            b = np.asarray(p.drift(t, x, a))
-            sig = np.asarray(p.diffusion(t, x, a))
-            x = x + b * dt + np.einsum("cmjp,mp->cmj", sig, inc[:, k])
-        cost += np.asarray(p.terminal_cost(x))
-        means = cost.mean(axis=1)
-        ses = cost.std(axis=1, ddof=1) / np.sqrt(m) if m > 1 else np.zeros(c)
+        bank = NoiseBank(tiled[: c * m])
+        control = ControlEnsemble(np.repeat(seqs, m, axis=0))
+        states = simulate_forward(p, grid, bank, control)
+        costs = cost_per_path(p, grid, states, control).reshape(c, m)
+        means = costs.mean(axis=1)
         j = int(means.argmin())
         if means[j] < best_j:
-            best_j = float(means[j])
-            best_se = float(ses[j])
-            best_seq = seqs[j].copy()
+            best_j, best_costs, best_seq = float(means[j]), costs[j], seqs[j]
     return BruteForceResult(
         j_star=best_j,
         best_sequence=best_seq,
-        standard_error=best_se,
-        n_sequences=count,
+        standard_error=mean_and_se(best_costs)[1],
+        n_sequences=total,
     )
 
 

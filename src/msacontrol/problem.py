@@ -46,6 +46,21 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
 # rounding in the action-free part only.
 _TERMS_RTOL = 1e-10
 
+_STATE_ONLY = ("terminal_cost", "terminal_cost_grad_x")  # called as fn(x)
+
+# each audited derivative callable -> the coefficient it differentiates
+_DERIVATIVES = {
+    "drift_jac_x": "drift",
+    "diffusion_jac_x": "diffusion",
+    "running_cost_grad_x": "running_cost",
+    "terminal_cost_grad_x": "terminal_cost",
+}
+
+
+def _evaluate(p: ControlProblem, fname: str, t, x, a) -> np.ndarray:
+    fn = getattr(p, fname)
+    return np.asarray(fn(x) if fname in _STATE_ONLY else fn(t, x, a))
+
 
 @dataclass(frozen=True)
 class ActionSpace:
@@ -156,17 +171,11 @@ class ControlProblem:
                 "diffusion": batch + (d, dn),
                 "running_cost": batch,
                 "terminal_cost": batch,
-                "drift_jac_x": batch + (d, d),
-                "diffusion_jac_x": batch + (d, dn, d),
-                "running_cost_grad_x": batch + (d,),
-                "terminal_cost_grad_x": batch + (d,),
             }
+            # each derivative appends the x-index to its coefficient's shape
+            expected.update({der: expected[coef] + (d,) for der, coef in _DERIVATIVES.items()})
             for fname, shape in expected.items():
-                fn = getattr(self, fname)
-                if fname in ("terminal_cost", "terminal_cost_grad_x"):
-                    out = np.asarray(fn(x))
-                else:
-                    out = np.asarray(fn(0.0, x, a))
+                out = _evaluate(self, fname, 0.0, x, a)
                 if out.shape != shape:
                     raise ProblemDefinitionError(
                         f"{fname} returned shape {out.shape}, expected {shape} "
@@ -345,12 +354,7 @@ def check_derivatives(
     xs = rng.uniform(p.initial_state - 5.0, p.initial_state + 5.0, size=(n_samples, d))
     a_idx = rng.integers(0, p.action_space.n_actions, size=n_samples)
 
-    errors = {
-        "drift_jac_x": 0.0,
-        "diffusion_jac_x": 0.0,
-        "running_cost_grad_x": 0.0,
-        "terminal_cost_grad_x": 0.0,
-    }
+    errors = dict.fromkeys(_DERIVATIVES, 0.0)
     eye = np.eye(d)
     for s in range(n_samples):
         t, x = float(ts[s]), xs[s]
@@ -358,31 +362,10 @@ def check_derivatives(
         # (2d, d) probe block: first d rows x + step*e_i, then x - step*e_i
         xp = np.concatenate([x + step * eye, x - step * eye], axis=0)
         ab = np.broadcast_to(a, (2 * d, a.shape[0]))
-
-        bv = np.asarray(p.drift(t, xp, ab))
-        fd_b = (bv[:d] - bv[d:]) / (2.0 * step)          # [i, j] = d b^j / d x_i
-        an_b = np.asarray(p.drift_jac_x(t, x, a))         # [j, i]
-        errors["drift_jac_x"] = max(errors["drift_jac_x"], _rel_error(an_b, fd_b.T))
-
-        sv = np.asarray(p.diffusion(t, xp, ab))
-        fd_s = (sv[:d] - sv[d:]) / (2.0 * step)           # [i, j, p]
-        an_s = np.asarray(p.diffusion_jac_x(t, x, a))     # [j, p, i]
-        errors["diffusion_jac_x"] = max(
-            errors["diffusion_jac_x"], _rel_error(an_s, np.moveaxis(fd_s, 0, -1))
-        )
-
-        fv = np.asarray(p.running_cost(t, xp, ab))
-        fd_f = (fv[:d] - fv[d:]) / (2.0 * step)
-        an_f = np.asarray(p.running_cost_grad_x(t, x, a))
-        errors["running_cost_grad_x"] = max(
-            errors["running_cost_grad_x"], _rel_error(an_f, fd_f)
-        )
-
-        gv = np.asarray(p.terminal_cost(xp))
-        fd_g = (gv[:d] - gv[d:]) / (2.0 * step)
-        an_g = np.asarray(p.terminal_cost_grad_x(x))
-        errors["terminal_cost_grad_x"] = max(
-            errors["terminal_cost_grad_x"], _rel_error(an_g, fd_g)
-        )
+        for deriv, coef in _DERIVATIVES.items():
+            v = _evaluate(p, coef, t, xp, ab)
+            fd = (v[:d] - v[d:]) / (2.0 * step)  # fd[i, ...] = d coef / d x_i
+            analytic = _evaluate(p, deriv, t, x, a)  # x-index last
+            errors[deriv] = max(errors[deriv], _rel_error(analytic, np.moveaxis(fd, 0, -1)))
 
     return errors

@@ -1,4 +1,4 @@
-"""Time grid, Brownian noise bank, Euler-Maruyama simulation, cost estimate.
+"""Time grid, Brownian noise bank, controls, Euler-Maruyama simulation, cost.
 
 The noise bank is drawn once per solve and reused across all iterations
 (common random numbers).  Path i's stream derives from (seed, i) alone:
@@ -6,19 +6,19 @@ it is numpy's ``PCG64(SeedSequence(seed).spawn(M)[i])`` normal stream,
 scaled by sqrt(dt).  The children's seed words are computed for every
 path in one vectorised pass of SeedSequence's hash (``_child_words``)
 instead of building one SeedSequence object per path.
+
+Controls (``ControlEnsemble``) live here with the kernels that ask them
+for each step's actions.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .msa import ControlEnsemble
-    from .problem import ControlProblem
+from .problem import ControlProblem
 
 # refuse to allocate noise banks beyond this size instead of thrashing
 _MAX_BANK_BYTES = 2 ** 31
@@ -200,11 +200,71 @@ class StateEnsemble:
         return self.values.shape[1] - 1
 
 
+CONTROL_MODES = ("per_path", "deterministic")
+
+
+@dataclass(frozen=True)
+class ControlEnsemble:
+    """Action choices as indices into the problem's ActionSpace.
+
+    action_indices has shape (M, N), one row per path, or (1, N), one
+    row that every path follows: a deterministic control.
+    """
+
+    action_indices: np.ndarray
+
+    def __post_init__(self) -> None:
+        idx = np.asarray(self.action_indices)
+        if idx.ndim != 2:
+            raise ValueError("action_indices must have shape (M, N) or (1, N)")
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError("action_indices must be integers")
+        idx = np.ascontiguousarray(idx, dtype=np.int64)
+        idx.setflags(write=False)
+        object.__setattr__(self, "action_indices", idx)
+
+    @property
+    def n_steps(self) -> int:
+        return self.action_indices.shape[1]
+
+    def validate(self, n_paths: int, n_steps: int, n_actions: int) -> None:
+        """Raise ValueError unless this control fits M paths, N steps and the actions."""
+        idx = self.action_indices
+        if idx.shape[0] not in (1, n_paths) or idx.shape[1] != n_steps:
+            raise ValueError(
+                f"control shape {idx.shape} does not match (M, N) = "
+                f"({n_paths}, {n_steps}) or (1, N)"
+            )
+        if idx.min() < 0 or idx.max() >= n_actions:
+            raise ValueError("control has action indices out of range")
+
+    def actions(self, points: np.ndarray, k: int, n_paths: int) -> np.ndarray:
+        """Step k's action points for n_paths paths, (n_paths, m), read-only."""
+        return np.broadcast_to(points[self.action_indices[:, k]], (n_paths, points.shape[1]))
+
+
+def constant_control(
+    p: ControlProblem,
+    n_paths: int,
+    n_steps: int,
+    mode: str = "per_path",
+) -> ControlEnsemble:
+    """The action closest to the action-set centroid, at every step and path.
+
+    A deterministic control is the single row that every path follows.
+    """
+    if mode not in CONTROL_MODES:
+        raise ValueError(f"mode must be one of {CONTROL_MODES}")
+    rows = n_paths if mode == "per_path" else 1
+    idx = np.full((rows, n_steps), p.action_space.centroid_index(), dtype=np.int64)
+    return ControlEnsemble(action_indices=idx)
+
+
 def simulate_forward(
-    p: "ControlProblem",
+    p: ControlProblem,
     grid: TimeGrid,
     noise: NoiseBank,
-    control: "ControlEnsemble",
+    control: ControlEnsemble,
 ) -> StateEnsemble:
     """Euler-Maruyama forward simulation of all paths under the control.
 
@@ -242,10 +302,10 @@ def simulate_forward(
 
 
 def cost_per_path(
-    p: "ControlProblem",
+    p: ControlProblem,
     grid: TimeGrid,
     states: StateEnsemble,
-    control: "ControlEnsemble",
+    control: ControlEnsemble,
 ) -> np.ndarray:
     """Per-path cost sum_k f(t_k, X_k, a_k) dt + g(X_N), left-endpoint rule."""
     m, n = states.n_paths, states.n_steps

@@ -18,9 +18,8 @@ from msacontrol import (
     solve_adjoint_lsmc,
 )
 from msacontrol.bsde import AdjointEnsemble
-from msacontrol.msa import ControlEnsemble
 from msacontrol.oracle import scalar_quadratic_problem
-from msacontrol.sde import StateEnsemble
+from msacontrol.sde import ControlEnsemble, StateEnsemble
 
 from references import lq_adjoint_y0
 from test_problem import make_problem

@@ -66,7 +66,7 @@ class TestLoadConfig:
             bsde={"degree": 3, "ridge": 1e-6},
             output={"directory": "elsewhere"},
             validate={"n_samples": 17, "step": 1e-6, "tolerance": 1e-3},
-            rate={"n_min": 4, "n_max": 40, "oracle": "synthetic", "synthetic": "one_over_log"},
+            rate={"n_min": 4, "n_max": 40, "oracle": "one_over_log"},
         )
         # every key the loader knows is set here, so a dropped key fails below
         assert {s: set(kv) for s, kv in sections.items()} == {
@@ -94,8 +94,7 @@ class TestLoadConfig:
         assert cfg.validate_tolerance == 1e-3
         assert cfg.rate_n_min == 4
         assert cfg.rate_n_max == 40
-        assert cfg.rate_oracle == "synthetic"
-        assert cfg.rate_synthetic == "one_over_log"
+        assert cfg.rate_oracle == "one_over_log"
 
     def test_shipped_configs_load(self):
         paths = sorted(CONFIG_DIR.glob("*.ini"))
@@ -439,7 +438,7 @@ class TestRate:
     def test_synthetic_one_over_n_passes(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
-            rate={"oracle": "synthetic", "synthetic": "one_over_n", "n_min": 10, "n_max": 100},
+            rate={"oracle": "one_over_n", "n_min": 10, "n_max": 100},
             output={"directory": str(tmp_path / "r")},
         )
         code = main(["rate", "--config", cfg])
@@ -452,7 +451,7 @@ class TestRate:
     def test_synthetic_log_decay_fails(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
-            rate={"oracle": "synthetic", "synthetic": "one_over_log", "n_min": 10, "n_max": 100},
+            rate={"oracle": "one_over_log", "n_min": 10, "n_max": 100},
             output={"directory": str(tmp_path / "r")},
         )
         code = main(["rate", "--config", cfg])

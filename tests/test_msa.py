@@ -27,9 +27,8 @@ from msacontrol import (
     update_control,
 )
 from msacontrol.bsde import AdjointEnsemble
-from msacontrol.msa import ControlEnsemble
 from msacontrol.oracle import LqSpec, scalar_quadratic_problem
-from msacontrol.sde import StateEnsemble
+from msacontrol.sde import ControlEnsemble, StateEnsemble
 
 from references import pontryagin_gaps
 from test_problem import quadratic_drift_problem
@@ -64,6 +63,33 @@ class TestControlEnsemble:
         p = quadratic_drift_problem()
         ctrl = constant_control(p, 3, 4)
         assert np.all(ctrl.action_indices == 1)  # action 0.0 of {-1, 0, 1}
+
+    @pytest.mark.parametrize(
+        "idx, message",
+        [(np.ones((2, 4), dtype=np.int64), "does not match"), (np.full((100, 4), 7), "out of range")],
+        ids=["two_rows", "index_7_of_3"],
+    )
+    @pytest.mark.parametrize(
+        "consumer",
+        ["solve_adjoint_lsmc", "solve_adjoint_linear_y0", "adjoint_residual", "compute_mu_new", "compute_mu_prev"],
+    )
+    def test_every_consumer_validates_the_control(self, consumer, idx, message):
+        p = get_benchmark("lq_drift_small").problem
+        grid = TimeGrid(n_steps=4, horizon=p.horizon)
+        noise = make_noise(grid, 100, 1, seed=3)
+        good = constant_control(p, 100, 4)
+        states = simulate_forward(p, grid, noise, good)
+        adjoint = solve_adjoint_lsmc(p, grid, noise, states, good, RegressionBasis())
+        bad = ControlEnsemble(action_indices=idx)
+        calls = {
+            "solve_adjoint_lsmc": lambda: solve_adjoint_lsmc(p, grid, noise, states, bad, RegressionBasis()),
+            "solve_adjoint_linear_y0": lambda: solve_adjoint_linear_y0(p, grid, noise, states, bad),
+            "adjoint_residual": lambda: adjoint_residual(p, grid, noise, states, bad, adjoint),
+            "compute_mu_new": lambda: compute_mu(p, grid, states, adjoint, bad, good),
+            "compute_mu_prev": lambda: compute_mu(p, grid, states, adjoint, good, bad),
+        }
+        with pytest.raises(ValueError, match=message):
+            calls[consumer]()
 
 
 class TestOneRowControl:

@@ -21,7 +21,7 @@ from msacontrol import (
     solve_adjoint_lsmc,
     update_control,
 )
-from msacontrol.msa import ControlEnsemble
+from msacontrol.sde import ControlEnsemble
 
 from conftest import combined_se
 from test_bsde import solve_setup

@@ -8,6 +8,7 @@ import pytest
 
 import msacontrol.oracle as oracle_mod
 from msacontrol import (
+    SimulationError,
     TimeGrid,
     benchmark_names,
     benchmark_suite,
@@ -20,9 +21,8 @@ from msacontrol import (
     riccati_lq,
     simulate_forward,
 )
-from msacontrol.msa import ControlEnsemble
 from msacontrol.oracle import LqSpec, diffusion_lq_value
-from msacontrol.sde import mean_and_se
+from msacontrol.sde import ControlEnsemble, mean_and_se
 
 from references import lq_adjoint_y0
 
@@ -193,8 +193,33 @@ class TestBruteForce:
             if est < best:
                 best = est
                 arg = seq
-        assert res.j_star == pytest.approx(best, rel=1e-12, abs=1e-14)
+        # brute force prices sequences with the same kernels: equal, not close
+        assert res.j_star == best
         assert tuple(res.best_sequence) == arg
+
+    def test_non_finite_cost_raises(self):
+        from test_problem import make_problem
+
+        # the all-zero sequence costs exactly 0; any other overflows x, and
+        # the terminal cost 0 * x is then NaN
+        z = lambda t, x, a: np.zeros_like(x)
+        p = make_problem(
+            b=lambda t, x, a: 1e300 * a * x,
+            sigma=z,
+            f=lambda t, x, a: a * a + 0.0 * x,
+            g=lambda x: 0.0 * x,
+            b_jac=lambda t, x, a: 1e300 * a + 0.0 * x,
+            sigma_jac=z,
+            f_grad=z,
+            g_grad=lambda x: np.zeros_like(x),
+            actions=[0.0, 1.0, 2.0],
+            x0=1.0,
+        )
+        grid = TimeGrid(n_steps=5, horizon=1.0)
+        noise = make_noise(grid, 10, 1, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationError, match="non-finite"):
+                brute_force_optimal(p, grid, noise)
 
     def test_budget_guard(self, lq_bench):
         small = get_benchmark("lq_drift_small").problem

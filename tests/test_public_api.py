@@ -1,4 +1,5 @@
-"""The package exports only names that a non-test caller uses.
+"""The package exports only names that a non-test caller uses, and its
+modules import in one direction.
 
 Every name in ``msacontrol.__all__`` must be used by the ``msactl``
 command, by the benchmark under ``perfbench/`` or be documented for user
@@ -7,6 +8,7 @@ submodule, or in ``tests/references.py`` when it is a reference the
 tests compare against.
 """
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -16,6 +18,8 @@ import msacontrol
 ROOT = Path(__file__).resolve().parent.parent
 CALLERS = [ROOT / "README.md", ROOT / "src" / "msacontrol" / "cli.py"]
 CALLERS += sorted((ROOT / "perfbench").glob("*.py"))
+# each module may import only from modules before it; the package imports last
+LAYERS = ["problem", "sde", "bsde", "msa", "oracle", "diagnostics", "cli", "__init__"]
 
 
 def test_every_exported_name_has_a_non_test_caller():
@@ -32,3 +36,19 @@ def test_all_lists_exactly_the_public_names_bound():
     }
     assert len(msacontrol.__all__) == len(set(msacontrol.__all__))
     assert set(msacontrol.__all__) == bound
+
+
+def test_modules_import_only_earlier_layers():
+    """Every relative import, TYPE_CHECKING blocks included, points down the layers."""
+    sources = sorted((ROOT / "src" / "msacontrol").glob("*.py"))
+    assert sorted(path.stem for path in sources) == sorted(LAYERS)
+    upward = []
+    for path in sources:
+        rank = LAYERS.index(path.stem)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                upward += [
+                    (path.stem, t) for t in targets if LAYERS.index(t.split(".")[0]) >= rank
+                ]
+    assert upward == []

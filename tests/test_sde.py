@@ -23,9 +23,8 @@ from msacontrol import (
     riccati_lq,
     simulate_forward,
 )
-from msacontrol.msa import ControlEnsemble
 from msacontrol.oracle import scalar_quadratic_problem
-from msacontrol.sde import mean_and_se
+from msacontrol.sde import ControlEnsemble, mean_and_se
 
 from test_problem import make_problem
 
