@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from .problem import ControlProblem, hamiltonian_grad_x
-from .sde import ControlEnsemble, NoiseBank, StateEnsemble, TimeGrid
+from .sde import ControlEnsemble, NoiseBank, StateEnsemble, TimeGrid, mean_and_se
 
 
 class RegressionError(RuntimeError):
@@ -191,19 +191,14 @@ def solve_adjoint_linear_y0(
     (estimate, standard error), both d-vectors.
     """
     m, n, d = noise.n_paths, noise.n_steps, p.state_dim
-    control.validate(m, n, p.action_space.n_actions)
     dt = grid.dt
-    nodes = grid.nodes
-    points = p.action_space.points
     xs = states.values
     inc = noise.increments
 
     s = np.broadcast_to(np.eye(d), (m, d, d)).copy()
     contrib = np.zeros((m, d))
-    for k in range(n):
+    for k, t, a in control.steps(p, grid, m):
         x = xs[:, k]
-        a = control.actions(points, k, m)
-        t = float(nodes[k])
         fx = np.asarray(p.running_cost_grad_x(t, x, a))
         contrib += np.einsum("mij,mj->mi", s, fx) * dt
         jb = np.asarray(p.drift_jac_x(t, x, a))
@@ -220,12 +215,7 @@ def solve_adjoint_linear_y0(
             )
     gx = np.asarray(p.terminal_cost_grad_x(xs[:, n]))
     contrib += np.einsum("mij,mj->mi", s, gx)
-    y0 = contrib.mean(axis=0)
-    if m > 1:
-        se = contrib.std(axis=0, ddof=1) / np.sqrt(m)
-    else:
-        se = np.zeros(d)
-    return y0, se
+    return mean_and_se(contrib)
 
 
 def adjoint_residual(
@@ -242,19 +232,15 @@ def adjoint_residual(
     Z_k, a_k) - Z_k dW_k|^2.
     """
     m, n = noise.n_paths, noise.n_steps
-    control.validate(m, n, p.action_space.n_actions)
     dt = grid.dt
-    nodes = grid.nodes
-    points = p.action_space.points
     xs = states.values
     inc = noise.increments
     y = adjoint.y_values
     z = adjoint.z_values
 
     acc = np.zeros(m)
-    for k in range(n):
-        a = control.actions(points, k, m)
-        drv = hamiltonian_grad_x(p, float(nodes[k]), xs[:, k], y[:, k], z[:, k], a)
+    for k, t, a in control.steps(p, grid, m):
+        drv = hamiltonian_grad_x(p, t, xs[:, k], y[:, k], z[:, k], a)
         r = (
             y[:, k + 1]
             - y[:, k]

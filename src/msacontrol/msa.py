@@ -13,12 +13,13 @@ is the stopping signal.
 There is one Hamiltonian evaluator, in ``problem.py``: ``hamiltonian``
 at given actions and ``augmented_hamiltonian`` over every (action, path)
 pair share one contraction; ``compute_mu`` always uses it.
-``update_control`` is one loop over time steps.  Each step's (actions x
-paths) value table comes from ``augmented_hamiltonian`` or, for a
-problem with ``action_terms`` (every ``StructuredProblem``), from one
-matrix product of the action terms plus a (previous, candidate) penalty
-table; one helper applies the tie rule to either.  Controls and the
-kernels that read them live in ``sde.py``.
+``update_control`` is one loop over time steps that writes the new
+control one step row at a time.  Each step's (actions x paths) value
+table comes from ``augmented_hamiltonian`` or, for a problem with
+``action_terms`` (every ``StructuredProblem``), from one matrix product
+of the action terms plus a (previous, candidate) penalty table; one
+helper applies the tie rule to either.  Controls and the kernels that
+read them live in ``sde.py``; this module reads a control by step row.
 """
 
 from __future__ import annotations
@@ -146,20 +147,19 @@ def update_control(
     """Pointwise argmin of the augmented Hamiltonian against prev.
 
     Ties keep the previous action when it attains the minimum, else the
-    lowest action index wins.  For a deterministic (one-row) prev the
+    lowest action index wins.  For a deterministic (one-column) prev the
     argmin is taken over the path-averaged augmented Hamiltonian at each
-    step, and the result is again one row.
+    step, and the result is again one column.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
+    prev.validate(states.n_paths, states.n_steps, p.action_space.n_actions)
     producer = _hamiltonian_values if p.action_terms is None else _term_values
-    tables = producer(p, grid, states, adjoint, prev, rho)
-    prev_idx = prev.action_indices
-    new_idx = np.empty_like(prev_idx)
-    for k in range(prev.n_steps):
-        new_idx[:, k] = _keep_or_lowest(next(tables), prev_idx[:, k])
-    tables.close()  # no table or producer buffer outlives the loop
-    return ControlEnsemble(action_indices=new_idx)
+    new_idx = np.empty_like(prev.by_step)
+    for k, vals in producer(p, grid, states, adjoint, prev, rho):
+        new_idx[k] = _keep_or_lowest(vals, prev.by_step[k])
+        del vals  # no table outlives its step while the producer builds the next
+    return ControlEnsemble(new_idx)
 
 
 def _keep_or_lowest(vals, prev):
@@ -175,18 +175,17 @@ def _keep_or_lowest(vals, prev):
 
 
 def _hamiltonian_values(p, grid, states, adjoint, prev, rho):
-    """Per step, the augmented Hamiltonian, (actions, paths) or path mean."""
+    """Per step k, (k, the augmented Hamiltonian), (actions, paths) or path mean."""
     m = states.n_paths
-    shared = prev.action_indices.shape[0] == 1
+    times = grid.nodes.tolist()
     for k in range(prev.n_steps):
         x, y, z = states.values[:, k], adjoint.y_values[:, k], adjoint.z_values[:, k]
-        t, pk = float(grid.nodes[k]), np.broadcast_to(prev.action_indices[:, k], m)
-        vals = augmented_hamiltonian(p, t, x, y, z, pk, rho)
-        yield vals.mean(axis=1, keepdims=True) if shared else vals
+        vals = augmented_hamiltonian(p, times[k], x, y, z, prev.indices(k, m), rho)
+        yield k, (vals.mean(axis=1, keepdims=True) if prev.shared else vals)
 
 
 def _term_values(p, grid, states, adjoint, prev, rho):
-    """Per step, the same argmin's values from the action terms alone.
+    """Per step k, (k, the same argmin's values from the action terms alone).
 
     Under the ActionTerms contract H(a) = [y, vec z] . C_a + f2(a) plus
     terms free of a, where C_a = [b2(a), vec sigma2(a)].  The grad_x H
@@ -196,14 +195,12 @@ def _term_values(p, grid, states, adjoint, prev, rho):
     terms = p.action_terms
     points = p.action_space.points
     m, d = states.n_paths, p.state_dim
-    shared = prev.action_indices.shape[0] == 1
-    nodes = grid.nodes
+    times = grid.nodes.tolist()
     ys = adjoint.y_values
     zs = adjoint.z_values
-    prev_idx = prev.action_indices
     w = np.empty((d + d * p.noise_dim, m))  # [y, vec z] per path, transposed
     for k in range(prev.n_steps):
-        t = float(nodes[k])
+        t = times[k]
         b2 = np.asarray(terms.drift(t, points))
         s2 = np.asarray(terms.diffusion(t, points)).reshape(len(points), -1)
         c = _check_finite("action terms", np.concatenate([b2, s2], axis=1))
@@ -212,14 +209,14 @@ def _term_values(p, grid, states, adjoint, prev, rho):
         half_pen = 0.5 * rho * np.einsum("apq,apq->ap", diff, diff)
         w[:d] = ys[:, k].T
         w[d:] = zs[:, k].reshape(m, -1).T
-        if shared:  # path mean first: a matrix-vector product
-            yield (c @ w.mean(axis=1) + f2 + half_pen[prev_idx[0, k]])[:, None]
+        if prev.shared:  # path mean first: a matrix-vector product
+            yield k, (c @ w.mean(axis=1) + f2)[:, None] + half_pen[:, prev.indices(k, 1)]
             continue
         vals = c @ w  # (actions, m): a reduction over actions is a row-wise pass
         vals += f2[:, None]
         if rho > 0:
-            vals += half_pen[:, prev_idx[:, k]]  # the table is symmetric
-        yield vals
+            vals += half_pen[:, prev.indices(k, m)]  # the table is symmetric
+        yield k, vals
 
 
 def compute_mu(
@@ -235,19 +232,12 @@ def compute_mu(
     Evaluated along the states and adjoint of the previous control, so
     the value is the integrated Hamiltonian decrease of the update.
     """
-    m, n = states.n_paths, states.n_steps
-    for control in (new, prev):
-        control.validate(m, n, p.action_space.n_actions)
+    m = states.n_paths
     dt = grid.dt
-    nodes = grid.nodes
-    points = p.action_space.points
     acc = np.zeros(m)
-    for k in range(n):
-        t = float(nodes[k])
+    for (k, t, a_new), (_, _, a_prev) in zip(new.steps(p, grid, m), prev.steps(p, grid, m)):
         x, y, z = states.values[:, k], adjoint.y_values[:, k], adjoint.z_values[:, k]
-        h_new = hamiltonian(p, t, x, y, z, new.actions(points, k, m))
-        h_prev = hamiltonian(p, t, x, y, z, prev.actions(points, k, m))
-        acc += (h_new - h_prev) * dt
+        acc += (hamiltonian(p, t, x, y, z, a_new) - hamiltonian(p, t, x, y, z, a_prev)) * dt
     return mean_and_se(acc)
 
 
@@ -274,7 +264,7 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
         n_backtracks = 0
         while True:
             candidate = update_control(p, grid, states, adjoint, current, rho)
-            if np.array_equal(candidate.action_indices, current.action_indices):
+            if np.array_equal(candidate.by_step, current.by_step):
                 # argmin keeps every action: mu = 0 and nothing can move
                 trace.add_row(n, j_cur, j_se, 0.0, 0.0, rho, n_backtracks, True)
                 trace.status = "fixed_point"

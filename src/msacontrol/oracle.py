@@ -267,7 +267,7 @@ def brute_force_optimal(
         seqs = np.array(block, dtype=np.int64)
         c = seqs.shape[0]
         bank = NoiseBank(tiled[: c * m])
-        control = ControlEnsemble(np.repeat(seqs, m, axis=0))
+        control = ControlEnsemble(np.repeat(seqs.T, m, axis=1))
         states = simulate_forward(p, grid, bank, control)
         costs = cost_per_path(p, grid, states, control).reshape(c, m)
         means = costs.mean(axis=1)

@@ -7,8 +7,9 @@ scaled by sqrt(dt).  The children's seed words are computed for every
 path in one vectorised pass of SeedSequence's hash (``_child_words``)
 instead of building one SeedSequence object per path.
 
-Controls (``ControlEnsemble``) live here with the kernels that ask them
-for each step's actions.
+Controls (``ControlEnsemble``) live here with the kernels that read
+them.  A control is stored step-major, one row of action indices per
+time step, and every forward kernel walks it with ``ControlEnsemble.steps``.
 """
 
 from __future__ import annotations
@@ -207,40 +208,57 @@ CONTROL_MODES = ("per_path", "deterministic")
 class ControlEnsemble:
     """Action choices as indices into the problem's ActionSpace.
 
-    action_indices has shape (M, N), one row per path, or (1, N), one
-    row that every path follows: a deterministic control.
+    by_step has shape (N, M), one row of path indices per step, or
+    (N, 1), one column that every path follows: a deterministic control.
+    Kernels read it one step at a time, through ``steps`` going forward.
     """
 
-    action_indices: np.ndarray
+    by_step: np.ndarray
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.action_indices)
+        idx = np.asarray(self.by_step)
         if idx.ndim != 2:
-            raise ValueError("action_indices must have shape (M, N) or (1, N)")
+            raise ValueError("by_step must have shape (N, M) or (N, 1)")
         if not np.issubdtype(idx.dtype, np.integer):
-            raise ValueError("action_indices must be integers")
+            raise ValueError("by_step must be integers")
         idx = np.ascontiguousarray(idx, dtype=np.int64)
         idx.setflags(write=False)
-        object.__setattr__(self, "action_indices", idx)
+        object.__setattr__(self, "by_step", idx)
 
     @property
     def n_steps(self) -> int:
-        return self.action_indices.shape[1]
+        return self.by_step.shape[0]
+
+    @property
+    def shared(self) -> bool:
+        """One column that every path follows: a deterministic control."""
+        return self.by_step.shape[1] == 1
 
     def validate(self, n_paths: int, n_steps: int, n_actions: int) -> None:
-        """Raise ValueError unless this control fits M paths, N steps and the actions."""
-        idx = self.action_indices
-        if idx.shape[0] not in (1, n_paths) or idx.shape[1] != n_steps:
+        """Raise ValueError unless this control fits N steps, M paths and the actions."""
+        idx = self.by_step
+        if idx.shape[0] != n_steps or idx.shape[1] not in (1, n_paths):
             raise ValueError(
-                f"control shape {idx.shape} does not match (M, N) = "
-                f"({n_paths}, {n_steps}) or (1, N)"
+                f"control shape {idx.shape} does not match (N, M) = "
+                f"({n_steps}, {n_paths}) or (N, 1)"
             )
         if idx.min() < 0 or idx.max() >= n_actions:
             raise ValueError("control has action indices out of range")
 
+    def indices(self, k: int, n_paths: int) -> np.ndarray:
+        """Step k's action indices for n_paths paths, read-only."""
+        return np.broadcast_to(self.by_step[k], n_paths)
+
     def actions(self, points: np.ndarray, k: int, n_paths: int) -> np.ndarray:
         """Step k's action points for n_paths paths, (n_paths, m), read-only."""
-        return np.broadcast_to(points[self.action_indices[:, k]], (n_paths, points.shape[1]))
+        return np.broadcast_to(points[self.by_step[k]], (n_paths, points.shape[1]))
+
+    def steps(self, p: ControlProblem, grid: TimeGrid, n_paths: int):
+        """Validate once, then yield (k, float t_k, ``actions`` a_k) for k = 0 .. N-1."""
+        points = p.action_space.points
+        self.validate(n_paths, grid.n_steps, len(points))
+        for k, t in enumerate(grid.nodes[:-1].tolist()):
+            yield k, t, self.actions(points, k, n_paths)
 
 
 def constant_control(
@@ -251,13 +269,13 @@ def constant_control(
 ) -> ControlEnsemble:
     """The action closest to the action-set centroid, at every step and path.
 
-    A deterministic control is the single row that every path follows.
+    A deterministic control is the single column that every path follows.
     """
     if mode not in CONTROL_MODES:
         raise ValueError(f"mode must be one of {CONTROL_MODES}")
     rows = n_paths if mode == "per_path" else 1
-    idx = np.full((rows, n_steps), p.action_space.centroid_index(), dtype=np.int64)
-    return ControlEnsemble(action_indices=idx)
+    idx = np.full((n_steps, rows), p.action_space.centroid_index(), dtype=np.int64)
+    return ControlEnsemble(idx)
 
 
 def simulate_forward(
@@ -275,18 +293,13 @@ def simulate_forward(
         raise ValueError("grid and noise bank disagree on n_steps")
     if noise.noise_dim != p.noise_dim:
         raise ValueError("noise bank dimension does not match the problem")
-    control.validate(m, n, p.action_space.n_actions)
 
     dt = grid.dt
-    nodes = grid.nodes
-    points = p.action_space.points
     inc = noise.increments
     out = np.empty((m, n + 1, d))
     x = np.broadcast_to(p.initial_state, (m, d)).copy()
     out[:, 0] = x
-    for k in range(n):
-        a = control.actions(points, k, m)
-        t = float(nodes[k])
+    for k, t, a in control.steps(p, grid, m):
         b = np.asarray(p.drift(t, x, a))
         sig = np.asarray(p.diffusion(t, x, a))
         x = x + b * dt + np.einsum("mjp,mp->mj", sig, inc[:, k])
@@ -309,15 +322,11 @@ def cost_per_path(
 ) -> np.ndarray:
     """Per-path cost sum_k f(t_k, X_k, a_k) dt + g(X_N), left-endpoint rule."""
     m, n = states.n_paths, states.n_steps
-    control.validate(m, n, p.action_space.n_actions)
     dt = grid.dt
-    nodes = grid.nodes
-    points = p.action_space.points
     xs = states.values
     acc = np.zeros(m)
-    for k in range(n):
-        a = control.actions(points, k, m)
-        acc += np.asarray(p.running_cost(float(nodes[k]), xs[:, k], a)) * dt
+    for k, t, a in control.steps(p, grid, m):
+        acc += np.asarray(p.running_cost(t, xs[:, k], a)) * dt
     acc += np.asarray(p.terminal_cost(xs[:, n]))
     if not np.all(np.isfinite(acc)):
         bad = int(np.where(~np.isfinite(acc))[0][0])
@@ -325,8 +334,9 @@ def cost_per_path(
     return acc
 
 
-def mean_and_se(values: np.ndarray) -> tuple[float, float]:
+def mean_and_se(values: np.ndarray) -> tuple:
+    """Mean over axis 0 and std(ddof=1) / sqrt(M), 0 if M = 1; floats for a 1-D input."""
     m = values.shape[0]
-    if m < 2:
-        return float(values.mean()), 0.0
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(m))
+    mean = values.mean(axis=0)
+    se = values.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.zeros_like(mean)
+    return (float(mean), float(se)) if values.ndim == 1 else (mean, se)

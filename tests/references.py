@@ -132,7 +132,7 @@ def pontryagin_gaps(p, grid, states, adjoint, control, rho, n_samples):
     for k in np.unique(kk):
         sel = np.flatnonzero(kk == k)
         i = ii[sel]
-        own = np.broadcast_to(control.action_indices[:, k], states.n_paths)[i]
+        own = control.indices(k, states.n_paths)[i]
         x, y, z = states.values[i, k], adjoint.y_values[i, k], adjoint.z_values[i, k]
         vals = augmented_hamiltonian(p, float(grid.nodes[k]), x, y, z, own, rho)
         gaps[sel] = vals[own, np.arange(sel.size)] - vals.min(axis=0)

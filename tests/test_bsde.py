@@ -31,7 +31,7 @@ def solve_setup(p, m, n, seed=17, mode="per_path", rng_actions=True):
     if rng_actions:
         rng = np.random.default_rng(seed + 1)
         idx = rng.integers(0, p.action_space.n_actions, size=(m, n))
-        ctrl = ControlEnsemble(action_indices=idx)
+        ctrl = ControlEnsemble(by_step=idx.T)
     else:
         ctrl = constant_control(p, m, n, mode=mode)
     states = simulate_forward(p, grid, noise, ctrl)
@@ -132,17 +132,17 @@ class TestSolveAdjointLsmc:
         noise = make_noise(grid, m, 1, seed=29)
         dt = grid.dt
         h = pts[1] - pts[0]
-        idx = np.zeros((m, n), dtype=int)
+        idx = np.zeros((n, m), dtype=int)
         values = np.empty((m, n + 1, 1))
         x = np.full(m, lq.x0)
         values[:, 0, 0] = x
         for k in range(n):
             a = np.clip(gain * x, pts[0], pts[-1])
-            idx[:, k] = np.rint((a - pts[0]) / h).astype(int)
-            a_used = pts[idx[:, k]]
+            idx[k] = np.rint((a - pts[0]) / h).astype(int)
+            a_used = pts[idx[k]]
             x = x + (0.2 * x + a_used) * dt + 0.2 * noise.increments[:, k, 0]
             values[:, k + 1, 0] = x
-        ctrl = ControlEnsemble(action_indices=idx)
+        ctrl = ControlEnsemble(by_step=idx)
         states = StateEnsemble(values=values)
         adj = solve_adjoint_lsmc(p, grid, noise, states, ctrl, RegressionBasis())
         y0_mean = float(adj.y_values[:, 0, 0].mean())

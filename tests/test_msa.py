@@ -53,25 +53,56 @@ def control_free_problem():
 class TestControlEnsemble:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ControlEnsemble(action_indices=np.zeros(4, dtype=np.int64))
+            ControlEnsemble(by_step=np.zeros(4, dtype=np.int64))
         with pytest.raises(ValueError):
-            ControlEnsemble(action_indices=np.zeros((2, 2)))  # floats
+            ControlEnsemble(by_step=np.zeros((2, 2)))  # floats
         with pytest.raises(ValueError, match="mode"):
             constant_control(quadratic_drift_problem(), 2, 2, mode="x")
 
     def test_constant_control_defaults_to_centroid(self):
         p = quadratic_drift_problem()
         ctrl = constant_control(p, 3, 4)
-        assert np.all(ctrl.action_indices == 1)  # action 0.0 of {-1, 0, 1}
+        assert ctrl.by_step.shape == (4, 3)  # one row per step
+        assert np.all(ctrl.by_step == 1)  # action 0.0 of {-1, 0, 1}
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_steps_walks_the_grid_once(self, rows):
+        p = quadratic_drift_problem()
+        m, n = 5, 4
+        grid = TimeGrid(n_steps=n, horizon=0.7)
+        ctrl = ControlEnsemble(by_step=np.arange(n * rows).reshape(n, rows) % 3)
+        walk = list(ctrl.steps(p, grid, m))
+        assert [k for k, _, _ in walk] == list(range(n))
+        for k, t, a in walk:
+            assert type(t) is float and t == grid.nodes[k]
+            assert a.shape == (m, 1)
+            assert np.array_equal(a, np.broadcast_to(p.action_space.points[ctrl.by_step[k]], (m, 1)))
+        bad = ControlEnsemble(by_step=np.full((n, m), 3))
+        with pytest.raises(ValueError, match="out of range"):
+            next(bad.steps(p, grid, m))
+        with pytest.raises(ValueError, match="does not match"):
+            next(ctrl.steps(p, TimeGrid(n_steps=n + 1, horizon=0.7), m))
 
     @pytest.mark.parametrize(
         "idx, message",
-        [(np.ones((2, 4), dtype=np.int64), "does not match"), (np.full((100, 4), 7), "out of range")],
-        ids=["two_rows", "index_7_of_3"],
+        [
+            (np.ones((4, 2), dtype=np.int64), "does not match"),
+            (np.ones((3, 100), dtype=np.int64), "does not match"),
+            (np.full((4, 100), 7), "out of range"),
+        ],
+        ids=["two_rows", "three_steps", "index_7_of_3"],
     )
     @pytest.mark.parametrize(
         "consumer",
-        ["solve_adjoint_lsmc", "solve_adjoint_linear_y0", "adjoint_residual", "compute_mu_new", "compute_mu_prev"],
+        [
+            "solve_adjoint_lsmc",
+            "solve_adjoint_linear_y0",
+            "adjoint_residual",
+            "compute_mu_new",
+            "compute_mu_prev",
+            "update_control",
+            "update_control_general",
+        ],
     )
     def test_every_consumer_validates_the_control(self, consumer, idx, message):
         p = get_benchmark("lq_drift_small").problem
@@ -80,20 +111,24 @@ class TestControlEnsemble:
         good = constant_control(p, 100, 4)
         states = simulate_forward(p, grid, noise, good)
         adjoint = solve_adjoint_lsmc(p, grid, noise, states, good, RegressionBasis())
-        bad = ControlEnsemble(action_indices=idx)
+        bad = ControlEnsemble(by_step=idx)
         calls = {
             "solve_adjoint_lsmc": lambda: solve_adjoint_lsmc(p, grid, noise, states, bad, RegressionBasis()),
             "solve_adjoint_linear_y0": lambda: solve_adjoint_linear_y0(p, grid, noise, states, bad),
             "adjoint_residual": lambda: adjoint_residual(p, grid, noise, states, bad, adjoint),
             "compute_mu_new": lambda: compute_mu(p, grid, states, adjoint, bad, good),
             "compute_mu_prev": lambda: compute_mu(p, grid, states, adjoint, good, bad),
+            "update_control": lambda: update_control(p, grid, states, adjoint, bad, 1.0),
+            "update_control_general": lambda: update_control(
+                p.replace(action_terms=None), grid, states, adjoint, bad, 1.0
+            ),
         }
         with pytest.raises(ValueError, match=message):
             calls[consumer]()
 
 
 class TestOneRowControl:
-    """A deterministic control is one row that every path follows."""
+    """A deterministic control is one column that every path follows."""
 
     @pytest.mark.parametrize("name", ["lq_drift", "ctrl_diffusion"])
     def test_one_row_matches_its_expansion(self, name):
@@ -106,9 +141,9 @@ class TestOneRowControl:
         prev_row, new_row = rng.integers(0, n_act, size=(2, 1, n))
         results = []
         for rows in (1, m):
-            prev = ControlEnsemble(action_indices=np.broadcast_to(prev_row, (rows, n)))
-            new = ControlEnsemble(action_indices=np.broadcast_to(new_row, (rows, n)))
-            assert prev.action_indices.shape == (rows, n)
+            prev = ControlEnsemble(by_step=np.broadcast_to(prev_row.T, (n, rows)))
+            new = ControlEnsemble(by_step=np.broadcast_to(new_row.T, (n, rows)))
+            assert prev.by_step.shape == (n, rows)
             states = simulate_forward(p, grid, noise, prev)
             adjoint = solve_adjoint_lsmc(p, grid, noise, states, prev, RegressionBasis())
             results.append(
@@ -130,15 +165,15 @@ class TestOneRowControl:
         p = quadratic_drift_problem()
         grid = TimeGrid(n_steps=3, horizon=1.0)
         noise = make_noise(grid, 5, 1, seed=1)
-        for idx in (np.ones((2, 3), dtype=np.int64), np.ones((1, 4), dtype=np.int64)):
+        for idx in (np.ones((3, 2), dtype=np.int64), np.ones((4, 1), dtype=np.int64)):
             with pytest.raises(ValueError, match="does not match"):
-                simulate_forward(p, grid, noise, ControlEnsemble(action_indices=idx))
+                simulate_forward(p, grid, noise, ControlEnsemble(by_step=idx))
 
     def test_deterministic_run_returns_one_row(self):
         p = get_benchmark("lq_drift_small").problem
         cfg = MsaConfig(n_paths=500, n_steps=5, control_mode="deterministic")
         control, trace = run_msa(p, cfg)
-        assert control.action_indices.shape == (1, 5)
+        assert control.by_step.shape == (5, 1)
         assert trace.n_rows >= 1
 
 
@@ -149,27 +184,27 @@ class TestUpdateControl:
         m, n = 4, 2
         grid = TimeGrid(n_steps=n, horizon=1.0)
         states, adjoint = flat_artifacts(m, n, y=2.0, z=7.0)
-        prev = ControlEnsemble(np.full((m, n), 1))
+        prev = ControlEnsemble(np.full((n, m), 1))
         new = update_control(p, grid, states, adjoint, prev, rho=0.0)
-        assert np.all(new.action_indices == 0)
+        assert np.all(new.by_step == 0)
 
     def test_action_free_coefficients_keep_prev(self):
         p = control_free_problem()
         m, n = 5, 3
         grid = TimeGrid(n_steps=n, horizon=1.0)
         states, adjoint = flat_artifacts(m, n, x=1.0)
-        prev = ControlEnsemble(np.full((m, n), 2))
+        prev = ControlEnsemble(np.full((n, m), 2))
         new = update_control(p, grid, states, adjoint, prev, rho=0.0)
-        assert np.array_equal(new.action_indices, prev.action_indices)
+        assert np.array_equal(new.by_step, prev.by_step)
 
     def test_large_rho_keeps_prev(self):
         p = quadratic_drift_problem()
         m, n = 4, 2
         grid = TimeGrid(n_steps=n, horizon=1.0)
         states, adjoint = flat_artifacts(m, n, y=2.0)
-        prev = ControlEnsemble(np.full((m, n), 2))
+        prev = ControlEnsemble(np.full((n, m), 2))
         new = update_control(p, grid, states, adjoint, prev, rho=1e12)
-        assert np.array_equal(new.action_indices, prev.action_indices)
+        assert np.array_equal(new.by_step, prev.by_step)
 
     def test_negative_rho_rejected(self):
         p = quadratic_drift_problem()
@@ -190,7 +225,7 @@ class TestUpdateControl:
         )
         prev = constant_control(p, m, n, mode="deterministic")
         new = update_control(p, grid, states, adjoint, prev, rho=0.5)
-        assert new.action_indices.shape == (1, n)
+        assert new.by_step.shape == (n, 1)
         for k in range(n):
             a = new.actions(p.action_space.points, k, m)
             assert a.shape == (m, 1) and np.all(a == a[0])
@@ -209,7 +244,7 @@ class TestSeparableUpdate:
         rng = np.random.default_rng(7)
         # states and adjoint of a random, far-from-converged control
         noise = make_noise(grid, m, p.noise_dim, seed=7)
-        rough = ControlEnsemble(action_indices=rng.integers(0, n_act, size=(m, n)))
+        rough = ControlEnsemble(by_step=rng.integers(0, n_act, size=(m, n)).T)
         states = simulate_forward(p, grid, noise, rough)
         adjoint = solve_adjoint_lsmc(
             p, grid, noise, states, rough, MsaConfig().basis
@@ -217,15 +252,15 @@ class TestSeparableUpdate:
         steps = rng.integers(0, n_act, size=n)
         prevs = (
             rough,
-            ControlEnsemble(action_indices=steps[None, :]),  # one row: deterministic
+            ControlEnsemble(by_step=steps[:, None]),  # one column: deterministic
         )
         for prev in prevs:
             for rho in (0.0, 0.5, 64.0, 1e12):
                 fast = update_control(p, grid, states, adjoint, prev, rho)
                 slow = update_control(generic, grid, states, adjoint, prev, rho)
-                shape = prev.action_indices.shape
-                assert fast.action_indices.shape == slow.action_indices.shape == shape
-                assert np.array_equal(fast.action_indices, slow.action_indices), (shape, rho)
+                shape = prev.by_step.shape
+                assert fast.by_step.shape == slow.by_step.shape == shape
+                assert np.array_equal(fast.by_step, slow.by_step), (shape, rho)
 
     def test_non_finite_action_terms_raise_on_both_paths(self):
         # b2 blows up at t = 0.25, which the construction probe (t = 0 and
@@ -268,7 +303,7 @@ class TestComputeMu:
             y_values=rng.normal(size=(m, n + 1, 1)),
             z_values=rng.normal(size=(m, n, 1, 1)),
         )
-        prev = ControlEnsemble(action_indices=rng.integers(0, 3, size=(m, n)))
+        prev = ControlEnsemble(by_step=rng.integers(0, 3, size=(m, n)).T)
         new = update_control(p, grid, states, adjoint, prev, rho=rho)
         mu, se = compute_mu(p, grid, states, adjoint, new, prev)
         if rho == 0.0:
@@ -288,7 +323,7 @@ class TestRunMsa:
         assert trace.mus == [0.0]
         assert trace.accepted == [True]
         # the centroid initial guess (action 0.0) is returned unchanged
-        assert np.all(control.action_indices == 1)
+        assert np.all(control.by_step == 1)
 
     def test_trace_is_reproducible(self, lq_bench):
         cfg = MsaConfig(n_paths=400, n_steps=10, max_iterations=3, tol_mu=1e-9)
@@ -297,7 +332,7 @@ class TestRunMsa:
         assert a.costs == b.costs
         assert a.mus == b.mus
         assert a.rhos == b.rhos
-        assert np.array_equal(a_control.action_indices, b_control.action_indices)
+        assert np.array_equal(a_control.by_step, b_control.by_step)
 
     def test_descent_failure_raises_with_trace(self, stress_bench):
         cfg = MsaConfig(
@@ -365,7 +400,7 @@ class TestPontryaginCertificate:
         states, adjoint = flat_artifacts(m, n, x=1.0)
         ctrl = constant_control(p, m, n)
         fixed = update_control(p, grid, states, adjoint, ctrl, rho=2.0)
-        assert np.array_equal(fixed.action_indices, ctrl.action_indices)
+        assert np.array_equal(fixed.by_step, ctrl.by_step)
         gaps = pontryagin_gaps(p, grid, states, adjoint, fixed, rho=2.0, n_samples=200)
         assert np.mean(gaps > 1e-3) == 0.0
         assert gaps.max() == 0.0

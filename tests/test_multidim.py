@@ -79,16 +79,16 @@ def test_separable_update_matches_generic():
     grid = TimeGrid(n_steps=n, horizon=planar.horizon)
     rng = np.random.default_rng(11)
     noise = make_noise(grid, m, planar.noise_dim, seed=11)
-    rough = ControlEnsemble(action_indices=rng.integers(0, n_act, size=(m, n)))
+    rough = ControlEnsemble(by_step=rng.integers(0, n_act, size=(m, n)).T)
     states = simulate_forward(planar, grid, noise, rough)
     adjoint = solve_adjoint_lsmc(planar, grid, noise, states, rough, MsaConfig().basis)
     steps = rng.integers(0, n_act, size=n)
-    shared = ControlEnsemble(action_indices=steps[None, :])  # one row: deterministic
+    shared = ControlEnsemble(by_step=steps[:, None])  # one column: deterministic
     for prev in (rough, shared):
         for rho in (0.0, 1.0, 64.0):
             fast = update_control(planar, grid, states, adjoint, prev, rho)
             slow = update_control(generic, grid, states, adjoint, prev, rho)
-            assert np.array_equal(fast.action_indices, slow.action_indices), (prev.action_indices.shape, rho)
+            assert np.array_equal(fast.by_step, slow.by_step), (prev.by_step.shape, rho)
 
 
 def test_linear_representation_matches_lsmc_per_component():

@@ -170,8 +170,8 @@ class TestBruteForce:
         res = brute_force_optimal(p, grid, noise)
         assert res.n_sequences == 3**4
         assert list(res.best_sequence) == [0, 0, 0, 0]
-        idx = np.zeros((200, 4), dtype=np.int64)
-        ctrl = ControlEnsemble(action_indices=idx)
+        idx = np.zeros((4, 200), dtype=np.int64)
+        ctrl = ControlEnsemble(by_step=idx)
         states = simulate_forward(p, grid, noise, ctrl)
         est, _ = mean_and_se(cost_per_path(p, grid, states, ctrl))
         assert res.j_star == pytest.approx(est, rel=1e-12)
@@ -187,7 +187,7 @@ class TestBruteForce:
         arg = None
         # reversed order: the minimum value must not depend on enumeration
         for seq in reversed(list(itertools.product(range(3), repeat=3))):
-            ctrl = ControlEnsemble(action_indices=np.array([seq], dtype=np.int64))
+            ctrl = ControlEnsemble(by_step=np.array(seq, dtype=np.int64)[:, None])
             states = simulate_forward(small, grid, noise, ctrl)
             est, _ = mean_and_se(cost_per_path(small, grid, states, ctrl))
             if est < best:

@@ -239,7 +239,7 @@ class TestSimulateForward:
         noise = make_noise(g, 500, 1, seed=21)
         rng = np.random.default_rng(0)
         idx = rng.integers(0, p.action_space.n_actions, size=(500, 20))
-        ctrl = ControlEnsemble(action_indices=idx)
+        ctrl = ControlEnsemble(by_step=idx.T)
         base = simulate_forward(p, g, noise, ctrl)
         again = simulate_forward(p, g, noise, ctrl)
         assert np.array_equal(base.values, again.values)
@@ -318,16 +318,16 @@ class TestEstimateCost:
         p = scalar_quadratic_problem("lq_fine", lq, 1.0, np.linspace(-2.0, 2.0, 401))
         noise = make_noise(grid, m, 1, seed=33)
         pts = p.action_space.points[:, 0]
-        idx = np.zeros((m, n), dtype=int)
+        idx = np.zeros((n, m), dtype=int)
         x = np.full(m, lq.x0)
         dt = grid.dt
         for k in range(n):
             t = float(grid.nodes[k])
             a = np.clip(sol.feedback_gain(t) * x, pts[0], pts[-1])
-            idx[:, k] = np.rint((a - pts[0]) / (pts[1] - pts[0])).astype(int)
-            a_used = pts[idx[:, k]]
+            idx[k] = np.rint((a - pts[0]) / (pts[1] - pts[0])).astype(int)
+            a_used = pts[idx[k]]
             x = x + (0.2 * x + a_used) * dt + 0.2 * noise.increments[:, k, 0]
-        ctrl = ControlEnsemble(action_indices=idx)
+        ctrl = ControlEnsemble(by_step=idx)
         states = simulate_forward(p, grid, noise, ctrl)
         est, se = mean_and_se(cost_per_path(p, grid, states, ctrl))
         j_star = sol.optimal_value
@@ -378,6 +378,15 @@ class TestMeanAndSe:
         mean, se = mean_and_se(vals)
         assert mean == vals.mean()
         assert se == pytest.approx(vals.std(ddof=1) / 2.0, rel=1e-15)
+
+    def test_columns_of_a_matrix(self):
+        vals = np.array([[1.0, -2.0], [2.0, 0.5], [4.0, 3.0], [7.0, 1.0]])
+        mean, se = mean_and_se(vals)
+        assert mean.shape == se.shape == (2,)
+        for j in range(2):
+            assert (mean[j], se[j]) == pytest.approx(mean_and_se(vals[:, j]), rel=1e-15)
+        mean, se = mean_and_se(vals[:1])
+        assert np.array_equal(mean, vals[0]) and np.array_equal(se, np.zeros(2))
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
     @settings(max_examples=50, deadline=None)
