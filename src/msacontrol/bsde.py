@@ -6,7 +6,8 @@ in the backward sweep are least-squares projections onto a polynomial
 basis of the state (regression per time step, single deterministic
 reduction).  An independent check of Y_0 comes from the explicit
 representation through the fundamental solution of the linearised state
-equation, which needs no conditional expectations at t = 0.
+equation, which needs no conditional expectations at t = 0.  Kernels read
+grid, increments and control from the ``StateEnsemble`` they are given.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .problem import ControlProblem, hamiltonian_grad_x
-from .sde import ControlEnsemble, NoiseBank, StateEnsemble, TimeGrid, mean_and_se
+from .sde import StateEnsemble, mean_and_se
 
 
 class RegressionError(RuntimeError):
@@ -108,6 +109,14 @@ class AdjointEnsemble:
         object.__setattr__(self, "y_values", y)
         object.__setattr__(self, "z_values", z)
 
+    def validate(self, n_paths: int, n_steps: int) -> None:
+        """Raise ValueError unless this adjoint fits M paths and N steps."""
+        y, z = self.y_values.shape, self.z_values.shape
+        if y[:2] != (n_paths, n_steps + 1) or z[:2] != (n_paths, n_steps):
+            raise ValueError(
+                f"adjoint shapes y {y}, z {z} do not match (M, N) = ({n_paths}, {n_steps})"
+            )
+
 
 def _ridge_solve(gram: np.ndarray, phi: np.ndarray, targets: np.ndarray, step: int):
     try:
@@ -120,14 +129,9 @@ def _ridge_solve(gram: np.ndarray, phi: np.ndarray, targets: np.ndarray, step: i
 
 
 def solve_adjoint_lsmc(
-    p: ControlProblem,
-    grid: TimeGrid,
-    noise: NoiseBank,
-    states: StateEnsemble,
-    control: ControlEnsemble,
-    basis: RegressionBasis,
+    p: ControlProblem, states: StateEnsemble, basis: RegressionBasis
 ) -> AdjointEnsemble:
-    """Backward induction for the adjoint pair.
+    """Backward induction for the adjoint pair along the states, under their control.
 
     Y_N = grad g(X_N); for k = N-1 .. 0:
         Yhat_k = E[Y_{k+1} | X_k]                      (projection)
@@ -138,8 +142,8 @@ def solve_adjoint_lsmc(
     unchanged (E[Yhat_k dW | X_k] = 0) and removes the dominant noise
     term, so a driverless problem yields Z = 0 up to the ridge bias.
     """
-    m, n, d, dn = noise.n_paths, noise.n_steps, p.state_dim, p.noise_dim
-    control.validate(m, n, p.action_space.n_actions)
+    m, n, d, dn = states.n_paths, states.n_steps, p.state_dim, p.noise_dim
+    states.control.validate(m, n, p.action_space.n_actions)
     n_basis = basis.n_functions(d)
     if n_basis > m / 10:
         raise RegressionError(
@@ -147,11 +151,11 @@ def solve_adjoint_lsmc(
             " need n_basis <= M/10"
         )
     lam = basis.ridge if basis.ridge is not None else 1e-8 * m
-    dt = grid.dt
-    nodes = grid.nodes
+    dt = states.grid.dt
+    nodes = states.grid.nodes
     points = p.action_space.points
     xs = states.values
-    inc = noise.increments
+    inc = states.noise.increments
 
     y = np.empty((m, n + 1, d))
     z = np.empty((m, n, d, dn))
@@ -168,7 +172,7 @@ def solve_adjoint_lsmc(
         z_target = resid[:, :, None] * inc[:, k, None, :] / dt
         coef_z = _ridge_solve(gram, phi, z_target.reshape(m, d * dn), k)
         z_k = (phi @ coef_z).reshape(m, d, dn)
-        a = control.actions(points, k, m)
+        a = states.control.actions(points, k, m)
         drv = hamiltonian_grad_x(p, float(nodes[k]), xs[:, k], y_hat, z_k, a)
         y[:, k] = y_hat + dt * np.asarray(drv)
         if not (np.all(np.isfinite(y[:, k])) and np.all(np.isfinite(z_k))):
@@ -178,11 +182,7 @@ def solve_adjoint_lsmc(
 
 
 def solve_adjoint_linear_y0(
-    p: ControlProblem,
-    grid: TimeGrid,
-    noise: NoiseBank,
-    states: StateEnsemble,
-    control: ControlEnsemble,
+    p: ControlProblem, states: StateEnsemble
 ) -> tuple[np.ndarray, np.ndarray]:
     """Plain Monte-Carlo estimate of Y_0 from the explicit representation.
 
@@ -190,14 +190,14 @@ def solve_adjoint_linear_y0(
     with S the fundamental solution started at the identity.  Returns
     (estimate, standard error), both d-vectors.
     """
-    m, n, d = noise.n_paths, noise.n_steps, p.state_dim
-    dt = grid.dt
+    m, n, d = states.n_paths, states.n_steps, p.state_dim
+    dt = states.grid.dt
     xs = states.values
-    inc = noise.increments
+    inc = states.noise.increments
 
     s = np.broadcast_to(np.eye(d), (m, d, d)).copy()
     contrib = np.zeros((m, d))
-    for k, t, a in control.steps(p, grid, m):
+    for k, t, a in states.control.steps(p, states.noise):
         x = xs[:, k]
         fx = np.asarray(p.running_cost_grad_x(t, x, a))
         contrib += np.einsum("mij,mj->mi", s, fx) * dt
@@ -219,27 +219,23 @@ def solve_adjoint_linear_y0(
 
 
 def adjoint_residual(
-    p: ControlProblem,
-    grid: TimeGrid,
-    noise: NoiseBank,
-    states: StateEnsemble,
-    control: ControlEnsemble,
-    adjoint: AdjointEnsemble,
+    p: ControlProblem, states: StateEnsemble, adjoint: AdjointEnsemble
 ) -> float:
     """Mean-square one-step backward residual, averaged over paths and steps.
 
     residual = E (1/N) sum_k |Y_{k+1} - Y_k + dt grad_x H(t_k, X_k, Y_k,
     Z_k, a_k) - Z_k dW_k|^2.
     """
-    m, n = noise.n_paths, noise.n_steps
-    dt = grid.dt
+    m, n = states.n_paths, states.n_steps
+    adjoint.validate(m, n)
+    dt = states.grid.dt
     xs = states.values
-    inc = noise.increments
+    inc = states.noise.increments
     y = adjoint.y_values
     z = adjoint.z_values
 
     acc = np.zeros(m)
-    for k, t, a in control.steps(p, grid, m):
+    for k, t, a in states.control.steps(p, states.noise):
         drv = hamiltonian_grad_x(p, t, xs[:, k], y[:, k], z[:, k], a)
         r = (
             y[:, k + 1]

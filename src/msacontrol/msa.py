@@ -20,6 +20,8 @@ table comes from ``augmented_hamiltonian`` or, for a problem with
 of the action terms plus a (previous, candidate) penalty table; one
 helper applies the tie rule to either.  Controls and the kernels that
 read them live in ``sde.py``; this module reads a control by step row.
+An iterate is one ``StateEnsemble``, whose control is the ``prev`` that
+the update and mu are penalised and measured against.
 """
 
 from __future__ import annotations
@@ -137,26 +139,23 @@ class IterationTrace:
 
 
 def update_control(
-    p: ControlProblem,
-    grid: TimeGrid,
-    states: StateEnsemble,
-    adjoint: AdjointEnsemble,
-    prev: ControlEnsemble,
-    rho: float,
+    p: ControlProblem, states: StateEnsemble, adjoint: AdjointEnsemble, rho: float
 ) -> ControlEnsemble:
-    """Pointwise argmin of the augmented Hamiltonian against prev.
+    """Pointwise argmin of the augmented Hamiltonian against prev = states.control.
 
     Ties keep the previous action when it attains the minimum, else the
     lowest action index wins.  For a deterministic (one-column) prev the
     argmin is taken over the path-averaged augmented Hamiltonian at each
     step, and the result is again one column.
     """
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    if not 0 <= rho < np.inf:
+        raise ValueError(f"rho must be nonnegative and finite, got {rho}")
+    prev = states.control
     prev.validate(states.n_paths, states.n_steps, p.action_space.n_actions)
+    adjoint.validate(states.n_paths, states.n_steps)
     producer = _hamiltonian_values if p.action_terms is None else _term_values
     new_idx = np.empty_like(prev.by_step)
-    for k, vals in producer(p, grid, states, adjoint, prev, rho):
+    for k, vals in producer(p, states, adjoint, rho):
         new_idx[k] = _keep_or_lowest(vals, prev.by_step[k])
         del vals  # no table outlives its step while the producer builds the next
     return ControlEnsemble(new_idx)
@@ -174,17 +173,17 @@ def _keep_or_lowest(vals, prev):
     return np.where(at_prev == mins, prev, lowest)
 
 
-def _hamiltonian_values(p, grid, states, adjoint, prev, rho):
+def _hamiltonian_values(p, states, adjoint, rho):
     """Per step k, (k, the augmented Hamiltonian), (actions, paths) or path mean."""
-    m = states.n_paths
-    times = grid.nodes.tolist()
+    m, prev = states.n_paths, states.control
+    times = states.grid.nodes.tolist()
     for k in range(prev.n_steps):
         x, y, z = states.values[:, k], adjoint.y_values[:, k], adjoint.z_values[:, k]
         vals = augmented_hamiltonian(p, times[k], x, y, z, prev.indices(k, m), rho)
         yield k, (vals.mean(axis=1, keepdims=True) if prev.shared else vals)
 
 
-def _term_values(p, grid, states, adjoint, prev, rho):
+def _term_values(p, states, adjoint, rho):
     """Per step k, (k, the same argmin's values from the action terms alone).
 
     Under the ActionTerms contract H(a) = [y, vec z] . C_a + f2(a) plus
@@ -194,8 +193,8 @@ def _term_values(p, grid, states, adjoint, prev, rho):
     """
     terms = p.action_terms
     points = p.action_space.points
-    m, d = states.n_paths, p.state_dim
-    times = grid.nodes.tolist()
+    m, d, prev = states.n_paths, p.state_dim, states.control
+    times = states.grid.nodes.tolist()
     ys = adjoint.y_values
     zs = adjoint.z_values
     w = np.empty((d + d * p.noise_dim, m))  # [y, vec z] per path, transposed
@@ -220,22 +219,18 @@ def _term_values(p, grid, states, adjoint, prev, rho):
 
 
 def compute_mu(
-    p: ControlProblem,
-    grid: TimeGrid,
-    states: StateEnsemble,
-    adjoint: AdjointEnsemble,
-    new: ControlEnsemble,
-    prev: ControlEnsemble,
+    p: ControlProblem, states: StateEnsemble, adjoint: AdjointEnsemble, new: ControlEnsemble
 ) -> tuple[float, float]:
     """Estimate of E sum_k [H(new_k) - H(prev_k)] dt with standard error.
 
-    Evaluated along the states and adjoint of the previous control, so
+    Evaluated along the states and adjoint of prev = states.control, so
     the value is the integrated Hamiltonian decrease of the update.
     """
-    m = states.n_paths
-    dt = grid.dt
+    m, noise = states.n_paths, states.noise
+    adjoint.validate(m, states.n_steps)
+    dt = states.grid.dt
     acc = np.zeros(m)
-    for (k, t, a_new), (_, _, a_prev) in zip(new.steps(p, grid, m), prev.steps(p, grid, m)):
+    for (k, t, a_new), (_, _, a_prev) in zip(new.steps(p, noise), states.control.steps(p, noise)):
         x, y, z = states.values[:, k], adjoint.y_values[:, k], adjoint.z_values[:, k]
         acc += (hamiltonian(p, t, x, y, z, a_new) - hamiltonian(p, t, x, y, z, a_prev)) * dt
     return mean_and_se(acc)
@@ -250,42 +245,42 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
     """
     grid = TimeGrid(n_steps=cfg.n_steps, horizon=p.horizon)
     noise = make_noise(grid, cfg.n_paths, p.noise_dim, cfg.seed)
-    current = constant_control(p, cfg.n_paths, cfg.n_steps, mode=cfg.control_mode)
-
+    # only the states hold their control, so a superseded control is freed with them
+    states = simulate_forward(
+        p, noise, constant_control(p, cfg.n_paths, cfg.n_steps, mode=cfg.control_mode)
+    )
     trace = IterationTrace()
-    states = simulate_forward(p, grid, noise, current)
-    costs = cost_per_path(p, grid, states, current)
+    costs = cost_per_path(p, states)
     j_cur, j_se = mean_and_se(costs)
     trace.initial_cost, trace.initial_cost_se = j_cur, j_se
 
     rho = cfg.rho_initial
     for n in range(1, cfg.max_iterations + 1):
-        adjoint = solve_adjoint_lsmc(p, grid, noise, states, current, cfg.basis)
+        adjoint = solve_adjoint_lsmc(p, states, cfg.basis)
         n_backtracks = 0
         while True:
-            candidate = update_control(p, grid, states, adjoint, current, rho)
-            if np.array_equal(candidate.by_step, current.by_step):
+            candidate = update_control(p, states, adjoint, rho)
+            if np.array_equal(candidate.by_step, states.control.by_step):
                 # argmin keeps every action: mu = 0 and nothing can move
                 trace.add_row(n, j_cur, j_se, 0.0, 0.0, rho, n_backtracks, True)
                 trace.status = "fixed_point"
-                return current, trace
-            mu, mu_se = compute_mu(p, grid, states, adjoint, candidate, current)
-            cand_states = simulate_forward(p, grid, noise, candidate)
-            cand_costs = cost_per_path(p, grid, cand_states, candidate)
+                return states.control, trace
+            mu, mu_se = compute_mu(p, states, adjoint, candidate)
+            cand_states = simulate_forward(p, noise, candidate)
+            cand_costs = cost_per_path(p, cand_states)
             diff = cand_costs - costs
             dj, dj_se = mean_and_se(diff)
             if cfg.classical or dj <= 3.0 * dj_se:
-                current = candidate
                 states = cand_states
                 costs = cand_costs
                 j_cur, j_se = mean_and_se(costs)
                 trace.add_row(n, j_cur, j_se, mu, mu_se, rho, n_backtracks, True)
                 if abs(mu) <= cfg.tol_mu:
                     trace.status = "converged_mu"
-                    return current, trace
+                    return states.control, trace
                 if abs(dj) <= cfg.tol_dj:
                     trace.status = "converged_dj"
-                    return current, trace
+                    return states.control, trace
                 break
             n_backtracks += 1
             rho = rho * cfg.rho_growth if rho > 0 else 1.0
@@ -296,4 +291,4 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
                     f"no descent step found below rho_max={cfg.rho_max}", trace
                 )
     trace.status = "max_iterations"
-    return current, trace
+    return states.control, trace

@@ -236,11 +236,7 @@ class BruteForceResult:
     n_sequences: int
 
 
-def brute_force_optimal(
-    p: ControlProblem,
-    grid: TimeGrid,
-    noise: NoiseBank,
-) -> BruteForceResult:
+def brute_force_optimal(p: ControlProblem, noise: NoiseBank) -> BruteForceResult:
     """Exhaustive minimum of the estimated cost over deterministic controls.
 
     Enumerates every time-indexed action sequence and prices each on the
@@ -252,7 +248,7 @@ def brute_force_optimal(
     sequences raise ValueError before any is evaluated, and a non-finite
     state or cost raises SimulationError.
     """
-    n_act, n, m = p.action_space.n_actions, grid.n_steps, noise.n_paths
+    n_act, n, m = p.action_space.n_actions, noise.n_steps, noise.n_paths
     total = n_act ** n
     if total > _BRUTE_FORCE_BUDGET:
         raise ValueError(
@@ -266,10 +262,9 @@ def brute_force_optimal(
     while block := list(itertools.islice(sequences, chunk)):
         seqs = np.array(block, dtype=np.int64)
         c = seqs.shape[0]
-        bank = NoiseBank(tiled[: c * m])
+        bank = NoiseBank(tiled[: c * m], noise.grid)
         control = ControlEnsemble(np.repeat(seqs.T, m, axis=1))
-        states = simulate_forward(p, grid, bank, control)
-        costs = cost_per_path(p, grid, states, control).reshape(c, m)
+        costs = cost_per_path(p, simulate_forward(p, bank, control)).reshape(c, m)
         means = costs.mean(axis=1)
         j = int(means.argmin())
         if means[j] < best_j:

@@ -299,8 +299,8 @@ def augmented_hamiltonian(p: ControlProblem, t, x, y, z, prev_index, rho):
 
     With rho = 0 this is exactly the Hamiltonian at each action.
     """
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    if not 0 <= rho < np.inf:
+        raise ValueError(f"rho must be nonnegative and finite, got {rho}")
     points = p.action_space.points
     # one call per coefficient over the (actions, rows) batch
     xa = np.broadcast_to(x, (points.shape[0],) + x.shape)

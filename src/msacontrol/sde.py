@@ -10,6 +10,9 @@ instead of building one SeedSequence object per path.
 Controls (``ControlEnsemble``) live here with the kernels that read
 them.  A control is stored step-major, one row of action indices per
 time step, and every forward kernel walks it with ``ControlEnsemble.steps``.
+A bank carries its grid and a ``StateEnsemble`` its bank and control,
+so kernels read all three from the ensemble and cannot be handed a
+mismatched set.
 """
 
 from __future__ import annotations
@@ -63,18 +66,23 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class NoiseBank:
-    """Frozen Gaussian increments, shape (n_paths, n_steps, noise_dim).
+    """Frozen Gaussian increments on a grid, shape (n_paths, grid.n_steps, noise_dim).
 
-    Each increment has mean 0 and variance dt per component.  The bank
-    takes ownership of the array and makes it read-only.
+    Each increment has mean 0 and variance grid.dt per component.  The
+    bank takes ownership of the array and makes it read-only.
     """
 
     increments: np.ndarray
+    grid: TimeGrid
 
     def __post_init__(self) -> None:
         inc = np.asarray(self.increments, dtype=float)
         if inc.ndim != 3:
             raise ValueError("increments must have shape (M, N, noise_dim)")
+        if inc.shape[1] != self.grid.n_steps:
+            raise ValueError(
+                f"increments have {inc.shape[1]} steps, the grid {self.grid.n_steps}"
+            )
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
 
@@ -176,21 +184,33 @@ def make_noise(grid: TimeGrid, n_paths: int, noise_dim: int, seed: int) -> Noise
     for i in range(n_paths):
         generator(pcg64(_Precomputed(words[i]))).standard_normal(out=out[i])
     out *= np.sqrt(grid.dt)
-    return NoiseBank(increments=out)
+    return NoiseBank(out, grid)
 
 
 @dataclass(frozen=True)
 class StateEnsemble:
-    """Simulated states, shape (n_paths, n_steps + 1, state_dim)."""
+    """States simulated on a bank under a control, shape (M, N + 1, d), M and N the bank's.
+
+    The control is validated by the kernels that read it (``steps``, ``validate``).
+    """
 
     values: np.ndarray
+    noise: NoiseBank
+    control: ControlEnsemble
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 3:
-            raise ValueError("values must have shape (M, N + 1, d)")
+        m, n = self.noise.n_paths, self.noise.n_steps
+        if vals.ndim != 3 or vals.shape[:2] != (m, n + 1):
+            raise ValueError(
+                f"values of shape {vals.shape} do not match (M, N + 1, d) = ({m}, {n + 1}, d)"
+            )
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.noise.grid
 
     @property
     def n_paths(self) -> int:
@@ -253,12 +273,13 @@ class ControlEnsemble:
         """Step k's action points for n_paths paths, (n_paths, m), read-only."""
         return np.broadcast_to(points[self.by_step[k]], (n_paths, points.shape[1]))
 
-    def steps(self, p: ControlProblem, grid: TimeGrid, n_paths: int):
-        """Validate once, then yield (k, float t_k, ``actions`` a_k) for k = 0 .. N-1."""
+    def steps(self, p: ControlProblem, noise: NoiseBank):
+        """Validate against the bank once, then yield (k, float t_k, ``actions`` a_k)."""
         points = p.action_space.points
-        self.validate(n_paths, grid.n_steps, len(points))
-        for k, t in enumerate(grid.nodes[:-1].tolist()):
-            yield k, t, self.actions(points, k, n_paths)
+        m = noise.n_paths
+        self.validate(m, noise.n_steps, len(points))
+        for k, t in enumerate(noise.grid.nodes[:-1].tolist()):
+            yield k, t, self.actions(points, k, m)
 
 
 def constant_control(
@@ -280,7 +301,6 @@ def constant_control(
 
 def simulate_forward(
     p: ControlProblem,
-    grid: TimeGrid,
     noise: NoiseBank,
     control: ControlEnsemble,
 ) -> StateEnsemble:
@@ -289,17 +309,15 @@ def simulate_forward(
     X_{k+1} = X_k + b(t_k, X_k, a_k) dt + sigma(t_k, X_k, a_k) dW_k.
     """
     m, n, d = noise.n_paths, noise.n_steps, p.state_dim
-    if grid.n_steps != n:
-        raise ValueError("grid and noise bank disagree on n_steps")
     if noise.noise_dim != p.noise_dim:
         raise ValueError("noise bank dimension does not match the problem")
 
-    dt = grid.dt
+    dt = noise.grid.dt
     inc = noise.increments
     out = np.empty((m, n + 1, d))
     x = np.broadcast_to(p.initial_state, (m, d)).copy()
     out[:, 0] = x
-    for k, t, a in control.steps(p, grid, m):
+    for k, t, a in control.steps(p, noise):
         b = np.asarray(p.drift(t, x, a))
         sig = np.asarray(p.diffusion(t, x, a))
         x = x + b * dt + np.einsum("mjp,mp->mj", sig, inc[:, k])
@@ -311,21 +329,16 @@ def simulate_forward(
                 path=bad,
             )
         out[:, k + 1] = x
-    return StateEnsemble(values=out)
+    return StateEnsemble(out, noise, control)
 
 
-def cost_per_path(
-    p: ControlProblem,
-    grid: TimeGrid,
-    states: StateEnsemble,
-    control: ControlEnsemble,
-) -> np.ndarray:
+def cost_per_path(p: ControlProblem, states: StateEnsemble) -> np.ndarray:
     """Per-path cost sum_k f(t_k, X_k, a_k) dt + g(X_N), left-endpoint rule."""
     m, n = states.n_paths, states.n_steps
-    dt = grid.dt
+    dt = states.grid.dt
     xs = states.values
     acc = np.zeros(m)
-    for k, t, a in control.steps(p, grid, m):
+    for k, t, a in states.control.steps(p, states.noise):
         acc += np.asarray(p.running_cost(t, xs[:, k], a)) * dt
     acc += np.asarray(p.terminal_cost(xs[:, n]))
     if not np.all(np.isfinite(acc)):

@@ -93,7 +93,7 @@ def small_results():
         control, trace = run_msa(bench.problem, cfg)
         grid = TimeGrid(n_steps=cfg.n_steps, horizon=bench.problem.horizon)
         noise = make_noise(grid, cfg.n_paths, bench.problem.noise_dim, cfg.seed)
-        bf = brute_force_optimal(bench.problem, grid, noise)
+        bf = brute_force_optimal(bench.problem, noise)
         out[name] = (control, trace, bf)
     return out
 

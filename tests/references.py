@@ -117,7 +117,7 @@ def check_recursive_bound(seq, q: float) -> RecursiveBoundCheck:
     )
 
 
-def pontryagin_gaps(p, grid, states, adjoint, control, rho, n_samples):
+def pontryagin_gaps(p, states, adjoint, control, rho, n_samples):
     """Gaps H~(a*, a*) - min_a H~(a*, a) at sampled (path, step) pairs.
 
     H~(a*, a) is the augmented Hamiltonian of action a penalised against
@@ -134,6 +134,6 @@ def pontryagin_gaps(p, grid, states, adjoint, control, rho, n_samples):
         i = ii[sel]
         own = control.indices(k, states.n_paths)[i]
         x, y, z = states.values[i, k], adjoint.y_values[i, k], adjoint.z_values[i, k]
-        vals = augmented_hamiltonian(p, float(grid.nodes[k]), x, y, z, own, rho)
+        vals = augmented_hamiltonian(p, float(states.grid.nodes[k]), x, y, z, own, rho)
         gaps[sel] = vals[own, np.arange(sel.size)] - vals.min(axis=0)
     return gaps

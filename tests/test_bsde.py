@@ -26,6 +26,7 @@ from test_problem import make_problem
 
 
 def solve_setup(p, m, n, seed=17, mode="per_path", rng_actions=True):
+    """States under random or constant actions; they carry their bank and control."""
     grid = TimeGrid(n_steps=n, horizon=p.horizon)
     noise = make_noise(grid, m, p.noise_dim, seed=seed)
     if rng_actions:
@@ -34,8 +35,7 @@ def solve_setup(p, m, n, seed=17, mode="per_path", rng_actions=True):
         ctrl = ControlEnsemble(by_step=idx.T)
     else:
         ctrl = constant_control(p, m, n, mode=mode)
-    states = simulate_forward(p, grid, noise, ctrl)
-    return grid, noise, ctrl, states
+    return simulate_forward(p, noise, ctrl)
 
 
 class TestRegressionBasis:
@@ -76,9 +76,9 @@ class TestRegressionBasis:
 
     def test_overdetermination_guard(self, lq_bench):
         p = lq_bench.problem
-        grid, noise, ctrl, states = solve_setup(p, m=20, n=4)
+        states = solve_setup(p, m=20, n=4)
         with pytest.raises(RegressionError):
-            solve_adjoint_lsmc(p, grid, noise, states, ctrl, RegressionBasis(degree=9))
+            solve_adjoint_lsmc(p, states, RegressionBasis(degree=9))
 
 
 class TestAdjointEnsembleType:
@@ -97,26 +97,26 @@ class TestAdjointEnsembleType:
 class TestSolveAdjointLsmc:
     def test_terminal_slice_exact(self, lq_bench):
         p = lq_bench.problem
-        grid, noise, ctrl, states = solve_setup(p, m=400, n=10)
-        adj = solve_adjoint_lsmc(p, grid, noise, states, ctrl, RegressionBasis())
+        states = solve_setup(p, m=400, n=10)
+        adj = solve_adjoint_lsmc(p, states, RegressionBasis())
         want = np.asarray(p.terminal_cost_grad_x(states.values[:, -1]))
         assert np.array_equal(adj.y_values[:, -1], want)
 
     def test_driverless_constant_y_small_z(self):
         c = 2.5
         p = driverless_problem(c)
-        grid, noise, ctrl, states = solve_setup(p, m=10_000, n=50)
-        adj = solve_adjoint_lsmc(p, grid, noise, states, ctrl, RegressionBasis())
+        states = solve_setup(p, m=10_000, n=50)
+        adj = solve_adjoint_lsmc(p, states, RegressionBasis())
         assert np.max(np.abs(adj.y_values - c)) <= 1e-5
         assert np.max(np.abs(adj.z_values)) <= 1e-2
-        res = adjoint_residual(p, grid, noise, states, ctrl, adj)
+        res = adjoint_residual(p, states, adj)
         assert res <= 1e-8
 
     def test_deterministic(self, lq_bench):
         p = lq_bench.problem
-        grid, noise, ctrl, states = solve_setup(p, m=500, n=10)
-        a = solve_adjoint_lsmc(p, grid, noise, states, ctrl, RegressionBasis())
-        b = solve_adjoint_lsmc(p, grid, noise, states, ctrl, RegressionBasis())
+        states = solve_setup(p, m=500, n=10)
+        a = solve_adjoint_lsmc(p, states, RegressionBasis())
+        b = solve_adjoint_lsmc(p, states, RegressionBasis())
         assert np.array_equal(a.y_values, b.y_values)
         assert np.array_equal(a.z_values, b.z_values)
 
@@ -143,8 +143,8 @@ class TestSolveAdjointLsmc:
             x = x + (0.2 * x + a_used) * dt + 0.2 * noise.increments[:, k, 0]
             values[:, k + 1, 0] = x
         ctrl = ControlEnsemble(by_step=idx)
-        states = StateEnsemble(values=values)
-        adj = solve_adjoint_lsmc(p, grid, noise, states, ctrl, RegressionBasis())
+        states = StateEnsemble(values, noise, ctrl)
+        adj = solve_adjoint_lsmc(p, states, RegressionBasis())
         y0_mean = float(adj.y_values[:, 0, 0].mean())
         y0_se = float(adj.y_values[:, 0, 0].std(ddof=1) / math.sqrt(m))
         oracle = lq_adjoint_y0(lq, horizon=1.0, action=0.0, feedback=gain)
@@ -155,8 +155,8 @@ class TestLinearRepresentation:
     def test_identity_fundamental_solution_exact(self):
         c = 2.5
         p = driverless_problem(c)
-        grid, noise, ctrl, states = solve_setup(p, m=500, n=10)
-        y0, se = solve_adjoint_linear_y0(p, grid, noise, states, ctrl)
+        states = solve_setup(p, m=500, n=10)
+        y0, se = solve_adjoint_linear_y0(p, states)
         assert y0.shape == (1,) and se.shape == (1,)
         assert float(y0[0]) == c
         assert float(se[0]) == 0.0
@@ -179,17 +179,17 @@ class TestLinearRepresentation:
             x0=1.0,
         )
         m, n = 4000, 50
-        grid, noise, ctrl, states = solve_setup(growth, m, n)
-        y0, se = solve_adjoint_linear_y0(growth, grid, noise, states, ctrl)
-        want = (1.0 + beta * grid.dt) ** n
+        states = solve_setup(growth, m, n)
+        y0, se = solve_adjoint_linear_y0(growth, states)
+        want = (1.0 + beta * states.grid.dt) ** n
         assert np.allclose(y0, want, rtol=1e-13, atol=0.0)
         assert float(se[0]) <= 1e-13 * want
 
         # y0 follows the linear ODE on the benchmark itself
         lq = lq_bench.lq
         p = lq_bench.problem
-        grid, noise, ctrl, states = solve_setup(p, m, n, rng_actions=False)
-        y0, se = solve_adjoint_linear_y0(p, grid, noise, states, ctrl)
+        states = solve_setup(p, m, n, rng_actions=False)
+        y0, se = solve_adjoint_linear_y0(p, states)
         centroid = p.action_space.points[p.action_space.centroid_index()][0]
         oracle = lq_adjoint_y0(lq, horizon=1.0, action=float(centroid))
         # left-endpoint quadrature bias is first order in dt, hence the
@@ -199,9 +199,9 @@ class TestLinearRepresentation:
     def test_agrees_with_lsmc_on_benchmarks(self, suite_benches):
         for bench in suite_benches:
             p = bench.problem
-            grid, noise, ctrl, states = solve_setup(p, m=4000, n=50, rng_actions=False)
-            adj = solve_adjoint_lsmc(p, grid, noise, states, ctrl, RegressionBasis())
-            y0_lin, se_lin = solve_adjoint_linear_y0(p, grid, noise, states, ctrl)
+            states = solve_setup(p, m=4000, n=50, rng_actions=False)
+            adj = solve_adjoint_lsmc(p, states, RegressionBasis())
+            y0_lin, se_lin = solve_adjoint_linear_y0(p, states)
             y = adj.y_values[:, 0, 0]
             y0_lsmc = float(y.mean())
             se_lsmc = float(y.std(ddof=1) / math.sqrt(y.shape[0]))
@@ -212,9 +212,9 @@ class TestLinearRepresentation:
 class TestAdjointResidual:
     def test_lq_baseline(self, lq_bench):
         p = lq_bench.problem
-        grid, noise, ctrl, states = solve_setup(p, m=10_000, n=50, rng_actions=False)
-        adj = solve_adjoint_lsmc(p, grid, noise, states, ctrl, RegressionBasis())
-        res = adjoint_residual(p, grid, noise, states, ctrl, adj)
+        states = solve_setup(p, m=10_000, n=50, rng_actions=False)
+        adj = solve_adjoint_lsmc(p, states, RegressionBasis())
+        res = adjoint_residual(p, states, adj)
         # recorded healthy-solver level for this scale
         assert res <= 1e-5
 
@@ -222,7 +222,7 @@ class TestAdjointResidual:
         p = lq_bench.problem
         res = {}
         for n in (50, 100):
-            grid, noise, ctrl, states = solve_setup(p, m=10_000, n=n, rng_actions=False)
-            adj = solve_adjoint_lsmc(p, grid, noise, states, ctrl, RegressionBasis())
-            res[n] = adjoint_residual(p, grid, noise, states, ctrl, adj)
+            states = solve_setup(p, m=10_000, n=n, rng_actions=False)
+            adj = solve_adjoint_lsmc(p, states, RegressionBasis())
+            res[n] = adjoint_residual(p, states, adj)
         assert res[100] <= 1.10 * res[50]

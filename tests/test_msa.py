@@ -28,20 +28,29 @@ from msacontrol import (
 )
 from msacontrol.bsde import AdjointEnsemble
 from msacontrol.oracle import LqSpec, scalar_quadratic_problem
-from msacontrol.sde import ControlEnsemble, StateEnsemble
+from msacontrol.sde import ControlEnsemble, NoiseBank, StateEnsemble
 
 from references import pontryagin_gaps
 from test_problem import quadratic_drift_problem
 
 
-def flat_artifacts(m, n, y=2.0, z=7.0, x=0.0):
-    """State and adjoint ensembles with constant entries."""
-    states = StateEnsemble(values=np.full((m, n + 1, 1), float(x)))
-    adjoint = AdjointEnsemble(
-        y_values=np.full((m, n + 1, 1), float(y)),
-        z_values=np.full((m, n, 1, 1), float(z)),
+def hand_built(prev, x, y, z, horizon=1.0):
+    """States x under prev on a zero noise bank, and the adjoint (y, z)."""
+    m, n = x.shape[0], x.shape[1] - 1
+    noise = NoiseBank(np.zeros((m, n, 1)), TimeGrid(n_steps=n, horizon=horizon))
+    return StateEnsemble(x, noise, prev), AdjointEnsemble(y_values=y, z_values=z)
+
+
+def flat_artifacts(prev, m, y=2.0, z=7.0, x=0.0, horizon=1.0):
+    """State and adjoint ensembles with constant entries, under prev."""
+    n = prev.n_steps
+    return hand_built(
+        prev,
+        np.full((m, n + 1, 1), float(x)),
+        np.full((m, n + 1, 1), float(y)),
+        np.full((m, n, 1, 1), float(z)),
+        horizon,
     )
-    return states, adjoint
 
 
 def control_free_problem():
@@ -70,8 +79,9 @@ class TestControlEnsemble:
         p = quadratic_drift_problem()
         m, n = 5, 4
         grid = TimeGrid(n_steps=n, horizon=0.7)
+        noise = NoiseBank(np.zeros((m, n, 1)), grid)
         ctrl = ControlEnsemble(by_step=np.arange(n * rows).reshape(n, rows) % 3)
-        walk = list(ctrl.steps(p, grid, m))
+        walk = list(ctrl.steps(p, noise))
         assert [k for k, _, _ in walk] == list(range(n))
         for k, t, a in walk:
             assert type(t) is float and t == grid.nodes[k]
@@ -79,9 +89,10 @@ class TestControlEnsemble:
             assert np.array_equal(a, np.broadcast_to(p.action_space.points[ctrl.by_step[k]], (m, 1)))
         bad = ControlEnsemble(by_step=np.full((n, m), 3))
         with pytest.raises(ValueError, match="out of range"):
-            next(bad.steps(p, grid, m))
+            next(bad.steps(p, noise))
+        longer = NoiseBank(np.zeros((m, n + 1, 1)), TimeGrid(n_steps=n + 1, horizon=0.7))
         with pytest.raises(ValueError, match="does not match"):
-            next(ctrl.steps(p, TimeGrid(n_steps=n + 1, horizon=0.7), m))
+            next(ctrl.steps(p, longer))
 
     @pytest.mark.parametrize(
         "idx, message",
@@ -95,6 +106,8 @@ class TestControlEnsemble:
     @pytest.mark.parametrize(
         "consumer",
         [
+            "simulate_forward",
+            "cost_per_path",
             "solve_adjoint_lsmc",
             "solve_adjoint_linear_y0",
             "adjoint_residual",
@@ -109,18 +122,22 @@ class TestControlEnsemble:
         grid = TimeGrid(n_steps=4, horizon=p.horizon)
         noise = make_noise(grid, 100, 1, seed=3)
         good = constant_control(p, 100, 4)
-        states = simulate_forward(p, grid, noise, good)
-        adjoint = solve_adjoint_lsmc(p, grid, noise, states, good, RegressionBasis())
+        states = simulate_forward(p, noise, good)
+        adjoint = solve_adjoint_lsmc(p, states, RegressionBasis())
         bad = ControlEnsemble(by_step=idx)
+        # the good states' values, paired by hand with a control that does not fit them
+        bad_states = StateEnsemble(states.values, noise, bad)
         calls = {
-            "solve_adjoint_lsmc": lambda: solve_adjoint_lsmc(p, grid, noise, states, bad, RegressionBasis()),
-            "solve_adjoint_linear_y0": lambda: solve_adjoint_linear_y0(p, grid, noise, states, bad),
-            "adjoint_residual": lambda: adjoint_residual(p, grid, noise, states, bad, adjoint),
-            "compute_mu_new": lambda: compute_mu(p, grid, states, adjoint, bad, good),
-            "compute_mu_prev": lambda: compute_mu(p, grid, states, adjoint, good, bad),
-            "update_control": lambda: update_control(p, grid, states, adjoint, bad, 1.0),
+            "simulate_forward": lambda: simulate_forward(p, noise, bad),
+            "cost_per_path": lambda: cost_per_path(p, bad_states),
+            "solve_adjoint_lsmc": lambda: solve_adjoint_lsmc(p, bad_states, RegressionBasis()),
+            "solve_adjoint_linear_y0": lambda: solve_adjoint_linear_y0(p, bad_states),
+            "adjoint_residual": lambda: adjoint_residual(p, bad_states, adjoint),
+            "compute_mu_new": lambda: compute_mu(p, states, adjoint, bad),
+            "compute_mu_prev": lambda: compute_mu(p, bad_states, adjoint, good),
+            "update_control": lambda: update_control(p, bad_states, adjoint, 1.0),
             "update_control_general": lambda: update_control(
-                p.replace(action_terms=None), grid, states, adjoint, bad, 1.0
+                p.replace(action_terms=None), bad_states, adjoint, 1.0
             ),
         }
         with pytest.raises(ValueError, match=message):
@@ -144,17 +161,17 @@ class TestOneRowControl:
             prev = ControlEnsemble(by_step=np.broadcast_to(prev_row.T, (n, rows)))
             new = ControlEnsemble(by_step=np.broadcast_to(new_row.T, (n, rows)))
             assert prev.by_step.shape == (n, rows)
-            states = simulate_forward(p, grid, noise, prev)
-            adjoint = solve_adjoint_lsmc(p, grid, noise, states, prev, RegressionBasis())
+            states = simulate_forward(p, noise, prev)
+            adjoint = solve_adjoint_lsmc(p, states, RegressionBasis())
             results.append(
                 (
                     states.values,
-                    cost_per_path(p, grid, states, prev),
+                    cost_per_path(p, states),
                     adjoint.y_values,
                     adjoint.z_values,
-                    *solve_adjoint_linear_y0(p, grid, noise, states, prev),
-                    adjoint_residual(p, grid, noise, states, prev, adjoint),
-                    compute_mu(p, grid, states, adjoint, new, prev),
+                    *solve_adjoint_linear_y0(p, states),
+                    adjoint_residual(p, states, adjoint),
+                    compute_mu(p, states, adjoint, new),
                 )
             )
         one, full = results
@@ -167,7 +184,7 @@ class TestOneRowControl:
         noise = make_noise(grid, 5, 1, seed=1)
         for idx in (np.ones((3, 2), dtype=np.int64), np.ones((4, 1), dtype=np.int64)):
             with pytest.raises(ValueError, match="does not match"):
-                simulate_forward(p, grid, noise, ControlEnsemble(by_step=idx))
+                simulate_forward(p, noise, ControlEnsemble(by_step=idx))
 
     def test_deterministic_run_returns_one_row(self):
         p = get_benchmark("lq_drift_small").problem
@@ -182,49 +199,44 @@ class TestUpdateControl:
         # minimize 2a + a^2/2 over {-1, 0, 1}: the -1 branch wins
         p = quadratic_drift_problem()
         m, n = 4, 2
-        grid = TimeGrid(n_steps=n, horizon=1.0)
-        states, adjoint = flat_artifacts(m, n, y=2.0, z=7.0)
-        prev = ControlEnsemble(np.full((n, m), 1))
-        new = update_control(p, grid, states, adjoint, prev, rho=0.0)
+        states, adjoint = flat_artifacts(ControlEnsemble(np.full((n, m), 1)), m, y=2.0, z=7.0)
+        new = update_control(p, states, adjoint, rho=0.0)
         assert np.all(new.by_step == 0)
 
     def test_action_free_coefficients_keep_prev(self):
         p = control_free_problem()
         m, n = 5, 3
-        grid = TimeGrid(n_steps=n, horizon=1.0)
-        states, adjoint = flat_artifacts(m, n, x=1.0)
         prev = ControlEnsemble(np.full((n, m), 2))
-        new = update_control(p, grid, states, adjoint, prev, rho=0.0)
+        states, adjoint = flat_artifacts(prev, m, x=1.0)
+        new = update_control(p, states, adjoint, rho=0.0)
         assert np.array_equal(new.by_step, prev.by_step)
 
     def test_large_rho_keeps_prev(self):
         p = quadratic_drift_problem()
         m, n = 4, 2
-        grid = TimeGrid(n_steps=n, horizon=1.0)
-        states, adjoint = flat_artifacts(m, n, y=2.0)
         prev = ControlEnsemble(np.full((n, m), 2))
-        new = update_control(p, grid, states, adjoint, prev, rho=1e12)
+        states, adjoint = flat_artifacts(prev, m, y=2.0)
+        new = update_control(p, states, adjoint, rho=1e12)
         assert np.array_equal(new.by_step, prev.by_step)
 
     def test_negative_rho_rejected(self):
-        p = quadratic_drift_problem()
-        grid = TimeGrid(n_steps=2, horizon=1.0)
-        states, adjoint = flat_artifacts(3, 2)
-        prev = constant_control(p, 3, 2)
-        with pytest.raises(ValueError):
-            update_control(p, grid, states, adjoint, prev, rho=-1.0)
+        # nan and inf are no penalty weight either, on both update paths
+        p = get_benchmark("lq_drift").problem
+        m, n = 200, 4
+        for mode in ("per_path", "deterministic"):
+            states, adjoint = flat_artifacts(constant_control(p, m, n, mode=mode), m)
+            for q in (p, p.replace(action_terms=None)):
+                for rho in (-1.0, np.nan, np.inf):
+                    with pytest.raises(ValueError, match="rho"):
+                        update_control(q, states, adjoint, rho=rho)
 
     def test_deterministic_mode_shares_action_per_step(self, rng):
         p = quadratic_drift_problem()
         m, n = 50, 4
-        grid = TimeGrid(n_steps=n, horizon=1.0)
-        states = StateEnsemble(values=rng.normal(size=(m, n + 1, 1)))
-        adjoint = AdjointEnsemble(
-            y_values=rng.normal(size=(m, n + 1, 1)),
-            z_values=rng.normal(size=(m, n, 1, 1)),
-        )
+        x, y, z = (rng.normal(size=s) for s in ((m, n + 1, 1), (m, n + 1, 1), (m, n, 1, 1)))
         prev = constant_control(p, m, n, mode="deterministic")
-        new = update_control(p, grid, states, adjoint, prev, rho=0.5)
+        states, adjoint = hand_built(prev, x, y, z)
+        new = update_control(p, states, adjoint, rho=0.5)
         assert new.by_step.shape == (n, 1)
         for k in range(n):
             a = new.actions(p.action_space.points, k, m)
@@ -245,20 +257,16 @@ class TestSeparableUpdate:
         # states and adjoint of a random, far-from-converged control
         noise = make_noise(grid, m, p.noise_dim, seed=7)
         rough = ControlEnsemble(by_step=rng.integers(0, n_act, size=(m, n)).T)
-        states = simulate_forward(p, grid, noise, rough)
-        adjoint = solve_adjoint_lsmc(
-            p, grid, noise, states, rough, MsaConfig().basis
-        )
+        states = simulate_forward(p, noise, rough)
+        adjoint = solve_adjoint_lsmc(p, states, MsaConfig().basis)
         steps = rng.integers(0, n_act, size=n)
-        prevs = (
-            rough,
-            ControlEnsemble(by_step=steps[:, None]),  # one column: deterministic
-        )
-        for prev in prevs:
+        # the rough states, and the same values paired with one column: deterministic
+        shared = StateEnsemble(states.values, noise, ControlEnsemble(by_step=steps[:, None]))
+        for prev_states in (states, shared):
             for rho in (0.0, 0.5, 64.0, 1e12):
-                fast = update_control(p, grid, states, adjoint, prev, rho)
-                slow = update_control(generic, grid, states, adjoint, prev, rho)
-                shape = prev.by_step.shape
+                fast = update_control(p, prev_states, adjoint, rho)
+                slow = update_control(generic, prev_states, adjoint, rho)
+                shape = prev_states.control.by_step.shape
                 assert fast.by_step.shape == slow.by_step.shape == shape
                 assert np.array_equal(fast.by_step, slow.by_step), (shape, rho)
 
@@ -272,40 +280,54 @@ class TestSeparableUpdate:
             action_terms=dataclasses.replace(base.action_terms, drift=b2),
         )
         m, n = 6, 4
-        grid = TimeGrid(n_steps=n, horizon=fast.horizon)
-        states, adjoint = flat_artifacts(m, n)
         for p in (fast, fast.replace(action_terms=None)):
             for mode in ("per_path", "deterministic"):
                 start = constant_control(fast, m, n, mode=mode)
+                states, adjoint = flat_artifacts(start, m, horizon=fast.horizon)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     with pytest.raises(EvaluationError, match="non-finite"):
-                        update_control(p, grid, states, adjoint, start, rho=1.0)
+                        update_control(p, states, adjoint, rho=1.0)
+
+
+class TestAdjointShape:
+    @pytest.mark.parametrize("paths, steps", [(1, 4), (200, 2)], ids=["one_path", "two_steps"])
+    @pytest.mark.parametrize("consumer", ["adjoint_residual", "compute_mu", "update_control"])
+    def test_every_consumer_validates_the_adjoint(self, consumer, paths, steps):
+        p = get_benchmark("lq_drift").problem
+        m, n = 200, 4
+        noise = make_noise(TimeGrid(n_steps=n, horizon=p.horizon), m, 1, seed=3)
+        states = simulate_forward(p, noise, constant_control(p, m, n))
+        adjoint = AdjointEnsemble(
+            y_values=np.ones((paths, steps + 1, 1)), z_values=np.ones((paths, steps, 1, 1))
+        )
+        calls = {
+            "adjoint_residual": lambda: adjoint_residual(p, states, adjoint),
+            "compute_mu": lambda: compute_mu(p, states, adjoint, states.control),
+            "update_control": lambda: update_control(p, states, adjoint, 1.0),
+        }
+        with pytest.raises(ValueError, match="adjoint shapes"):
+            calls[consumer]()
 
 
 class TestComputeMu:
     def test_identical_controls_zero(self):
         p = quadratic_drift_problem()
         m, n = 6, 3
-        grid = TimeGrid(n_steps=n, horizon=1.0)
-        states, adjoint = flat_artifacts(m, n)
         ctrl = constant_control(p, m, n)
-        assert compute_mu(p, grid, states, adjoint, ctrl, ctrl) == (0.0, 0.0)
+        states, adjoint = flat_artifacts(ctrl, m)
+        assert compute_mu(p, states, adjoint, ctrl) == (0.0, 0.0)
 
     @given(seed=st.integers(0, 10_000), rho=st.sampled_from([0.0, 0.3, 1.0, 16.0]))
     @settings(max_examples=40, deadline=None)
     def test_nonpositive_after_update(self, seed, rho):
         p = quadratic_drift_problem()
         m, n = 40, 4
-        grid = TimeGrid(n_steps=n, horizon=1.0)
         rng = np.random.default_rng(seed)
-        states = StateEnsemble(values=rng.normal(size=(m, n + 1, 1)))
-        adjoint = AdjointEnsemble(
-            y_values=rng.normal(size=(m, n + 1, 1)),
-            z_values=rng.normal(size=(m, n, 1, 1)),
-        )
+        x, y, z = (rng.normal(size=s) for s in ((m, n + 1, 1), (m, n + 1, 1), (m, n, 1, 1)))
         prev = ControlEnsemble(by_step=rng.integers(0, 3, size=(m, n)).T)
-        new = update_control(p, grid, states, adjoint, prev, rho=rho)
-        mu, se = compute_mu(p, grid, states, adjoint, new, prev)
+        states, adjoint = hand_built(prev, x, y, z)
+        new = update_control(p, states, adjoint, rho=rho)
+        mu, se = compute_mu(p, states, adjoint, new)
         if rho == 0.0:
             # pointwise argmin of H itself: nonpositive without slack
             assert mu <= 0.0
@@ -380,15 +402,10 @@ class TestPontryaginCertificate:
     def test_update_certifies_its_own_argmin(self, rng):
         p = quadratic_drift_problem()
         m, n = 60, 5
-        grid = TimeGrid(n_steps=n, horizon=1.0)
-        states = StateEnsemble(values=rng.normal(size=(m, n + 1, 1)))
-        adjoint = AdjointEnsemble(
-            y_values=rng.normal(size=(m, n + 1, 1)),
-            z_values=rng.normal(size=(m, n, 1, 1)),
-        )
-        prev = constant_control(p, m, n)
-        new = update_control(p, grid, states, adjoint, prev, rho=0.0)
-        gaps = pontryagin_gaps(p, grid, states, adjoint, new, rho=0.0, n_samples=400)
+        x, y, z = (rng.normal(size=s) for s in ((m, n + 1, 1), (m, n + 1, 1), (m, n, 1, 1)))
+        states, adjoint = hand_built(constant_control(p, m, n), x, y, z)
+        new = update_control(p, states, adjoint, rho=0.0)
+        gaps = pontryagin_gaps(p, states, adjoint, new, rho=0.0, n_samples=400)
         assert np.mean(gaps > 1e-3) == 0.0
         assert gaps.max() == 0.0
         assert gaps.shape == (400,)
@@ -396,11 +413,10 @@ class TestPontryaginCertificate:
     def test_fixed_point_control_has_zero_gap_at_positive_rho(self):
         p = control_free_problem()
         m, n = 40, 4
-        grid = TimeGrid(n_steps=n, horizon=1.0)
-        states, adjoint = flat_artifacts(m, n, x=1.0)
         ctrl = constant_control(p, m, n)
-        fixed = update_control(p, grid, states, adjoint, ctrl, rho=2.0)
+        states, adjoint = flat_artifacts(ctrl, m, x=1.0)
+        fixed = update_control(p, states, adjoint, rho=2.0)
         assert np.array_equal(fixed.by_step, ctrl.by_step)
-        gaps = pontryagin_gaps(p, grid, states, adjoint, fixed, rho=2.0, n_samples=200)
+        gaps = pontryagin_gaps(p, states, adjoint, fixed, rho=2.0, n_samples=200)
         assert np.mean(gaps > 1e-3) == 0.0
         assert gaps.max() == 0.0

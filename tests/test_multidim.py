@@ -21,7 +21,7 @@ from msacontrol import (
     solve_adjoint_lsmc,
     update_control,
 )
-from msacontrol.sde import ControlEnsemble
+from msacontrol.sde import ControlEnsemble, StateEnsemble
 
 from conftest import combined_se
 from test_bsde import solve_setup
@@ -80,22 +80,23 @@ def test_separable_update_matches_generic():
     rng = np.random.default_rng(11)
     noise = make_noise(grid, m, planar.noise_dim, seed=11)
     rough = ControlEnsemble(by_step=rng.integers(0, n_act, size=(m, n)).T)
-    states = simulate_forward(planar, grid, noise, rough)
-    adjoint = solve_adjoint_lsmc(planar, grid, noise, states, rough, MsaConfig().basis)
+    states = simulate_forward(planar, noise, rough)
+    adjoint = solve_adjoint_lsmc(planar, states, MsaConfig().basis)
     steps = rng.integers(0, n_act, size=n)
-    shared = ControlEnsemble(by_step=steps[:, None])  # one column: deterministic
-    for prev in (rough, shared):
+    # the rough states, and the same values paired with one column: deterministic
+    shared = StateEnsemble(states.values, noise, ControlEnsemble(by_step=steps[:, None]))
+    for prev_states in (states, shared):
         for rho in (0.0, 1.0, 64.0):
-            fast = update_control(planar, grid, states, adjoint, prev, rho)
-            slow = update_control(generic, grid, states, adjoint, prev, rho)
-            assert np.array_equal(fast.by_step, slow.by_step), (prev.by_step.shape, rho)
+            fast = update_control(planar, prev_states, adjoint, rho)
+            slow = update_control(generic, prev_states, adjoint, rho)
+            assert np.array_equal(fast.by_step, slow.by_step), (prev_states.control.by_step.shape, rho)
 
 
 def test_linear_representation_matches_lsmc_per_component():
     planar = planar_problem()
-    grid, noise, ctrl, states = solve_setup(planar, m=4000, n=20, rng_actions=False)
-    adj = solve_adjoint_lsmc(planar, grid, noise, states, ctrl, MsaConfig().basis)
-    y0_lin, se_lin = solve_adjoint_linear_y0(planar, grid, noise, states, ctrl)
+    states = solve_setup(planar, m=4000, n=20, rng_actions=False)
+    adj = solve_adjoint_lsmc(planar, states, MsaConfig().basis)
+    y0_lin, se_lin = solve_adjoint_linear_y0(planar, states)
     y = adj.y_values[:, 0, :]
     for i in range(planar.state_dim):
         se_lsmc = float(y[:, i].std(ddof=1) / math.sqrt(y.shape[0]))

@@ -156,7 +156,7 @@ class TestBruteForce:
         )
         grid = TimeGrid(n_steps=1, horizon=1.0)
         noise = make_noise(grid, 100, 1, seed=3)
-        res = brute_force_optimal(p, grid, noise)
+        res = brute_force_optimal(p, noise)
         assert res.j_star == 0.0
         assert list(res.best_sequence) == [0]
         assert res.n_sequences == 2
@@ -167,13 +167,13 @@ class TestBruteForce:
         p = control_free_problem()
         grid = TimeGrid(n_steps=4, horizon=1.0)
         noise = make_noise(grid, 200, 1, seed=5)
-        res = brute_force_optimal(p, grid, noise)
+        res = brute_force_optimal(p, noise)
         assert res.n_sequences == 3**4
         assert list(res.best_sequence) == [0, 0, 0, 0]
         idx = np.zeros((4, 200), dtype=np.int64)
         ctrl = ControlEnsemble(by_step=idx)
-        states = simulate_forward(p, grid, noise, ctrl)
-        est, _ = mean_and_se(cost_per_path(p, grid, states, ctrl))
+        states = simulate_forward(p, noise, ctrl)
+        est, _ = mean_and_se(cost_per_path(p, states))
         assert res.j_star == pytest.approx(est, rel=1e-12)
 
     def test_matches_sequence_by_sequence_evaluation(self):
@@ -182,14 +182,14 @@ class TestBruteForce:
         small = get_benchmark("lq_drift_small").problem
         grid = TimeGrid(n_steps=3, horizon=1.0)
         noise = make_noise(grid, 50, 1, seed=7)
-        res = brute_force_optimal(small, grid, noise)
+        res = brute_force_optimal(small, noise)
         best = np.inf
         arg = None
         # reversed order: the minimum value must not depend on enumeration
         for seq in reversed(list(itertools.product(range(3), repeat=3))):
             ctrl = ControlEnsemble(by_step=np.array(seq, dtype=np.int64)[:, None])
-            states = simulate_forward(small, grid, noise, ctrl)
-            est, _ = mean_and_se(cost_per_path(small, grid, states, ctrl))
+            states = simulate_forward(small, noise, ctrl)
+            est, _ = mean_and_se(cost_per_path(small, states))
             if est < best:
                 best = est
                 arg = seq
@@ -219,7 +219,7 @@ class TestBruteForce:
         noise = make_noise(grid, 10, 1, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SimulationError, match="non-finite"):
-                brute_force_optimal(p, grid, noise)
+                brute_force_optimal(p, noise)
 
     def test_budget_guard(self, lq_bench):
         small = get_benchmark("lq_drift_small").problem
@@ -227,7 +227,7 @@ class TestBruteForce:
         assert 3**13 > oracle_mod._BRUTE_FORCE_BUDGET
         noise = make_noise(grid, 10, 1, seed=0)
         with pytest.raises(ValueError, match="budget"):
-            brute_force_optimal(small, grid, noise)
+            brute_force_optimal(small, noise)
 
     def test_small_grid_sits_above_continuous_optimum(self, small_results, lq_bench):
         _, _, bf = small_results["lq_drift_small"]

@@ -419,8 +419,9 @@ class TestAugmentedHamiltonian:
             np.array([[[0.0]]]),
             np.array([0]),
         )
-        with pytest.raises(ValueError):
-            augmented_hamiltonian(*args, -0.5)
+        for rho in (-0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="rho"):
+                augmented_hamiltonian(*args, rho)
 
     @given(
         beta=st.floats(-2.0, 2.0),

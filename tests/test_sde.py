@@ -24,7 +24,7 @@ from msacontrol import (
     simulate_forward,
 )
 from msacontrol.oracle import scalar_quadratic_problem
-from msacontrol.sde import ControlEnsemble, mean_and_se
+from msacontrol.sde import ControlEnsemble, NoiseBank, StateEnsemble, mean_and_se
 
 from test_problem import make_problem
 
@@ -184,7 +184,7 @@ class TestSimulateForward:
         g = TimeGrid(n_steps=6, horizon=1.0)
         noise = make_noise(g, 5, 1, seed=3)
         ctrl = constant_control(p, 5, 6)
-        states = simulate_forward(p, g, noise, ctrl)
+        states = simulate_forward(p, noise, ctrl)
         assert np.all(states.values == 1.0)
 
     def test_constant_drift_exact(self):
@@ -193,7 +193,7 @@ class TestSimulateForward:
         g = TimeGrid(n_steps=4, horizon=1.0)
         noise = make_noise(g, 3, 1, seed=3)
         ctrl = constant_control(p, 3, 4)
-        states = simulate_forward(p, g, noise, ctrl)
+        states = simulate_forward(p, noise, ctrl)
         assert np.all(states.values[:, -1, 0] == 1.5)
 
     def test_geometric_dynamics_mean(self):
@@ -220,7 +220,7 @@ class TestSimulateForward:
         g = TimeGrid(n_steps=100, horizon=horizon)
         noise = make_noise(g, m, 1, seed=11)
         ctrl = constant_control(p, m, 100)
-        states = simulate_forward(p, g, noise, ctrl)
+        states = simulate_forward(p, noise, ctrl)
         xt = states.values[:, -1, 0]
         mean, se = mean_and_se(xt)
         assert abs(mean - x0 * math.exp(beta * horizon)) <= 3.0 * se
@@ -230,7 +230,7 @@ class TestSimulateForward:
         g = TimeGrid(n_steps=5, horizon=p.horizon)
         noise = make_noise(g, 7, 1, seed=5)
         ctrl = constant_control(p, 7, 5)
-        states = simulate_forward(p, g, noise, ctrl)
+        states = simulate_forward(p, noise, ctrl)
         assert np.all(states.values[:, 0] == p.initial_state)
 
     def test_bitwise_reproducible_and_worker_invariant(self, lq_bench):
@@ -240,8 +240,8 @@ class TestSimulateForward:
         rng = np.random.default_rng(0)
         idx = rng.integers(0, p.action_space.n_actions, size=(500, 20))
         ctrl = ControlEnsemble(by_step=idx.T)
-        base = simulate_forward(p, g, noise, ctrl)
-        again = simulate_forward(p, g, noise, ctrl)
+        base = simulate_forward(p, noise, ctrl)
+        again = simulate_forward(p, noise, ctrl)
         assert np.array_equal(base.values, again.values)
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -263,7 +263,7 @@ class TestSimulateForward:
         noise = make_noise(g, 4, 1, seed=0)
         ctrl = constant_control(p, 4, 10)
         with pytest.raises(SimulationError) as exc:
-            simulate_forward(p, g, noise, ctrl)
+            simulate_forward(p, noise, ctrl)
         assert exc.value.step >= 1
         assert exc.value.path >= 0
         assert "step" in str(exc.value) and "path" in str(exc.value)
@@ -271,12 +271,19 @@ class TestSimulateForward:
     def test_shape_mismatches_rejected(self, lq_bench):
         p = lq_bench.problem
         g = TimeGrid(n_steps=5, horizon=p.horizon)
+        short = TimeGrid(n_steps=4, horizon=p.horizon)
         noise = make_noise(g, 4, 1, seed=0)
         with pytest.raises(ValueError):
-            simulate_forward(p, TimeGrid(n_steps=6, horizon=p.horizon), noise,
-                             constant_control(p, 4, 6))
-        with pytest.raises(ValueError):
-            simulate_forward(p, g, noise, constant_control(p, 4, 6))
+            simulate_forward(p, noise, constant_control(p, 4, 6))
+        # neither a bank nor states can be paired with a grid of another step count
+        with pytest.raises(ValueError, match="steps"):
+            NoiseBank(noise.increments, short)
+        states = simulate_forward(p, noise, constant_control(p, 4, 5))
+        short_bank = NoiseBank(noise.increments[:, :4], short)
+        with pytest.raises(ValueError, match="do not match"):
+            StateEnsemble(states.values, short_bank, constant_control(p, 4, 4))
+        with pytest.raises(ValueError, match="do not match"):
+            StateEnsemble(states.values[:3], noise, states.control)
 
 
 class TestEstimateCost:
@@ -285,8 +292,8 @@ class TestEstimateCost:
         g = TimeGrid(n_steps=4, horizon=1.0)
         noise = make_noise(g, 8, 1, seed=1)
         ctrl = constant_control(p, 8, 4)
-        states = simulate_forward(p, g, noise, ctrl)
-        assert mean_and_se(cost_per_path(p, g, states, ctrl)) == (0.0, 0.0)
+        states = simulate_forward(p, noise, ctrl)
+        assert mean_and_se(cost_per_path(p, states)) == (0.0, 0.0)
 
     def test_unit_running_cost_integrates_to_horizon(self):
         z = lambda t, x, a: np.zeros_like(x)
@@ -304,8 +311,8 @@ class TestEstimateCost:
         g = TimeGrid(n_steps=4, horizon=1.0)
         noise = make_noise(g, 256, 1, seed=1)
         ctrl = constant_control(p, 256, 4)
-        states = simulate_forward(p, g, noise, ctrl)
-        est, se = mean_and_se(cost_per_path(p, g, states, ctrl))
+        states = simulate_forward(p, noise, ctrl)
+        est, se = mean_and_se(cost_per_path(p, states))
         assert est == 1.0
         assert se == 0.0
 
@@ -328,8 +335,8 @@ class TestEstimateCost:
             a_used = pts[idx[k]]
             x = x + (0.2 * x + a_used) * dt + 0.2 * noise.increments[:, k, 0]
         ctrl = ControlEnsemble(by_step=idx)
-        states = simulate_forward(p, grid, noise, ctrl)
-        est, se = mean_and_se(cost_per_path(p, grid, states, ctrl))
+        states = simulate_forward(p, noise, ctrl)
+        est, se = mean_and_se(cost_per_path(p, states))
         j_star = sol.optimal_value
         assert abs(est - j_star) <= 3.0 * se + 0.05 * abs(j_star)
 
@@ -340,8 +347,8 @@ class TestEstimateCost:
         for m in (1000, 10_000):
             noise = make_noise(grid, m, 1, seed=2)
             ctrl = constant_control(p, m, 20)
-            states = simulate_forward(p, grid, noise, ctrl)
-            _, ses[m] = mean_and_se(cost_per_path(p, grid, states, ctrl))
+            states = simulate_forward(p, noise, ctrl)
+            _, ses[m] = mean_and_se(cost_per_path(p, states))
         ratio = ses[1000] / ses[10_000]
         assert math.sqrt(10.0) / 1.5 <= ratio <= math.sqrt(10.0) * 1.5
 
@@ -362,9 +369,9 @@ class TestEstimateCost:
         g = TimeGrid(n_steps=8, horizon=1.0)
         noise = make_noise(g, 64, 1, seed=4)
         ctrl = constant_control(p, 64, 8)
-        states = simulate_forward(p, g, noise, ctrl)
+        states = simulate_forward(p, noise, ctrl)
         with pytest.raises(SimulationError) as exc:
-            cost_per_path(p, g, states, ctrl)
+            cost_per_path(p, states)
         assert exc.value.path >= 0
         assert "path" in str(exc.value)
 
