@@ -8,6 +8,8 @@ reduction).  An independent check of Y_0 comes from the explicit
 representation through the fundamental solution of the linearised state
 equation, which needs no conditional expectations at t = 0.  Kernels read
 grid, increments and control from the ``StateEnsemble`` they are given.
+The adjoint is stored step-major like the states and the bank, so every
+step of a sweep reads one contiguous (M, ...) slab of each.
 """
 
 from __future__ import annotations
@@ -94,7 +96,10 @@ class RegressionBasis:
 
 @dataclass(frozen=True)
 class AdjointEnsemble:
-    """Adjoint values: y (M, N+1, d) and z (M, N, d, d')."""
+    """Adjoint values, step-major: y (N+1, M, d) and z (N, M, d, d').
+
+    y_values[k] and z_values[k] are step k's contiguous slabs.
+    """
 
     y_values: np.ndarray
     z_values: np.ndarray
@@ -102,8 +107,10 @@ class AdjointEnsemble:
     def __post_init__(self) -> None:
         y = np.asarray(self.y_values, dtype=float)
         z = np.asarray(self.z_values, dtype=float)
-        if y.ndim != 3 or z.ndim != 4:
-            raise ValueError("y must be (M, N+1, d) and z must be (M, N, d, d')")
+        if y.ndim != 3 or z.ndim != 4 or (y.shape[0] - 1, *y.shape[1:]) != z.shape[:3]:
+            raise ValueError(
+                f"y {y.shape} must be (N+1, M, d) and z {z.shape} must be (N, M, d, d')"
+            )
         y.setflags(write=False)
         z.setflags(write=False)
         object.__setattr__(self, "y_values", y)
@@ -112,9 +119,10 @@ class AdjointEnsemble:
     def validate(self, n_paths: int, n_steps: int) -> None:
         """Raise ValueError unless this adjoint fits M paths and N steps."""
         y, z = self.y_values.shape, self.z_values.shape
-        if y[:2] != (n_paths, n_steps + 1) or z[:2] != (n_paths, n_steps):
+        if y[:2] != (n_steps + 1, n_paths) or z[:2] != (n_steps, n_paths):
             raise ValueError(
-                f"adjoint shapes y {y}, z {z} do not match (M, N) = ({n_paths}, {n_steps})"
+                f"adjoint shapes y {y}, z {z} do not match (N + 1, M) and (N, M) "
+                f"for (N, M) = ({n_steps}, {n_paths})"
             )
 
 
@@ -157,27 +165,32 @@ def solve_adjoint_lsmc(
     xs = states.values
     inc = states.noise.increments
 
-    y = np.empty((m, n + 1, d))
-    z = np.empty((m, n, d, dn))
-    y[:, n] = np.asarray(p.terminal_cost_grad_x(xs[:, n]))
+    y = np.empty((n + 1, m, d))
+    z = np.empty((n, m, d, dn))
+    y[n] = np.asarray(p.terminal_cost_grad_x(xs[n]))
+    # project the Y target through a row-strided view: a contiguous (M, 1)
+    # target sends numpy to OpenBLAS's unit-stride gemv, whose sums differ in
+    # the last bits from the strided kernel that perfbench/references/ records
+    y_work = np.empty((m, d + 1))
+    y_next = y_work[:, :d]
     for k in range(n - 1, -1, -1):
-        phi = basis.features(xs[:, k])
+        phi = basis.features(xs[k])
         # one ridge Gram matrix per step serves the Y and the Z solve
         gram = phi.T @ phi
         gram[np.diag_indices_from(gram)] += lam
-        y_next = y[:, k + 1]
+        y_next[...] = y[k + 1]
         coef_y = _ridge_solve(gram, phi, y_next, k)
         y_hat = phi @ coef_y
         resid = y_next - y_hat
-        z_target = resid[:, :, None] * inc[:, k, None, :] / dt
+        z_target = resid[:, :, None] * inc[k, :, None, :] / dt
         coef_z = _ridge_solve(gram, phi, z_target.reshape(m, d * dn), k)
         z_k = (phi @ coef_z).reshape(m, d, dn)
         a = states.control.actions(points, k, m)
-        drv = hamiltonian_grad_x(p, float(nodes[k]), xs[:, k], y_hat, z_k, a)
-        y[:, k] = y_hat + dt * np.asarray(drv)
-        if not (np.all(np.isfinite(y[:, k])) and np.all(np.isfinite(z_k))):
+        drv = hamiltonian_grad_x(p, float(nodes[k]), xs[k], y_hat, z_k, a)
+        y[k] = y_hat + dt * np.asarray(drv)
+        if not (np.all(np.isfinite(y[k])) and np.all(np.isfinite(z_k))):
             raise RegressionError(f"non-finite adjoint values at step {k}")
-        z[:, k] = z_k
+        z[k] = z_k
     return AdjointEnsemble(y_values=y, z_values=z)
 
 
@@ -198,7 +211,7 @@ def solve_adjoint_linear_y0(
     s = np.broadcast_to(np.eye(d), (m, d, d)).copy()
     contrib = np.zeros((m, d))
     for k, t, a in states.control.steps(p, states.noise):
-        x = xs[:, k]
+        x = xs[k]
         fx = np.asarray(p.running_cost_grad_x(t, x, a))
         contrib += np.einsum("mij,mj->mi", s, fx) * dt
         jb = np.asarray(p.drift_jac_x(t, x, a))
@@ -206,14 +219,14 @@ def solve_adjoint_linear_y0(
         s = (
             s
             + np.einsum("mil,mjl->mij", s, jb) * dt
-            + np.einsum("mil,mjpl,mp->mij", s, js, inc[:, k])
+            + np.einsum("mil,mjpl,mp->mij", s, js, inc[k])
         )
         if not np.all(np.isfinite(s)):
             bad = int(np.where(~np.isfinite(s).reshape(m, -1).all(axis=1))[0][0])
             raise RegressionError(
                 f"non-finite fundamental solution at step {k + 1}, path {bad}"
             )
-    gx = np.asarray(p.terminal_cost_grad_x(xs[:, n]))
+    gx = np.asarray(p.terminal_cost_grad_x(xs[n]))
     contrib += np.einsum("mij,mj->mi", s, gx)
     return mean_and_se(contrib)
 
@@ -236,12 +249,12 @@ def adjoint_residual(
 
     acc = np.zeros(m)
     for k, t, a in states.control.steps(p, states.noise):
-        drv = hamiltonian_grad_x(p, t, xs[:, k], y[:, k], z[:, k], a)
+        drv = hamiltonian_grad_x(p, t, xs[k], y[k], z[k], a)
         r = (
-            y[:, k + 1]
-            - y[:, k]
+            y[k + 1]
+            - y[k]
             + dt * np.asarray(drv)
-            - np.einsum("mjp,mp->mj", z[:, k], inc[:, k])
+            - np.einsum("mjp,mp->mj", z[k], inc[k])
         )
         acc += np.einsum("mj,mj->m", r, r)
     return float(acc.mean() / n)

@@ -249,7 +249,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     checks.append(("driverless:residual", resid <= 1e-8, f"residual={resid:.3e}"))
 
     states, adjoint = _centroid_solve(p, cfg.msa.n_paths, cfg.msa)
-    y0_lsmc = adjoint.y_values[:, 0, :].mean(axis=0)
+    y0_lsmc = adjoint.y_values[0].mean(axis=0)
     y0_lin, y0_se = solve_adjoint_linear_y0(p, states)
     gap = np.abs(y0_lsmc - y0_lin)
     allow = 3.0 * y0_se + 1e-9

@@ -178,7 +178,7 @@ def _hamiltonian_values(p, states, adjoint, rho):
     m, prev = states.n_paths, states.control
     times = states.grid.nodes.tolist()
     for k in range(prev.n_steps):
-        x, y, z = states.values[:, k], adjoint.y_values[:, k], adjoint.z_values[:, k]
+        x, y, z = states.values[k], adjoint.y_values[k], adjoint.z_values[k]
         vals = augmented_hamiltonian(p, times[k], x, y, z, prev.indices(k, m), rho)
         yield k, (vals.mean(axis=1, keepdims=True) if prev.shared else vals)
 
@@ -206,8 +206,8 @@ def _term_values(p, states, adjoint, rho):
         f2 = _check_finite("action terms", np.asarray(terms.running_cost(t, points)))
         diff = c[:, None, :] - c[None, :, :]
         half_pen = 0.5 * rho * np.einsum("apq,apq->ap", diff, diff)
-        w[:d] = ys[:, k].T
-        w[d:] = zs[:, k].reshape(m, -1).T
+        w[:d] = ys[k].T
+        w[d:] = zs[k].reshape(m, -1).T
         if prev.shared:  # path mean first: a matrix-vector product
             yield k, (c @ w.mean(axis=1) + f2)[:, None] + half_pen[:, prev.indices(k, 1)]
             continue
@@ -231,7 +231,7 @@ def compute_mu(
     dt = states.grid.dt
     acc = np.zeros(m)
     for (k, t, a_new), (_, _, a_prev) in zip(new.steps(p, noise), states.control.steps(p, noise)):
-        x, y, z = states.values[:, k], adjoint.y_values[:, k], adjoint.z_values[:, k]
+        x, y, z = states.values[k], adjoint.y_values[k], adjoint.z_values[k]
         acc += (hamiltonian(p, t, x, y, z, a_new) - hamiltonian(p, t, x, y, z, a_prev)) * dt
     return mean_and_se(acc)
 
@@ -281,6 +281,7 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
                 if abs(dj) <= cfg.tol_dj:
                     trace.status = "converged_dj"
                     return states.control, trace
+                del adjoint  # the next solve builds its adjoint without this one alive
                 break
             n_backtracks += 1
             rho = rho * cfg.rho_growth if rho > 0 else 1.0

@@ -257,12 +257,12 @@ def brute_force_optimal(p: ControlProblem, noise: NoiseBank) -> BruteForceResult
     chunk = max(1, _BRUTE_FORCE_ROWS // m)
     best_j = np.inf
     best_costs = best_seq = None
-    tiled = np.tile(noise.increments, (min(chunk, total), 1, 1))
+    tiled = np.tile(noise.increments, (1, min(chunk, total), 1))
     sequences = itertools.product(range(n_act), repeat=n)
     while block := list(itertools.islice(sequences, chunk)):
         seqs = np.array(block, dtype=np.int64)
         c = seqs.shape[0]
-        bank = NoiseBank(tiled[: c * m], noise.grid)
+        bank = NoiseBank(tiled[:, : c * m], noise.grid)
         control = ControlEnsemble(np.repeat(seqs.T, m, axis=1))
         costs = cost_per_path(p, simulate_forward(p, bank, control)).reshape(c, m)
         means = costs.mean(axis=1)

@@ -7,12 +7,14 @@ scaled by sqrt(dt).  The children's seed words are computed for every
 path in one vectorised pass of SeedSequence's hash (``_child_words``)
 instead of building one SeedSequence object per path.
 
-Controls (``ControlEnsemble``) live here with the kernels that read
-them.  A control is stored step-major, one row of action indices per
-time step, and every forward kernel walks it with ``ControlEnsemble.steps``.
-A bank carries its grid and a ``StateEnsemble`` its bank and control,
-so kernels read all three from the ensemble and cannot be handed a
-mismatched set.
+Every array indexed by time step stores the step first: the bank's
+increments are (N, M, d'), the states (N + 1, M, d) and a control's
+indices (N, M), so every per-step kernel reads and writes one
+contiguous (M, ...) slab.  Controls (``ControlEnsemble``) live here
+with the kernels that read them, and every forward kernel walks a
+control with ``ControlEnsemble.steps``.  A bank carries its grid and a
+``StateEnsemble`` its bank and control, so kernels read all three from
+the ensemble and cannot be handed a mismatched set.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .problem import ControlProblem
 
 # refuse to allocate noise banks beyond this size instead of thrashing
 _MAX_BANK_BYTES = 2 ** 31
+# paths drawn per path-major block before transposing into the bank
+_NOISE_BLOCK_PATHS = 1024
 
 # numpy.random.SeedSequence's hash constants (32-bit words, pool of 4)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -66,10 +70,11 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class NoiseBank:
-    """Frozen Gaussian increments on a grid, shape (n_paths, grid.n_steps, noise_dim).
+    """Frozen Gaussian increments on a grid, shape (grid.n_steps, n_paths, noise_dim).
 
-    Each increment has mean 0 and variance grid.dt per component.  The
-    bank takes ownership of the array and makes it read-only.
+    Step-major: increments[k] is step k's contiguous (M, d') slab.  Each
+    increment has mean 0 and variance grid.dt per component.  The bank
+    takes ownership of the array and makes it read-only.
     """
 
     increments: np.ndarray
@@ -78,21 +83,22 @@ class NoiseBank:
     def __post_init__(self) -> None:
         inc = np.asarray(self.increments, dtype=float)
         if inc.ndim != 3:
-            raise ValueError("increments must have shape (M, N, noise_dim)")
-        if inc.shape[1] != self.grid.n_steps:
+            raise ValueError("increments must have shape (N, M, noise_dim)")
+        if inc.shape[0] != self.grid.n_steps:
             raise ValueError(
-                f"increments have {inc.shape[1]} steps, the grid {self.grid.n_steps}"
+                f"increments of shape {inc.shape} have {inc.shape[0]} steps in "
+                f"(N, M, noise_dim), the grid {self.grid.n_steps}"
             )
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
 
     @property
     def n_paths(self) -> int:
-        return self.increments.shape[0]
+        return self.increments.shape[1]
 
     @property
     def n_steps(self) -> int:
-        return self.increments.shape[1]
+        return self.increments.shape[0]
 
     @property
     def noise_dim(self) -> int:
@@ -154,7 +160,12 @@ def _child_words(seed: int, n_paths: int) -> np.ndarray:
 
 
 def make_noise(grid: TimeGrid, n_paths: int, noise_dim: int, seed: int) -> NoiseBank:
-    """Draw the full increment bank, one independent substream per path."""
+    """Draw the full increment bank, one independent substream per path.
+
+    A generator fills one path's contiguous (N, d') row, so paths are
+    drawn into a small path-major block and each block is transposed
+    into the step-major bank: no second full-size array is made.
+    """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if noise_dim < 1:
@@ -180,18 +191,24 @@ def make_noise(grid: TimeGrid, n_paths: int, noise_dim: int, seed: int) -> Noise
             return self.state
 
     generator, pcg64 = np.random.Generator, np.random.PCG64
-    out = np.empty((n_paths, grid.n_steps, noise_dim))
-    for i in range(n_paths):
-        generator(pcg64(_Precomputed(words[i]))).standard_normal(out=out[i])
-    out *= np.sqrt(grid.dt)
+    scale = np.sqrt(grid.dt)
+    out = np.empty((grid.n_steps, n_paths, noise_dim))
+    block = np.empty((min(n_paths, _NOISE_BLOCK_PATHS), grid.n_steps, noise_dim))
+    for start in range(0, n_paths, len(block)):
+        rows = block[: n_paths - start]
+        for i, row in enumerate(rows, start):
+            generator(pcg64(_Precomputed(words[i]))).standard_normal(out=row)
+        np.multiply(rows.transpose(1, 0, 2), scale, out=out[:, start : start + len(rows)])
     return NoiseBank(out, grid)
 
 
 @dataclass(frozen=True)
 class StateEnsemble:
-    """States simulated on a bank under a control, shape (M, N + 1, d), M and N the bank's.
+    """States simulated on a bank under a control, shape (N + 1, M, d), M and N the bank's.
 
-    The control is validated by the kernels that read it (``steps``, ``validate``).
+    Step-major: values[k] is step k's contiguous (M, d) slab.  The
+    control is validated by the kernels that read it (``steps``,
+    ``validate``).
     """
 
     values: np.ndarray
@@ -201,9 +218,9 @@ class StateEnsemble:
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
         m, n = self.noise.n_paths, self.noise.n_steps
-        if vals.ndim != 3 or vals.shape[:2] != (m, n + 1):
+        if vals.ndim != 3 or vals.shape[:2] != (n + 1, m):
             raise ValueError(
-                f"values of shape {vals.shape} do not match (M, N + 1, d) = ({m}, {n + 1}, d)"
+                f"values of shape {vals.shape} do not match (N + 1, M, d) = ({n + 1}, {m}, d)"
             )
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -214,11 +231,11 @@ class StateEnsemble:
 
     @property
     def n_paths(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[1]
 
     @property
     def n_steps(self) -> int:
-        return self.values.shape[1] - 1
+        return self.values.shape[0] - 1
 
 
 CONTROL_MODES = ("per_path", "deterministic")
@@ -271,7 +288,7 @@ class ControlEnsemble:
 
     def actions(self, points: np.ndarray, k: int, n_paths: int) -> np.ndarray:
         """Step k's action points for n_paths paths, (n_paths, m), read-only."""
-        return np.broadcast_to(points[self.by_step[k]], (n_paths, points.shape[1]))
+        return np.broadcast_to(points.take(self.by_step[k], axis=0), (n_paths, points.shape[1]))
 
     def steps(self, p: ControlProblem, noise: NoiseBank):
         """Validate against the bank once, then yield (k, float t_k, ``actions`` a_k)."""
@@ -314,13 +331,13 @@ def simulate_forward(
 
     dt = noise.grid.dt
     inc = noise.increments
-    out = np.empty((m, n + 1, d))
+    out = np.empty((n + 1, m, d))
     x = np.broadcast_to(p.initial_state, (m, d)).copy()
-    out[:, 0] = x
+    out[0] = x
     for k, t, a in control.steps(p, noise):
         b = np.asarray(p.drift(t, x, a))
         sig = np.asarray(p.diffusion(t, x, a))
-        x = x + b * dt + np.einsum("mjp,mp->mj", sig, inc[:, k])
+        x = x + b * dt + np.einsum("mjp,mp->mj", sig, inc[k])
         if not np.all(np.isfinite(x)):
             bad = int(np.where(~np.isfinite(x).all(axis=1))[0][0])
             raise SimulationError(
@@ -328,7 +345,7 @@ def simulate_forward(
                 step=k + 1,
                 path=bad,
             )
-        out[:, k + 1] = x
+        out[k + 1] = x
     return StateEnsemble(out, noise, control)
 
 
@@ -339,8 +356,8 @@ def cost_per_path(p: ControlProblem, states: StateEnsemble) -> np.ndarray:
     xs = states.values
     acc = np.zeros(m)
     for k, t, a in states.control.steps(p, states.noise):
-        acc += np.asarray(p.running_cost(t, xs[:, k], a)) * dt
-    acc += np.asarray(p.terminal_cost(xs[:, n]))
+        acc += np.asarray(p.running_cost(t, xs[k], a)) * dt
+    acc += np.asarray(p.terminal_cost(xs[n]))
     if not np.all(np.isfinite(acc)):
         bad = int(np.where(~np.isfinite(acc))[0][0])
         raise SimulationError(f"non-finite cost on path {bad}", path=bad)

@@ -133,7 +133,7 @@ def pontryagin_gaps(p, states, adjoint, control, rho, n_samples):
         sel = np.flatnonzero(kk == k)
         i = ii[sel]
         own = control.indices(k, states.n_paths)[i]
-        x, y, z = states.values[i, k], adjoint.y_values[i, k], adjoint.z_values[i, k]
+        x, y, z = states.values[k, i], adjoint.y_values[k, i], adjoint.z_values[k, i]
         vals = augmented_hamiltonian(p, float(states.grid.nodes[k]), x, y, z, own, rho)
         gaps[sel] = vals[own, np.arange(sel.size)] - vals.min(axis=0)
     return gaps

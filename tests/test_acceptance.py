@@ -171,7 +171,7 @@ def test_criterion_07b_linear_representation_matches_lsmc(suite_benches):
         states = solve_setup(p, m=10_000, n=50, rng_actions=False)
         adjoint = solve_adjoint_lsmc(p, states, RegressionBasis())
         y0_lin, se_lin = solve_adjoint_linear_y0(p, states)
-        y = adjoint.y_values[:, 0, 0]
+        y = adjoint.y_values[0, :, 0]
         se_lsmc = float(y.std(ddof=1) / math.sqrt(y.shape[0]))
         gap = abs(float(y.mean()) - float(y0_lin[0]))
         allow = 3.0 * combined_se(se_lsmc, float(se_lin[0])) + 1e-9

@@ -19,7 +19,7 @@ from msacontrol import (
 )
 from msacontrol.bsde import AdjointEnsemble
 from msacontrol.oracle import scalar_quadratic_problem
-from msacontrol.sde import ControlEnsemble, StateEnsemble
+from msacontrol.sde import ControlEnsemble, NoiseBank, StateEnsemble
 
 from references import lq_adjoint_y0
 from test_problem import make_problem
@@ -60,12 +60,12 @@ class TestRegressionBasis:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
     def test_features_equal_their_definition(self, rng, d, degree):
-        # the solver passes xs[:, k], a strided slice of the state array
-        xs = 1.0 + 3.0 * rng.normal(size=(5000, 4, d))
-        xs[:, 3, d - 1] = 2.5  # a zero-variance coordinate
+        # the solver passes xs[k], a contiguous step slab of the state array
+        xs = np.ascontiguousarray((1.0 + 3.0 * rng.normal(size=(5000, 4, d))).swapaxes(0, 1))
+        xs[3, :, d - 1] = 2.5  # a zero-variance coordinate
         basis = RegressionBasis(degree=degree)
         exps = basis.exponents(d)
-        for x in (xs[:, 1], xs[:7, 2], xs[:, 3]):
+        for x in (xs[1], xs[2, :7], xs[3]):
             mu = x.mean(axis=0)
             sd = x.std(axis=0)
             u = (x - mu) / np.where(sd > 0, sd, 1.0)
@@ -88,10 +88,40 @@ class TestAdjointEnsembleType:
 
     def test_immutable(self):
         adj = AdjointEnsemble(
-            y_values=np.zeros((2, 3, 1)), z_values=np.zeros((2, 2, 1, 1))
+            y_values=np.zeros((3, 2, 1)), z_values=np.zeros((2, 2, 1, 1))
         )
         with pytest.raises(ValueError):
             adj.y_values[0, 0, 0] = 1.0
+
+
+class TestStepMajorLayout:
+    def test_every_step_is_one_contiguous_slab(self, lq_bench):
+        p = lq_bench.problem
+        m, n = 300, 5
+        states = solve_setup(p, m=m, n=n)
+        adj = solve_adjoint_lsmc(p, states, RegressionBasis())
+        inc = states.noise.increments
+        assert inc.shape == (n, m, p.noise_dim)
+        assert states.values.shape == adj.y_values.shape == (n + 1, m, p.state_dim)
+        assert adj.z_values.shape == (n, m, p.state_dim, p.noise_dim)
+        for k in range(n + 1):
+            assert states.values[k].flags.c_contiguous
+            assert adj.y_values[k].flags.c_contiguous
+        for k in range(n):
+            assert inc[k].flags.c_contiguous
+            assert adj.z_values[k].flags.c_contiguous
+
+    def test_path_major_shapes_rejected(self, lq_bench):
+        p = lq_bench.problem
+        m, n = 7, 4
+        grid = TimeGrid(n_steps=n, horizon=p.horizon)
+        with pytest.raises(ValueError, match=r"\(N, M, noise_dim\)"):
+            NoiseBank(np.zeros((m, n, 1)), grid)
+        noise = NoiseBank(np.zeros((n, m, 1)), grid)
+        with pytest.raises(ValueError, match=r"\(N \+ 1, M, d\)"):
+            StateEnsemble(np.zeros((m, n + 1, 1)), noise, constant_control(p, m, n))
+        with pytest.raises(ValueError, match=r"\(N\+1, M, d\)"):
+            AdjointEnsemble(y_values=np.zeros((m, n + 1, 1)), z_values=np.zeros((m, n, 1, 1)))
 
 
 class TestSolveAdjointLsmc:
@@ -99,8 +129,8 @@ class TestSolveAdjointLsmc:
         p = lq_bench.problem
         states = solve_setup(p, m=400, n=10)
         adj = solve_adjoint_lsmc(p, states, RegressionBasis())
-        want = np.asarray(p.terminal_cost_grad_x(states.values[:, -1]))
-        assert np.array_equal(adj.y_values[:, -1], want)
+        want = np.asarray(p.terminal_cost_grad_x(states.values[-1]))
+        assert np.array_equal(adj.y_values[-1], want)
 
     def test_driverless_constant_y_small_z(self):
         c = 2.5
@@ -133,20 +163,20 @@ class TestSolveAdjointLsmc:
         dt = grid.dt
         h = pts[1] - pts[0]
         idx = np.zeros((n, m), dtype=int)
-        values = np.empty((m, n + 1, 1))
+        values = np.empty((n + 1, m, 1))
         x = np.full(m, lq.x0)
-        values[:, 0, 0] = x
+        values[0, :, 0] = x
         for k in range(n):
             a = np.clip(gain * x, pts[0], pts[-1])
             idx[k] = np.rint((a - pts[0]) / h).astype(int)
             a_used = pts[idx[k]]
-            x = x + (0.2 * x + a_used) * dt + 0.2 * noise.increments[:, k, 0]
-            values[:, k + 1, 0] = x
+            x = x + (0.2 * x + a_used) * dt + 0.2 * noise.increments[k, :, 0]
+            values[k + 1, :, 0] = x
         ctrl = ControlEnsemble(by_step=idx)
         states = StateEnsemble(values, noise, ctrl)
         adj = solve_adjoint_lsmc(p, states, RegressionBasis())
-        y0_mean = float(adj.y_values[:, 0, 0].mean())
-        y0_se = float(adj.y_values[:, 0, 0].std(ddof=1) / math.sqrt(m))
+        y0_mean = float(adj.y_values[0, :, 0].mean())
+        y0_se = float(adj.y_values[0, :, 0].std(ddof=1) / math.sqrt(m))
         oracle = lq_adjoint_y0(lq, horizon=1.0, action=0.0, feedback=gain)
         assert abs(y0_mean - oracle) <= 3.0 * y0_se + 0.02 * abs(oracle)
 
@@ -202,7 +232,7 @@ class TestLinearRepresentation:
             states = solve_setup(p, m=4000, n=50, rng_actions=False)
             adj = solve_adjoint_lsmc(p, states, RegressionBasis())
             y0_lin, se_lin = solve_adjoint_linear_y0(p, states)
-            y = adj.y_values[:, 0, 0]
+            y = adj.y_values[0, :, 0]
             y0_lsmc = float(y.mean())
             se_lsmc = float(y.std(ddof=1) / math.sqrt(y.shape[0]))
             gap = abs(y0_lsmc - float(y0_lin[0]))

@@ -36,8 +36,8 @@ from test_problem import quadratic_drift_problem
 
 def hand_built(prev, x, y, z, horizon=1.0):
     """States x under prev on a zero noise bank, and the adjoint (y, z)."""
-    m, n = x.shape[0], x.shape[1] - 1
-    noise = NoiseBank(np.zeros((m, n, 1)), TimeGrid(n_steps=n, horizon=horizon))
+    m, n = x.shape[1], x.shape[0] - 1
+    noise = NoiseBank(np.zeros((n, m, 1)), TimeGrid(n_steps=n, horizon=horizon))
     return StateEnsemble(x, noise, prev), AdjointEnsemble(y_values=y, z_values=z)
 
 
@@ -46,9 +46,9 @@ def flat_artifacts(prev, m, y=2.0, z=7.0, x=0.0, horizon=1.0):
     n = prev.n_steps
     return hand_built(
         prev,
-        np.full((m, n + 1, 1), float(x)),
-        np.full((m, n + 1, 1), float(y)),
-        np.full((m, n, 1, 1), float(z)),
+        np.full((n + 1, m, 1), float(x)),
+        np.full((n + 1, m, 1), float(y)),
+        np.full((n, m, 1, 1), float(z)),
         horizon,
     )
 
@@ -79,7 +79,7 @@ class TestControlEnsemble:
         p = quadratic_drift_problem()
         m, n = 5, 4
         grid = TimeGrid(n_steps=n, horizon=0.7)
-        noise = NoiseBank(np.zeros((m, n, 1)), grid)
+        noise = NoiseBank(np.zeros((n, m, 1)), grid)
         ctrl = ControlEnsemble(by_step=np.arange(n * rows).reshape(n, rows) % 3)
         walk = list(ctrl.steps(p, noise))
         assert [k for k, _, _ in walk] == list(range(n))
@@ -90,7 +90,7 @@ class TestControlEnsemble:
         bad = ControlEnsemble(by_step=np.full((n, m), 3))
         with pytest.raises(ValueError, match="out of range"):
             next(bad.steps(p, noise))
-        longer = NoiseBank(np.zeros((m, n + 1, 1)), TimeGrid(n_steps=n + 1, horizon=0.7))
+        longer = NoiseBank(np.zeros((n + 1, m, 1)), TimeGrid(n_steps=n + 1, horizon=0.7))
         with pytest.raises(ValueError, match="does not match"):
             next(ctrl.steps(p, longer))
 
@@ -233,7 +233,9 @@ class TestUpdateControl:
     def test_deterministic_mode_shares_action_per_step(self, rng):
         p = quadratic_drift_problem()
         m, n = 50, 4
-        x, y, z = (rng.normal(size=s) for s in ((m, n + 1, 1), (m, n + 1, 1), (m, n, 1, 1)))
+        x, y, z = (
+            rng.normal(size=s).swapaxes(0, 1) for s in ((m, n + 1, 1), (m, n + 1, 1), (m, n, 1, 1))
+        )
         prev = constant_control(p, m, n, mode="deterministic")
         states, adjoint = hand_built(prev, x, y, z)
         new = update_control(p, states, adjoint, rho=0.5)
@@ -298,7 +300,7 @@ class TestAdjointShape:
         noise = make_noise(TimeGrid(n_steps=n, horizon=p.horizon), m, 1, seed=3)
         states = simulate_forward(p, noise, constant_control(p, m, n))
         adjoint = AdjointEnsemble(
-            y_values=np.ones((paths, steps + 1, 1)), z_values=np.ones((paths, steps, 1, 1))
+            y_values=np.ones((steps + 1, paths, 1)), z_values=np.ones((steps, paths, 1, 1))
         )
         calls = {
             "adjoint_residual": lambda: adjoint_residual(p, states, adjoint),
@@ -323,7 +325,9 @@ class TestComputeMu:
         p = quadratic_drift_problem()
         m, n = 40, 4
         rng = np.random.default_rng(seed)
-        x, y, z = (rng.normal(size=s) for s in ((m, n + 1, 1), (m, n + 1, 1), (m, n, 1, 1)))
+        x, y, z = (
+            rng.normal(size=s).swapaxes(0, 1) for s in ((m, n + 1, 1), (m, n + 1, 1), (m, n, 1, 1))
+        )
         prev = ControlEnsemble(by_step=rng.integers(0, 3, size=(m, n)).T)
         states, adjoint = hand_built(prev, x, y, z)
         new = update_control(p, states, adjoint, rho=rho)
@@ -402,7 +406,9 @@ class TestPontryaginCertificate:
     def test_update_certifies_its_own_argmin(self, rng):
         p = quadratic_drift_problem()
         m, n = 60, 5
-        x, y, z = (rng.normal(size=s) for s in ((m, n + 1, 1), (m, n + 1, 1), (m, n, 1, 1)))
+        x, y, z = (
+            rng.normal(size=s).swapaxes(0, 1) for s in ((m, n + 1, 1), (m, n + 1, 1), (m, n, 1, 1))
+        )
         states, adjoint = hand_built(constant_control(p, m, n), x, y, z)
         new = update_control(p, states, adjoint, rho=0.0)
         gaps = pontryagin_gaps(p, states, adjoint, new, rho=0.0, n_samples=400)

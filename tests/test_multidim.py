@@ -97,7 +97,7 @@ def test_linear_representation_matches_lsmc_per_component():
     states = solve_setup(planar, m=4000, n=20, rng_actions=False)
     adj = solve_adjoint_lsmc(planar, states, MsaConfig().basis)
     y0_lin, se_lin = solve_adjoint_linear_y0(planar, states)
-    y = adj.y_values[:, 0, :]
+    y = adj.y_values[0]
     for i in range(planar.state_dim):
         se_lsmc = float(y[:, i].std(ddof=1) / math.sqrt(y.shape[0]))
         gap = abs(float(y[:, i].mean()) - float(y0_lin[i]))

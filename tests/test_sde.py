@@ -66,7 +66,7 @@ class TestMakeNoise:
         m = 100_000
         g = TimeGrid(n_steps=1, horizon=0.01)
         bank = make_noise(g, m, 1, seed=7)
-        inc = bank.increments[:, 0, 0]
+        inc = bank.increments[0, :, 0]
         dt = g.dt
         assert abs(inc.mean()) <= 4.0 * math.sqrt(dt) / math.sqrt(m)
         assert abs(inc.var() - dt) <= 0.05 * dt
@@ -76,7 +76,7 @@ class TestMakeNoise:
         g = TimeGrid(n_steps=3, horizon=1.0)
         small = make_noise(g, 4, 2, seed=9)
         large = make_noise(g, 8, 2, seed=9)
-        assert np.array_equal(small.increments, large.increments[:4])
+        assert np.array_equal(small.increments, large.increments[:, :4])
 
     def test_immutable(self):
         g = TimeGrid(n_steps=2, horizon=1.0)
@@ -108,11 +108,11 @@ class TestMakeNoise:
 
 def spawned_bank(grid, n_paths, noise_dim, seed):
     """The bank as numpy's own SeedSequence.spawn streams, path by path."""
-    out = np.empty((n_paths, grid.n_steps, noise_dim))
+    out = np.empty((grid.n_steps, n_paths, noise_dim))
     children = np.random.SeedSequence(seed).spawn(n_paths)
     for i, child in enumerate(children):
         rng = np.random.Generator(np.random.PCG64(child))
-        out[i] = np.sqrt(grid.dt) * rng.standard_normal((grid.n_steps, noise_dim))
+        out[:, i] = np.sqrt(grid.dt) * rng.standard_normal((grid.n_steps, noise_dim))
     return out
 
 
@@ -125,7 +125,8 @@ class TestNoiseStream:
     @pytest.mark.parametrize("seed", SEEDS, ids=repr)
     def test_bank_is_spawned_stream(self, seed):
         g = TimeGrid(n_steps=7, horizon=0.3)
-        for n_paths, noise_dim in ((1000, 1), (300, 2), (57, 3)):
+        # 2049 paths cross two edges of make_noise's 1024-path blocks
+        for n_paths, noise_dim in ((1000, 1), (300, 2), (57, 3), (2049, 2)):
             bank = make_noise(g, n_paths, noise_dim, seed=seed)
             ref = spawned_bank(g, n_paths, noise_dim, seed)
             assert np.array_equal(bank.increments.view(np.uint64), ref.view(np.uint64))
@@ -194,7 +195,7 @@ class TestSimulateForward:
         noise = make_noise(g, 3, 1, seed=3)
         ctrl = constant_control(p, 3, 4)
         states = simulate_forward(p, noise, ctrl)
-        assert np.all(states.values[:, -1, 0] == 1.5)
+        assert np.all(states.values[-1, :, 0] == 1.5)
 
     def test_geometric_dynamics_mean(self):
         beta, nu, x0, horizon = 0.1, 0.2, 1.0, 1.0
@@ -221,7 +222,7 @@ class TestSimulateForward:
         noise = make_noise(g, m, 1, seed=11)
         ctrl = constant_control(p, m, 100)
         states = simulate_forward(p, noise, ctrl)
-        xt = states.values[:, -1, 0]
+        xt = states.values[-1, :, 0]
         mean, se = mean_and_se(xt)
         assert abs(mean - x0 * math.exp(beta * horizon)) <= 3.0 * se
 
@@ -231,7 +232,7 @@ class TestSimulateForward:
         noise = make_noise(g, 7, 1, seed=5)
         ctrl = constant_control(p, 7, 5)
         states = simulate_forward(p, noise, ctrl)
-        assert np.all(states.values[:, 0] == p.initial_state)
+        assert np.all(states.values[0] == p.initial_state)
 
     def test_bitwise_reproducible_and_worker_invariant(self, lq_bench):
         p = lq_bench.problem
@@ -279,11 +280,11 @@ class TestSimulateForward:
         with pytest.raises(ValueError, match="steps"):
             NoiseBank(noise.increments, short)
         states = simulate_forward(p, noise, constant_control(p, 4, 5))
-        short_bank = NoiseBank(noise.increments[:, :4], short)
+        short_bank = NoiseBank(noise.increments[:4], short)
         with pytest.raises(ValueError, match="do not match"):
             StateEnsemble(states.values, short_bank, constant_control(p, 4, 4))
         with pytest.raises(ValueError, match="do not match"):
-            StateEnsemble(states.values[:3], noise, states.control)
+            StateEnsemble(states.values[:, :3], noise, states.control)
 
 
 class TestEstimateCost:
@@ -333,7 +334,7 @@ class TestEstimateCost:
             a = np.clip(sol.feedback_gain(t) * x, pts[0], pts[-1])
             idx[k] = np.rint((a - pts[0]) / (pts[1] - pts[0])).astype(int)
             a_used = pts[idx[k]]
-            x = x + (0.2 * x + a_used) * dt + 0.2 * noise.increments[:, k, 0]
+            x = x + (0.2 * x + a_used) * dt + 0.2 * noise.increments[k, :, 0]
         ctrl = ControlEnsemble(by_step=idx)
         states = simulate_forward(p, noise, ctrl)
         est, se = mean_and_se(cost_per_path(p, states))
