@@ -6,9 +6,11 @@ in the backward sweep are least-squares projections onto a polynomial
 basis of the state (regression per time step, single deterministic
 reduction).  An independent check of Y_0 comes from the explicit
 representation through the fundamental solution of the linearised state
-equation, which needs no conditional expectations at t = 0.  Kernels read
-grid, increments and control from the ``StateEnsemble`` they are given.
-The adjoint is stored step-major like the states and the bank, so every
+equation, which needs no conditional expectations at t = 0.  Each kernel
+takes one ensemble and reads the problem, grid, increments and control
+from it: the solvers a ``StateEnsemble``, ``adjoint_residual`` an
+``AdjointEnsemble``, which carries the states it was solved along.  The
+adjoint is stored step-major like the states and the bank, so every
 step of a sweep reads one contiguous (M, ...) slab of each.
 """
 
@@ -21,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .problem import ControlProblem, hamiltonian_grad_x
+from .problem import hamiltonian_grad_x
 from .sde import StateEnsemble, mean_and_se
 
 
@@ -96,34 +98,30 @@ class RegressionBasis:
 
 @dataclass(frozen=True)
 class AdjointEnsemble:
-    """Adjoint values, step-major: y (N+1, M, d) and z (N, M, d, d').
+    """The adjoint solved along states, step-major: y (N+1, M, d) and z (N, M, d, d').
 
-    y_values[k] and z_values[k] are step k's contiguous slabs.
+    y_values[k] and z_values[k] are step k's contiguous slabs.  The
+    constructor checks both shapes against the states' N, M, d and d'.
     """
 
     y_values: np.ndarray
     z_values: np.ndarray
+    states: StateEnsemble
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y_values, dtype=float)
         z = np.asarray(self.z_values, dtype=float)
-        if y.ndim != 3 or z.ndim != 4 or (y.shape[0] - 1, *y.shape[1:]) != z.shape[:3]:
+        s = self.states
+        n, m, d, dn = s.n_steps, s.n_paths, s.problem.state_dim, s.problem.noise_dim
+        if y.shape != (n + 1, m, d) or z.shape != (n, m, d, dn):
             raise ValueError(
-                f"y {y.shape} must be (N+1, M, d) and z {z.shape} must be (N, M, d, d')"
+                f"adjoint shapes y {y.shape}, z {z.shape} do not match (N+1, M, d) = "
+                f"{(n + 1, m, d)} and (N, M, d, d') = {(n, m, d, dn)}"
             )
         y.setflags(write=False)
         z.setflags(write=False)
         object.__setattr__(self, "y_values", y)
         object.__setattr__(self, "z_values", z)
-
-    def validate(self, n_paths: int, n_steps: int) -> None:
-        """Raise ValueError unless this adjoint fits M paths and N steps."""
-        y, z = self.y_values.shape, self.z_values.shape
-        if y[:2] != (n_steps + 1, n_paths) or z[:2] != (n_steps, n_paths):
-            raise ValueError(
-                f"adjoint shapes y {y}, z {z} do not match (N + 1, M) and (N, M) "
-                f"for (N, M) = ({n_steps}, {n_paths})"
-            )
 
 
 def _ridge_solve(gram: np.ndarray, phi: np.ndarray, targets: np.ndarray, step: int):
@@ -136,9 +134,7 @@ def _ridge_solve(gram: np.ndarray, phi: np.ndarray, targets: np.ndarray, step: i
     return coef
 
 
-def solve_adjoint_lsmc(
-    p: ControlProblem, states: StateEnsemble, basis: RegressionBasis
-) -> AdjointEnsemble:
+def solve_adjoint_lsmc(states: StateEnsemble, basis: RegressionBasis) -> AdjointEnsemble:
     """Backward induction for the adjoint pair along the states, under their control.
 
     Y_N = grad g(X_N); for k = N-1 .. 0:
@@ -150,8 +146,8 @@ def solve_adjoint_lsmc(
     unchanged (E[Yhat_k dW | X_k] = 0) and removes the dominant noise
     term, so a driverless problem yields Z = 0 up to the ridge bias.
     """
+    p, xs, inc = states.problem, states.values, states.noise.increments
     m, n, d, dn = states.n_paths, states.n_steps, p.state_dim, p.noise_dim
-    states.control.validate(m, n, p.action_space.n_actions)
     n_basis = basis.n_functions(d)
     if n_basis > m / 10:
         raise RegressionError(
@@ -162,8 +158,6 @@ def solve_adjoint_lsmc(
     dt = states.grid.dt
     nodes = states.grid.nodes
     points = p.action_space.points
-    xs = states.values
-    inc = states.noise.increments
 
     y = np.empty((n + 1, m, d))
     z = np.empty((n, m, d, dn))
@@ -191,22 +185,19 @@ def solve_adjoint_lsmc(
         if not (np.all(np.isfinite(y[k])) and np.all(np.isfinite(z_k))):
             raise RegressionError(f"non-finite adjoint values at step {k}")
         z[k] = z_k
-    return AdjointEnsemble(y_values=y, z_values=z)
+    return AdjointEnsemble(y, z, states)
 
 
-def solve_adjoint_linear_y0(
-    p: ControlProblem, states: StateEnsemble
-) -> tuple[np.ndarray, np.ndarray]:
+def solve_adjoint_linear_y0(states: StateEnsemble) -> tuple[np.ndarray, np.ndarray]:
     """Plain Monte-Carlo estimate of Y_0 from the explicit representation.
 
     Y_0 = E[ S_T grad g(X_T) + sum_k S_{t_k} grad_x f(t_k, X_k, a_k) dt ]
     with S the fundamental solution started at the identity.  Returns
     (estimate, standard error), both d-vectors.
     """
+    p, xs, inc = states.problem, states.values, states.noise.increments
     m, n, d = states.n_paths, states.n_steps, p.state_dim
     dt = states.grid.dt
-    xs = states.values
-    inc = states.noise.increments
 
     s = np.broadcast_to(np.eye(d), (m, d, d)).copy()
     contrib = np.zeros((m, d))
@@ -231,21 +222,16 @@ def solve_adjoint_linear_y0(
     return mean_and_se(contrib)
 
 
-def adjoint_residual(
-    p: ControlProblem, states: StateEnsemble, adjoint: AdjointEnsemble
-) -> float:
+def adjoint_residual(adjoint: AdjointEnsemble) -> float:
     """Mean-square one-step backward residual, averaged over paths and steps.
 
     residual = E (1/N) sum_k |Y_{k+1} - Y_k + dt grad_x H(t_k, X_k, Y_k,
     Z_k, a_k) - Z_k dW_k|^2.
     """
+    states, y, z = adjoint.states, adjoint.y_values, adjoint.z_values
+    p, xs, inc = states.problem, states.values, states.noise.increments
     m, n = states.n_paths, states.n_steps
-    adjoint.validate(m, n)
     dt = states.grid.dt
-    xs = states.values
-    inc = states.noise.increments
-    y = adjoint.y_values
-    z = adjoint.z_values
 
     acc = np.zeros(m)
     for k, t, a in states.control.steps(p, states.noise):

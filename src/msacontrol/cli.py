@@ -222,11 +222,11 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def _centroid_solve(p: ControlProblem, n_paths: int, msa: MsaConfig):
-    """Forward paths and LSMC adjoint under the constant centroid control."""
+    """LSMC adjoint along the forward paths of the constant centroid control."""
     grid = TimeGrid(n_steps=msa.n_steps, horizon=p.horizon)
     noise = make_noise(grid, n_paths, p.noise_dim, msa.seed)
     states = simulate_forward(p, noise, constant_control(p, n_paths, grid.n_steps, mode=msa.control_mode))
-    return states, solve_adjoint_lsmc(p, states, msa.basis)
+    return solve_adjoint_lsmc(states, msa.basis)
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -240,17 +240,17 @@ def cmd_validate(cfg: RunConfig) -> int:
         checks.append((f"derivative:{key}", err <= cfg.validate_tolerance, f"max_rel_err={err:.3e}"))
 
     dp = driverless_problem(1.0)
-    states, adjoint = _centroid_solve(dp, min(cfg.msa.n_paths, 4000), cfg.msa)
+    adjoint = _centroid_solve(dp, min(cfg.msa.n_paths, 4000), cfg.msa)
     y_dev = float(np.max(np.abs(adjoint.y_values - 1.0)))
     z_max = float(np.max(np.abs(adjoint.z_values)))
-    resid = adjoint_residual(dp, states, adjoint)
+    resid = adjoint_residual(adjoint)
     checks.append(("driverless:y_constant", y_dev <= 1e-5, f"max|Y-1|={y_dev:.3e}"))
     checks.append(("driverless:z_small", z_max <= 1e-2, f"max|Z|={z_max:.3e}"))
     checks.append(("driverless:residual", resid <= 1e-8, f"residual={resid:.3e}"))
 
-    states, adjoint = _centroid_solve(p, cfg.msa.n_paths, cfg.msa)
+    adjoint = _centroid_solve(p, cfg.msa.n_paths, cfg.msa)
     y0_lsmc = adjoint.y_values[0].mean(axis=0)
-    y0_lin, y0_se = solve_adjoint_linear_y0(p, states)
+    y0_lin, y0_se = solve_adjoint_linear_y0(adjoint.states)
     gap = np.abs(y0_lsmc - y0_lin)
     allow = 3.0 * y0_se + 1e-9
     checks.append(

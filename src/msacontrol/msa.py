@@ -20,8 +20,11 @@ table comes from ``augmented_hamiltonian`` or, for a problem with
 of the action terms plus a (previous, candidate) penalty table; one
 helper applies the tie rule to either.  Controls and the kernels that
 read them live in ``sde.py``; this module reads a control by step row.
-An iterate is one ``StateEnsemble``, whose control is the ``prev`` that
-the update and mu are penalised and measured against.
+An iterate is one ``AdjointEnsemble``: it carries the ``StateEnsemble``
+it was solved along, which carries its problem, bank and control, so
+``update_control(adjoint, rho)`` and ``compute_mu(adjoint, new)`` take
+no other input, and the states' control is the ``prev`` that both are
+penalised and measured against.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .problem import ControlProblem, _check_finite, augmented_hamiltonian, hamil
 from .sde import (
     CONTROL_MODES,
     ControlEnsemble,
-    StateEnsemble,
     TimeGrid,
     constant_control,
     cost_per_path,
@@ -138,10 +140,8 @@ class IterationTrace:
         return accepted[-1] if accepted else float("nan")
 
 
-def update_control(
-    p: ControlProblem, states: StateEnsemble, adjoint: AdjointEnsemble, rho: float
-) -> ControlEnsemble:
-    """Pointwise argmin of the augmented Hamiltonian against prev = states.control.
+def update_control(adjoint: AdjointEnsemble, rho: float) -> ControlEnsemble:
+    """Pointwise argmin of the augmented Hamiltonian against prev = adjoint.states.control.
 
     Ties keep the previous action when it attains the minimum, else the
     lowest action index wins.  For a deterministic (one-column) prev the
@@ -150,12 +150,10 @@ def update_control(
     """
     if not 0 <= rho < np.inf:
         raise ValueError(f"rho must be nonnegative and finite, got {rho}")
-    prev = states.control
-    prev.validate(states.n_paths, states.n_steps, p.action_space.n_actions)
-    adjoint.validate(states.n_paths, states.n_steps)
-    producer = _hamiltonian_values if p.action_terms is None else _term_values
+    prev = adjoint.states.control
+    producer = _hamiltonian_values if adjoint.states.problem.action_terms is None else _term_values
     new_idx = np.empty_like(prev.by_step)
-    for k, vals in producer(p, states, adjoint, rho):
+    for k, vals in producer(adjoint, rho):
         new_idx[k] = _keep_or_lowest(vals, prev.by_step[k])
         del vals  # no table outlives its step while the producer builds the next
     return ControlEnsemble(new_idx)
@@ -173,9 +171,10 @@ def _keep_or_lowest(vals, prev):
     return np.where(at_prev == mins, prev, lowest)
 
 
-def _hamiltonian_values(p, states, adjoint, rho):
+def _hamiltonian_values(adjoint, rho):
     """Per step k, (k, the augmented Hamiltonian), (actions, paths) or path mean."""
-    m, prev = states.n_paths, states.control
+    states = adjoint.states
+    p, m, prev = states.problem, states.n_paths, states.control
     times = states.grid.nodes.tolist()
     for k in range(prev.n_steps):
         x, y, z = states.values[k], adjoint.y_values[k], adjoint.z_values[k]
@@ -183,7 +182,7 @@ def _hamiltonian_values(p, states, adjoint, rho):
         yield k, (vals.mean(axis=1, keepdims=True) if prev.shared else vals)
 
 
-def _term_values(p, states, adjoint, rho):
+def _term_values(adjoint, rho):
     """Per step k, (k, the same argmin's values from the action terms alone).
 
     Under the ActionTerms contract H(a) = [y, vec z] . C_a + f2(a) plus
@@ -191,12 +190,10 @@ def _term_values(p, states, adjoint, rho):
     part of the penalty vanishes, so the penalty against the previous
     action is the table (rho/2) |C_a - C_prev|^2.
     """
-    terms = p.action_terms
-    points = p.action_space.points
-    m, d, prev = states.n_paths, p.state_dim, states.control
+    states, ys, zs = adjoint.states, adjoint.y_values, adjoint.z_values
+    p, m, prev = states.problem, states.n_paths, states.control
+    terms, points, d = p.action_terms, p.action_space.points, p.state_dim
     times = states.grid.nodes.tolist()
-    ys = adjoint.y_values
-    zs = adjoint.z_values
     w = np.empty((d + d * p.noise_dim, m))  # [y, vec z] per path, transposed
     for k in range(prev.n_steps):
         t = times[k]
@@ -218,16 +215,15 @@ def _term_values(p, states, adjoint, rho):
         yield k, vals
 
 
-def compute_mu(
-    p: ControlProblem, states: StateEnsemble, adjoint: AdjointEnsemble, new: ControlEnsemble
-) -> tuple[float, float]:
+def compute_mu(adjoint: AdjointEnsemble, new: ControlEnsemble) -> tuple[float, float]:
     """Estimate of E sum_k [H(new_k) - H(prev_k)] dt with standard error.
 
-    Evaluated along the states and adjoint of prev = states.control, so
-    the value is the integrated Hamiltonian decrease of the update.
+    Evaluated along the adjoint and its states, prev = adjoint.states.control,
+    so the value is the integrated Hamiltonian decrease of the update.
     """
-    m, noise = states.n_paths, states.noise
-    adjoint.validate(m, states.n_steps)
+    states = adjoint.states
+    p, noise, m = states.problem, states.noise, states.n_paths
+    new.validate(m, states.n_steps, p.action_space.n_actions)
     dt = states.grid.dt
     acc = np.zeros(m)
     for (k, t, a_new), (_, _, a_prev) in zip(new.steps(p, noise), states.control.steps(p, noise)):
@@ -250,24 +246,24 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
         p, noise, constant_control(p, cfg.n_paths, cfg.n_steps, mode=cfg.control_mode)
     )
     trace = IterationTrace()
-    costs = cost_per_path(p, states)
+    costs = cost_per_path(states)
     j_cur, j_se = mean_and_se(costs)
     trace.initial_cost, trace.initial_cost_se = j_cur, j_se
 
     rho = cfg.rho_initial
     for n in range(1, cfg.max_iterations + 1):
-        adjoint = solve_adjoint_lsmc(p, states, cfg.basis)
+        adjoint = solve_adjoint_lsmc(states, cfg.basis)
         n_backtracks = 0
         while True:
-            candidate = update_control(p, states, adjoint, rho)
+            candidate = update_control(adjoint, rho)
             if np.array_equal(candidate.by_step, states.control.by_step):
                 # argmin keeps every action: mu = 0 and nothing can move
                 trace.add_row(n, j_cur, j_se, 0.0, 0.0, rho, n_backtracks, True)
                 trace.status = "fixed_point"
                 return states.control, trace
-            mu, mu_se = compute_mu(p, states, adjoint, candidate)
+            mu, mu_se = compute_mu(adjoint, candidate)
             cand_states = simulate_forward(p, noise, candidate)
-            cand_costs = cost_per_path(p, cand_states)
+            cand_costs = cost_per_path(cand_states)
             diff = cand_costs - costs
             dj, dj_se = mean_and_se(diff)
             if cfg.classical or dj <= 3.0 * dj_se:
@@ -281,7 +277,7 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
                 if abs(dj) <= cfg.tol_dj:
                     trace.status = "converged_dj"
                     return states.control, trace
-                del adjoint  # the next solve builds its adjoint without this one alive
+                del adjoint  # it holds the superseded states: the next solve runs without either
                 break
             n_backtracks += 1
             rho = rho * cfg.rho_growth if rho > 0 else 1.0

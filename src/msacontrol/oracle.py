@@ -264,7 +264,7 @@ def brute_force_optimal(p: ControlProblem, noise: NoiseBank) -> BruteForceResult
         c = seqs.shape[0]
         bank = NoiseBank(tiled[:, : c * m], noise.grid)
         control = ControlEnsemble(np.repeat(seqs.T, m, axis=1))
-        costs = cost_per_path(p, simulate_forward(p, bank, control)).reshape(c, m)
+        costs = cost_per_path(simulate_forward(p, bank, control)).reshape(c, m)
         means = costs.mean(axis=1)
         j = int(means.argmin())
         if means[j] < best_j:

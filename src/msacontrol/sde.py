@@ -12,9 +12,10 @@ increments are (N, M, d'), the states (N + 1, M, d) and a control's
 indices (N, M), so every per-step kernel reads and writes one
 contiguous (M, ...) slab.  Controls (``ControlEnsemble``) live here
 with the kernels that read them, and every forward kernel walks a
-control with ``ControlEnsemble.steps``.  A bank carries its grid and a
-``StateEnsemble`` its bank and control, so kernels read all three from
-the ensemble and cannot be handed a mismatched set.
+control with ``ControlEnsemble.steps``.  A bank carries its grid, and a
+``StateEnsemble`` the problem, bank and control it was simulated with;
+its constructor checks the four against each other, so ``cost_per_path``
+takes the states alone and no kernel re-checks what it reads from them.
 """
 
 from __future__ import annotations
@@ -204,24 +205,30 @@ def make_noise(grid: TimeGrid, n_paths: int, noise_dim: int, seed: int) -> Noise
 
 @dataclass(frozen=True)
 class StateEnsemble:
-    """States simulated on a bank under a control, shape (N + 1, M, d), M and N the bank's.
+    """States of a problem simulated on a bank under a control, shape (N + 1, M, d).
 
     Step-major: values[k] is step k's contiguous (M, d) slab.  The
-    control is validated by the kernels that read it (``steps``,
-    ``validate``).
+    constructor checks d against the problem, M and N against the bank,
+    the bank's d' against the problem and the control against all three,
+    so a kernel that reads an ensemble need not check it again.
     """
 
     values: np.ndarray
+    problem: ControlProblem
     noise: NoiseBank
     control: ControlEnsemble
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
-        m, n = self.noise.n_paths, self.noise.n_steps
-        if vals.ndim != 3 or vals.shape[:2] != (n + 1, m):
+        p, (n, m, dn) = self.problem, self.noise.increments.shape
+        if vals.shape != (n + 1, m, p.state_dim):
             raise ValueError(
-                f"values of shape {vals.shape} do not match (N + 1, M, d) = ({n + 1}, {m}, d)"
+                f"values of shape {vals.shape} do not match (N + 1, M, d) = "
+                f"({n + 1}, {m}, {p.state_dim})"
             )
+        if dn != p.noise_dim:
+            raise ValueError(f"bank noise dimension {dn} is not the problem's {p.noise_dim}")
+        self.control.validate(m, n, p.action_space.n_actions)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -291,10 +298,8 @@ class ControlEnsemble:
         return np.broadcast_to(points.take(self.by_step[k], axis=0), (n_paths, points.shape[1]))
 
     def steps(self, p: ControlProblem, noise: NoiseBank):
-        """Validate against the bank once, then yield (k, float t_k, ``actions`` a_k)."""
-        points = p.action_space.points
-        m = noise.n_paths
-        self.validate(m, noise.n_steps, len(points))
+        """Yield (k, float t_k, ``actions`` a_k) on the bank's grid; the caller validates."""
+        points, m = p.action_space.points, noise.n_paths
         for k, t in enumerate(noise.grid.nodes[:-1].tolist()):
             yield k, t, self.actions(points, k, m)
 
@@ -326,8 +331,10 @@ def simulate_forward(
     X_{k+1} = X_k + b(t_k, X_k, a_k) dt + sigma(t_k, X_k, a_k) dW_k.
     """
     m, n, d = noise.n_paths, noise.n_steps, p.state_dim
+    # checked before the walk, which would fail on a mismatch part-way through
     if noise.noise_dim != p.noise_dim:
         raise ValueError("noise bank dimension does not match the problem")
+    control.validate(m, n, p.action_space.n_actions)
 
     dt = noise.grid.dt
     inc = noise.increments
@@ -346,18 +353,17 @@ def simulate_forward(
                 path=bad,
             )
         out[k + 1] = x
-    return StateEnsemble(out, noise, control)
+    return StateEnsemble(out, p, noise, control)
 
 
-def cost_per_path(p: ControlProblem, states: StateEnsemble) -> np.ndarray:
+def cost_per_path(states: StateEnsemble) -> np.ndarray:
     """Per-path cost sum_k f(t_k, X_k, a_k) dt + g(X_N), left-endpoint rule."""
-    m, n = states.n_paths, states.n_steps
+    p, xs = states.problem, states.values
     dt = states.grid.dt
-    xs = states.values
-    acc = np.zeros(m)
+    acc = np.zeros(states.n_paths)
     for k, t, a in states.control.steps(p, states.noise):
         acc += np.asarray(p.running_cost(t, xs[k], a)) * dt
-    acc += np.asarray(p.terminal_cost(xs[n]))
+    acc += np.asarray(p.terminal_cost(xs[states.n_steps]))
     if not np.all(np.isfinite(acc)):
         bad = int(np.where(~np.isfinite(acc))[0][0])
         raise SimulationError(f"non-finite cost on path {bad}", path=bad)

@@ -117,14 +117,16 @@ def check_recursive_bound(seq, q: float) -> RecursiveBoundCheck:
     )
 
 
-def pontryagin_gaps(p, states, adjoint, control, rho, n_samples):
+def pontryagin_gaps(adjoint, control, rho, n_samples):
     """Gaps H~(a*, a*) - min_a H~(a*, a) at sampled (path, step) pairs.
 
     H~(a*, a) is the augmented Hamiltonian of action a penalised against
-    the control's own action a*, so each gap is nonnegative and zero
-    exactly where a* is the penalised argmin against itself.  The pairs
-    are drawn from default_rng(0), paths first, then steps.
+    the control's own action a*, along the adjoint and the states it
+    carries, so each gap is nonnegative and zero exactly where a* is the
+    penalised argmin against itself.  The pairs are drawn from
+    default_rng(0), paths first, then steps.
     """
+    states = adjoint.states
     rng = np.random.default_rng(0)
     ii = rng.integers(0, states.n_paths, size=n_samples)
     kk = rng.integers(0, control.n_steps, size=n_samples)
@@ -134,6 +136,8 @@ def pontryagin_gaps(p, states, adjoint, control, rho, n_samples):
         i = ii[sel]
         own = control.indices(k, states.n_paths)[i]
         x, y, z = states.values[k, i], adjoint.y_values[k, i], adjoint.z_values[k, i]
-        vals = augmented_hamiltonian(p, float(states.grid.nodes[k]), x, y, z, own, rho)
+        vals = augmented_hamiltonian(
+            states.problem, float(states.grid.nodes[k]), x, y, z, own, rho
+        )
         gaps[sel] = vals[own, np.arange(sel.size)] - vals.min(axis=0)
     return gaps

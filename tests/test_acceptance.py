@@ -153,7 +153,7 @@ def test_criterion_06_classical_jumps_modified_descends(stress_classical_run, st
 def test_criterion_07a_driverless_adjoint_is_constant(lq_bench):
     p = driverless_problem(2.5)
     states = solve_setup(p, m=10_000, n=50, rng_actions=False)
-    adjoint = solve_adjoint_lsmc(p, states, RegressionBasis())
+    adjoint = solve_adjoint_lsmc(states, RegressionBasis())
     y_dev = float(np.max(np.abs(adjoint.y_values - 2.5)))
     z_max = float(np.max(np.abs(adjoint.z_values)))
     emit(
@@ -169,8 +169,8 @@ def test_criterion_07b_linear_representation_matches_lsmc(suite_benches):
     for bench in suite_benches:
         p = bench.problem
         states = solve_setup(p, m=10_000, n=50, rng_actions=False)
-        adjoint = solve_adjoint_lsmc(p, states, RegressionBasis())
-        y0_lin, se_lin = solve_adjoint_linear_y0(p, states)
+        adjoint = solve_adjoint_lsmc(states, RegressionBasis())
+        y0_lin, se_lin = solve_adjoint_linear_y0(states)
         y = adjoint.y_values[0, :, 0]
         se_lsmc = float(y.std(ddof=1) / math.sqrt(y.shape[0]))
         gap = abs(float(y.mean()) - float(y0_lin[0]))
@@ -185,8 +185,8 @@ def test_criterion_07c_residual_stable_under_step_doubling(lq_bench):
     residuals = {}
     for n in (50, 100):
         states = solve_setup(p, m=10_000, n=n, rng_actions=False)
-        adjoint = solve_adjoint_lsmc(p, states, RegressionBasis())
-        residuals[n] = adjoint_residual(p, states, adjoint)
+        adjoint = solve_adjoint_lsmc(states, RegressionBasis())
+        residuals[n] = adjoint_residual(adjoint)
     emit(
         "07c",
         residuals[100] <= 1.10 * residuals[50],
@@ -201,9 +201,9 @@ def test_criterion_08_pontryagin_certificate_after_convergence(lq_bench, lq_run)
     grid = TimeGrid(n_steps=cfg.n_steps, horizon=p.horizon)
     noise = make_noise(grid, cfg.n_paths, p.noise_dim, cfg.seed)
     states = simulate_forward(p, noise, control)
-    adjoint = solve_adjoint_lsmc(p, states, cfg.basis)
+    adjoint = solve_adjoint_lsmc(states, cfg.basis)
     rho = trace.rhos[-1]
-    gaps = pontryagin_gaps(p, states, adjoint, control, rho=rho, n_samples=10_000)
+    gaps = pontryagin_gaps(adjoint, control, rho=rho, n_samples=10_000)
     violation_fraction = float(np.mean(gaps > TOL_MU))
     emit(
         "08",

@@ -78,18 +78,38 @@ class TestRegressionBasis:
         p = lq_bench.problem
         states = solve_setup(p, m=20, n=4)
         with pytest.raises(RegressionError):
-            solve_adjoint_lsmc(p, states, RegressionBasis(degree=9))
+            solve_adjoint_lsmc(states, RegressionBasis(degree=9))
 
 
 class TestAdjointEnsembleType:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            AdjointEnsemble(y_values=np.zeros((3, 4)), z_values=np.zeros((3, 3, 1, 1)))
+    def test_shape_validation(self, lq_bench):
+        states = solve_setup(lq_bench.problem, m=4, n=3)
+        with pytest.raises(ValueError, match="adjoint shapes"):
+            AdjointEnsemble(np.zeros((3, 4)), np.zeros((3, 3, 1, 1)), states)
 
-    def test_immutable(self):
-        adj = AdjointEnsemble(
-            y_values=np.zeros((3, 2, 1)), z_values=np.zeros((2, 2, 1, 1))
-        )
+    @pytest.mark.parametrize(
+        "y_shape, z_shape",
+        [
+            ((4, 5, 1), (3, 4, 1, 1)),
+            ((3, 4, 1), (3, 4, 1, 1)),
+            ((4, 4, 2), (3, 4, 1, 1)),
+            ((4, 4, 1), (3, 5, 1, 1)),
+            ((4, 4, 1), (4, 4, 1, 1)),
+            ((4, 4, 1), (3, 4, 2, 1)),
+            ((4, 4, 1), (3, 4, 1, 2)),
+        ],
+        ids=["y_paths", "y_steps", "y_dim", "z_paths", "z_steps", "z_dim", "z_noise_dim"],
+    )
+    def test_constructor_checks_both_shapes_against_the_states(self, lq_bench, y_shape, z_shape):
+        # the states have N = 3, M = 4 and d = d' = 1
+        states = solve_setup(lq_bench.problem, m=4, n=3)
+        AdjointEnsemble(np.zeros((4, 4, 1)), np.zeros((3, 4, 1, 1)), states)
+        with pytest.raises(ValueError, match=r"adjoint shapes .* \(N\+1, M, d\) = \(4, 4, 1\)"):
+            AdjointEnsemble(np.zeros(y_shape), np.zeros(z_shape), states)
+
+    def test_immutable(self, lq_bench):
+        states = solve_setup(lq_bench.problem, m=2, n=2)
+        adj = AdjointEnsemble(np.zeros((3, 2, 1)), np.zeros((2, 2, 1, 1)), states)
         with pytest.raises(ValueError):
             adj.y_values[0, 0, 0] = 1.0
 
@@ -99,7 +119,7 @@ class TestStepMajorLayout:
         p = lq_bench.problem
         m, n = 300, 5
         states = solve_setup(p, m=m, n=n)
-        adj = solve_adjoint_lsmc(p, states, RegressionBasis())
+        adj = solve_adjoint_lsmc(states, RegressionBasis())
         inc = states.noise.increments
         assert inc.shape == (n, m, p.noise_dim)
         assert states.values.shape == adj.y_values.shape == (n + 1, m, p.state_dim)
@@ -119,16 +139,17 @@ class TestStepMajorLayout:
             NoiseBank(np.zeros((m, n, 1)), grid)
         noise = NoiseBank(np.zeros((n, m, 1)), grid)
         with pytest.raises(ValueError, match=r"\(N \+ 1, M, d\)"):
-            StateEnsemble(np.zeros((m, n + 1, 1)), noise, constant_control(p, m, n))
+            StateEnsemble(np.zeros((m, n + 1, 1)), p, noise, constant_control(p, m, n))
+        states = StateEnsemble(np.zeros((n + 1, m, 1)), p, noise, constant_control(p, m, n))
         with pytest.raises(ValueError, match=r"\(N\+1, M, d\)"):
-            AdjointEnsemble(y_values=np.zeros((m, n + 1, 1)), z_values=np.zeros((m, n, 1, 1)))
+            AdjointEnsemble(np.zeros((m, n + 1, 1)), np.zeros((m, n, 1, 1)), states)
 
 
 class TestSolveAdjointLsmc:
     def test_terminal_slice_exact(self, lq_bench):
         p = lq_bench.problem
         states = solve_setup(p, m=400, n=10)
-        adj = solve_adjoint_lsmc(p, states, RegressionBasis())
+        adj = solve_adjoint_lsmc(states, RegressionBasis())
         want = np.asarray(p.terminal_cost_grad_x(states.values[-1]))
         assert np.array_equal(adj.y_values[-1], want)
 
@@ -136,17 +157,17 @@ class TestSolveAdjointLsmc:
         c = 2.5
         p = driverless_problem(c)
         states = solve_setup(p, m=10_000, n=50)
-        adj = solve_adjoint_lsmc(p, states, RegressionBasis())
+        adj = solve_adjoint_lsmc(states, RegressionBasis())
         assert np.max(np.abs(adj.y_values - c)) <= 1e-5
         assert np.max(np.abs(adj.z_values)) <= 1e-2
-        res = adjoint_residual(p, states, adj)
+        res = adjoint_residual(adj)
         assert res <= 1e-8
 
     def test_deterministic(self, lq_bench):
         p = lq_bench.problem
         states = solve_setup(p, m=500, n=10)
-        a = solve_adjoint_lsmc(p, states, RegressionBasis())
-        b = solve_adjoint_lsmc(p, states, RegressionBasis())
+        a = solve_adjoint_lsmc(states, RegressionBasis())
+        b = solve_adjoint_lsmc(states, RegressionBasis())
         assert np.array_equal(a.y_values, b.y_values)
         assert np.array_equal(a.z_values, b.z_values)
 
@@ -173,8 +194,8 @@ class TestSolveAdjointLsmc:
             x = x + (0.2 * x + a_used) * dt + 0.2 * noise.increments[k, :, 0]
             values[k + 1, :, 0] = x
         ctrl = ControlEnsemble(by_step=idx)
-        states = StateEnsemble(values, noise, ctrl)
-        adj = solve_adjoint_lsmc(p, states, RegressionBasis())
+        states = StateEnsemble(values, p, noise, ctrl)
+        adj = solve_adjoint_lsmc(states, RegressionBasis())
         y0_mean = float(adj.y_values[0, :, 0].mean())
         y0_se = float(adj.y_values[0, :, 0].std(ddof=1) / math.sqrt(m))
         oracle = lq_adjoint_y0(lq, horizon=1.0, action=0.0, feedback=gain)
@@ -186,7 +207,7 @@ class TestLinearRepresentation:
         c = 2.5
         p = driverless_problem(c)
         states = solve_setup(p, m=500, n=10)
-        y0, se = solve_adjoint_linear_y0(p, states)
+        y0, se = solve_adjoint_linear_y0(states)
         assert y0.shape == (1,) and se.shape == (1,)
         assert float(y0[0]) == c
         assert float(se[0]) == 0.0
@@ -210,7 +231,7 @@ class TestLinearRepresentation:
         )
         m, n = 4000, 50
         states = solve_setup(growth, m, n)
-        y0, se = solve_adjoint_linear_y0(growth, states)
+        y0, se = solve_adjoint_linear_y0(states)
         want = (1.0 + beta * states.grid.dt) ** n
         assert np.allclose(y0, want, rtol=1e-13, atol=0.0)
         assert float(se[0]) <= 1e-13 * want
@@ -219,7 +240,7 @@ class TestLinearRepresentation:
         lq = lq_bench.lq
         p = lq_bench.problem
         states = solve_setup(p, m, n, rng_actions=False)
-        y0, se = solve_adjoint_linear_y0(p, states)
+        y0, se = solve_adjoint_linear_y0(states)
         centroid = p.action_space.points[p.action_space.centroid_index()][0]
         oracle = lq_adjoint_y0(lq, horizon=1.0, action=float(centroid))
         # left-endpoint quadrature bias is first order in dt, hence the
@@ -230,8 +251,8 @@ class TestLinearRepresentation:
         for bench in suite_benches:
             p = bench.problem
             states = solve_setup(p, m=4000, n=50, rng_actions=False)
-            adj = solve_adjoint_lsmc(p, states, RegressionBasis())
-            y0_lin, se_lin = solve_adjoint_linear_y0(p, states)
+            adj = solve_adjoint_lsmc(states, RegressionBasis())
+            y0_lin, se_lin = solve_adjoint_linear_y0(states)
             y = adj.y_values[0, :, 0]
             y0_lsmc = float(y.mean())
             se_lsmc = float(y.std(ddof=1) / math.sqrt(y.shape[0]))
@@ -243,8 +264,8 @@ class TestAdjointResidual:
     def test_lq_baseline(self, lq_bench):
         p = lq_bench.problem
         states = solve_setup(p, m=10_000, n=50, rng_actions=False)
-        adj = solve_adjoint_lsmc(p, states, RegressionBasis())
-        res = adjoint_residual(p, states, adj)
+        adj = solve_adjoint_lsmc(states, RegressionBasis())
+        res = adjoint_residual(adj)
         # recorded healthy-solver level for this scale
         assert res <= 1e-5
 
@@ -253,6 +274,6 @@ class TestAdjointResidual:
         res = {}
         for n in (50, 100):
             states = solve_setup(p, m=10_000, n=n, rng_actions=False)
-            adj = solve_adjoint_lsmc(p, states, RegressionBasis())
-            res[n] = adjoint_residual(p, states, adj)
+            adj = solve_adjoint_lsmc(states, RegressionBasis())
+            res[n] = adjoint_residual(adj)
         assert res[100] <= 1.10 * res[50]

@@ -34,23 +34,31 @@ from references import pontryagin_gaps
 from test_problem import quadratic_drift_problem
 
 
-def hand_built(prev, x, y, z, horizon=1.0):
-    """States x under prev on a zero noise bank, and the adjoint (y, z)."""
+def hand_built(p, prev, x, y, z, horizon=1.0):
+    """The adjoint (y, z) along states x of p under prev, on a zero noise bank."""
     m, n = x.shape[1], x.shape[0] - 1
-    noise = NoiseBank(np.zeros((n, m, 1)), TimeGrid(n_steps=n, horizon=horizon))
-    return StateEnsemble(x, noise, prev), AdjointEnsemble(y_values=y, z_values=z)
+    noise = NoiseBank(np.zeros((n, m, p.noise_dim)), TimeGrid(n_steps=n, horizon=horizon))
+    return AdjointEnsemble(y, z, StateEnsemble(x, p, noise, prev))
 
 
-def flat_artifacts(prev, m, y=2.0, z=7.0, x=0.0, horizon=1.0):
-    """State and adjoint ensembles with constant entries, under prev."""
+def flat_artifacts(p, prev, m, y=2.0, z=7.0, x=0.0, horizon=1.0):
+    """An adjoint with constant entries along constant states of p under prev."""
     n = prev.n_steps
     return hand_built(
+        p,
         prev,
         np.full((n + 1, m, 1), float(x)),
         np.full((n + 1, m, 1), float(y)),
         np.full((n, m, 1, 1), float(z)),
         horizon,
     )
+
+
+def paired(adjoint, problem, control):
+    """The adjoint's values along its states' values, under another problem and control."""
+    s = adjoint.states
+    states = StateEnsemble(s.values, problem, s.noise, control)
+    return AdjointEnsemble(adjoint.y_values, adjoint.z_values, states)
 
 
 def control_free_problem():
@@ -87,12 +95,6 @@ class TestControlEnsemble:
             assert type(t) is float and t == grid.nodes[k]
             assert a.shape == (m, 1)
             assert np.array_equal(a, np.broadcast_to(p.action_space.points[ctrl.by_step[k]], (m, 1)))
-        bad = ControlEnsemble(by_step=np.full((n, m), 3))
-        with pytest.raises(ValueError, match="out of range"):
-            next(bad.steps(p, noise))
-        longer = NoiseBank(np.zeros((n + 1, m, 1)), TimeGrid(n_steps=n + 1, horizon=0.7))
-        with pytest.raises(ValueError, match="does not match"):
-            next(ctrl.steps(p, longer))
 
     @pytest.mark.parametrize(
         "idx, message",
@@ -118,26 +120,31 @@ class TestControlEnsemble:
         ],
     )
     def test_every_consumer_validates_the_control(self, consumer, idx, message):
+        """No kernel runs on a control that does not fit.
+
+        simulate_forward and compute_mu check the control they are handed;
+        every other kernel reads states, which cannot be built with one.
+        """
         p = get_benchmark("lq_drift_small").problem
-        grid = TimeGrid(n_steps=4, horizon=p.horizon)
-        noise = make_noise(grid, 100, 1, seed=3)
+        noise = make_noise(TimeGrid(n_steps=4, horizon=p.horizon), 100, 1, seed=3)
         good = constant_control(p, 100, 4)
-        states = simulate_forward(p, noise, good)
-        adjoint = solve_adjoint_lsmc(p, states, RegressionBasis())
+        adjoint = solve_adjoint_lsmc(simulate_forward(p, noise, good), RegressionBasis())
         bad = ControlEnsemble(by_step=idx)
-        # the good states' values, paired by hand with a control that does not fit them
-        bad_states = StateEnsemble(states.values, noise, bad)
         calls = {
             "simulate_forward": lambda: simulate_forward(p, noise, bad),
-            "cost_per_path": lambda: cost_per_path(p, bad_states),
-            "solve_adjoint_lsmc": lambda: solve_adjoint_lsmc(p, bad_states, RegressionBasis()),
-            "solve_adjoint_linear_y0": lambda: solve_adjoint_linear_y0(p, bad_states),
-            "adjoint_residual": lambda: adjoint_residual(p, bad_states, adjoint),
-            "compute_mu_new": lambda: compute_mu(p, states, adjoint, bad),
-            "compute_mu_prev": lambda: compute_mu(p, bad_states, adjoint, good),
-            "update_control": lambda: update_control(p, bad_states, adjoint, 1.0),
+            "cost_per_path": lambda: cost_per_path(paired(adjoint, p, bad).states),
+            "solve_adjoint_lsmc": lambda: solve_adjoint_lsmc(
+                paired(adjoint, p, bad).states, RegressionBasis()
+            ),
+            "solve_adjoint_linear_y0": lambda: solve_adjoint_linear_y0(
+                paired(adjoint, p, bad).states
+            ),
+            "adjoint_residual": lambda: adjoint_residual(paired(adjoint, p, bad)),
+            "compute_mu_new": lambda: compute_mu(adjoint, bad),
+            "compute_mu_prev": lambda: compute_mu(paired(adjoint, p, bad), good),
+            "update_control": lambda: update_control(paired(adjoint, p, bad), 1.0),
             "update_control_general": lambda: update_control(
-                p.replace(action_terms=None), bad_states, adjoint, 1.0
+                paired(adjoint, p.replace(action_terms=None), bad), 1.0
             ),
         }
         with pytest.raises(ValueError, match=message):
@@ -162,16 +169,16 @@ class TestOneRowControl:
             new = ControlEnsemble(by_step=np.broadcast_to(new_row.T, (n, rows)))
             assert prev.by_step.shape == (n, rows)
             states = simulate_forward(p, noise, prev)
-            adjoint = solve_adjoint_lsmc(p, states, RegressionBasis())
+            adjoint = solve_adjoint_lsmc(states, RegressionBasis())
             results.append(
                 (
                     states.values,
-                    cost_per_path(p, states),
+                    cost_per_path(states),
                     adjoint.y_values,
                     adjoint.z_values,
-                    *solve_adjoint_linear_y0(p, states),
-                    adjoint_residual(p, states, adjoint),
-                    compute_mu(p, states, adjoint, new),
+                    *solve_adjoint_linear_y0(states),
+                    adjoint_residual(adjoint),
+                    compute_mu(adjoint, new),
                 )
             )
         one, full = results
@@ -199,24 +206,24 @@ class TestUpdateControl:
         # minimize 2a + a^2/2 over {-1, 0, 1}: the -1 branch wins
         p = quadratic_drift_problem()
         m, n = 4, 2
-        states, adjoint = flat_artifacts(ControlEnsemble(np.full((n, m), 1)), m, y=2.0, z=7.0)
-        new = update_control(p, states, adjoint, rho=0.0)
+        adjoint = flat_artifacts(p, ControlEnsemble(np.full((n, m), 1)), m, y=2.0, z=7.0)
+        new = update_control(adjoint, rho=0.0)
         assert np.all(new.by_step == 0)
 
     def test_action_free_coefficients_keep_prev(self):
         p = control_free_problem()
         m, n = 5, 3
         prev = ControlEnsemble(np.full((n, m), 2))
-        states, adjoint = flat_artifacts(prev, m, x=1.0)
-        new = update_control(p, states, adjoint, rho=0.0)
+        adjoint = flat_artifacts(p, prev, m, x=1.0)
+        new = update_control(adjoint, rho=0.0)
         assert np.array_equal(new.by_step, prev.by_step)
 
     def test_large_rho_keeps_prev(self):
         p = quadratic_drift_problem()
         m, n = 4, 2
         prev = ControlEnsemble(np.full((n, m), 2))
-        states, adjoint = flat_artifacts(prev, m, y=2.0)
-        new = update_control(p, states, adjoint, rho=1e12)
+        adjoint = flat_artifacts(p, prev, m, y=2.0)
+        new = update_control(adjoint, rho=1e12)
         assert np.array_equal(new.by_step, prev.by_step)
 
     def test_negative_rho_rejected(self):
@@ -224,11 +231,11 @@ class TestUpdateControl:
         p = get_benchmark("lq_drift").problem
         m, n = 200, 4
         for mode in ("per_path", "deterministic"):
-            states, adjoint = flat_artifacts(constant_control(p, m, n, mode=mode), m)
             for q in (p, p.replace(action_terms=None)):
+                adjoint = flat_artifacts(q, constant_control(p, m, n, mode=mode), m)
                 for rho in (-1.0, np.nan, np.inf):
                     with pytest.raises(ValueError, match="rho"):
-                        update_control(q, states, adjoint, rho=rho)
+                        update_control(adjoint, rho=rho)
 
     def test_deterministic_mode_shares_action_per_step(self, rng):
         p = quadratic_drift_problem()
@@ -237,8 +244,8 @@ class TestUpdateControl:
             rng.normal(size=s).swapaxes(0, 1) for s in ((m, n + 1, 1), (m, n + 1, 1), (m, n, 1, 1))
         )
         prev = constant_control(p, m, n, mode="deterministic")
-        states, adjoint = hand_built(prev, x, y, z)
-        new = update_control(p, states, adjoint, rho=0.5)
+        adjoint = hand_built(p, prev, x, y, z)
+        new = update_control(adjoint, rho=0.5)
         assert new.by_step.shape == (n, 1)
         for k in range(n):
             a = new.actions(p.action_space.points, k, m)
@@ -260,17 +267,15 @@ class TestSeparableUpdate:
         noise = make_noise(grid, m, p.noise_dim, seed=7)
         rough = ControlEnsemble(by_step=rng.integers(0, n_act, size=(m, n)).T)
         states = simulate_forward(p, noise, rough)
-        adjoint = solve_adjoint_lsmc(p, states, MsaConfig().basis)
+        adjoint = solve_adjoint_lsmc(states, MsaConfig().basis)
         steps = rng.integers(0, n_act, size=n)
-        # the rough states, and the same values paired with one column: deterministic
-        shared = StateEnsemble(states.values, noise, ControlEnsemble(by_step=steps[:, None]))
-        for prev_states in (states, shared):
+        # the rough control, and the same values paired with one column: deterministic
+        for prev in (rough, ControlEnsemble(by_step=steps[:, None])):
             for rho in (0.0, 0.5, 64.0, 1e12):
-                fast = update_control(p, prev_states, adjoint, rho)
-                slow = update_control(generic, prev_states, adjoint, rho)
-                shape = prev_states.control.by_step.shape
-                assert fast.by_step.shape == slow.by_step.shape == shape
-                assert np.array_equal(fast.by_step, slow.by_step), (shape, rho)
+                fast = update_control(paired(adjoint, p, prev), rho)
+                slow = update_control(paired(adjoint, generic, prev), rho)
+                assert fast.by_step.shape == slow.by_step.shape == prev.by_step.shape
+                assert np.array_equal(fast.by_step, slow.by_step), (prev.by_step.shape, rho)
 
     def test_non_finite_action_terms_raise_on_both_paths(self):
         # b2 blows up at t = 0.25, which the construction probe (t = 0 and
@@ -285,27 +290,26 @@ class TestSeparableUpdate:
         for p in (fast, fast.replace(action_terms=None)):
             for mode in ("per_path", "deterministic"):
                 start = constant_control(fast, m, n, mode=mode)
-                states, adjoint = flat_artifacts(start, m, horizon=fast.horizon)
+                adjoint = flat_artifacts(p, start, m, horizon=fast.horizon)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     with pytest.raises(EvaluationError, match="non-finite"):
-                        update_control(p, states, adjoint, rho=1.0)
+                        update_control(adjoint, rho=1.0)
 
 
 class TestAdjointShape:
     @pytest.mark.parametrize("paths, steps", [(1, 4), (200, 2)], ids=["one_path", "two_steps"])
     @pytest.mark.parametrize("consumer", ["adjoint_residual", "compute_mu", "update_control"])
     def test_every_consumer_validates_the_adjoint(self, consumer, paths, steps):
+        """No kernel reads an adjoint that does not fit its states: none can be built."""
         p = get_benchmark("lq_drift").problem
         m, n = 200, 4
         noise = make_noise(TimeGrid(n_steps=n, horizon=p.horizon), m, 1, seed=3)
         states = simulate_forward(p, noise, constant_control(p, m, n))
-        adjoint = AdjointEnsemble(
-            y_values=np.ones((steps + 1, paths, 1)), z_values=np.ones((steps, paths, 1, 1))
-        )
+        y, z = np.ones((steps + 1, paths, 1)), np.ones((steps, paths, 1, 1))
         calls = {
-            "adjoint_residual": lambda: adjoint_residual(p, states, adjoint),
-            "compute_mu": lambda: compute_mu(p, states, adjoint, states.control),
-            "update_control": lambda: update_control(p, states, adjoint, 1.0),
+            "adjoint_residual": lambda: adjoint_residual(AdjointEnsemble(y, z, states)),
+            "compute_mu": lambda: compute_mu(AdjointEnsemble(y, z, states), states.control),
+            "update_control": lambda: update_control(AdjointEnsemble(y, z, states), 1.0),
         }
         with pytest.raises(ValueError, match="adjoint shapes"):
             calls[consumer]()
@@ -316,8 +320,8 @@ class TestComputeMu:
         p = quadratic_drift_problem()
         m, n = 6, 3
         ctrl = constant_control(p, m, n)
-        states, adjoint = flat_artifacts(ctrl, m)
-        assert compute_mu(p, states, adjoint, ctrl) == (0.0, 0.0)
+        adjoint = flat_artifacts(p, ctrl, m)
+        assert compute_mu(adjoint, ctrl) == (0.0, 0.0)
 
     @given(seed=st.integers(0, 10_000), rho=st.sampled_from([0.0, 0.3, 1.0, 16.0]))
     @settings(max_examples=40, deadline=None)
@@ -329,9 +333,9 @@ class TestComputeMu:
             rng.normal(size=s).swapaxes(0, 1) for s in ((m, n + 1, 1), (m, n + 1, 1), (m, n, 1, 1))
         )
         prev = ControlEnsemble(by_step=rng.integers(0, 3, size=(m, n)).T)
-        states, adjoint = hand_built(prev, x, y, z)
-        new = update_control(p, states, adjoint, rho=rho)
-        mu, se = compute_mu(p, states, adjoint, new)
+        adjoint = hand_built(p, prev, x, y, z)
+        new = update_control(adjoint, rho=rho)
+        mu, se = compute_mu(adjoint, new)
         if rho == 0.0:
             # pointwise argmin of H itself: nonpositive without slack
             assert mu <= 0.0
@@ -409,9 +413,9 @@ class TestPontryaginCertificate:
         x, y, z = (
             rng.normal(size=s).swapaxes(0, 1) for s in ((m, n + 1, 1), (m, n + 1, 1), (m, n, 1, 1))
         )
-        states, adjoint = hand_built(constant_control(p, m, n), x, y, z)
-        new = update_control(p, states, adjoint, rho=0.0)
-        gaps = pontryagin_gaps(p, states, adjoint, new, rho=0.0, n_samples=400)
+        adjoint = hand_built(p, constant_control(p, m, n), x, y, z)
+        new = update_control(adjoint, rho=0.0)
+        gaps = pontryagin_gaps(adjoint, new, rho=0.0, n_samples=400)
         assert np.mean(gaps > 1e-3) == 0.0
         assert gaps.max() == 0.0
         assert gaps.shape == (400,)
@@ -420,9 +424,9 @@ class TestPontryaginCertificate:
         p = control_free_problem()
         m, n = 40, 4
         ctrl = constant_control(p, m, n)
-        states, adjoint = flat_artifacts(ctrl, m, x=1.0)
-        fixed = update_control(p, states, adjoint, rho=2.0)
+        adjoint = flat_artifacts(p, ctrl, m, x=1.0)
+        fixed = update_control(adjoint, rho=2.0)
         assert np.array_equal(fixed.by_step, ctrl.by_step)
-        gaps = pontryagin_gaps(p, states, adjoint, fixed, rho=2.0, n_samples=200)
+        gaps = pontryagin_gaps(adjoint, fixed, rho=2.0, n_samples=200)
         assert np.mean(gaps > 1e-3) == 0.0
         assert gaps.max() == 0.0

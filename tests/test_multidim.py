@@ -21,10 +21,11 @@ from msacontrol import (
     solve_adjoint_lsmc,
     update_control,
 )
-from msacontrol.sde import ControlEnsemble, StateEnsemble
+from msacontrol.sde import ControlEnsemble
 
 from conftest import combined_se
 from test_bsde import solve_setup
+from test_msa import paired
 
 B1 = np.array([[0.1, 0.4], [-0.3, 0.2]])
 K = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -81,22 +82,21 @@ def test_separable_update_matches_generic():
     noise = make_noise(grid, m, planar.noise_dim, seed=11)
     rough = ControlEnsemble(by_step=rng.integers(0, n_act, size=(m, n)).T)
     states = simulate_forward(planar, noise, rough)
-    adjoint = solve_adjoint_lsmc(planar, states, MsaConfig().basis)
+    adjoint = solve_adjoint_lsmc(states, MsaConfig().basis)
     steps = rng.integers(0, n_act, size=n)
-    # the rough states, and the same values paired with one column: deterministic
-    shared = StateEnsemble(states.values, noise, ControlEnsemble(by_step=steps[:, None]))
-    for prev_states in (states, shared):
+    # the rough control, and the same values paired with one column: deterministic
+    for prev in (rough, ControlEnsemble(by_step=steps[:, None])):
         for rho in (0.0, 1.0, 64.0):
-            fast = update_control(planar, prev_states, adjoint, rho)
-            slow = update_control(generic, prev_states, adjoint, rho)
-            assert np.array_equal(fast.by_step, slow.by_step), (prev_states.control.by_step.shape, rho)
+            fast = update_control(paired(adjoint, planar, prev), rho)
+            slow = update_control(paired(adjoint, generic, prev), rho)
+            assert np.array_equal(fast.by_step, slow.by_step), (prev.by_step.shape, rho)
 
 
 def test_linear_representation_matches_lsmc_per_component():
     planar = planar_problem()
     states = solve_setup(planar, m=4000, n=20, rng_actions=False)
-    adj = solve_adjoint_lsmc(planar, states, MsaConfig().basis)
-    y0_lin, se_lin = solve_adjoint_linear_y0(planar, states)
+    adj = solve_adjoint_lsmc(states, MsaConfig().basis)
+    y0_lin, se_lin = solve_adjoint_linear_y0(states)
     y = adj.y_values[0]
     for i in range(planar.state_dim):
         se_lsmc = float(y[:, i].std(ddof=1) / math.sqrt(y.shape[0]))

@@ -173,7 +173,7 @@ class TestBruteForce:
         idx = np.zeros((4, 200), dtype=np.int64)
         ctrl = ControlEnsemble(by_step=idx)
         states = simulate_forward(p, noise, ctrl)
-        est, _ = mean_and_se(cost_per_path(p, states))
+        est, _ = mean_and_se(cost_per_path(states))
         assert res.j_star == pytest.approx(est, rel=1e-12)
 
     def test_matches_sequence_by_sequence_evaluation(self):
@@ -189,7 +189,7 @@ class TestBruteForce:
         for seq in reversed(list(itertools.product(range(3), repeat=3))):
             ctrl = ControlEnsemble(by_step=np.array(seq, dtype=np.int64)[:, None])
             states = simulate_forward(small, noise, ctrl)
-            est, _ = mean_and_se(cost_per_path(small, states))
+            est, _ = mean_and_se(cost_per_path(states))
             if est < best:
                 best = est
                 arg = seq

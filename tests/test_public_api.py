@@ -52,3 +52,35 @@ def test_modules_import_only_earlier_layers():
                     (path.stem, t) for t in targets if LAYERS.index(t.split(".")[0]) >= rank
                 ]
     assert upward == []
+
+
+# what a kernel parameter is, by its name or its annotation
+ROLES = {
+    "p": "problem",
+    "ControlProblem": "problem",
+    "states": "states",
+    "StateEnsemble": "states",
+    "adjoint": "adjoint",
+    "AdjointEnsemble": "adjoint",
+}
+
+
+def test_kernels_take_one_ensemble():
+    """No public kernel takes a problem with states or an adjoint, or states with an adjoint.
+
+    The states carry their problem and the adjoint its states, so a second
+    argument could only disagree with the first.
+    """
+    mixed = []
+    for stem in ("sde", "bsde", "msa"):
+        tree = ast.parse((ROOT / "src" / "msacontrol" / f"{stem}.py").read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            roles = set()
+            for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs:
+                ann = arg.annotation
+                roles |= {ROLES.get(arg.arg), ROLES.get(ann.id if isinstance(ann, ast.Name) else None)}
+            if len(roles - {None}) > 1:
+                mixed.append((stem, node.name, sorted(roles - {None})))
+    assert mixed == []

@@ -19,6 +19,7 @@ from msacontrol import (
     TimeGrid,
     constant_control,
     cost_per_path,
+    get_benchmark,
     make_noise,
     riccati_lq,
     simulate_forward,
@@ -282,9 +283,68 @@ class TestSimulateForward:
         states = simulate_forward(p, noise, constant_control(p, 4, 5))
         short_bank = NoiseBank(noise.increments[:4], short)
         with pytest.raises(ValueError, match="do not match"):
-            StateEnsemble(states.values, short_bank, constant_control(p, 4, 4))
+            StateEnsemble(states.values, p, short_bank, constant_control(p, 4, 4))
         with pytest.raises(ValueError, match="do not match"):
-            StateEnsemble(states.values[:, :3], noise, states.control)
+            StateEnsemble(states.values[:, :3], p, noise, states.control)
+
+
+class TestStateEnsemble:
+    """The constructor checks values, bank and control against the problem."""
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("state_dim", r"\(N \+ 1, M, d\) = \(5, 100, 1\)"),
+            ("paths", r"\(N \+ 1, M, d\) = \(5, 100, 1\)"),
+            ("steps", r"\(N \+ 1, M, d\) = \(5, 100, 1\)"),
+            ("bank_noise_dim", "bank noise dimension 2 is not the problem's 1"),
+            ("control_rows", r"control shape \(4, 2\) does not match"),
+            ("control_steps", r"control shape \(3, 100\) does not match"),
+            ("control_index", "out of range"),
+        ],
+    )
+    def test_each_mismatch_is_refused(self, case, message):
+        p = get_benchmark("lq_drift_small").problem
+        m, n = 100, 4
+        grid = TimeGrid(n_steps=n, horizon=p.horizon)
+        noise = make_noise(grid, m, 1, seed=3)
+        good = simulate_forward(p, noise, constant_control(p, m, n))
+        args = dict(values=good.values, problem=p, noise=noise, control=good.control)
+        if case == "state_dim":
+            # d = 2 states, simulated on the same bank under the same control
+            planar = StructuredProblem(
+                state_dim=2,
+                noise_dim=1,
+                horizon=p.horizon,
+                initial_state=np.array([1.0, -1.0]),
+                b1=lambda t: 0.1 * np.eye(2),
+                b2=lambda t, a: np.concatenate([a, a], axis=-1),
+                sigma1=lambda t: np.zeros((2, 1, 2)),
+                sigma2=lambda t, a: np.ones(a.shape[:-1] + (2, 1)),
+                f1=lambda t, x: np.sum(x * x, axis=-1),
+                f1_grad_x=lambda t, x: 2.0 * x,
+                f2=lambda t, a: np.sum(a * a, axis=-1),
+                terminal=lambda x: np.sum(x * x, axis=-1),
+                terminal_grad_x=lambda x: 2.0 * x,
+                action_space=p.action_space,
+                name="planar",
+            ).assemble()
+            args["values"] = simulate_forward(planar, noise, good.control).values
+        elif case == "paths":
+            args["values"] = good.values[:, :99]
+        elif case == "steps":
+            args["values"] = np.concatenate([good.values, good.values[-1:]])
+        elif case == "bank_noise_dim":
+            args["noise"] = make_noise(grid, m, 2, seed=3)
+        elif case == "control_rows":
+            args["control"] = ControlEnsemble(np.ones((n, 2), dtype=np.int64))
+        elif case == "control_steps":
+            args["control"] = ControlEnsemble(np.ones((n - 1, m), dtype=np.int64))
+        else:
+            args["control"] = ControlEnsemble(np.full((n, m), 3))
+        StateEnsemble(good.values, p, noise, good.control)
+        with pytest.raises(ValueError, match=message):
+            StateEnsemble(**args)
 
 
 class TestEstimateCost:
@@ -294,7 +354,7 @@ class TestEstimateCost:
         noise = make_noise(g, 8, 1, seed=1)
         ctrl = constant_control(p, 8, 4)
         states = simulate_forward(p, noise, ctrl)
-        assert mean_and_se(cost_per_path(p, states)) == (0.0, 0.0)
+        assert mean_and_se(cost_per_path(states)) == (0.0, 0.0)
 
     def test_unit_running_cost_integrates_to_horizon(self):
         z = lambda t, x, a: np.zeros_like(x)
@@ -313,7 +373,7 @@ class TestEstimateCost:
         noise = make_noise(g, 256, 1, seed=1)
         ctrl = constant_control(p, 256, 4)
         states = simulate_forward(p, noise, ctrl)
-        est, se = mean_and_se(cost_per_path(p, states))
+        est, se = mean_and_se(cost_per_path(states))
         assert est == 1.0
         assert se == 0.0
 
@@ -337,7 +397,7 @@ class TestEstimateCost:
             x = x + (0.2 * x + a_used) * dt + 0.2 * noise.increments[k, :, 0]
         ctrl = ControlEnsemble(by_step=idx)
         states = simulate_forward(p, noise, ctrl)
-        est, se = mean_and_se(cost_per_path(p, states))
+        est, se = mean_and_se(cost_per_path(states))
         j_star = sol.optimal_value
         assert abs(est - j_star) <= 3.0 * se + 0.05 * abs(j_star)
 
@@ -349,7 +409,7 @@ class TestEstimateCost:
             noise = make_noise(grid, m, 1, seed=2)
             ctrl = constant_control(p, m, 20)
             states = simulate_forward(p, noise, ctrl)
-            _, ses[m] = mean_and_se(cost_per_path(p, states))
+            _, ses[m] = mean_and_se(cost_per_path(states))
         ratio = ses[1000] / ses[10_000]
         assert math.sqrt(10.0) / 1.5 <= ratio <= math.sqrt(10.0) * 1.5
 
@@ -372,7 +432,7 @@ class TestEstimateCost:
         ctrl = constant_control(p, 64, 8)
         states = simulate_forward(p, noise, ctrl)
         with pytest.raises(SimulationError) as exc:
-            cost_per_path(p, states)
+            cost_per_path(states)
         assert exc.value.path >= 0
         assert "path" in str(exc.value)
 
