@@ -38,7 +38,7 @@ from .oracle import (
     get_benchmark,
     riccati_lq,
 )
-from .problem import ControlProblem, EvaluationError, check_derivatives
+from .problem import ControlProblem, EvaluationError, ProblemDefinitionError, check_derivatives
 from .sde import SimulationError, TimeGrid, constant_control, make_noise, simulate_forward
 
 
@@ -80,8 +80,8 @@ def _import_module(name: str) -> str:
     # imported for its side effect: the module registers its problems
     try:
         importlib.import_module(name)
-    except ImportError as exc:
-        raise ConfigError(f"cannot import problem.module {name!r}: {exc}")
+    except (ImportError, ProblemDefinitionError) as exc:
+        raise ConfigError(f"cannot import problem.module {name!r}: {exc}") from None
     return name
 
 
@@ -161,6 +161,8 @@ def _require_problem(cfg: RunConfig):
         raise ConfigError(
             f"unknown problem {cfg.problem_name!r}; known: {', '.join(benchmark_names())}"
         ) from None
+    except ProblemDefinitionError as exc:
+        raise ConfigError(f"problem {cfg.problem_name!r}: {exc}") from None
 
 
 def _status(command: str, code: int, **kv) -> None:

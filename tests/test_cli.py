@@ -360,6 +360,34 @@ class TestRun:
         assert status.startswith("STATUS command=run exit=1 error=")
         assert "non-finite state" in status
 
+    @pytest.mark.parametrize("where", ["import", "lookup"])
+    def test_problem_module_definition_error_exits_one(self, tmp_path, capsys, monkeypatch, where):
+        # a ProblemDefinitionError raised while the module imports, or by its
+        # factory when the problem is looked up, names the module or problem
+        mod_dir = tmp_path / "mods"
+        mod_dir.mkdir()
+        build = "ActionSpace(points=np.array([0.0, 0.0]))"
+        (mod_dir / f"bad_{where}_mod.py").write_text(
+            "import numpy as np\n"
+            "from msacontrol import ActionSpace, register_benchmark\n"
+            + (f"{build}\n" if where == "import" else f"register_benchmark('bad', lambda: {build})\n")
+        )
+        monkeypatch.syspath_prepend(str(mod_dir))
+        try:
+            cfg = write_config(
+                tmp_path,
+                problem={"name": "bad", "module": f"bad_{where}_mod"},
+                output={"directory": str(tmp_path / "bad_out")},
+            )
+            assert main(["run", "--config", cfg]) == 1
+        finally:
+            oracle_mod._FACTORIES.pop("bad", None)
+        status, out = status_line(capsys)
+        assert out.count("STATUS ") == 1
+        assert status.startswith("STATUS command=run exit=1 error=")
+        assert "action points must be distinct" in status
+        assert (f"'bad_{where}_mod'" if where == "import" else "problem 'bad'") in status
+
 
 class TestValidate:
     def test_benchmark_passes_all_checks(self, tmp_path, capsys):
