@@ -3,7 +3,10 @@
 Solves finite-horizon problems where the control enters both the drift
 and the diffusion: forward Euler simulation, a regression-based adjoint
 solver, and an iteration that minimises an augmented Hamiltonian with an
-adaptive penalty, accepting a step when its cost change dJ <= 3 SE(dJ).
+adaptive penalty, accepting a step only when it lowers the cost on the
+shared noise bank.  A simulation carries its problem, bank and control,
+and an adjoint the states it was solved along, so every kernel after the
+simulation takes one of the two.
 
 The package exports what the ``msactl`` command and the benchmark use
 and what a user problem needs; everything else is imported from its

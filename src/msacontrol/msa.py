@@ -3,9 +3,10 @@
 Each iteration simulates the state forward under the current control,
 solves the adjoint backward, and replaces the control at every (path,
 step) by the argmin of the augmented Hamiltonian against the previous
-action.  A candidate is accepted when its paired cost change satisfies
-dJ <= 3 SE(dJ), so the estimated cost may rise within Monte-Carlo noise;
-otherwise the penalty weight rho is grown and the update recomputed from
+action.  A candidate is accepted only when its cost change dJ, paired
+path by path on the shared noise bank, is negative: the in-sample cost
+strictly decreases, so the loop never returns to a control it has left.
+Otherwise the penalty weight rho is grown and the update recomputed from
 the same states and adjoint.  The expected integrated Hamiltonian
 decrease mu is nonpositive by construction and its convergence to zero
 is the stopping signal.
@@ -264,9 +265,9 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
             mu, mu_se = compute_mu(adjoint, candidate)
             cand_states = simulate_forward(p, noise, candidate)
             cand_costs = cost_per_path(cand_states)
-            diff = cand_costs - costs
-            dj, dj_se = mean_and_se(diff)
-            if cfg.classical or dj <= 3.0 * dj_se:
+            # both controls are priced on one bank, so dJ is exact in sample
+            dj = float(np.mean(cand_costs - costs))
+            if cfg.classical or dj < 0:
                 states = cand_states
                 costs = cand_costs
                 j_cur, j_se = mean_and_se(costs)

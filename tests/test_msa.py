@@ -406,6 +406,17 @@ class TestRunMsa:
                 assert costs[i] <= costs[i - 1] + slack
 
 
+    def test_accepted_costs_never_rise(self, stress_bench, suite_runs):
+        # at M=2000, N=20 an acceptance rule that lets J rise within noise
+        # alternates between two controls on msa_stress until max_iterations
+        _, small = run_msa(stress_bench.problem, MsaConfig(n_paths=2000, n_steps=20))
+        assert small.status != "max_iterations"
+        for trace in [small] + [trace for _, trace in suite_runs.values()]:
+            js = [trace.initial_cost] + [j for j, ok in zip(trace.costs, trace.accepted) if ok]
+            # exact: both controls are priced on one bank; a fixed_point row repeats J
+            assert all(b <= a for a, b in zip(js, js[1:])), js
+
+
 class TestPontryaginCertificate:
     def test_update_certifies_its_own_argmin(self, rng):
         p = quadratic_drift_problem()
