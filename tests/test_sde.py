@@ -295,8 +295,6 @@ class TestStateEnsemble:
         "case, message",
         [
             ("state_dim", r"\(N \+ 1, M, d\) = \(5, 100, 1\)"),
-            ("paths", r"\(N \+ 1, M, d\) = \(5, 100, 1\)"),
-            ("steps", r"\(N \+ 1, M, d\) = \(5, 100, 1\)"),
             ("bank_noise_dim", "bank noise dimension 2 is not the problem's 1"),
             ("control_rows", r"control shape \(4, 2\) does not match"),
             ("control_steps", r"control shape \(3, 100\) does not match"),
@@ -311,29 +309,8 @@ class TestStateEnsemble:
         good = simulate_forward(p, noise, constant_control(p, m, n))
         args = dict(values=good.values, problem=p, noise=noise, control=good.control)
         if case == "state_dim":
-            # d = 2 states, simulated on the same bank under the same control
-            planar = StructuredProblem(
-                state_dim=2,
-                noise_dim=1,
-                horizon=p.horizon,
-                initial_state=np.array([1.0, -1.0]),
-                b1=lambda t: 0.1 * np.eye(2),
-                b2=lambda t, a: np.concatenate([a, a], axis=-1),
-                sigma1=lambda t: np.zeros((2, 1, 2)),
-                sigma2=lambda t, a: np.ones(a.shape[:-1] + (2, 1)),
-                f1=lambda t, x: np.sum(x * x, axis=-1),
-                f1_grad_x=lambda t, x: 2.0 * x,
-                f2=lambda t, a: np.sum(a * a, axis=-1),
-                terminal=lambda x: np.sum(x * x, axis=-1),
-                terminal_grad_x=lambda x: 2.0 * x,
-                action_space=p.action_space,
-                name="planar",
-            ).assemble()
-            args["values"] = simulate_forward(planar, noise, good.control).values
-        elif case == "paths":
-            args["values"] = good.values[:, :99]
-        elif case == "steps":
-            args["values"] = np.concatenate([good.values, good.values[-1:]])
+            # d = 2 states, which a scalar problem's cost reads as the d = 1 ones
+            args["values"] = np.repeat(good.values, 2, axis=2)
         elif case == "bank_noise_dim":
             args["noise"] = make_noise(grid, m, 2, seed=3)
         elif case == "control_rows":
@@ -342,7 +319,7 @@ class TestStateEnsemble:
             args["control"] = ControlEnsemble(np.ones((n - 1, m), dtype=np.int64))
         else:
             args["control"] = ControlEnsemble(np.full((n, m), 3))
-        StateEnsemble(good.values, p, noise, good.control)
+        StateEnsemble(good.values, p, noise, good.control)  # the good set is accepted
         with pytest.raises(ValueError, match=message):
             StateEnsemble(**args)
 
