@@ -130,21 +130,22 @@ class TestControlEnsemble:
         good = constant_control(p, 100, 4)
         adjoint = solve_adjoint_lsmc(simulate_forward(p, noise, good), RegressionBasis())
         bad = ControlEnsemble(by_step=idx)
+
+        def mismatched(q=p):
+            # the good values paired with the bad control: building them raises
+            return paired(adjoint, q, bad)
+
         calls = {
             "simulate_forward": lambda: simulate_forward(p, noise, bad),
-            "cost_per_path": lambda: cost_per_path(paired(adjoint, p, bad).states),
-            "solve_adjoint_lsmc": lambda: solve_adjoint_lsmc(
-                paired(adjoint, p, bad).states, RegressionBasis()
-            ),
-            "solve_adjoint_linear_y0": lambda: solve_adjoint_linear_y0(
-                paired(adjoint, p, bad).states
-            ),
-            "adjoint_residual": lambda: adjoint_residual(paired(adjoint, p, bad)),
+            "cost_per_path": lambda: cost_per_path(mismatched().states),
+            "solve_adjoint_lsmc": lambda: solve_adjoint_lsmc(mismatched().states, RegressionBasis()),
+            "solve_adjoint_linear_y0": lambda: solve_adjoint_linear_y0(mismatched().states),
+            "adjoint_residual": lambda: adjoint_residual(mismatched()),
             "compute_mu_new": lambda: compute_mu(adjoint, bad),
-            "compute_mu_prev": lambda: compute_mu(paired(adjoint, p, bad), good),
-            "update_control": lambda: update_control(paired(adjoint, p, bad), 1.0),
+            "compute_mu_prev": lambda: compute_mu(mismatched(), good),
+            "update_control": lambda: update_control(mismatched(), 1.0),
             "update_control_general": lambda: update_control(
-                paired(adjoint, p.replace(action_terms=None), bad), 1.0
+                mismatched(p.replace(action_terms=None)), 1.0
             ),
         }
         with pytest.raises(ValueError, match=message):
