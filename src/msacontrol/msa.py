@@ -21,6 +21,10 @@ table comes from ``augmented_hamiltonian`` or, for a problem with
 of the action terms plus a (previous, candidate) penalty table; one
 helper applies the tie rule to either.  Controls and the kernels that
 read them live in ``sde.py``; this module reads a control by step row.
+The candidate's indices have the action space's ``index_dtype`` (uint8
+up to 256 actions) whatever the previous control's dtype, so the two
+(N, M) controls alive while a candidate is priced cost 2 N M bytes, not
+the 16 N M of int64 indices.
 An iterate is one ``AdjointEnsemble``: it carries the ``StateEnsemble``
 it was solved along, which carries its problem, bank and control, so
 ``update_control(adjoint, rho)`` and ``compute_mu(adjoint, new)`` take
@@ -151,9 +155,10 @@ def update_control(adjoint: AdjointEnsemble, rho: float) -> ControlEnsemble:
     """
     if not 0 <= rho < np.inf:
         raise ValueError(f"rho must be nonnegative and finite, got {rho}")
-    prev = adjoint.states.control
-    producer = _hamiltonian_values if adjoint.states.problem.action_terms is None else _term_values
-    new_idx = np.empty_like(prev.by_step)
+    p, prev = adjoint.states.problem, adjoint.states.control
+    producer = _hamiltonian_values if p.action_terms is None else _term_values
+    # the compact dtype, not prev's: a caller's int64 prev still yields a small candidate
+    new_idx = np.empty(prev.by_step.shape, dtype=p.action_space.index_dtype)
     for k, vals in producer(adjoint, rho):
         new_idx[k] = _keep_or_lowest(vals, prev.by_step[k])
         del vals  # no table outlives its step while the producer builds the next

@@ -260,7 +260,7 @@ def brute_force_optimal(p: ControlProblem, noise: NoiseBank) -> BruteForceResult
     tiled = np.tile(noise.increments, (1, min(chunk, total), 1))
     sequences = itertools.product(range(n_act), repeat=n)
     while block := list(itertools.islice(sequences, chunk)):
-        seqs = np.array(block, dtype=np.int64)
+        seqs = np.array(block, dtype=p.action_space.index_dtype)
         c = seqs.shape[0]
         bank = NoiseBank(tiled[:, : c * m], noise.grid)
         control = ControlEnsemble(np.repeat(seqs.T, m, axis=1))

@@ -94,6 +94,15 @@ class ActionSpace:
     def dim(self) -> int:
         return self.points.shape[1]
 
+    @property
+    def index_dtype(self) -> np.dtype:
+        """Smallest unsigned dtype that holds every action index.
+
+        uint8 up to 256 actions, uint16 up to 65 536: every control the
+        package builds stores its indices in it.
+        """
+        return np.min_scalar_type(self.n_actions - 1)
+
     def centroid_index(self) -> int:
         """Index of the point closest to the centroid (lowest index on ties)."""
         centroid = self.points.mean(axis=0)

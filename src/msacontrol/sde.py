@@ -12,7 +12,12 @@ increments are (N, M, d'), the states (N + 1, M, d) and a control's
 indices (N, M), so every per-step kernel reads and writes one
 contiguous (M, ...) slab.  Controls (``ControlEnsemble``) live here
 with the kernels that read them, and every forward kernel walks a
-control with ``ControlEnsemble.steps``.  A bank carries its grid, and a
+control with ``ControlEnsemble.steps``.  An index is only gathered,
+compared or assigned, so every control the package builds stores it in
+``ActionSpace.index_dtype``, the smallest unsigned dtype that holds the
+action space's indices: one byte up to 256 actions.  An (N, M) control
+at M = 5e4, N = 50 is then 2.5 MB, where int64 indices took 20 MB, as
+much as the bank or the states.  A bank carries its grid, and a
 ``StateEnsemble`` the problem, bank and control it was simulated with;
 its constructor checks the four against each other, so ``cost_per_path``
 takes the states alone and no kernel re-checks what it reads from them.
@@ -203,14 +208,22 @@ def make_noise(grid: TimeGrid, n_paths: int, noise_dim: int, seed: int) -> Noise
     return NoiseBank(out, grid)
 
 
+def _check_horizon(noise: NoiseBank, p: ControlProblem) -> None:
+    if noise.grid.horizon != p.horizon:
+        raise ValueError(
+            f"bank grid horizon {noise.grid.horizon} is not the problem's {p.horizon}"
+        )
+
+
 @dataclass(frozen=True)
 class StateEnsemble:
     """States of a problem simulated on a bank under a control, shape (N + 1, M, d).
 
     Step-major: values[k] is step k's contiguous (M, d) slab.  The
     constructor checks d against the problem, M and N against the bank,
-    the bank's d' against the problem and the control against all three,
-    so a kernel that reads an ensemble need not check it again.
+    the bank's d' and grid horizon against the problem and the control
+    against all three, so a kernel that reads an ensemble need not check
+    it again.
     """
 
     values: np.ndarray
@@ -228,6 +241,7 @@ class StateEnsemble:
             )
         if dn != p.noise_dim:
             raise ValueError(f"bank noise dimension {dn} is not the problem's {p.noise_dim}")
+        _check_horizon(self.noise, p)
         self.control.validate(m, n, p.action_space.n_actions)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -254,7 +268,10 @@ class ControlEnsemble:
 
     by_step has shape (N, M), one row of path indices per step, or
     (N, 1), one column that every path follows: a deterministic control.
-    Kernels read it one step at a time, through ``steps`` going forward.
+    It keeps the caller's integer dtype; the package's own controls use
+    the action space's ``index_dtype``.  Like a bank, it takes ownership
+    of a C-contiguous array and makes it read-only.  Kernels read it one
+    step at a time, through ``steps`` going forward.
     """
 
     by_step: np.ndarray
@@ -265,7 +282,7 @@ class ControlEnsemble:
             raise ValueError("by_step must have shape (N, M) or (N, 1)")
         if not np.issubdtype(idx.dtype, np.integer):
             raise ValueError("by_step must be integers")
-        idx = np.ascontiguousarray(idx, dtype=np.int64)
+        idx = np.ascontiguousarray(idx)
         idx.setflags(write=False)
         object.__setattr__(self, "by_step", idx)
 
@@ -313,11 +330,13 @@ def constant_control(
     """The action closest to the action-set centroid, at every step and path.
 
     A deterministic control is the single column that every path follows.
+    Its indices have the action space's ``index_dtype``.
     """
     if mode not in CONTROL_MODES:
         raise ValueError(f"mode must be one of {CONTROL_MODES}")
     rows = n_paths if mode == "per_path" else 1
-    idx = np.full((n_steps, rows), p.action_space.centroid_index(), dtype=np.int64)
+    space = p.action_space
+    idx = np.full((n_steps, rows), space.centroid_index(), dtype=space.index_dtype)
     return ControlEnsemble(idx)
 
 
@@ -334,6 +353,7 @@ def simulate_forward(
     # checked before the walk, which would fail on a mismatch part-way through
     if noise.noise_dim != p.noise_dim:
         raise ValueError("noise bank dimension does not match the problem")
+    _check_horizon(noise, p)
     control.validate(m, n, p.action_space.n_actions)
 
     dt = noise.grid.dt

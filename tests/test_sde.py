@@ -270,6 +270,14 @@ class TestSimulateForward:
         assert exc.value.path >= 0
         assert "step" in str(exc.value) and "path" in str(exc.value)
 
+    def test_bank_on_another_horizon_is_refused(self):
+        # priced silently, this T = 1 problem on a T = 2 bank would cost 4.028, not 1.970
+        p = get_benchmark("lq_drift_small").problem
+        assert p.horizon == 1.0
+        noise = make_noise(TimeGrid(n_steps=5, horizon=2.0), 2000, 1, seed=1)
+        with pytest.raises(ValueError, match="horizon 2.0 is not the problem's 1.0"):
+            simulate_forward(p, noise, constant_control(p, 2000, 5))
+
     def test_shape_mismatches_rejected(self, lq_bench):
         p = lq_bench.problem
         g = TimeGrid(n_steps=5, horizon=p.horizon)
@@ -296,6 +304,7 @@ class TestStateEnsemble:
         [
             ("state_dim", r"\(N \+ 1, M, d\) = \(5, 100, 1\)"),
             ("bank_noise_dim", "bank noise dimension 2 is not the problem's 1"),
+            ("bank_horizon", "bank grid horizon 2.0 is not the problem's 1.0"),
             ("control_rows", r"control shape \(4, 2\) does not match"),
             ("control_steps", r"control shape \(3, 100\) does not match"),
             ("control_index", "out of range"),
@@ -313,6 +322,8 @@ class TestStateEnsemble:
             args["values"] = np.repeat(good.values, 2, axis=2)
         elif case == "bank_noise_dim":
             args["noise"] = make_noise(grid, m, 2, seed=3)
+        elif case == "bank_horizon":
+            args["noise"] = make_noise(TimeGrid(n_steps=n, horizon=2 * p.horizon), m, 1, seed=3)
         elif case == "control_rows":
             args["control"] = ControlEnsemble(np.ones((n, 2), dtype=np.int64))
         elif case == "control_steps":
