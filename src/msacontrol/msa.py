@@ -22,14 +22,24 @@ of the action terms plus a (previous, candidate) penalty table; one
 helper applies the tie rule to either.  Controls and the kernels that
 read them live in ``sde.py``; this module reads a control by step row.
 The candidate's indices have the action space's ``index_dtype`` (uint8
-up to 256 actions) whatever the previous control's dtype, so the two
-(N, M) controls alive while a candidate is priced cost 2 N M bytes, not
-the 16 N M of int64 indices.
+up to 256 actions) whatever the previous control's dtype, so an
+iteration's two (N, M) controls, the iterate's and the candidate's, cost
+2 N M bytes, not the 16 N M of int64 indices.
 An iterate is one ``AdjointEnsemble``: it carries the ``StateEnsemble``
 it was solved along, which carries its problem, bank and control, so
 ``update_control(adjoint, rho)`` and ``compute_mu(adjoint, new)`` take
 no other input, and the states' control is the ``prev`` that both are
 penalised and measured against.
+
+A candidate's paths never coexist with the paths they would replace.
+Besides the bank, the LSMC solve holds the iterate's states and the y
+and z it fills; ``update_control`` and ``compute_mu`` hold the states,
+y, z and one step's (actions x paths) table; and before the candidate
+is simulated ``run_msa`` drops the states, keeping y, z and their
+control.  An accepted candidate's states become the iterate and y and z
+go.  A rejected candidate's states go, and if another rho will be tried
+the iterate's states are replayed on the same bank and control, which
+gives the same bits, and the adjoint is rebuilt around them.
 """
 
 from __future__ import annotations
@@ -161,7 +171,7 @@ def update_control(adjoint: AdjointEnsemble, rho: float) -> ControlEnsemble:
     new_idx = np.empty(prev.by_step.shape, dtype=p.action_space.index_dtype)
     for k, vals in producer(adjoint, rho):
         new_idx[k] = _keep_or_lowest(vals, prev.by_step[k])
-        del vals  # no table outlives its step while the producer builds the next
+        del vals  # with the producer's own del, one step's table is alive at a time
     return ControlEnsemble(new_idx)
 
 
@@ -186,6 +196,7 @@ def _hamiltonian_values(adjoint, rho):
         x, y, z = states.values[k], adjoint.y_values[k], adjoint.z_values[k]
         vals = augmented_hamiltonian(p, times[k], x, y, z, prev.indices(k, m), rho)
         yield k, (vals.mean(axis=1, keepdims=True) if prev.shared else vals)
+        del vals  # a suspended generator would hold it while the next is built
 
 
 def _term_values(adjoint, rho):
@@ -217,8 +228,11 @@ def _term_values(adjoint, rho):
         vals = c @ w  # (actions, m): a reduction over actions is a row-wise pass
         vals += f2[:, None]
         if rho > 0:
-            vals += half_pen[:, prev.indices(k, m)]  # the table is symmetric
+            idx = prev.indices(k, m).astype(np.intp)  # take() gathers fastest with intp
+            for a, pen in enumerate(half_pen):  # one path-length gather at a time
+                vals[a] += pen.take(idx)
         yield k, vals
+        del vals  # a suspended generator would hold it while the next is built
 
 
 def compute_mu(adjoint: AdjointEnsemble, new: ControlEnsemble) -> tuple[float, float]:
@@ -268,13 +282,16 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
                 trace.status = "fixed_point"
                 return states.control, trace
             mu, mu_se = compute_mu(adjoint, candidate)
+            # the candidate's paths never coexist with the ones they would replace
+            y, z, prev = adjoint.y_values, adjoint.z_values, states.control
+            del adjoint, states
             cand_states = simulate_forward(p, noise, candidate)
             cand_costs = cost_per_path(cand_states)
             # both controls are priced on one bank, so dJ is exact in sample
             dj = float(np.mean(cand_costs - costs))
             if cfg.classical or dj < 0:
-                states = cand_states
-                costs = cand_costs
+                states, costs = cand_states, cand_costs
+                del cand_states, y, z, prev  # the next solve runs without them
                 j_cur, j_se = mean_and_se(costs)
                 trace.add_row(n, j_cur, j_se, mu, mu_se, rho, n_backtracks, True)
                 if abs(mu) <= cfg.tol_mu:
@@ -283,15 +300,20 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
                 if abs(dj) <= cfg.tol_dj:
                     trace.status = "converged_dj"
                     return states.control, trace
-                del adjoint  # it holds the superseded states: the next solve runs without either
                 break
+            del cand_states
             n_backtracks += 1
-            rho = rho * cfg.rho_growth if rho > 0 else 1.0
-            if rho > cfg.rho_max:
+            grown = rho * cfg.rho_growth if rho > 0 else 1.0
+            if grown > cfg.rho_max:
+                # the row reports the rho its candidate and mu were computed at
                 trace.add_row(n, j_cur, j_se, mu, mu_se, rho, n_backtracks, False)
                 trace.status = "descent_failure"
                 raise DescentFailureError(
                     f"no descent step found below rho_max={cfg.rho_max}", trace
                 )
+            rho = grown
+            # replay the iterate's paths: the same bank and control give the same bits
+            states = simulate_forward(p, noise, prev)
+            adjoint = AdjointEnsemble(y, z, states)
     trace.status = "max_iterations"
     return states.control, trace

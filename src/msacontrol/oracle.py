@@ -279,6 +279,28 @@ def brute_force_optimal(p: ControlProblem, noise: NoiseBank) -> BruteForceResult
 
 # --- benchmark suite ------------------------------------------------------
 
+class _ComputedOnRead:
+    """A frozen-dataclass field given a value or a zero-argument function for it.
+
+    The function runs on the field's first read, and its result replaces
+    it, so a value that nothing reads is never computed.
+    """
+
+    def __set_name__(self, owner, name):
+        self._slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        value = obj.__dict__[self._slot]
+        if callable(value):
+            value = obj.__dict__[self._slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self._slot] = value
+
+
 @dataclass(frozen=True)
 class Benchmark:
     """A named problem plus whatever oracle data applies to it.
@@ -286,14 +308,16 @@ class Benchmark:
     lq is set when riccati_lq verifies the problem.  continuous_optimum
     is the optimal cost of the continuous-time, unconstrained-action
     problem when an ODE oracle exists; the solver's grid-restricted value
-    sits above it by discretisation bias.
+    sits above it by discretisation bias.  It may be given as a
+    zero-argument function, which runs when the field is first read: the
+    suite's ODE oracles cost a solve nothing until a caller asks.
     """
 
     name: str
     problem: ControlProblem
     _: KW_ONLY
     lq: LqSpec | None = None
-    continuous_optimum: float | None = None
+    continuous_optimum: float | Callable[[], float] | None = _ComputedOnRead()
 
 
 def scalar_quadratic_problem(
@@ -388,14 +412,15 @@ _SMALL_GRID = np.linspace(-1.0, 1.0, 3)
 
 
 def _suite_benchmark(name: str, spec: LqSpec, points: np.ndarray, oracle: str = "") -> Benchmark:
-    """A suite problem with the continuous optimum of the named oracle."""
+    """A suite problem with the continuous optimum of the named oracle, integrated on read."""
     problem = scalar_quadratic_problem(name, spec, _HORIZON, points)
     if oracle == "riccati":
         grid = TimeGrid(n_steps=50, horizon=_HORIZON)
-        optimum = riccati_lq(spec, grid).optimal_value
+        optimum = lambda: riccati_lq(spec, grid).optimal_value
         return Benchmark(name, problem, lq=spec, continuous_optimum=optimum)
     if oracle == "diffusion":
-        return Benchmark(name, problem, continuous_optimum=diffusion_lq_value(spec, _HORIZON))
+        optimum = lambda: diffusion_lq_value(spec, _HORIZON)
+        return Benchmark(name, problem, continuous_optimum=optimum)
     return Benchmark(name, problem)
 
 

@@ -82,7 +82,9 @@ class ActionSpace:
             )
         if not np.all(np.isfinite(pts)):
             raise ProblemDefinitionError("action points must all be finite")
-        if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+        # equal rows are neighbours once sorted; np.unique(axis=0) would import numpy.ma
+        ordered = pts[np.lexsort(pts.T)]
+        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
             raise ProblemDefinitionError("action points must be distinct")
         object.__setattr__(self, "points", _as_readonly(pts))
 

@@ -6,10 +6,15 @@ unit tests and the acceptance tests share one computation each.
 """
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msacontrol
 from msacontrol import (
     MsaConfig,
     TimeGrid,
@@ -107,6 +112,21 @@ def csv_rows(path):
     """The rows of a CSV file with a header line, as dicts of raw strings."""
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def fresh_interpreter_loads(code, module):
+    """Whether a new Python process that runs code has imported module."""
+    src = str(Path(msacontrol.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint({module!r} in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    return out.stdout.strip() == "True"
 
 
 @pytest.fixture(scope="session")

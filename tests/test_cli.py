@@ -264,8 +264,11 @@ class TestRun:
         assert code == 2
         assert "STATUS command=run exit=2" in status
         assert "status=descent_failure" in status
+        # the rho the rejected candidate was computed at, not the one it would grow to
+        assert status.endswith(" rho=0")
         rows = csv_rows(tmp_path / "fail" / "msa_stress_trace.csv")
         assert rows[-1]["accepted"] == "0"
+        assert float(rows[-1]["rho"]) == 0.0
 
     def test_problem_module_hook_registers_benchmark(self, tmp_path, capsys, monkeypatch):
         mod_dir = tmp_path / "mods"

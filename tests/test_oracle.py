@@ -8,6 +8,7 @@ import pytest
 
 import msacontrol.oracle as oracle_mod
 from msacontrol import (
+    Benchmark,
     SimulationError,
     TimeGrid,
     benchmark_names,
@@ -311,6 +312,32 @@ class TestBenchmarkRegistry:
         assert optima["ctrl_diffusion"] == optima["ctrl_diffusion_small"] == CTRL_DIFFUSION_OPTIMUM
         assert optima["ctrl_diffusion"] == diffusion_lq_value(oracle_mod._CTRL_DIFFUSION, 1.0)
         assert optima["msa_stress"] is None
+
+    @pytest.mark.parametrize(
+        "name, oracle, want",
+        [
+            ("lq_drift", "riccati_lq", LQ_DRIFT_OPTIMUM),
+            ("ctrl_diffusion", "diffusion_lq_value", CTRL_DIFFUSION_OPTIMUM),
+        ],
+        ids=["lq_drift", "ctrl_diffusion"],
+    )
+    def test_ode_oracle_runs_on_first_read(self, monkeypatch, name, oracle, want):
+        calls = []
+        real = getattr(oracle_mod, oracle)
+        monkeypatch.setattr(oracle_mod, oracle, lambda *args: calls.append(args) or real(*args))
+        bench = get_benchmark(name)
+        assert calls == []
+        assert bench.continuous_optimum == want
+        assert bench.continuous_optimum == want
+        assert len(calls) == 1
+
+    def test_optimum_given_as_value_or_function(self, lq_bench):
+        p = lq_bench.problem
+        assert Benchmark("value", p, continuous_optimum=1.5).continuous_optimum == 1.5
+        assert Benchmark("function", p, continuous_optimum=lambda: 2.5).continuous_optimum == 2.5
+        assert Benchmark("none", p).continuous_optimum is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lq_bench.continuous_optimum = 0.0
 
     def test_wide_grid_centroid_is_zero_action(self, lq_bench):
         space = lq_bench.problem.action_space

@@ -22,6 +22,7 @@ from msacontrol import (
 from msacontrol.oracle import LqSpec, scalar_quadratic_problem
 from msacontrol.problem import hamiltonian_grad_x
 
+from conftest import fresh_interpreter_loads
 from references import lq_hamiltonian_reference
 
 
@@ -92,6 +93,27 @@ class TestActionSpace:
     def test_duplicate_rejected(self):
         with pytest.raises(ProblemDefinitionError):
             ActionSpace(points=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "points, distinct",
+        [
+            ([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], False),  # repeated rows, not neighbours
+            ([[0.0, 1.0], [0.0, 2.0], [1.0, 1.0]], True),  # rows that share one coordinate
+            ([[0.0], [-0.0]], False),  # equal as numbers
+        ],
+        ids=["repeat_apart", "shared_column", "signed_zero"],
+    )
+    def test_distinct_rows(self, points, distinct):
+        if distinct:
+            assert ActionSpace(points=np.array(points)).n_actions == len(points)
+        else:
+            with pytest.raises(ProblemDefinitionError, match="distinct"):
+                ActionSpace(points=np.array(points))
+
+    def test_building_a_problem_does_not_load_numpy_ma(self):
+        # np.unique(axis=0) imports numpy.ma, which every msactl call would pay for
+        code = "import msacontrol\nmsacontrol.get_benchmark('lq_drift')"
+        assert not fresh_interpreter_loads(code, "numpy.ma")
 
     def test_points_immutable(self):
         sp = ActionSpace(points=np.array([0.0, 1.0]))

@@ -1,11 +1,7 @@
 """Noise bank, forward Euler simulation, and cost estimation."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +23,7 @@ from msacontrol import (
 from msacontrol.oracle import scalar_quadratic_problem
 from msacontrol.sde import ControlEnsemble, NoiseBank, StateEnsemble, mean_and_se
 
+from conftest import fresh_interpreter_loads
 from test_problem import make_problem
 
 
@@ -143,24 +140,8 @@ class TestNoiseStream:
     def test_import_does_not_load_numpy_random(self):
         # numpy.random is loaded on the first make_noise call, not at import,
         # which keeps the start-up cost of building a problem flat
-        import msacontrol
-
-        src = str(Path(msacontrol.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = (
-            "import sys, msacontrol\n"
-            "msacontrol.get_benchmark('lq_drift_small')\n"
-            "print('numpy.random' in sys.modules)\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-        )
-        assert out.stdout.strip() == "False"
+        code = "import msacontrol\nmsacontrol.get_benchmark('lq_drift_small')"
+        assert not fresh_interpreter_loads(code, "numpy.random")
 
 
 def constant_dynamics_problem(c, actions=(0.0,)):
