@@ -19,7 +19,10 @@ control one step row at a time.  Each step's (actions x paths) value
 table comes from ``augmented_hamiltonian`` or, for a problem with
 ``action_terms`` (every ``StructuredProblem``), from one matrix product
 of the action terms plus a (previous, candidate) penalty table; one
-helper applies the tie rule to either.  Controls and the kernels that
+helper applies the tie rule to either, by row-wise passes over the
+table: a minimum, a maximum of reversed ranks over the attaining rows,
+and an any over the rows that hold the previous action, with no argmax
+down the actions axis and no gather.  Controls and the kernels that
 read them live in ``sde.py``; this module reads a control by step row.
 The candidate's indices have the action space's ``index_dtype`` (uint8
 up to 256 actions) whatever the previous control's dtype, so an
@@ -34,7 +37,8 @@ penalised and measured against.
 A candidate's paths never coexist with the paths they would replace.
 Besides the bank, the LSMC solve holds the iterate's states and the y
 and z it fills; ``update_control`` and ``compute_mu`` hold the states,
-y, z and one step's (actions x paths) table; and before the candidate
+y, z and one step's (actions x paths) table, plus two byte tables of
+that shape while the tie rule runs; and before the candidate
 is simulated ``run_msa`` drops the states, keeping y, z and their
 control.  An accepted candidate's states become the iterate and y and z
 go.  A rejected candidate's states go, and if another rho will be tried
@@ -176,15 +180,31 @@ def update_control(adjoint: AdjointEnsemble, rho: float) -> ControlEnsemble:
 
 
 def _keep_or_lowest(vals, prev):
-    """Column-wise argmin of an (actions, columns) table.
+    """Column-wise argmin of an (actions, columns) table, by row-wise passes.
 
     A column keeps its previous action where that action attains the
-    column minimum, else takes the lowest index attaining it.
+    column minimum, else takes the lowest index attaining it: this equals
+    argmin on finite tables, and a column holding a NaN gets index 0.
+    Every reduction runs along the rows of the C-ordered table, never
+    down a column, so nothing is transposed or gathered.  The lowest
+    attaining index is A-1 minus the column maximum of A-1-i over the
+    attaining rows i.  The temporaries are byte tables, at most two alive
+    at a time (the product of ranks is two bytes an entry beyond 256
+    actions).
     """
+    a = len(vals)
+    ranks = np.arange(a, dtype=np.min_scalar_type(a - 1))[:, None]  # the index dtype
     mins = vals.min(axis=0)
-    at_prev = vals[prev, np.arange(vals.shape[1])]
-    lowest = (vals == mins).argmax(axis=0)  # equals argmin on finite tables
-    return np.where(at_prev == mins, prev, lowest)
+    attains = vals == mins
+    no_min = np.isnan(mins)
+    del mins
+    hit = ranks == prev  # each column's previous action
+    hit &= attains
+    keep = hit.any(axis=0)
+    del hit
+    lowest = (a - 1) - (attains * ranks[::-1]).max(axis=0)
+    lowest[no_min] = 0  # no row attains a NaN minimum
+    return np.where(keep, prev, lowest)
 
 
 def _hamiltonian_values(adjoint, rho):
@@ -230,7 +250,9 @@ def _term_values(adjoint, rho):
         if rho > 0:
             idx = prev.indices(k, m).astype(np.intp)  # take() gathers fastest with intp
             for a, pen in enumerate(half_pen):  # one path-length gather at a time
-                vals[a] += pen.take(idx)
+                # in range: the states validated their control when they were built
+                vals[a] += pen.take(idx, mode="clip")
+            del idx  # M intp indices the suspended generator would otherwise hold
         yield k, vals
         del vals  # a suspended generator would hold it while the next is built
 

@@ -1,8 +1,9 @@
 """Independent references the tests compare the library against.
 
 Closed-form linear-quadratic values coded apart from the problem module,
-the exact checker of the recursive bound b_{k+1} <= b_k - q b_k^2, and a
-sampled check of the extended Pontryagin condition built on the public
+the exact checker of the recursive bound b_{k+1} <= b_k - q b_k^2, the
+control update's tie rule in its direct column-wise form, and a sampled
+check of the extended Pontryagin condition built on the public
 ``augmented_hamiltonian``.
 """
 
@@ -115,6 +116,19 @@ def check_recursive_bound(seq, q: float) -> RecursiveBoundCheck:
     return RecursiveBoundCheck(
         ok=True, hypothesis_ok=True, bound_ok=True, first_violation=None, kind=""
     )
+
+
+def keep_or_lowest_reference(vals, prev):
+    """The control update's tie rule by column-wise argmax and a gather.
+
+    A column keeps its previous action where that action attains the
+    column minimum, else takes the lowest index attaining it; a column
+    holding a NaN gets index 0, since nothing equals a NaN minimum.
+    """
+    mins = vals.min(axis=0)
+    at_prev = vals[prev, np.arange(vals.shape[1])]
+    lowest = (vals == mins).argmax(axis=0)  # equals argmin on finite tables
+    return np.where(at_prev == mins, prev, lowest)
 
 
 def pontryagin_gaps(adjoint, control, rho, n_samples):
