@@ -15,15 +15,16 @@ There is one Hamiltonian evaluator, in ``problem.py``: ``hamiltonian``
 at given actions and ``augmented_hamiltonian`` over every (action, path)
 pair share one contraction; ``compute_mu`` always uses it.
 ``update_control`` is one loop over time steps that writes the new
-control one step row at a time.  Each step's (actions x paths) value
-table comes from ``augmented_hamiltonian`` or, for a problem with
-``action_terms`` (every ``StructuredProblem``), from one matrix product
-of the action terms plus a (previous, candidate) penalty table; one
-helper applies the tie rule to either, by row-wise passes over the
-table: a minimum, a maximum of reversed ranks over the attaining rows,
-and an any over the rows that hold the previous action, with no argmax
-down the actions axis and no gather.  Controls and the kernels that
-read them live in ``sde.py``; this module reads a control by step row.
+control one step row at a time.  Step k's (actions x paths) value
+table is what a plain function of (adjoint, rho, k) returns:
+``augmented_hamiltonian``'s or, for a problem with ``action_terms``
+(every ``StructuredProblem``), one matrix product of the action terms
+plus a (previous, candidate) penalty table.  One helper applies the tie
+rule to either, by row-wise passes over the table: a minimum, a maximum
+of reversed ranks over the attaining rows, and an any over the rows that
+hold the previous action, with no argmax down the actions axis and no
+gather.  Controls and the kernels that read them live in ``sde.py``;
+this module reads a control by step row.
 The candidate's indices have the action space's ``index_dtype`` (uint8
 up to 256 actions) whatever the previous control's dtype, so an
 iteration's two (N, M) controls, the iterate's and the candidate's, cost
@@ -37,13 +38,14 @@ penalised and measured against.
 A candidate's paths never coexist with the paths they would replace.
 Besides the bank, the LSMC solve holds the iterate's states and the y
 and z it fills; ``update_control`` and ``compute_mu`` hold the states,
-y, z and one step's (actions x paths) table, plus two byte tables of
-that shape while the tie rule runs; and before the candidate
-is simulated ``run_msa`` drops the states, keeping y, z and their
-control.  An accepted candidate's states become the iterate and y and z
-go.  A rejected candidate's states go, and if another rho will be tried
-the iterate's states are replayed on the same bank and control, which
-gives the same bits, and the adjoint is rebuilt around them.
+y, z and one step's (actions x paths) table, freed once the tie rule
+has read it, plus two byte tables of that shape while the tie rule
+runs; and before the candidate is simulated ``run_msa`` drops the
+states, keeping y, z and their control.  An accepted candidate's states
+become the iterate and y and z go.  A rejected candidate's states go,
+and if another rho will be tried the iterate's states are replayed on
+the same bank and control, which gives the same bits, and the adjoint
+is rebuilt around them.
 """
 
 from __future__ import annotations
@@ -170,12 +172,11 @@ def update_control(adjoint: AdjointEnsemble, rho: float) -> ControlEnsemble:
     if not 0 <= rho < np.inf:
         raise ValueError(f"rho must be nonnegative and finite, got {rho}")
     p, prev = adjoint.states.problem, adjoint.states.control
-    producer = _hamiltonian_values if p.action_terms is None else _term_values
-    # the compact dtype, not prev's: a caller's int64 prev still yields a small candidate
+    step_values = _hamiltonian_values if p.action_terms is None else _term_values
+    # the compact dtype, not prev's: a caller's int64 prev still gets a small candidate
     new_idx = np.empty(prev.by_step.shape, dtype=p.action_space.index_dtype)
-    for k, vals in producer(adjoint, rho):
-        new_idx[k] = _keep_or_lowest(vals, prev.by_step[k])
-        del vals  # with the producer's own del, one step's table is alive at a time
+    for k in range(prev.n_steps):
+        new_idx[k] = _keep_or_lowest(step_values(adjoint, rho, k), prev.by_step[k])
     return ControlEnsemble(new_idx)
 
 
@@ -207,54 +208,46 @@ def _keep_or_lowest(vals, prev):
     return np.where(keep, prev, lowest)
 
 
-def _hamiltonian_values(adjoint, rho):
-    """Per step k, (k, the augmented Hamiltonian), (actions, paths) or path mean."""
+def _hamiltonian_values(adjoint, rho, k):
+    """Step k's augmented Hamiltonian, (actions, paths), or its path mean for a shared prev."""
     states = adjoint.states
-    p, m, prev = states.problem, states.n_paths, states.control
-    times = states.grid.nodes.tolist()
-    for k in range(prev.n_steps):
-        x, y, z = states.values[k], adjoint.y_values[k], adjoint.z_values[k]
-        vals = augmented_hamiltonian(p, times[k], x, y, z, prev.indices(k, m), rho)
-        yield k, (vals.mean(axis=1, keepdims=True) if prev.shared else vals)
-        del vals  # a suspended generator would hold it while the next is built
+    p, prev = states.problem, states.control
+    x, y, z = states.values[k], adjoint.y_values[k], adjoint.z_values[k]
+    t = float(states.grid.nodes[k])
+    vals = augmented_hamiltonian(p, t, x, y, z, prev.indices(k, states.n_paths), rho)
+    return vals.mean(axis=1, keepdims=True) if prev.shared else vals
 
 
-def _term_values(adjoint, rho):
-    """Per step k, (k, the same argmin's values from the action terms alone).
+def _term_values(adjoint, rho, k):
+    """Step k's values of the same argmin, from the action terms alone.
 
     Under the ActionTerms contract H(a) = [y, vec z] . C_a + f2(a) plus
     terms free of a, where C_a = [b2(a), vec sigma2(a)].  The grad_x H
     part of the penalty vanishes, so the penalty against the previous
     action is the table (rho/2) |C_a - C_prev|^2.
     """
-    states, ys, zs = adjoint.states, adjoint.y_values, adjoint.z_values
+    states = adjoint.states
     p, m, prev = states.problem, states.n_paths, states.control
-    terms, points, d = p.action_terms, p.action_space.points, p.state_dim
-    times = states.grid.nodes.tolist()
-    w = np.empty((d + d * p.noise_dim, m))  # [y, vec z] per path, transposed
-    for k in range(prev.n_steps):
-        t = times[k]
-        b2 = np.asarray(terms.drift(t, points))
-        s2 = np.asarray(terms.diffusion(t, points)).reshape(len(points), -1)
-        c = _check_finite("action terms", np.concatenate([b2, s2], axis=1))
-        f2 = _check_finite("action terms", np.asarray(terms.running_cost(t, points)))
-        diff = c[:, None, :] - c[None, :, :]
-        half_pen = 0.5 * rho * np.einsum("apq,apq->ap", diff, diff)
-        w[:d] = ys[k].T
-        w[d:] = zs[k].reshape(m, -1).T
-        if prev.shared:  # path mean first: a matrix-vector product
-            yield k, (c @ w.mean(axis=1) + f2)[:, None] + half_pen[:, prev.indices(k, 1)]
-            continue
-        vals = c @ w  # (actions, m): a reduction over actions is a row-wise pass
-        vals += f2[:, None]
-        if rho > 0:
-            idx = prev.indices(k, m).astype(np.intp)  # take() gathers fastest with intp
-            for a, pen in enumerate(half_pen):  # one path-length gather at a time
-                # in range: the states validated their control when they were built
-                vals[a] += pen.take(idx, mode="clip")
-            del idx  # M intp indices the suspended generator would otherwise hold
-        yield k, vals
-        del vals  # a suspended generator would hold it while the next is built
+    terms, points = p.action_terms, p.action_space.points
+    t = float(states.grid.nodes[k])
+    b2 = np.asarray(terms.drift(t, points))
+    s2 = np.asarray(terms.diffusion(t, points)).reshape(len(points), -1)
+    c = _check_finite("action terms", np.concatenate([b2, s2], axis=1))
+    f2 = _check_finite("action terms", np.asarray(terms.running_cost(t, points)))
+    diff = c[:, None, :] - c[None, :, :]
+    half_pen = 0.5 * rho * np.einsum("apq,apq->ap", diff, diff)
+    # [y, vec z] per path, transposed
+    w = np.concatenate([adjoint.y_values[k].T, adjoint.z_values[k].reshape(m, -1).T])
+    if prev.shared:  # path mean first: a matrix-vector product
+        return (c @ w.mean(axis=1) + f2)[:, None] + half_pen[:, prev.indices(k, 1)]
+    vals = c @ w  # (actions, m): a reduction over actions is a row-wise pass
+    vals += f2[:, None]
+    if rho > 0:
+        idx = prev.indices(k, m).astype(np.intp)  # take() gathers fastest with intp
+        for a, pen in enumerate(half_pen):  # one path-length gather at a time
+            # in range: the states validated their control when they were built
+            vals[a] += pen.take(idx, mode="clip")
+    return vals
 
 
 def compute_mu(adjoint: AdjointEnsemble, new: ControlEnsemble) -> tuple[float, float]:

@@ -11,6 +11,7 @@ with the solver's own simulation and cost kernels.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import KW_ONLY, dataclass
 from typing import Callable
@@ -279,45 +280,29 @@ def brute_force_optimal(p: ControlProblem, noise: NoiseBank) -> BruteForceResult
 
 # --- benchmark suite ------------------------------------------------------
 
-class _ComputedOnRead:
-    """A frozen-dataclass field given a value or a zero-argument function for it.
-
-    The function runs on the field's first read, and its result replaces
-    it, so a value that nothing reads is never computed.
-    """
-
-    def __set_name__(self, owner, name):
-        self._slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None  # the field's default
-        value = obj.__dict__[self._slot]
-        if callable(value):
-            value = obj.__dict__[self._slot] = value()
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self._slot] = value
-
-
 @dataclass(frozen=True)
 class Benchmark:
     """A named problem plus whatever oracle data applies to it.
 
-    lq is set when riccati_lq verifies the problem.  continuous_optimum
-    is the optimal cost of the continuous-time, unconstrained-action
-    problem when an ODE oracle exists; the solver's grid-restricted value
-    sits above it by discretisation bias.  It may be given as a
-    zero-argument function, which runs when the field is first read: the
-    suite's ODE oracles cost a solve nothing until a caller asks.
+    lq is set when riccati_lq verifies the problem.  oracle, when an ODE
+    oracle exists, is a zero-argument function that returns the optimal
+    cost of the continuous-time, unconstrained-action problem; the
+    solver's grid-restricted value sits above it by discretisation bias.
+    continuous_optimum runs it on its first read and keeps the value, so
+    the suite's ODE oracles cost a solve nothing until a caller asks, and
+    dataclasses.replace copies the function without running it.
     """
 
     name: str
     problem: ControlProblem
     _: KW_ONLY
     lq: LqSpec | None = None
-    continuous_optimum: float | Callable[[], float] | None = _ComputedOnRead()
+    oracle: Callable[[], float] | None = None
+
+    @functools.cached_property
+    def continuous_optimum(self) -> float | None:
+        """The oracle's value, integrated on first read; None without an oracle."""
+        return None if self.oracle is None else self.oracle()
 
 
 def scalar_quadratic_problem(
@@ -417,10 +402,10 @@ def _suite_benchmark(name: str, spec: LqSpec, points: np.ndarray, oracle: str = 
     if oracle == "riccati":
         grid = TimeGrid(n_steps=50, horizon=_HORIZON)
         optimum = lambda: riccati_lq(spec, grid).optimal_value
-        return Benchmark(name, problem, lq=spec, continuous_optimum=optimum)
+        return Benchmark(name, problem, lq=spec, oracle=optimum)
     if oracle == "diffusion":
         optimum = lambda: diffusion_lq_value(spec, _HORIZON)
-        return Benchmark(name, problem, continuous_optimum=optimum)
+        return Benchmark(name, problem, oracle=optimum)
     return Benchmark(name, problem)
 
 

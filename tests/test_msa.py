@@ -293,6 +293,37 @@ class TestUpdateControl:
                     with pytest.raises(ValueError, match="rho"):
                         update_control(adjoint, rho=rho)
 
+    @pytest.mark.parametrize("mode", ["per_path", "deterministic"])
+    def test_generic_update_holds_one_steps_table(self, lq_bench, mode):
+        # tracemalloc's peak of the generic update is one step's table build
+        # (augmented_hamiltonian, then the tie rule) plus the (N, M) candidate,
+        # to within one float a path; every step's table kept alive adds N - 1
+        p = lq_bench.problem.replace(action_terms=None)
+        m, n, rho = 2000, 20, 1.0
+        noise = make_noise(TimeGrid(n_steps=n, horizon=p.horizon), m, p.noise_dim, seed=3)
+        prev = constant_control(p, m, n, mode=mode)
+        if mode == "per_path":
+            n_act = p.action_space.n_actions
+            prev = ControlEnsemble(np.random.default_rng(3).integers(n_act, size=(n, m), dtype=np.uint8))
+        adjoint = solve_adjoint_lsmc(simulate_forward(p, noise, prev), RegressionBasis())
+        s, y, z = adjoint.states, adjoint.y_values, adjoint.z_values
+
+        def one_step():
+            vals = augmented_hamiltonian(p, 0.0, s.values[0], y[0], z[0], prev.indices(0, m), rho)
+            return _keep_or_lowest(vals.mean(axis=1, keepdims=True) if prev.shared else vals, prev.by_step[0])
+
+        def traced_peak(f):
+            f()  # first-call allocations
+            tracemalloc.start()
+            try:
+                f()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        step, update = traced_peak(one_step), traced_peak(lambda: update_control(adjoint, rho))
+        assert update <= step + prev.by_step.nbytes + 8 * m, (update, step)
+
     def test_deterministic_mode_shares_action_per_step(self, rng):
         p = quadratic_drift_problem()
         m, n = 50, 4

@@ -331,10 +331,29 @@ class TestBenchmarkRegistry:
         assert bench.continuous_optimum == want
         assert len(calls) == 1
 
-    def test_optimum_given_as_value_or_function(self, lq_bench):
+    @pytest.mark.parametrize(
+        "name, oracle",
+        [("lq_drift", "riccati_lq"), ("ctrl_diffusion", "diffusion_lq_value")],
+        ids=["lq_drift", "ctrl_diffusion"],
+    )
+    def test_replace_runs_no_ode_oracle(self, monkeypatch, name, oracle):
+        # the benchmark tracer's get_benchmark swaps in a wrapped problem this way
+        calls = []
+        real = getattr(oracle_mod, oracle)
+        monkeypatch.setattr(oracle_mod, oracle, lambda *args: calls.append(args) or real(*args))
+        bench = get_benchmark(name)
+        traced = dataclasses.replace(bench, problem=bench.problem.replace(name="traced"))
+        assert calls == []
+        assert traced.oracle is bench.oracle
+
+    def test_optimum_given_as_a_function(self, lq_bench):
         p = lq_bench.problem
-        assert Benchmark("value", p, continuous_optimum=1.5).continuous_optimum == 1.5
-        assert Benchmark("function", p, continuous_optimum=lambda: 2.5).continuous_optimum == 2.5
+        calls = []
+        bench = Benchmark("function", p, oracle=lambda: calls.append(1) or 2.5)
+        assert calls == []
+        assert bench.continuous_optimum == 2.5
+        assert bench.continuous_optimum == 2.5
+        assert len(calls) == 1
         assert Benchmark("none", p).continuous_optimum is None
         with pytest.raises(dataclasses.FrozenInstanceError):
             lq_bench.continuous_optimum = 0.0
