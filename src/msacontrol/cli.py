@@ -426,9 +426,10 @@ def main(argv=None) -> int:
     """Load the config, apply --out and --seed, run the command.
 
     A ConfigError, a RegressionError, a non-finite state or coefficient
-    (SimulationError, EvaluationError) or a refused noise bank
-    (MemoryError) from any step ends the command with exit code 1 and a
-    STATUS line naming the problem.
+    (SimulationError, EvaluationError), a refused noise bank
+    (MemoryError) or an unwritable output path (OSError) from any step
+    ends the command with exit code 1 and a STATUS line naming the
+    problem.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -441,7 +442,7 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"--seed {args.seed}: {exc}") from None
         return args.fn(cfg)
-    except (ConfigError, RegressionError, SimulationError, EvaluationError, MemoryError) as exc:
+    except (ConfigError, RegressionError, SimulationError, EvaluationError, MemoryError, OSError) as exc:
         _status(args.command, 1, error=repr(str(exc)))
         return 1
 

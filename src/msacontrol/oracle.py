@@ -2,11 +2,11 @@
 
 Every suite problem is one constant-coefficient scalar ``LqSpec``; the
 solver's problem (``scalar_quadratic_problem``) and its oracle read the
-same spec.  Independent of the MSA iteration and the LSMC adjoint: a
-Riccati ODE oracle for control in the drift, a value ODE for control in
-the diffusion, and, for small instances, exhaustive enumeration of the
-deterministic action sequences of the discretised problem, each priced
-with the solver's own simulation and cost kernels.
+same spec.  Independent of the MSA iteration and the LSMC adjoint: one
+value ODE (riccati_lq) for control in the drift or the diffusion, and,
+for small instances, exhaustive enumeration of the deterministic action
+sequences of the discretised problem, each priced with the solver's own
+simulation and cost kernels.
 """
 
 from __future__ import annotations
@@ -29,27 +29,23 @@ from .sde import (
 )
 
 
-def _rk4(rhs, t0: float, u0, h: float, n_steps: int, label: str | None = None):
+def _rk4(rhs, t0: float, u0, h: float, n_steps: int) -> np.ndarray:
     """Classical RK4 from (t0, u0) in n_steps steps of signed size h.
 
-    A negative h integrates backward in time.  Returns the nodes
-    t0 + i h and the states there, shapes (n_steps + 1,) and
-    (n_steps + 1, len(u0)).  With a label, a non-finite state raises
-    RuntimeError naming the integration.
+    A negative h integrates backward in time.  Returns the state at
+    t0 + n_steps h; a non-finite state on the way raises RuntimeError.
     """
-    times = t0 + h * np.arange(n_steps + 1)
-    u = np.empty((n_steps + 1, len(u0)))
-    u[0] = u0
+    u = np.asarray(u0, dtype=float)
     for i in range(n_steps):
-        t = times[i]
-        k1 = rhs(t, u[i])
-        k2 = rhs(t + 0.5 * h, u[i] + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, u[i] + 0.5 * h * k2)
-        k4 = rhs(t + h, u[i] + h * k3)
-        u[i + 1] = u[i] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if label is not None and not np.all(np.isfinite(u[i + 1])):
-            raise RuntimeError(f"{label} integration blew up near t={t + h}")
-    return times, u
+        t = t0 + h * i
+        k1 = rhs(t, u)
+        k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, u + 0.5 * h * k2)
+        k4 = rhs(t + h, u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(u)):
+            raise RuntimeError(f"RK4 integration blew up near t={t + h}")
+    return u
 
 
 @dataclass(frozen=True)
@@ -146,87 +142,49 @@ class LqSpec:
 
 
 _RICCATI_REFINE = 10  # RK4 steps per solver step
-_DIFFUSION_STEPS = 4000  # RK4 steps over the horizon
 _BRUTE_FORCE_BUDGET = 1_000_000  # action sequences
 _BRUTE_FORCE_ROWS = 50_000  # (sequence, path) rows simulated at once
 
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Backward Riccati solve: J* = P(0) x0^2 + c(0)."""
+    """Backward value-ODE solve: J* = P(0) x0^2 + c(0)."""
 
     optimal_value: float
-    feedback_gain: Callable[[float], float]
-    value_curve: tuple  # (times, p_values, c_values), ascending in t
 
 
 def riccati_lq(spec: LqSpec, grid: TimeGrid) -> RiccatiSolution:
-    """Solve the scalar Riccati ODE backward with classical RK4.
+    """Solve the scalar value ODE backward with classical RK4.
 
-    P' = -2 beta P + (gain^2 / r) P^2 - q,  P(T) = q_t
-    c' = -nu^2 P,                           c(T) = 0
-
-    Integrates on a grid _RICCATI_REFINE times finer than the solver
-    grid.  Control in the diffusion (sigma_gain != 0) is not covered.
+    The value is V = P x^2 + c.  With D = sigma_gain^2 P + r,
+    P' = -2 beta P + (gain^2 / D) P^2 - q,         P(T) = q_t
+    c' = -(nu^2 P - (nu sigma_gain P)^2 / D),       c(T) = 0
+    and the minimising action a* = -(gain P x + nu sigma_gain P) / D.
+    Control may enter the drift, the diffusion or both, but V gains a
+    term linear in x when gain sigma_gain nu != 0, so that case raises
+    ValueError.  The action is unconstrained here; for a bounded grid
+    the value is a lower bound plus quantisation allowance.  Integrates
+    on a grid _RICCATI_REFINE times finer than the solver grid.
     """
     spec.validate()
-    if spec.sigma_gain != 0:
-        raise ValueError("riccati_lq needs sigma_gain = 0; see diffusion_lq_value")
+    nu, s = spec.nu, spec.sigma_gain
+    if spec.control_gain * s * nu != 0:
+        raise ValueError("riccati_lq needs control_gain * sigma_gain * nu = 0")
     beta, q, r = spec.beta, spec.q, spec.r
     gain2 = spec.control_gain * spec.control_gain
-    nu2 = spec.nu * spec.nu
+    nu2 = nu * nu
 
     def rhs(t, u):
         p_val, c_val = u
-        dp = -2.0 * beta * p_val + gain2 * p_val * p_val / r - q
-        dc = -nu2 * p_val
+        d = p_val * s * s + r
+        cross = p_val * nu * s
+        dp = -2.0 * beta * p_val + gain2 * p_val * p_val / d - q
+        dc = -(nu2 * p_val - cross * cross / d)
         return np.array([dp, dc])
 
     n_fine = grid.n_steps * _RICCATI_REFINE
-    h = grid.horizon / n_fine
-    times, u = _rk4(rhs, grid.horizon, (spec.q_t, 0.0), -h, n_fine, label="Riccati")
-    t_asc = times[::-1].copy()
-    p_asc = u[::-1, 0].copy()
-    c_asc = u[::-1, 1].copy()
-    p0, c0 = float(p_asc[0]), float(c_asc[0])
-
-    def feedback_gain(t: float) -> float:
-        p_t = float(np.interp(t, t_asc, p_asc))
-        return -spec.control_gain * p_t / r
-
-    return RiccatiSolution(
-        optimal_value=p0 * spec.x0 * spec.x0 + c0,
-        feedback_gain=feedback_gain,
-        value_curve=(t_asc, p_asc, c_asc),
-    )
-
-
-def diffusion_lq_value(spec: LqSpec, horizon: float) -> float:
-    """Optimal cost when the control enters the diffusion only.
-
-    With nu0 = nu, nu1 = sigma_gain and control_gain = 0 the value
-    function stays quadratic, V = P(t) x^2 + c(t), because the minimising
-    action is state-free: a*(t) = -P nu0 nu1 / (P nu1^2 + r).  P solves
-    the linear ODE P' = -2 beta P - q with P(T) = q_t, and
-    c' = -(P nu0^2 - (P nu0 nu1)^2 / (P nu1^2 + r)), c(T) = 0.  Returns
-    V(0, x0).  The action is unconstrained here; for a bounded grid this
-    is a lower bound plus quantisation allowance.
-    """
-    spec.validate()
-    if spec.control_gain != 0:
-        raise ValueError("diffusion_lq_value needs control_gain = 0; see riccati_lq")
-    beta, nu0, nu1, q, r = spec.beta, spec.nu, spec.sigma_gain, spec.q, spec.r
-
-    def rhs(t, u):
-        p_val, c_val = u
-        gain = p_val * nu0 * nu1
-        dc = -(p_val * nu0 * nu0 - gain * gain / (p_val * nu1 * nu1 + r))
-        return np.array([-2.0 * beta * p_val - q, dc])
-
-    _, u = _rk4(rhs, horizon, (spec.q_t, 0.0), -horizon / _DIFFUSION_STEPS, _DIFFUSION_STEPS)
-    c0 = float(u[-1, 1])
-    p0 = float(u[-1, 0])
-    return p0 * spec.x0 * spec.x0 + c0
+    p0, c0 = _rk4(rhs, grid.horizon, (spec.q_t, 0.0), -grid.horizon / n_fine, n_fine)
+    return RiccatiSolution(optimal_value=float(p0) * spec.x0 * spec.x0 + float(c0))
 
 
 @dataclass(frozen=True)
@@ -284,8 +242,9 @@ def brute_force_optimal(p: ControlProblem, noise: NoiseBank) -> BruteForceResult
 class Benchmark:
     """A named problem plus whatever oracle data applies to it.
 
-    lq is set when riccati_lq verifies the problem.  oracle, when an ODE
-    oracle exists, is a zero-argument function that returns the optimal
+    lq marks the problems that msactl bench holds to its Riccati band
+    and that rate.oracle = riccati accepts.  oracle, when an ODE oracle
+    exists, is a zero-argument function that returns the optimal
     cost of the continuous-time, unconstrained-action problem; the
     solver's grid-restricted value sits above it by discretisation bias.
     continuous_optimum runs it on its first read and keeps the value, so
@@ -386,6 +345,7 @@ def driverless_problem(c: float) -> ControlProblem:
 # update overshoots through the large drift gain and the cost oscillates
 # upward within a few iterations.
 _HORIZON = 1.0
+_ORACLE_GRID = TimeGrid(n_steps=400, horizon=_HORIZON)  # 4000 RK4 steps
 _LQ_DRIFT = LqSpec(beta=0.2, control_gain=1.0, nu=0.2, q=1.0, r=1.0, q_t=0.5, x0=1.0)
 _CTRL_DIFFUSION = LqSpec(
     beta=0.2, control_gain=0.0, nu=0.6, sigma_gain=0.3, q=1.0, r=0.45, q_t=0.3, x0=1.0
@@ -397,16 +357,16 @@ _SMALL_GRID = np.linspace(-1.0, 1.0, 3)
 
 
 def _suite_benchmark(name: str, spec: LqSpec, points: np.ndarray, oracle: str = "") -> Benchmark:
-    """A suite problem with the continuous optimum of the named oracle, integrated on read."""
+    """A suite problem with its value-ODE optimum, integrated on read.
+
+    oracle "riccati" also sets lq, which holds the problem to the Riccati
+    band of msactl bench; "diffusion" sets the optimum alone; "" neither.
+    """
     problem = scalar_quadratic_problem(name, spec, _HORIZON, points)
-    if oracle == "riccati":
-        grid = TimeGrid(n_steps=50, horizon=_HORIZON)
-        optimum = lambda: riccati_lq(spec, grid).optimal_value
-        return Benchmark(name, problem, lq=spec, oracle=optimum)
-    if oracle == "diffusion":
-        optimum = lambda: diffusion_lq_value(spec, _HORIZON)
-        return Benchmark(name, problem, oracle=optimum)
-    return Benchmark(name, problem)
+    if not oracle:
+        return Benchmark(name, problem)
+    optimum = lambda: riccati_lq(spec, _ORACLE_GRID).optimal_value
+    return Benchmark(name, problem, lq=spec if oracle == "riccati" else None, oracle=optimum)
 
 
 _FACTORIES: dict[str, Callable[[], Benchmark]] = {
@@ -415,7 +375,7 @@ _FACTORIES: dict[str, Callable[[], Benchmark]] = {
     "lq_drift_small": lambda: _suite_benchmark(
         "lq_drift_small", _LQ_DRIFT, _SMALL_GRID, "riccati"
     ),
-    # control enters the diffusion; verified by brute force
+    # control enters the diffusion only; no Riccati band
     "ctrl_diffusion": lambda: _suite_benchmark(
         "ctrl_diffusion", _CTRL_DIFFUSION, _WIDE_GRID, "diffusion"
     ),

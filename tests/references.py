@@ -1,12 +1,14 @@
 """Independent references the tests compare the library against.
 
-Closed-form linear-quadratic values coded apart from the problem module,
+Closed-form linear-quadratic values and Riccati curves coded apart from
+the problem and oracle modules,
 the exact checker of the recursive bound b_{k+1} <= b_k - q b_k^2, the
 control update's tie rule in its direct column-wise form, and a sampled
 check of the extended Pontryagin condition built on the public
 ``augmented_hamiltonian``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +58,59 @@ def lq_adjoint_y0(
             ]
         )
 
-    _, u = _rk4(rhs, 0.0, (spec.x0, 1.0, 0.0), horizon / refine, refine)
-    m_t, s_t, acc = u[-1]
+    m_t, s_t, acc = _rk4(rhs, 0.0, (spec.x0, 1.0, 0.0), horizon / refine, refine)
     return float(s_t * 2.0 * spec.q_t * m_t + acc)
+
+
+def _unit_gain_riccati(spec: LqSpec, horizon: float):
+    """kappa and the phase C of P(t) = beta - kappa tanh(kappa t + C).
+
+    Needs control in the drift only with control_gain = r = 1, where
+    substituting P = beta + kappa w turns the Riccati equation into
+    w' = kappa (w^2 - 1), solved by w = -tanh(kappa t + C).
+    """
+    if (spec.control_gain, spec.r, spec.sigma_gain) != (1.0, 1.0, 0.0):
+        raise ValueError("the tanh solution needs control_gain = r = 1 and sigma_gain = 0")
+    kappa = math.sqrt(spec.beta * spec.beta + spec.q)
+    return kappa, math.atanh((spec.beta - spec.q_t) / kappa) - kappa * horizon
+
+
+def unit_gain_riccati_p(spec: LqSpec, horizon: float, t: float) -> float:
+    """Closed-form Riccati P(t) for control in the drift with gain = r = 1."""
+    kappa, c_shift = _unit_gain_riccati(spec, horizon)
+    return spec.beta - kappa * math.tanh(kappa * t + c_shift)
+
+
+def unit_gain_lq_value(spec: LqSpec, horizon: float) -> float:
+    """Closed-form optimal cost P(0) x0^2 + c(0), c(0) = nu^2 integral of P."""
+    kappa, c_shift = _unit_gain_riccati(spec, horizon)
+    integral = spec.beta * horizon - (
+        math.log(math.cosh(kappa * horizon + c_shift)) - math.log(math.cosh(c_shift))
+    )
+    p0 = unit_gain_riccati_p(spec, horizon, 0.0)
+    return p0 * spec.x0 * spec.x0 + spec.nu * spec.nu * integral
+
+
+def diffusion_lq_reference(spec: LqSpec, horizon: float, n_intervals: int = 20_000) -> float:
+    """Optimal cost with control in the diffusion only, from the closed-form P.
+
+    With control_gain = 0 and beta != 0, P' = -2 beta P - q, P(T) = q_t
+    gives P(t) = (q_t + q / (2 beta)) e^{2 beta (T - t)} - q / (2 beta).
+    c(0) is the integral of nu^2 P - (nu sigma_gain P)^2 / (sigma_gain^2 P + r)
+    over [0, T] by composite Simpson on n_intervals (even) intervals.
+    """
+    if spec.control_gain != 0 or spec.beta == 0 or n_intervals % 2:
+        raise ValueError("needs control_gain = 0, beta != 0 and an even n_intervals")
+    half_q = spec.q / (2.0 * spec.beta)
+    t = np.linspace(0.0, horizon, n_intervals + 1)
+    p = (spec.q_t + half_q) * np.exp(2.0 * spec.beta * (horizon - t)) - half_q
+    s, nu = spec.sigma_gain, spec.nu
+    integrand = nu * nu * p - (nu * s * p) ** 2 / (s * s * p + spec.r)
+    weights = np.ones(n_intervals + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    c0 = float(weights @ integrand) * horizon / (3.0 * n_intervals)
+    return float(p[0]) * spec.x0 * spec.x0 + c0
 
 
 @dataclass(frozen=True)

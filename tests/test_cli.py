@@ -581,3 +581,13 @@ class TestUsage:
         assert main(["run", "--config", "/no/such/file.ini"]) == 1
         status, _ = status_line(capsys)
         assert "not found" in status
+
+    def test_unwritable_output_directory_exits_one(self, tmp_path, capsys):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("", encoding="utf-8")
+        config = str(CONFIG_DIR / "rate_synthetic.ini")
+        assert main(["rate", "--config", config, "--out", str(blocker / "x")]) == 1
+        status, out = status_line(capsys)
+        assert out.count("STATUS ") == 1
+        assert status.startswith("STATUS command=rate exit=1 error=")
+        assert "Not a directory" in status

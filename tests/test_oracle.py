@@ -22,63 +22,32 @@ from msacontrol import (
     riccati_lq,
     simulate_forward,
 )
-from msacontrol.oracle import LqSpec, diffusion_lq_value
+from msacontrol.oracle import LqSpec
 from msacontrol.sde import ControlEnsemble, mean_and_se
 
-from references import lq_adjoint_y0
+from references import diffusion_lq_reference, lq_adjoint_y0, unit_gain_lq_value
 
-LQ_DRIFT_OPTIMUM = 1.1188145592565684
+LQ_DRIFT_OPTIMUM = 1.1188145592568133
 CTRL_DIFFUSION_OPTIMUM = 1.955913960085863
-
-
-def closed_form_lq_value(beta, q, q_t, nu, x0, horizon):
-    """Constant-coefficient scalar Riccati solution for gain = r = 1.
-
-    Substituting P = beta + kappa w turns the Riccati equation into
-    w' = kappa (w^2 - 1), solved by w = -tanh(kappa t + C).
-    """
-    kappa = math.sqrt(beta * beta + q)
-    c_shift = math.atanh((beta - q_t) / kappa) - kappa * horizon
-    p0 = beta - kappa * math.tanh(c_shift)
-    integral = beta * horizon - (
-        math.log(math.cosh(kappa * horizon + c_shift)) - math.log(math.cosh(c_shift))
-    )
-    c0 = nu * nu * integral
-    return p0 * x0 * x0 + c0
 
 
 class TestRiccati:
     def test_tanh_case(self):
         spec = LqSpec(beta=0.0, control_gain=1.0, nu=0.0, q=1.0, r=1.0, q_t=0.0, x0=1.0)
         sol = riccati_lq(spec, TimeGrid(n_steps=50, horizon=1.0))
-        assert abs(sol.value_curve[1][0] - math.tanh(1.0)) <= 2e-12
         assert abs(sol.optimal_value - math.tanh(1.0)) <= 2e-12
 
     def test_no_state_cost_means_zero_value(self):
         spec = LqSpec(beta=0.4, nu=0.3, q=0.0, r=1.0, q_t=0.0, x0=2.0)
         sol = riccati_lq(spec, TimeGrid(n_steps=50, horizon=1.0))
         assert sol.optimal_value == 0.0
-        assert sol.feedback_gain(0.37) == 0.0
 
     def test_matches_closed_form_on_drift_benchmark(self, lq_bench):
-        want = closed_form_lq_value(
-            beta=0.2, q=1.0, q_t=0.5, nu=0.2, x0=1.0, horizon=1.0
-        )
+        want = unit_gain_lq_value(lq_bench.lq, horizon=1.0)
         sol = riccati_lq(lq_bench.lq, TimeGrid(n_steps=50, horizon=1.0))
         assert abs(sol.optimal_value - want) <= 1e-9
         assert abs(lq_bench.continuous_optimum - LQ_DRIFT_OPTIMUM) <= 1e-10
-
-    def test_terminal_feedback_gain(self, lq_bench):
-        sol = riccati_lq(lq_bench.lq, TimeGrid(n_steps=50, horizon=1.0))
-        # P(T) = q_t, so gain(T) = -control_gain q_t / r
-        assert abs(sol.feedback_gain(1.0) + 0.5) <= 1e-12
-        assert abs(sol.feedback_gain(0.0) + sol.value_curve[1][0]) <= 1e-12
-
-    def test_value_curve_nonnegative(self, lq_bench):
-        sol = riccati_lq(lq_bench.lq, TimeGrid(n_steps=50, horizon=1.0))
-        _, p_vals, c_vals = sol.value_curve
-        assert np.all(p_vals >= 0.0)
-        assert np.all(c_vals >= 0.0)
+        assert abs(lq_bench.continuous_optimum - want) <= 1e-14
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -87,8 +56,17 @@ class TestRiccati:
             riccati_lq(LqSpec(q=-1.0), TimeGrid(n_steps=10, horizon=1.0))
         with pytest.raises(ValueError):
             riccati_lq(LqSpec(nu=-0.1), TimeGrid(n_steps=10, horizon=1.0))
+
+    def test_rejects_control_in_drift_and_noisy_diffusion(self):
+        # V = P x^2 + c only while control_gain * sigma_gain * nu = 0
+        grid = TimeGrid(n_steps=10, horizon=1.0)
         with pytest.raises(ValueError, match="sigma_gain"):
-            riccati_lq(LqSpec(sigma_gain=0.3), TimeGrid(n_steps=10, horizon=1.0))
+            riccati_lq(LqSpec(control_gain=1.0, nu=1.0, sigma_gain=0.3), grid)
+        for spec in (
+            LqSpec(control_gain=1.0, nu=0.0, sigma_gain=0.3),
+            LqSpec(control_gain=0.0, nu=1.0, sigma_gain=0.3),
+        ):
+            assert math.isfinite(riccati_lq(spec, grid).optimal_value)
 
 
 class TestAdjointOdeOracle:
@@ -113,16 +91,15 @@ class TestAdjointOdeOracle:
 
 
 class TestDiffusionControlOracle:
-    def test_reduces_to_uncontrolled_when_nu1_zero(self):
-        spec = dataclasses.replace(oracle_mod._CTRL_DIFFUSION, sigma_gain=0.0)
-        value = diffusion_lq_value(spec, horizon=1.0)
-        ref = riccati_lq(spec, TimeGrid(n_steps=50, horizon=1.0))
-        assert abs(value - ref.optimal_value) <= 1e-9
+    def test_matches_closed_form_reference(self, ctrl_bench):
+        want = diffusion_lq_reference(oracle_mod._CTRL_DIFFUSION, horizon=1.0)
+        assert abs(ctrl_bench.continuous_optimum - want) <= 1e-12
 
     def test_control_never_hurts(self):
         spec = oracle_mod._CTRL_DIFFUSION
-        with_ctrl = diffusion_lq_value(spec, horizon=1.0)
-        without = diffusion_lq_value(dataclasses.replace(spec, sigma_gain=0.0), horizon=1.0)
+        grid = oracle_mod._ORACLE_GRID
+        with_ctrl = riccati_lq(spec, grid).optimal_value
+        without = riccati_lq(dataclasses.replace(spec, sigma_gain=0.0), grid).optimal_value
         assert with_ctrl <= without + 1e-12
 
     def test_pinned_benchmark_value(self, ctrl_bench):
@@ -130,13 +107,10 @@ class TestDiffusionControlOracle:
 
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
-            diffusion_lq_value(
-                LqSpec(control_gain=0.0, nu=1.0, sigma_gain=1.0, r=0.0), horizon=1.0
+            riccati_lq(
+                LqSpec(control_gain=0.0, nu=1.0, sigma_gain=1.0, r=0.0),
+                TimeGrid(n_steps=10, horizon=1.0),
             )
-
-    def test_rejects_control_in_the_drift(self):
-        with pytest.raises(ValueError, match="control_gain"):
-            diffusion_lq_value(LqSpec(control_gain=1.0, nu=1.0, sigma_gain=1.0), horizon=1.0)
 
 
 class TestBruteForce:
@@ -310,37 +284,32 @@ class TestBenchmarkRegistry:
         # the pinned optima, to the last bit
         assert optima["lq_drift"] == optima["lq_drift_small"] == LQ_DRIFT_OPTIMUM
         assert optima["ctrl_diffusion"] == optima["ctrl_diffusion_small"] == CTRL_DIFFUSION_OPTIMUM
-        assert optima["ctrl_diffusion"] == diffusion_lq_value(oracle_mod._CTRL_DIFFUSION, 1.0)
+        assert optima["ctrl_diffusion"] == riccati_lq(
+            oracle_mod._CTRL_DIFFUSION, oracle_mod._ORACLE_GRID
+        ).optimal_value
         assert optima["msa_stress"] is None
 
     @pytest.mark.parametrize(
-        "name, oracle, want",
-        [
-            ("lq_drift", "riccati_lq", LQ_DRIFT_OPTIMUM),
-            ("ctrl_diffusion", "diffusion_lq_value", CTRL_DIFFUSION_OPTIMUM),
-        ],
+        "name, want",
+        [("lq_drift", LQ_DRIFT_OPTIMUM), ("ctrl_diffusion", CTRL_DIFFUSION_OPTIMUM)],
         ids=["lq_drift", "ctrl_diffusion"],
     )
-    def test_ode_oracle_runs_on_first_read(self, monkeypatch, name, oracle, want):
+    def test_ode_oracle_runs_on_first_read(self, monkeypatch, name, want):
         calls = []
-        real = getattr(oracle_mod, oracle)
-        monkeypatch.setattr(oracle_mod, oracle, lambda *args: calls.append(args) or real(*args))
+        real = oracle_mod.riccati_lq
+        monkeypatch.setattr(oracle_mod, "riccati_lq", lambda *args: calls.append(args) or real(*args))
         bench = get_benchmark(name)
         assert calls == []
         assert bench.continuous_optimum == want
         assert bench.continuous_optimum == want
         assert len(calls) == 1
 
-    @pytest.mark.parametrize(
-        "name, oracle",
-        [("lq_drift", "riccati_lq"), ("ctrl_diffusion", "diffusion_lq_value")],
-        ids=["lq_drift", "ctrl_diffusion"],
-    )
-    def test_replace_runs_no_ode_oracle(self, monkeypatch, name, oracle):
+    @pytest.mark.parametrize("name", ["lq_drift", "ctrl_diffusion"])
+    def test_replace_runs_no_ode_oracle(self, monkeypatch, name):
         # the benchmark tracer's get_benchmark swaps in a wrapped problem this way
         calls = []
-        real = getattr(oracle_mod, oracle)
-        monkeypatch.setattr(oracle_mod, oracle, lambda *args: calls.append(args) or real(*args))
+        real = oracle_mod.riccati_lq
+        monkeypatch.setattr(oracle_mod, "riccati_lq", lambda *args: calls.append(args) or real(*args))
         bench = get_benchmark(name)
         traced = dataclasses.replace(bench, problem=bench.problem.replace(name="traced"))
         assert calls == []

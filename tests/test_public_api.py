@@ -3,9 +3,10 @@ modules import in one direction.
 
 Every name in ``msacontrol.__all__`` must be used by the ``msactl``
 command, by the benchmark under ``perfbench/`` or be documented for user
-code in the README.  A function that only tests call belongs in its
-submodule, or in ``tests/references.py`` when it is a reference the
-tests compare against.
+code in the README, and every public function and class of a submodule
+must have a caller outside the tests.  A function that only tests call
+belongs in ``tests/references.py`` when it is a reference the tests
+compare against, and nowhere otherwise.
 """
 
 import ast
@@ -16,8 +17,8 @@ from pathlib import Path
 import msacontrol
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLERS = [ROOT / "README.md", ROOT / "src" / "msacontrol" / "cli.py"]
-CALLERS += sorted((ROOT / "perfbench").glob("*.py"))
+OUTSIDE = [ROOT / "README.md"] + sorted((ROOT / "perfbench").glob("*.py"))
+CALLERS = OUTSIDE + [ROOT / "src" / "msacontrol" / "cli.py"]
 # each module may import only from modules before it; the package imports last
 LAYERS = ["problem", "sde", "bsde", "msa", "oracle", "diagnostics", "cli", "__init__"]
 
@@ -25,6 +26,44 @@ LAYERS = ["problem", "sde", "bsde", "msa", "oracle", "diagnostics", "cli", "__in
 def test_every_exported_name_has_a_non_test_caller():
     text = "\n".join(path.read_text(encoding="utf-8") for path in CALLERS)
     orphans = [n for n in msacontrol.__all__ if not re.search(rf"\b{n}\b", text)]
+    assert orphans == []
+
+
+def _names_read(nodes):
+    """Bare and attribute names that the given statements read."""
+    found = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                found.add(sub.attr)
+    return found
+
+
+def test_every_public_definition_has_a_non_test_caller():
+    """A public module-level function or class is read by code other than its own definition.
+
+    Callers are the other statements of its module, the other submodules,
+    ``perfbench/*.py`` and the README; the package's re-export does not count.
+    """
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "msacontrol").glob("*.py"))
+        if path.stem != "__init__"
+    }
+    text = "\n".join(path.read_text(encoding="utf-8") for path in OUTSIDE)
+    orphans = []
+    for stem, tree in trees.items():
+        elsewhere = set().union(*(_names_read(t.body) for s, t in trees.items() if s != stem))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            rest = [other for other in tree.body if other is not node]
+            if node.name in elsewhere | _names_read(rest):
+                continue
+            if not re.search(rf"\b{node.name}\b", text):
+                orphans.append((stem, node.name))
     assert orphans == []
 
 

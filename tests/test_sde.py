@@ -24,6 +24,7 @@ from msacontrol.oracle import scalar_quadratic_problem
 from msacontrol.sde import ControlEnsemble, NoiseBank, StateEnsemble, mean_and_se
 
 from conftest import fresh_interpreter_loads
+from references import unit_gain_riccati_p
 from test_problem import make_problem
 
 
@@ -360,7 +361,8 @@ class TestEstimateCost:
         dt = grid.dt
         for k in range(n):
             t = float(grid.nodes[k])
-            a = np.clip(sol.feedback_gain(t) * x, pts[0], pts[-1])
+            gain = -lq.control_gain * unit_gain_riccati_p(lq, 1.0, t) / lq.r
+            a = np.clip(gain * x, pts[0], pts[-1])
             idx[k] = np.rint((a - pts[0]) / (pts[1] - pts[0])).astype(int)
             a_used = pts[idx[k]]
             x = x + (0.2 * x + a_used) * dt + 0.2 * noise.increments[k, :, 0]
