@@ -36,7 +36,6 @@ from .oracle import (
     brute_force_optimal,
     driverless_problem,
     get_benchmark,
-    riccati_lq,
 )
 from .problem import ControlProblem, EvaluationError, ProblemDefinitionError, check_derivatives
 from .sde import SimulationError, TimeGrid, constant_control, make_noise, simulate_forward
@@ -282,9 +281,8 @@ def cmd_bench(cfg: RunConfig) -> int:
     descent_failed = False
 
     for bench in benchmark_suite():
-        p = bench.problem
         try:
-            _, trace = run_msa(p, cfg.msa)
+            _, trace = run_msa(bench.problem, cfg.msa)
         except DescentFailureError as exc:
             trace = exc.trace
         export_csv(trace, os.path.join(cfg.output_directory, f"{bench.name}_trace.csv"))
@@ -300,11 +298,10 @@ def cmd_bench(cfg: RunConfig) -> int:
         if trace.status not in ("converged_mu", "converged_dj", "fixed_point"):
             ok = False
             details.append("did-not-converge")
-        if bench.lq is not None:
-            grid = TimeGrid(n_steps=cfg.msa.n_steps, horizon=p.horizon)
-            ric = riccati_lq(bench.lq, grid)
-            j_gap = abs(trace.final_cost - ric.optimal_value)
-            band = max(0.02 * abs(ric.optimal_value), 3.0 * _last_se(trace) + 0.05 * abs(ric.optimal_value))
+        j_star = bench.continuous_optimum
+        if j_star is not None:
+            j_gap = abs(trace.final_cost - j_star)
+            band = max(0.02 * abs(j_star), 3.0 * _last_se(trace) + 0.05 * abs(j_star))
             details.append(f"riccati_gap={_fmt(j_gap)} band={_fmt(band)}")
             if j_gap > band:
                 ok = False
@@ -357,12 +354,12 @@ def cmd_rate(cfg: RunConfig) -> int:
     else:
         name = bench.name
         p = bench.problem
-        grid = TimeGrid(n_steps=cfg.msa.n_steps, horizon=p.horizon)
         if cfg.rate_oracle == "riccati":
-            if bench.lq is None:
+            j_star = bench.continuous_optimum
+            if j_star is None:
                 raise ConfigError(f"problem {name} has no Riccati oracle")
-            j_star = riccati_lq(bench.lq, grid).optimal_value
         else:
+            grid = TimeGrid(n_steps=cfg.msa.n_steps, horizon=p.horizon)
             noise = make_noise(grid, cfg.msa.n_paths, p.noise_dim, cfg.msa.seed)
             try:
                 j_star = brute_force_optimal(p, noise).j_star
@@ -425,10 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Load the config, apply --out and --seed, run the command.
 
-    A ConfigError, a RegressionError, a non-finite state or coefficient
-    (SimulationError, EvaluationError), a refused noise bank
-    (MemoryError) or an unwritable output path (OSError) from any step
-    ends the command with exit code 1 and a STATUS line naming the
+    A ConfigError, a RegressionError, a non-finite state, coefficient or
+    value-ODE oracle (SimulationError, EvaluationError), a refused noise
+    bank (MemoryError) or an unwritable output path (OSError) from any
+    step ends the command with exit code 1 and a STATUS line naming the
     problem.
     """
     args = build_parser().parse_args(argv)

@@ -1,31 +1,23 @@
-"""The names the benchmark's tracer patches from outside still resolve.
+"""The names the benchmark reaches into from outside still resolve.
 
 ``perfbench/tracing.py`` wraps functions of ``msacontrol.msa`` and
 ``msacontrol.cli`` and the coefficient callables of a benchmark problem
 by name; a refactor that removes one of those names breaks
-``perfbench/run.py --trace 1`` without failing any other test.
+``perfbench/run.py --trace 1`` without failing any other test.  Likewise
+``perfbench/run.py``'s Riccati-band check, which runs only at seeds with
+no stored reference, reads ``Benchmark.lq`` and ``riccati_lq``.
 """
-
-import importlib.util
-import sys
-from pathlib import Path
 
 import msacontrol.cli as cli
 import msacontrol.msa as msa
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from test_perfbench_references import PERFBENCH, load
 
-
-def load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_tracer_installs_and_restores_every_hook(monkeypatch):
-    tracing = load_tracing(monkeypatch)
+    tracing = load(monkeypatch, "perfbench_tracing", TRACING)
     hooks = [(msa, attr) for attr, _ in tracing.MSA_LAYERS]
     hooks += [(cli, attr) for attr, _ in tracing.CLI_LAYERS]
     originals = [getattr(mod, attr) for mod, attr in hooks]
@@ -42,3 +34,15 @@ def test_tracer_installs_and_restores_every_hook(monkeypatch):
     assert p.action_terms is not None  # the traced problem keeps the fast path
     for (mod, attr), fn in zip(hooks, originals):
         assert getattr(mod, attr) is fn, attr
+
+
+def test_riccati_band_check_accepts_stored_outputs(monkeypatch):
+    # run.py pins OPENBLAS_NUM_THREADS and imports its tracer as `tracing`
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    load(monkeypatch, "tracing", TRACING)
+    bench = load(monkeypatch, "perfbench_run", PERFBENCH / "run.py")
+    w = bench.BY_NAME["desk_lq"]
+    check = bench.OutputCheck(w, 1)
+    assert check.reference is None  # no stored reference at seed 1
+    check.first = bench.read_outputs(w, bench.REFERENCES / "desk_lq" / "12345")
+    assert check.riccati_band() == []

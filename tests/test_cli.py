@@ -457,6 +457,10 @@ class TestBench:
         assert code == 0, out
         assert "PASS lq_drift" in out
         assert "PASS ctrl_diffusion" in out
+        # both suite problems with a value-ODE oracle are held to its band
+        for name in ("lq_drift", "ctrl_diffusion"):
+            line = next(l for l in out.splitlines() if l.startswith(f"PASS {name} "))
+            assert "riccati_gap=" in line, line
         assert "PASS msa_stress " in out
         assert "PASS msa_stress_classical upward jump at iteration" in out
         for name in ("lq_drift", "ctrl_diffusion", "msa_stress", "msa_stress_classical"):
@@ -503,6 +507,21 @@ class TestRate:
         assert code == 0, status
         assert "passed=True" in status
 
+    def test_riccati_oracle_on_diffusion_benchmark(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            problem={"name": "ctrl_diffusion"},
+            msa=FAST_MSA,
+            output={"directory": str(tmp_path / "r")},
+        )
+        # the fit's verdict is not checked: at this scale the bank's cost and
+        # the 25-step Euler bias can put J more than 3 SE below j_star
+        main(["rate", "--config", cfg])
+        status, _ = status_line(capsys)
+        assert status.startswith("STATUS command=rate exit=")
+        assert "j_star=1.95591" in status
+        assert "error=" not in status
+
     def test_rate_window_after_convergence_passes_vacuously(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -527,6 +546,34 @@ class TestRate:
         status, _ = status_line(capsys)
         assert code == 1
         assert "no Riccati oracle" in status
+
+    def test_blown_up_ode_oracle_exits_one(self, tmp_path, capsys, monkeypatch):
+        # a stiff spec whose value ODE overflows under fixed-step RK4
+        mod_dir = tmp_path / "mods"
+        mod_dir.mkdir()
+        (mod_dir / "stiff_bench_mod.py").write_text(
+            "import numpy as np\n"
+            "from msacontrol import Benchmark, register_benchmark\n"
+            "from msacontrol.oracle import LqSpec, scalar_quadratic_problem\n"
+            "_spec = LqSpec(control_gain=30.0, r=0.01, q_t=1.0)\n"
+            "_p = scalar_quadratic_problem('stiff', _spec, 1.0, np.array([-1.0, 0.0, 1.0]))\n"
+            "register_benchmark('stiff', lambda: Benchmark('stiff', _p, lq=_spec))\n"
+        )
+        monkeypatch.syspath_prepend(str(mod_dir))
+        try:
+            cfg = write_config(
+                tmp_path,
+                problem={"name": "stiff", "module": "stiff_bench_mod"},
+                msa={"n_paths": 200, "n_steps": 5},
+                output={"directory": str(tmp_path / "r")},
+            )
+            assert main(["rate", "--config", cfg]) == 1
+        finally:
+            oracle_mod._FACTORIES.pop("stiff", None)
+        status, out = status_line(capsys)
+        assert out.count("STATUS ") == 1
+        assert status.startswith("STATUS command=rate exit=1 error=")
+        assert "RK4 integration blew up" in status
 
     def test_brute_force_budget_guard(self, tmp_path, capsys):
         cfg = write_config(

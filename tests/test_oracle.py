@@ -97,7 +97,7 @@ class TestDiffusionControlOracle:
 
     def test_control_never_hurts(self):
         spec = oracle_mod._CTRL_DIFFUSION
-        grid = oracle_mod._ORACLE_GRID
+        grid = TimeGrid(n_steps=400, horizon=1.0)
         with_ctrl = riccati_lq(spec, grid).optimal_value
         without = riccati_lq(dataclasses.replace(spec, sigma_gain=0.0), grid).optimal_value
         assert with_ctrl <= without + 1e-12
@@ -278,14 +278,15 @@ class TestBenchmarkRegistry:
         names = ("lq_drift", "lq_drift_small", "ctrl_diffusion", "ctrl_diffusion_small", "msa_stress")
         benches = {name: get_benchmark(name) for name in names}
         assert benches["lq_drift"].lq is benches["lq_drift_small"].lq is oracle_mod._LQ_DRIFT
-        for name in ("ctrl_diffusion", "ctrl_diffusion_small", "msa_stress"):
-            assert benches[name].lq is None
+        for name in ("ctrl_diffusion", "ctrl_diffusion_small"):
+            assert benches[name].lq is oracle_mod._CTRL_DIFFUSION
+        assert benches["msa_stress"].lq is None
         optima = {name: b.continuous_optimum for name, b in benches.items()}
         # the pinned optima, to the last bit
         assert optima["lq_drift"] == optima["lq_drift_small"] == LQ_DRIFT_OPTIMUM
         assert optima["ctrl_diffusion"] == optima["ctrl_diffusion_small"] == CTRL_DIFFUSION_OPTIMUM
         assert optima["ctrl_diffusion"] == riccati_lq(
-            oracle_mod._CTRL_DIFFUSION, oracle_mod._ORACLE_GRID
+            oracle_mod._CTRL_DIFFUSION, TimeGrid(n_steps=400, horizon=1.0)
         ).optimal_value
         assert optima["msa_stress"] is None
 
@@ -313,19 +314,31 @@ class TestBenchmarkRegistry:
         bench = get_benchmark(name)
         traced = dataclasses.replace(bench, problem=bench.problem.replace(name="traced"))
         assert calls == []
-        assert traced.oracle is bench.oracle
+        assert traced.lq is bench.lq
 
-    def test_optimum_given_as_a_function(self, lq_bench):
-        p = lq_bench.problem
+    def test_optimum_given_by_lq_spec(self, monkeypatch, lq_bench):
+        # a user problem with lq= gets its value ODE, run once on first read
         calls = []
-        bench = Benchmark("function", p, oracle=lambda: calls.append(1) or 2.5)
+        real = oracle_mod.riccati_lq
+        monkeypatch.setattr(oracle_mod, "riccati_lq", lambda *args: calls.append(args) or real(*args))
+        spec = LqSpec(beta=0.0, control_gain=1.0, nu=0.0, q=1.0, r=1.0, q_t=0.0, x0=1.0)
+        p = oracle_mod.scalar_quadratic_problem("tanh", spec, 1.0, np.linspace(-1.0, 1.0, 3))
+        bench = Benchmark("tanh", p, lq=spec)
         assert calls == []
-        assert bench.continuous_optimum == 2.5
-        assert bench.continuous_optimum == 2.5
+        assert abs(bench.continuous_optimum - math.tanh(1.0)) <= 2e-12
+        assert abs(bench.continuous_optimum - math.tanh(1.0)) <= 2e-12
         assert len(calls) == 1
         assert Benchmark("none", p).continuous_optimum is None
         with pytest.raises(dataclasses.FrozenInstanceError):
             lq_bench.continuous_optimum = 0.0
+
+    def test_optimum_is_on_the_problem_horizon(self):
+        spec = oracle_mod._LQ_DRIFT
+        p = oracle_mod.scalar_quadratic_problem("long", spec, 2.0, np.linspace(-1.0, 1.0, 3))
+        got = Benchmark("long", p, lq=spec).continuous_optimum
+        assert got == riccati_lq(spec, TimeGrid(n_steps=400, horizon=2.0)).optimal_value
+        assert got != LQ_DRIFT_OPTIMUM
+        assert abs(got - unit_gain_lq_value(spec, horizon=2.0)) <= 1e-12
 
     def test_wide_grid_centroid_is_zero_action(self, lq_bench):
         space = lq_bench.problem.action_space
