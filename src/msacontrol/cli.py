@@ -28,6 +28,7 @@ from .msa import (
     DescentFailureError,
     IterationTrace,
     MsaConfig,
+    TraceRow,
     run_msa,
 )
 from .oracle import (
@@ -79,8 +80,9 @@ def _import_module(name: str) -> str:
     # imported for its side effect: the module registers its problems
     try:
         importlib.import_module(name)
-    except (ImportError, ProblemDefinitionError) as exc:
-        raise ConfigError(f"cannot import problem.module {name!r}: {exc}") from None
+    except Exception as exc:  # whatever the module raises, the config named it
+        kind = type(exc).__name__
+        raise ConfigError(f"cannot import problem.module {name!r}: {kind}: {exc}") from None
     return name
 
 
@@ -174,24 +176,21 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _last_se(trace: IterationTrace) -> float:
-    return trace.cost_ses[-1] if trace.cost_ses else trace.initial_cost_se
-
-
 def _write_summary(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _trace_summary_lines(name: str, trace: IterationTrace) -> list[str]:
-    rho_history = sorted(set(trace.rhos))
+    rho_history = sorted({row.rho for row in trace.rows})
+    j, j_se, mu = trace.final
     return [
         f"problem: {name}",
         f"status: {trace.status}",
         f"iterations: {trace.n_rows}",
         f"initial_cost: {_fmt(trace.initial_cost)} +- {_fmt(trace.initial_cost_se)}",
-        f"final_cost: {_fmt(trace.final_cost)} +- {_fmt(_last_se(trace))}",
-        f"final_mu: {_fmt(trace.final_mu)}",
+        f"final_cost: {_fmt(j)} +- {_fmt(j_se)}",
+        f"final_mu: {_fmt(mu)}",
         f"total_backtracks: {sum(trace.backtracks)}",
         f"rho_history: {' '.join(_fmt(r) for r in rho_history)}",
     ]
@@ -206,16 +205,12 @@ def cmd_run(cfg: RunConfig) -> int:
     try:
         _, trace = run_msa(bench.problem, cfg.msa)
         code = 0
-        outcome = dict(
-            J=_fmt(trace.final_cost),
-            J_se=_fmt(_last_se(trace)),
-            mu=_fmt(trace.final_mu),
-            trace=trace_path,
-        )
+        j, j_se, mu = trace.final
+        outcome = dict(J=_fmt(j), J_se=_fmt(j_se), mu=_fmt(mu), trace=trace_path)
     except DescentFailureError as exc:
         trace = exc.trace
         code = 2
-        outcome = dict(rho=_fmt(trace.rhos[-1]) if trace.rhos else "0")
+        outcome = dict(rho=_fmt(trace.rows[-1].rho) if trace.rows else "0")
     export_csv(trace, trace_path)
     _write_summary(summary_path, _trace_summary_lines(bench.name, trace))
     _status("run", code, problem=bench.name, status=trace.status, iterations=trace.n_rows, **outcome)
@@ -291,7 +286,8 @@ def cmd_bench(cfg: RunConfig) -> int:
             lines.append(f"FAIL {bench.name} descent_failure after {trace.n_rows} rows")
             continue
         ok = True
-        details = [f"status={trace.status}", f"iters={trace.n_rows}", f"J={_fmt(trace.final_cost)}"]
+        j, j_se, _ = trace.final
+        details = [f"status={trace.status}", f"iters={trace.n_rows}", f"J={_fmt(j)}"]
         if upward_jumps(trace):
             ok = False
             details.append("non-monotone")
@@ -300,8 +296,8 @@ def cmd_bench(cfg: RunConfig) -> int:
             details.append("did-not-converge")
         j_star = bench.continuous_optimum
         if j_star is not None:
-            j_gap = abs(trace.final_cost - j_star)
-            band = max(0.02 * abs(j_star), 3.0 * _last_se(trace) + 0.05 * abs(j_star))
+            j_gap = abs(j - j_star)
+            band = max(0.02 * abs(j_star), 3.0 * j_se + 0.05 * abs(j_star))
             details.append(f"riccati_gap={_fmt(j_gap)} band={_fmt(band)}")
             if j_gap > band:
                 ok = False
@@ -335,11 +331,10 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 
 def _synthetic_trace(kind: str, n_min: int, n_max: int) -> IterationTrace:
-    trace = IterationTrace()
+    trace = IterationTrace(status="synthetic")
     for n in range(n_min, n_max + 1):
         gap = 1.0 / n if kind == "one_over_n" else 1.0 / np.log(n + 1.0)
-        trace.add_row(n, gap, 0.0, 0.0, 0.0, 0.0, 0, True)
-    trace.status = "synthetic"
+        trace.rows.append(TraceRow(n, gap, 0.0, 0.0, 0.0, 0.0, 0, True))
     return trace
 
 
@@ -371,7 +366,7 @@ def cmd_rate(cfg: RunConfig) -> int:
             _status("rate", 2, problem=name, status=exc.trace.status)
             return 2
 
-    accepted_n = [n for n, ok in zip(trace.iterations, trace.accepted) if ok]
+    accepted_n = [row.n for row in trace.accepted_rows]
     if not accepted_n or max(accepted_n) < cfg.rate_n_min:
         _status("rate", 0, problem=name, status="converged-before-rate-window", passed=True)
         return 0

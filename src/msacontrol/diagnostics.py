@@ -1,4 +1,4 @@
-"""Convergence-rate analysis, descent checks, CSV export."""
+"""Convergence-rate analysis, descent checks and CSV export, all over trace rows."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .msa import IterationTrace
+from .msa import IterationTrace, TraceRow
 
 
 _NOISE_FLOOR_FACTOR = 5.0  # gaps within this many standard errors are noise
@@ -48,20 +48,12 @@ def rate_fit(
     """
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"bad rate window [{n_min}, {n_max}]")
-    rows = [
-        (n, j, se)
-        for n, j, se, ok in zip(
-            trace.iterations, trace.costs, trace.cost_ses, trace.accepted
-        )
-        if ok and n_min <= n <= n_max
-    ]
+    rows = [row for row in trace.accepted_rows if n_min <= row.n <= n_max]
     if not rows:
-        raise ValueError(
-            f"trace has no accepted iterations in [{n_min}, {n_max}]"
-        )
-    n_values = np.array([r[0] for r in rows], dtype=float)
-    gaps = np.array([r[1] - j_star for r in rows])
-    gap_ses = np.array([r[2] for r in rows])
+        raise ValueError(f"trace has no accepted iterations in [{n_min}, {n_max}]")
+    n_values = np.array([row.n for row in rows], dtype=float)
+    gaps = np.array([row.J - j_star for row in rows])
+    gap_ses = np.array([row.J_se for row in rows])
 
     kept = gaps > _NOISE_FLOOR_FACTOR * gap_ses
     slope = sup_val = reference = None
@@ -101,18 +93,14 @@ def upward_jumps(trace: IterationTrace) -> list[int]:
     """
     prev_j, prev_se = trace.initial_cost, trace.initial_cost_se
     jumps = []
-    for n, j, se, ok in zip(
-        trace.iterations, trace.costs, trace.cost_ses, trace.accepted
-    ):
-        if not ok:
-            continue
-        if j > prev_j + 3.0 * (se + prev_se):
-            jumps.append(n)
-        prev_j, prev_se = j, se
+    for row in trace.accepted_rows:
+        if row.J > prev_j + 3.0 * (row.J_se + prev_se):
+            jumps.append(row.n)
+        prev_j, prev_se = row.J, row.J_se
     return jumps
 
 
-TRACE_COLUMNS = ("n", "J", "J_se", "mu", "mu_se", "rho", "backtracks", "accepted", "wall_ms")
+TRACE_COLUMNS = TraceRow._fields + ("wall_ms",)
 RATE_COLUMNS = ("n", "b_n", "n_times_bn")
 
 
@@ -132,27 +120,8 @@ def export_csv(obj, path) -> None:
     if isinstance(obj, IterationTrace):
         header = TRACE_COLUMNS
         rows = [
-            [
-                str(n),
-                _num(j),
-                _num(j_se),
-                _num(mu),
-                _num(mu_se),
-                _num(rho),
-                str(bt),
-                str(int(acc)),
-                _num(0.0),
-            ]
-            for n, j, j_se, mu, mu_se, rho, bt, acc in zip(
-                obj.iterations,
-                obj.costs,
-                obj.cost_ses,
-                obj.mus,
-                obj.mu_ses,
-                obj.rhos,
-                obj.backtracks,
-                obj.accepted,
-            )
+            [str(row.n), *map(_num, row[1:6]), str(row.backtracks), str(int(row.accepted)), _num(0.0)]
+            for row in obj.rows
         ]
     elif isinstance(obj, RateReport):
         header = RATE_COLUMNS

@@ -46,11 +46,15 @@ become the iterate and y and z go.  A rejected candidate's states go,
 and if another rho will be tried the iterate's states are replayed on
 the same bank and control, which gives the same bits, and the adjoint
 is rebuilt around them.
+
+The iteration record is a list of ``TraceRow``s, the trace CSV's
+columns; its readers take every row, the accepted rows or the last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,47 +122,47 @@ class MsaConfig:
             raise ValueError(f"control_mode must be one of {CONTROL_MODES}")
 
 
+class TraceRow(NamedTuple):
+    """An accepted candidate, a fixed point or the final rejection: the CSV's columns."""
+
+    n: int
+    J: float
+    J_se: float
+    mu: float
+    mu_se: float
+    rho: float
+    backtracks: int
+    accepted: bool
+
+
 @dataclass
 class IterationTrace:
-    """Per-iteration audit trail of the solver."""
+    """Per-iteration audit trail of the solver; a rejected row repeats the iterate's J."""
 
-    iterations: list = field(default_factory=list)
-    costs: list = field(default_factory=list)
-    cost_ses: list = field(default_factory=list)
-    mus: list = field(default_factory=list)
-    mu_ses: list = field(default_factory=list)
-    rhos: list = field(default_factory=list)
-    backtracks: list = field(default_factory=list)
-    accepted: list = field(default_factory=list)
+    rows: list[TraceRow] = field(default_factory=list)
     initial_cost: float = float("nan")
     initial_cost_se: float = float("nan")
     status: str = "running"
 
-    def add_row(self, n, j, j_se, mu, mu_se, rho, n_backtracks, was_accepted):
-        self.iterations.append(int(n))
-        self.costs.append(float(j))
-        self.cost_ses.append(float(j_se))
-        self.mus.append(float(mu))
-        self.mu_ses.append(float(mu_se))
-        self.rhos.append(float(rho))
-        self.backtracks.append(int(n_backtracks))
-        self.accepted.append(bool(was_accepted))
-
     @property
     def n_rows(self) -> int:
-        return len(self.iterations)
+        return len(self.rows)
 
     @property
-    def final_cost(self) -> float:
-        accepted = [j for j, ok in zip(self.costs, self.accepted) if ok]
+    def backtracks(self) -> list[int]:
+        return [row.backtracks for row in self.rows]
+
+    @property
+    def accepted_rows(self) -> list[TraceRow]:
+        return [row for row in self.rows if row.accepted]
+
+    @property
+    def final(self) -> tuple[float, float, float]:
+        """(J, J_se, mu) of the last accepted row; the initial cost, its SE and nan without one."""
+        accepted = self.accepted_rows
         if not accepted:
-            return self.initial_cost
-        return accepted[-1]
-
-    @property
-    def final_mu(self) -> float:
-        accepted = [v for v, ok in zip(self.mus, self.accepted) if ok]
-        return accepted[-1] if accepted else float("nan")
+            return self.initial_cost, self.initial_cost_se, float("nan")
+        return accepted[-1].J, accepted[-1].J_se, accepted[-1].mu
 
 
 def update_control(adjoint: AdjointEnsemble, rho: float) -> ControlEnsemble:
@@ -293,7 +297,7 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
             candidate = update_control(adjoint, rho)
             if np.array_equal(candidate.by_step, states.control.by_step):
                 # argmin keeps every action: mu = 0 and nothing can move
-                trace.add_row(n, j_cur, j_se, 0.0, 0.0, rho, n_backtracks, True)
+                trace.rows.append(TraceRow(n, j_cur, j_se, 0.0, 0.0, rho, n_backtracks, True))
                 trace.status = "fixed_point"
                 return states.control, trace
             mu, mu_se = compute_mu(adjoint, candidate)
@@ -308,7 +312,7 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
                 states, costs = cand_states, cand_costs
                 del cand_states, y, z, prev  # the next solve runs without them
                 j_cur, j_se = mean_and_se(costs)
-                trace.add_row(n, j_cur, j_se, mu, mu_se, rho, n_backtracks, True)
+                trace.rows.append(TraceRow(n, j_cur, j_se, mu, mu_se, rho, n_backtracks, True))
                 if abs(mu) <= cfg.tol_mu:
                     trace.status = "converged_mu"
                     return states.control, trace
@@ -321,7 +325,7 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
             grown = rho * cfg.rho_growth if rho > 0 else 1.0
             if grown > cfg.rho_max:
                 # the row reports the rho its candidate and mu were computed at
-                trace.add_row(n, j_cur, j_se, mu, mu_se, rho, n_backtracks, False)
+                trace.rows.append(TraceRow(n, j_cur, j_se, mu, mu_se, rho, n_backtracks, False))
                 trace.status = "descent_failure"
                 raise DescentFailureError(
                     f"no descent step found below rho_max={cfg.rho_max}", trace

@@ -3,7 +3,7 @@
 Every suite problem is one constant-coefficient scalar ``LqSpec``; the
 solver's problem (``scalar_quadratic_problem``) and its oracle read the
 same spec.  Independent of the MSA iteration and the LSMC adjoint: one
-value ODE (riccati_lq) for control in the drift or the diffusion, which
+value ODE (riccati_lq) for control in the drift, the diffusion or both, which
 a benchmark's ``lq`` spec turns into its ``continuous_optimum``, and,
 for small instances, exhaustive enumeration of the deterministic action
 sequences of the discretised problem, each priced with the solver's own
@@ -19,7 +19,13 @@ from typing import Callable
 
 import numpy as np
 
-from .problem import ActionSpace, ActionTerms, ControlProblem, EvaluationError
+from .problem import (
+    ActionSpace,
+    ActionTerms,
+    ControlProblem,
+    EvaluationError,
+    ProblemDefinitionError,
+)
 from .sde import (
     ControlEnsemble,
     NoiseBank,
@@ -139,9 +145,9 @@ class LqSpec:
 
     def validate(self) -> None:
         if not self.r > 0:
-            raise ValueError(f"r must be positive, got {self.r}")
+            raise ProblemDefinitionError(f"r must be positive, got {self.r}")
         if self.q < 0 or self.q_t < 0 or self.nu < 0:
-            raise ValueError("q, q_t and nu must be nonnegative")
+            raise ProblemDefinitionError("q, q_t and nu must be nonnegative")
 
 
 _RICCATI_REFINE = 10  # RK4 steps per solver step
@@ -152,7 +158,7 @@ _BRUTE_FORCE_ROWS = 50_000  # (sequence, path) rows simulated at once
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Backward value-ODE solve: J* = P(0) x0^2 + c(0)."""
+    """Backward value-ODE solve: J* = P(0) x0^2 + 2 S(0) x0 + c(0)."""
 
     optimal_value: float
 
@@ -160,35 +166,33 @@ class RiccatiSolution:
 def riccati_lq(spec: LqSpec, grid: TimeGrid) -> RiccatiSolution:
     """Solve the scalar value ODE backward with classical RK4.
 
-    The value is V = P x^2 + c.  With D = sigma_gain^2 P + r,
+    The value is V = P x^2 + 2 S x + c.  With D = sigma_gain^2 P + r
+    and k = gain S + nu sigma_gain P,
     P' = -2 beta P + (gain^2 / D) P^2 - q,         P(T) = q_t
-    c' = -(nu^2 P - (nu sigma_gain P)^2 / D),       c(T) = 0
-    and the minimising action a* = -(gain P x + nu sigma_gain P) / D.
-    Control may enter the drift, the diffusion or both, but V gains a
-    term linear in x when gain sigma_gain nu != 0, so that case raises
-    ValueError.  The action is unconstrained here; for a bounded grid
-    the value is a lower bound plus quantisation allowance.  Integrates
-    on a grid _RICCATI_REFINE times finer than the solver grid.
+    S' = -beta S + gain P k / D,                    S(T) = 0
+    c' = -(nu^2 P - k^2 / D),                       c(T) = 0
+    and the minimising action a* = -(gain P x + k) / D.  Control may
+    enter the drift, the diffusion or both; S stays 0 unless
+    gain sigma_gain nu != 0.  The action is unconstrained here; for a
+    bounded grid the value is a lower bound plus quantisation allowance.
+    Integrates on a grid _RICCATI_REFINE times finer than the solver grid.
     """
     spec.validate()
-    nu, s = spec.nu, spec.sigma_gain
-    if spec.control_gain * s * nu != 0:
-        raise ValueError("riccati_lq needs control_gain * sigma_gain * nu = 0")
-    beta, q, r = spec.beta, spec.q, spec.r
-    gain2 = spec.control_gain * spec.control_gain
-    nu2 = nu * nu
+    beta, g, nu, s, q, r = spec.beta, spec.control_gain, spec.nu, spec.sigma_gain, spec.q, spec.r
 
     def rhs(t, u):
-        p_val, c_val = u
+        p_val, s_val, c_val = u
         d = p_val * s * s + r
-        cross = p_val * nu * s
-        dp = -2.0 * beta * p_val + gain2 * p_val * p_val / d - q
-        dc = -(nu2 * p_val - cross * cross / d)
-        return np.array([dp, dc])
+        k = g * s_val + p_val * nu * s
+        dp = -2.0 * beta * p_val + g * g * p_val * p_val / d - q
+        ds = -beta * s_val + g * p_val * k / d
+        dc = -(nu * nu * p_val - k * k / d)
+        return np.array([dp, ds, dc])
 
     n_fine = grid.n_steps * _RICCATI_REFINE
-    p0, c0 = _rk4(rhs, grid.horizon, (spec.q_t, 0.0), -grid.horizon / n_fine, n_fine)
-    return RiccatiSolution(optimal_value=float(p0) * spec.x0 * spec.x0 + float(c0))
+    p0, s0, c0 = _rk4(rhs, grid.horizon, (spec.q_t, 0.0, 0.0), -grid.horizon / n_fine, n_fine)
+    x0 = spec.x0
+    return RiccatiSolution(optimal_value=float(p0) * x0 * x0 + 2.0 * float(s0) * x0 + float(c0))
 
 
 @dataclass(frozen=True)
@@ -246,20 +250,25 @@ def brute_force_optimal(p: ControlProblem, noise: NoiseBank) -> BruteForceResult
 class Benchmark:
     """A named problem plus, when lq is given, its value-ODE oracle.
 
-    lq is the LqSpec the problem was built from.  continuous_optimum is
-    then the optimal cost of the continuous-time, unconstrained-action
-    problem on the problem's horizon (riccati_lq on _ORACLE_STEPS
-    steps); the solver's grid-restricted value sits above it by
-    discretisation bias.  msactl bench holds the problem to a band about
-    it and rate.oracle = riccati fits against it.  It is integrated on
-    its first read and kept, so building a benchmark or
-    dataclasses.replace-ing one integrates nothing.
+    lq is the LqSpec the problem was built from, checked when the
+    benchmark is built (an invalid one raises ProblemDefinitionError).
+    With it, continuous_optimum is the optimal cost of the
+    continuous-time, unconstrained-action problem on the problem's
+    horizon (riccati_lq on _ORACLE_STEPS steps); the solver's
+    grid-restricted value sits above it by discretisation bias.  msactl
+    bench holds the problem to a band about it and rate.oracle = riccati
+    fits against it.  It is integrated on its first read and kept, so
+    building a benchmark or dataclasses.replace-ing one integrates nothing.
     """
 
     name: str
     problem: ControlProblem
     _: KW_ONLY
     lq: LqSpec | None = None
+
+    def __post_init__(self) -> None:
+        if self.lq is not None:
+            self.lq.validate()
 
     @functools.cached_property
     def continuous_optimum(self) -> float | None:

@@ -1,7 +1,8 @@
 """Independent references the tests compare the library against.
 
 Closed-form linear-quadratic values and Riccati curves coded apart from
-the problem and oracle modules,
+the problem and oracle modules, the exact Bellman recursion of the
+Euler-discretised scalar LQ problem,
 the exact checker of the recursive bound b_{k+1} <= b_k - q b_k^2, the
 control update's tie rule in its direct column-wise form, and a sampled
 check of the extended Pontryagin condition built on the public
@@ -111,6 +112,34 @@ def diffusion_lq_reference(spec: LqSpec, horizon: float, n_intervals: int = 20_0
     weights[2:-1:2] = 2.0
     c0 = float(weights @ integrand) * horizon / (3.0 * n_intervals)
     return float(p[0]) * spec.x0 * spec.x0 + c0
+
+
+def euler_lq_value(spec: LqSpec, horizon: float, n_steps: int) -> float:
+    """Optimal cost of the Euler scheme of spec's problem, unconstrained action.
+
+    x' = (1 + beta h) x + gain h a + (nu + sigma_gain a) sqrt(h) xi with
+    E xi = 0, E xi^2 = 1, and stage cost (q x^2 + r a^2) h.  The value
+    V_k = P x^2 + 2 S x + c is quadratic at every step, so the Bellman
+    minimum over a is taken in closed form: with A = 1 + beta h,
+    D = r h + P gain^2 h^2 + P sigma_gain^2 h, L1 = P A gain h and
+    L0 = (P nu sigma_gain + S gain) h, the step maps (P, S, c) to
+    (q h + P A^2 - L1^2 / D, S A - L1 L0 / D, c + P nu^2 h - L0^2 / D)
+    from (q_t, 0, 0).  It differs from the continuous value by O(h).
+    """
+    h = horizon / n_steps
+    a_h = 1.0 + spec.beta * h
+    g, nu, s = spec.control_gain, spec.nu, spec.sigma_gain
+    p, s_lin, c = spec.q_t, 0.0, 0.0
+    for _ in range(n_steps):
+        d = spec.r * h + p * g * g * h * h + p * s * s * h
+        l1 = p * a_h * g * h
+        l0 = (p * nu * s + s_lin * g) * h
+        p, s_lin, c = (
+            spec.q * h + p * a_h * a_h - l1 * l1 / d,
+            s_lin * a_h - l1 * l0 / d,
+            c + p * nu * nu * h - l0 * l0 / d,
+        )
+    return p * spec.x0 * spec.x0 + 2.0 * s_lin * spec.x0 + c
 
 
 @dataclass(frozen=True)

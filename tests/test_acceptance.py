@@ -26,6 +26,7 @@ from msacontrol import (
     upward_jumps,
 )
 from msacontrol.cli import main
+from msacontrol.msa import TraceRow
 
 from conftest import combined_se
 from references import check_recursive_bound, pontryagin_gaps
@@ -47,17 +48,8 @@ def monotone_violations(trace):
     replaces are priced on one bank, and a non-classical run accepts a
     candidate only if it lowers that in-sample cost.
     """
-    js = [trace.initial_cost] + [j for j, ok in zip(trace.costs, trace.accepted) if ok]
+    js = [trace.initial_cost] + [row.J for row in trace.accepted_rows]
     return sum(b > a for a, b in zip(js, js[1:]))
-
-
-def final_cost_and_se(trace):
-    rows = [
-        (j, se)
-        for j, se, accepted in zip(trace.costs, trace.cost_ses, trace.accepted)
-        if accepted
-    ]
-    return rows[-1] if rows else (trace.initial_cost, trace.initial_cost_se)
 
 
 def test_criterion_01_monotone_descent_across_suite(suite_runs):
@@ -69,16 +61,12 @@ def test_criterion_02_mu_nonpositive_and_converges(suite_runs):
     ok = True
     details = []
     for name, (_, tr) in suite_runs.items():
-        worst = max(mu - 3.0 * se for mu, se in zip(tr.mus, tr.mu_ses))
+        worst = max(row.mu - 3.0 * row.mu_se for row in tr.rows)
         ok = ok and worst <= 0.0
         details.append(f"{name} max(mu-3se)={worst:.2e}")
     for name in ("lq_drift", "ctrl_diffusion"):
         _, tr = suite_runs[name]
-        hits = [
-            n
-            for n, mu, accepted in zip(tr.iterations, tr.mus, tr.accepted)
-            if accepted and abs(mu) < TOL_MU and n <= 100
-        ]
+        hits = [row.n for row in tr.accepted_rows if abs(row.mu) < TOL_MU and row.n <= 100]
         ok = ok and bool(hits)
         details.append(f"{name} |mu|<{TOL_MU:g} at n={hits[0] if hits else 'never'}")
     emit("02", ok, "; ".join(details))
@@ -92,7 +80,7 @@ def test_criterion_03_lq_cost_in_riccati_band(lq_bench, lq_run, lq_run_n200):
         ("N=50", lq_run, 0.05),
         ("N=200", lq_run_n200, 0.025),
     ):
-        j_fin, se_fin = final_cost_and_se(tr)
+        j_fin, se_fin, _ = tr.final
         band = max(0.02 * abs(j_star), 3.0 * se_fin + dt_frac * abs(j_star))
         gap = abs(j_fin - j_star)
         ok = ok and gap <= band
@@ -104,7 +92,7 @@ def test_criterion_04_small_instances_reach_brute_force_optimum(small_results):
     ok = True
     details = []
     for name, (_, trace, bf) in small_results.items():
-        j_fin, se_fin = final_cost_and_se(trace)
+        j_fin, se_fin, _ = trace.final
         slack = 3.0 * combined_se(se_fin, bf.standard_error)
         ok = ok and j_fin <= bf.j_star + slack
         details.append(f"{name} J={j_fin:.5f} vs j*={bf.j_star:.5f}+{slack:.5f}")
@@ -113,12 +101,10 @@ def test_criterion_04_small_instances_reach_brute_force_optimum(small_results):
 
 def test_criterion_05_rate_fit_passes_and_log_control_fails(lq_bench, lq_run):
     _, tr = lq_run
-    last = max(n for n, accepted in zip(tr.iterations, tr.accepted) if accepted)
+    last = max(row.n for row in tr.accepted_rows)
     rep = rate_fit(tr, lq_bench.continuous_optimum, 1, min(last, 100))
-    synthetic = IterationTrace()
-    synthetic.initial_cost, synthetic.initial_cost_se = 2.0, 0.0
-    for n in range(1, 101):
-        synthetic.add_row(n, 1.0 / math.log(n + 1.0), 0.0, 0.0, 0.0, 0.0, 0, True)
+    rows = [TraceRow(n, 1.0 / math.log(n + 1.0), 0.0, 0.0, 0.0, 0.0, 0, True) for n in range(1, 101)]
+    synthetic = IterationTrace(rows, initial_cost=2.0, initial_cost_se=0.0)
     bad = rate_fit(synthetic, 0.0, 10, 100)
     emit(
         "05",
@@ -188,7 +174,7 @@ def test_criterion_08_pontryagin_certificate_after_convergence(lq_bench, lq_run)
     noise = make_noise(grid, cfg.n_paths, p.noise_dim, cfg.seed)
     states = simulate_forward(p, noise, control)
     adjoint = solve_adjoint_lsmc(states, cfg.basis)
-    rho = trace.rhos[-1]
+    rho = trace.rows[-1].rho
     gaps = pontryagin_gaps(adjoint, control, rho=rho, n_samples=10_000)
     violation_fraction = float(np.mean(gaps > TOL_MU))
     emit(

@@ -5,8 +5,12 @@
 by name; a refactor that removes one of those names breaks
 ``perfbench/run.py --trace 1`` without failing any other test.  Likewise
 ``perfbench/run.py``'s Riccati-band check, which runs only at seeds with
-no stored reference, reads ``Benchmark.lq`` and ``riccati_lq``.
+no stored reference, reads ``Benchmark.lq`` and ``riccati_lq``.  A
+traced solve reads the iteration trace's ``n_rows`` and ``backtracks``.
 """
+
+import io
+from contextlib import redirect_stdout
 
 import msacontrol.cli as cli
 import msacontrol.msa as msa
@@ -46,3 +50,23 @@ def test_riccati_band_check_accepts_stored_outputs(monkeypatch):
     assert check.reference is None  # no stored reference at seed 1
     check.first = bench.read_outputs(w, bench.REFERENCES / "desk_lq" / "12345")
     assert check.riccati_band() == []
+
+
+def test_traced_solve_counts_the_trace_rows(monkeypatch, tmp_path):
+    # msa_stress rejects a candidate here, so the replay path runs under the tracer
+    tracing = load(monkeypatch, "perfbench_tracing", TRACING)
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[problem]\nname = msa_stress\n"
+        "[msa]\nn_paths = 2000\nn_steps = 10\ncontrol_mode = deterministic\n",
+        encoding="utf-8",
+    )
+    tracer = tracing.Tracer()
+    with redirect_stdout(io.StringIO()):
+        code = tracer.run(cli.main, ["run", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "msa_stress_summary.txt").read_text(encoding="utf-8").splitlines()
+    summary = dict(line.split(": ", 1) for line in lines)
+    counts = tracer.counts()
+    assert counts["rows"] == int(summary["iterations"])
+    assert counts["backtracks"] == int(summary["total_backtracks"]) >= 1

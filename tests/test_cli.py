@@ -391,6 +391,30 @@ class TestRun:
         assert "action points must be distinct" in status
         assert (f"'bad_{where}_mod'" if where == "import" else "problem 'bad'") in status
 
+    @pytest.mark.parametrize(
+        "kind, source",
+        [("SyntaxError", "def broken(:\n"), ("NameError", "undefined_name\n")],
+        ids=["syntax", "name"],
+    )
+    def test_problem_module_import_failure_exits_one(self, tmp_path, capsys, monkeypatch, kind, source):
+        # whatever a module raises while it imports is reported, not a traceback
+        mod_dir = tmp_path / "mods"
+        mod_dir.mkdir()
+        module = f"broken_{kind.lower()}_mod"
+        (mod_dir / f"{module}.py").write_text(source)
+        monkeypatch.syspath_prepend(str(mod_dir))
+        cfg = write_config(
+            tmp_path,
+            problem={"name": "lq_drift", "module": module},
+            output={"directory": str(tmp_path / "broken_out")},
+        )
+        assert main(["run", "--config", cfg]) == 1
+        status, out = status_line(capsys)
+        assert out.count("STATUS ") == 1
+        assert status.startswith("STATUS command=run exit=1 error=")
+        assert f"cannot import problem.module '{module}': {kind}" in status
+        assert not (tmp_path / "broken_out").exists()
+
 
 class TestValidate:
     def test_benchmark_passes_all_checks(self, tmp_path, capsys):
@@ -574,6 +598,34 @@ class TestRate:
         assert out.count("STATUS ") == 1
         assert status.startswith("STATUS command=rate exit=1 error=")
         assert "RK4 integration blew up" in status
+
+    def test_invalid_lq_spec_exits_one(self, tmp_path, capsys, monkeypatch):
+        # the spec is checked when the benchmark is built, before any oracle runs
+        mod_dir = tmp_path / "mods"
+        mod_dir.mkdir()
+        (mod_dir / "bad_lq_mod.py").write_text(
+            "import numpy as np\n"
+            "from msacontrol import Benchmark, register_benchmark\n"
+            "from msacontrol.oracle import LqSpec, scalar_quadratic_problem\n"
+            "_spec = LqSpec(r=0.0)\n"
+            "_p = scalar_quadratic_problem('bad_lq', _spec, 1.0, np.array([-1.0, 0.0, 1.0]))\n"
+            "register_benchmark('bad_lq', lambda: Benchmark('bad_lq', _p, lq=_spec))\n"
+        )
+        monkeypatch.syspath_prepend(str(mod_dir))
+        try:
+            cfg = write_config(
+                tmp_path,
+                problem={"name": "bad_lq", "module": "bad_lq_mod"},
+                msa={"n_paths": 200, "n_steps": 5},
+                output={"directory": str(tmp_path / "r")},
+            )
+            assert main(["rate", "--config", cfg]) == 1
+        finally:
+            oracle_mod._FACTORIES.pop("bad_lq", None)
+        status, out = status_line(capsys)
+        assert out.count("STATUS ") == 1
+        assert status.startswith("STATUS command=rate exit=1 error=")
+        assert "problem 'bad_lq': r must be positive" in status
 
     def test_brute_force_budget_guard(self, tmp_path, capsys):
         cfg = write_config(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from msacontrol import IterationTrace, export_csv, rate_fit, upward_jumps
 from msacontrol.diagnostics import _NOISE_FLOOR_FACTOR, RATE_COLUMNS, TRACE_COLUMNS
+from msacontrol.msa import TraceRow
 
 from conftest import csv_rows
 from references import check_recursive_bound
@@ -19,13 +20,9 @@ def trace_from_costs(costs, ses=None, accepted=None):
     m = len(costs)
     ses = [0.0] * m if ses is None else ses
     accepted = [True] * m if accepted is None else accepted
-    trace = IterationTrace()
-    trace.initial_cost = float(costs[0]) + 1.0 if m else 1.0
-    trace.initial_cost_se = 0.0
-    for i in range(m):
-        trace.add_row(i + 1, costs[i], ses[i], 0.0, 0.0, 1.0, 0, accepted[i])
-    trace.status = "converged_mu"
-    return trace
+    rows = [TraceRow(i + 1, costs[i], ses[i], 0.0, 0.0, 1.0, 0, accepted[i]) for i in range(m)]
+    initial = float(costs[0]) + 1.0 if m else 1.0
+    return IterationTrace(rows, initial_cost=initial, initial_cost_se=0.0, status="converged_mu")
 
 
 class TestRateFit:
@@ -77,7 +74,7 @@ class TestRateFit:
 
     def test_rejected_rows_are_excluded(self):
         trace = trace_from_costs([1.0 / n for n in range(1, 101)])
-        trace.add_row(55, 50.0, 0.0, 0.0, 0.0, 4.0, 2, False)
+        trace.rows.append(TraceRow(55, 50.0, 0.0, 0.0, 0.0, 4.0, 2, False))
         rep = rate_fit(trace, 0.0, 10, 100)
         assert rep.slope == pytest.approx(-1.0, abs=1e-9)
         assert rep.gaps.max() < 0.2
@@ -114,7 +111,7 @@ class TestRateFit:
 
     def test_solver_trace_passes(self, lq_bench, lq_run):
         _, trace = lq_run
-        last = max(n for n, ok in zip(trace.iterations, trace.accepted) if ok)
+        last = max(row.n for row in trace.accepted_rows)
         rep = rate_fit(trace, lq_bench.continuous_optimum, 1, last)
         assert rep.passed, rep.status
 
@@ -225,8 +222,7 @@ class TestCsvExport:
         assert path.read_text() == ",".join(TRACE_COLUMNS) + "\n"
 
     def test_single_row_round_trip(self, tmp_path):
-        trace = IterationTrace()
-        trace.add_row(3, 1.2345678901234567e-07, 0.1, -1e-3, 1e-5, 2.0, 4, True)
+        trace = IterationTrace([TraceRow(3, 1.2345678901234567e-07, 0.1, -1e-3, 1e-5, 2.0, 4, True)])
         path = tmp_path / "one.csv"
         export_csv(trace, path)
         rows = csv_rows(path)
@@ -245,12 +241,14 @@ class TestCsvExport:
         export_csv(trace, path)
         rows = csv_rows(path)
         assert list(rows[0]) == list(TRACE_COLUMNS)
-        assert [int(r["n"]) for r in rows] == trace.iterations
-        assert [float(r["J"]) for r in rows] == trace.costs
-        assert [float(r["J_se"]) for r in rows] == trace.cost_ses
-        assert [float(r["mu"]) for r in rows] == trace.mus
-        assert [float(r["rho"]) for r in rows] == trace.rhos
-        assert [bool(int(r["accepted"])) for r in rows] == trace.accepted
+        floats = ("J", "J_se", "mu", "mu_se", "rho")
+        read = [
+            TraceRow(
+                int(r["n"]), *(float(r[c]) for c in floats), int(r["backtracks"]), r["accepted"] == "1"
+            )
+            for r in rows
+        ]
+        assert read == trace.rows
 
     def test_rate_report_round_trip(self, tmp_path):
         trace = trace_from_costs([1.0 / n for n in range(1, 21)])

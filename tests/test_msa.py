@@ -490,8 +490,7 @@ class TestRunMsa:
         control, trace = run_msa(p, cfg)
         assert trace.status == "fixed_point"
         assert trace.n_rows == 1
-        assert trace.mus == [0.0]
-        assert trace.accepted == [True]
+        assert [(row.mu, row.accepted) for row in trace.rows] == [(0.0, True)]
         # the centroid initial guess (action 0.0) is returned unchanged
         assert np.all(control.by_step == 1)
 
@@ -499,9 +498,7 @@ class TestRunMsa:
         cfg = MsaConfig(n_paths=400, n_steps=10, max_iterations=3, tol_mu=1e-9)
         a_control, a = run_msa(lq_bench.problem, cfg)
         b_control, b = run_msa(lq_bench.problem, cfg)
-        assert a.costs == b.costs
-        assert a.mus == b.mus
-        assert a.rhos == b.rhos
+        assert a.rows == b.rows
         assert np.array_equal(a_control.by_step, b_control.by_step)
 
     def test_descent_failure_raises_with_trace(self, stress_bench):
@@ -516,17 +513,16 @@ class TestRunMsa:
             run_msa(stress_bench.problem, cfg)
         trace = exc.value.trace
         assert trace.status == "descent_failure"
-        assert trace.accepted[-1] is False
+        assert trace.rows[-1].accepted is False
         assert trace.n_rows >= 1
-        assert set(trace.rhos) == {0.0}  # no candidate is computed at another rho
+        assert {row.rho for row in trace.rows} == {0.0}  # no candidate is computed at another rho
 
     def test_failure_row_reports_its_candidates_rho(self, stress_bench):
         # candidates at rho 0.25, then 0.5 on the replayed iterate; 1.0 is never tried
         cfg = MsaConfig(n_paths=500, n_steps=10, rho_initial=0.25, rho_max=0.5, max_iterations=5)
         with pytest.raises(DescentFailureError) as exc:
             run_msa(stress_bench.problem, cfg)
-        assert exc.value.trace.rhos == [0.5]
-        assert exc.value.trace.backtracks == [2]
+        assert [(row.rho, row.backtracks) for row in exc.value.trace.rows] == [(0.5, 2)]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -547,7 +543,7 @@ class TestRunMsa:
     def test_accepted_steps_descend_exactly(self, lq_bench):
         cfg = MsaConfig(n_paths=2000, n_steps=20)
         _, trace = run_msa(lq_bench.problem, cfg)
-        js = [trace.initial_cost] + [j for j, ok in zip(trace.costs, trace.accepted) if ok]
+        js = [trace.initial_cost] + [row.J for row in trace.accepted_rows]
         assert all(b <= a for a, b in zip(js, js[1:])), js
 
     @pytest.mark.parametrize(
@@ -583,7 +579,7 @@ class TestRunMsa:
         _, small = run_msa(stress_bench.problem, MsaConfig(n_paths=2000, n_steps=20))
         assert small.status != "max_iterations"
         for trace in [small] + [trace for _, trace in suite_runs.values()]:
-            js = [trace.initial_cost] + [j for j, ok in zip(trace.costs, trace.accepted) if ok]
+            js = [trace.initial_cost] + [row.J for row in trace.accepted_rows]
             # exact: both controls are priced on one bank; a fixed_point row repeats J
             assert all(b <= a for a, b in zip(js, js[1:])), js
 

@@ -25,7 +25,7 @@ from msacontrol import (
 from msacontrol.oracle import LqSpec
 from msacontrol.sde import ControlEnsemble, mean_and_se
 
-from references import diffusion_lq_reference, lq_adjoint_y0, unit_gain_lq_value
+from references import diffusion_lq_reference, euler_lq_value, lq_adjoint_y0, unit_gain_lq_value
 
 LQ_DRIFT_OPTIMUM = 1.1188145592568133
 CTRL_DIFFUSION_OPTIMUM = 1.955913960085863
@@ -57,16 +57,22 @@ class TestRiccati:
         with pytest.raises(ValueError):
             riccati_lq(LqSpec(nu=-0.1), TimeGrid(n_steps=10, horizon=1.0))
 
-    def test_rejects_control_in_drift_and_noisy_diffusion(self):
-        # V = P x^2 + c only while control_gain * sigma_gain * nu = 0
-        grid = TimeGrid(n_steps=10, horizon=1.0)
-        with pytest.raises(ValueError, match="sigma_gain"):
-            riccati_lq(LqSpec(control_gain=1.0, nu=1.0, sigma_gain=0.3), grid)
-        for spec in (
-            LqSpec(control_gain=1.0, nu=0.0, sigma_gain=0.3),
-            LqSpec(control_gain=0.0, nu=1.0, sigma_gain=0.3),
-        ):
-            assert math.isfinite(riccati_lq(spec, grid).optimal_value)
+    @pytest.mark.parametrize(
+        "spec, want",
+        [
+            (LqSpec(0.2, 1.0, 0.4, 0.5, 1.0, 0.3, 0.5, 1.0), 0.6404017),
+            (LqSpec(0.0, 3.0, 1.0, 0.5, 0.0, 0.1, 1.0, 1.0), 0.0496031),
+            (LqSpec(control_gain=1.0, nu=0.0, sigma_gain=0.3), 0.7709641),
+        ],
+        ids=["noisy", "noisy_stress", "noiseless"],
+    )
+    def test_control_in_drift_and_diffusion(self, spec, want):
+        # V = P x^2 + 2 S x + c, where S moves only if control_gain * sigma_gain * nu != 0
+        got = riccati_lq(spec, TimeGrid(n_steps=400, horizon=1.0)).optimal_value
+        # the Euler scheme's value is first order in h; one Richardson step cancels that term
+        ref = 2.0 * euler_lq_value(spec, 1.0, 20_000) - euler_lq_value(spec, 1.0, 10_000)
+        assert abs(got - ref) <= 1e-8
+        assert abs(got - want) <= 1e-7
 
 
 class TestAdjointOdeOracle:
