@@ -39,7 +39,7 @@ from .oracle import (
     get_benchmark,
 )
 from .problem import ControlProblem, EvaluationError, ProblemDefinitionError, check_derivatives
-from .sde import SimulationError, TimeGrid, constant_control, make_noise, simulate_forward
+from .sde import SimulationError, constant_control, simulate_forward
 
 
 class ConfigError(Exception):
@@ -217,11 +217,10 @@ def cmd_run(cfg: RunConfig) -> int:
     return code
 
 
-def _centroid_solve(p: ControlProblem, n_paths: int, msa: MsaConfig):
+def _centroid_solve(p: ControlProblem, msa: MsaConfig):
     """LSMC adjoint along the forward paths of the constant centroid control."""
-    grid = TimeGrid(n_steps=msa.n_steps, horizon=p.horizon)
-    noise = make_noise(grid, n_paths, p.noise_dim, msa.seed)
-    states = simulate_forward(p, noise, constant_control(p, n_paths, grid.n_steps, mode=msa.control_mode))
+    control = constant_control(p, msa.n_paths, msa.n_steps, mode=msa.control_mode)
+    states = simulate_forward(p, msa.bank(p), control)
     return solve_adjoint_lsmc(states, msa.basis)
 
 
@@ -236,7 +235,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         checks.append((f"derivative:{key}", err <= cfg.validate_tolerance, f"max_rel_err={err:.3e}"))
 
     dp = driverless_problem(1.0)
-    adjoint = _centroid_solve(dp, min(cfg.msa.n_paths, 4000), cfg.msa)
+    adjoint = _centroid_solve(dp, replace(cfg.msa, n_paths=min(cfg.msa.n_paths, 4000)))
     y_dev = float(np.max(np.abs(adjoint.y_values - 1.0)))
     z_max = float(np.max(np.abs(adjoint.z_values)))
     resid = adjoint_residual(adjoint)
@@ -244,7 +243,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     checks.append(("driverless:z_small", z_max <= 1e-2, f"max|Z|={z_max:.3e}"))
     checks.append(("driverless:residual", resid <= 1e-8, f"residual={resid:.3e}"))
 
-    adjoint = _centroid_solve(p, cfg.msa.n_paths, cfg.msa)
+    adjoint = _centroid_solve(p, cfg.msa)
     y0_lsmc = adjoint.y_values[0].mean(axis=0)
     y0_lin, y0_se = solve_adjoint_linear_y0(adjoint.states)
     gap = np.abs(y0_lsmc - y0_lin)
@@ -354,10 +353,8 @@ def cmd_rate(cfg: RunConfig) -> int:
             if j_star is None:
                 raise ConfigError(f"problem {name} has no Riccati oracle")
         else:
-            grid = TimeGrid(n_steps=cfg.msa.n_steps, horizon=p.horizon)
-            noise = make_noise(grid, cfg.msa.n_paths, p.noise_dim, cfg.msa.seed)
             try:
-                j_star = brute_force_optimal(p, noise).j_star
+                j_star = brute_force_optimal(p, cfg.msa.bank(p)).j_star
             except ValueError as exc:
                 raise ConfigError(f"brute force: {exc}; shrink n_steps or the action grid") from None
         try:

@@ -63,6 +63,7 @@ from .problem import ControlProblem, _check_finite, augmented_hamiltonian, hamil
 from .sde import (
     CONTROL_MODES,
     ControlEnsemble,
+    NoiseBank,
     TimeGrid,
     constant_control,
     cost_per_path,
@@ -120,6 +121,10 @@ class MsaConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.control_mode not in CONTROL_MODES:
             raise ValueError(f"control_mode must be one of {CONTROL_MODES}")
+
+    def bank(self, p: ControlProblem) -> NoiseBank:
+        """The solve's frozen noise bank for p; the solver and its oracles price on it."""
+        return make_noise(TimeGrid(self.n_steps, p.horizon), self.n_paths, p.noise_dim, self.seed)
 
 
 class TraceRow(NamedTuple):
@@ -278,8 +283,7 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
     final control and the iteration trace.  Raises DescentFailureError
     (carrying the trace) when no acceptable step exists below rho_max.
     """
-    grid = TimeGrid(n_steps=cfg.n_steps, horizon=p.horizon)
-    noise = make_noise(grid, cfg.n_paths, p.noise_dim, cfg.seed)
+    noise = cfg.bank(p)
     # only the states hold their control, so a superseded control is freed with them
     states = simulate_forward(
         p, noise, constant_control(p, cfg.n_paths, cfg.n_steps, mode=cfg.control_mode)

@@ -144,6 +144,9 @@ class LqSpec:
     x0: float = 1.0
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ProblemDefinitionError(f"{name} must be finite, got {value}")
         if not self.r > 0:
             raise ProblemDefinitionError(f"r must be positive, got {self.r}")
         if self.q < 0 or self.q_t < 0 or self.nu < 0:
@@ -151,6 +154,8 @@ class LqSpec:
 
 
 _RICCATI_REFINE = 10  # RK4 steps per solver step
+_RK4_STABILITY = 2.78  # RK4 is stable for h lambda in [-2.785, 0]
+_RICCATI_BUDGET = 1_000_000  # RK4 steps
 _ORACLE_STEPS = 400  # grid of a benchmark's continuous_optimum: 4000 RK4 steps
 _BRUTE_FORCE_BUDGET = 1_000_000  # action sequences
 _BRUTE_FORCE_ROWS = 50_000  # (sequence, path) rows simulated at once
@@ -175,10 +180,23 @@ def riccati_lq(spec: LqSpec, grid: TimeGrid) -> RiccatiSolution:
     enter the drift, the diffusion or both; S stays 0 unless
     gain sigma_gain nu != 0.  The action is unconstrained here; for a
     bounded grid the value is a lower bound plus quantisation allowance.
-    Integrates on a grid _RICCATI_REFINE times finer than the solver grid.
+    Integrates on a grid _RICCATI_REFINE times finer than the solver
+    grid, or finer where the ODE is stiff: h (2 |beta| + 2 gain^2 P_bar / r)
+    stays within RK4's stability limit, P_bar bounding P.  P is monotone,
+    as an autonomous scalar ODE's solution, and P' D = -(a P^2 + b P + q r):
+    with a < 0 it stays between q_t and the positive root, and otherwise
+    below (q_t + q T) e^{2 max(beta, 0) T}.
     """
     spec.validate()
     beta, g, nu, s, q, r = spec.beta, spec.control_gain, spec.nu, spec.sigma_gain, spec.q, spec.r
+    horizon, a, b = grid.horizon, 2.0 * beta * s * s - g * g, 2.0 * beta * r + q * s * s
+    if a < 0:
+        p_bar = max(spec.q_t, (b + np.sqrt(b * b - 4.0 * a * q * r)) / (-2.0 * a))
+    else:
+        p_bar = (spec.q_t + q * horizon) * np.exp(2.0 * max(beta, 0.0) * horizon)
+    n_stable = horizon * (2.0 * abs(beta) + 2.0 * g * g * p_bar / r) / _RK4_STABILITY
+    if not n_stable <= _RICCATI_BUDGET:
+        raise EvaluationError(f"value ODE too stiff for RK4: {n_stable:.3g} steps needed")
 
     def rhs(t, u):
         p_val, s_val, c_val = u
@@ -189,8 +207,8 @@ def riccati_lq(spec: LqSpec, grid: TimeGrid) -> RiccatiSolution:
         dc = -(nu * nu * p_val - k * k / d)
         return np.array([dp, ds, dc])
 
-    n_fine = grid.n_steps * _RICCATI_REFINE
-    p0, s0, c0 = _rk4(rhs, grid.horizon, (spec.q_t, 0.0, 0.0), -grid.horizon / n_fine, n_fine)
+    n_fine = max(grid.n_steps * _RICCATI_REFINE, int(np.ceil(n_stable)))
+    p0, s0, c0 = _rk4(rhs, horizon, (spec.q_t, 0.0, 0.0), -horizon / n_fine, n_fine)
     x0 = spec.x0
     return RiccatiSolution(optimal_value=float(p0) * x0 * x0 + 2.0 * float(s0) * x0 + float(c0))
 

@@ -4,8 +4,9 @@ The noise bank is drawn once per solve and reused across all iterations
 (common random numbers).  Path i's stream derives from (seed, i) alone:
 it is numpy's ``PCG64(SeedSequence(seed).spawn(M)[i])`` normal stream,
 scaled by sqrt(dt).  The children's seed words are computed for every
-path in one vectorised pass of SeedSequence's hash (``_child_words``)
-instead of building one SeedSequence object per path.
+path in one vectorised pass (``_child_words``) from numpy's parent pool,
+not one SeedSequence object per path.  ``MsaConfig.bank`` in ``msa.py``
+is the one caller of ``make_noise``.
 
 Every array indexed by time step stores the step first: the bank's
 increments are (N, M, d'), the states (N + 1, M, d) and a control's
@@ -25,7 +26,6 @@ takes the states alone and no kernel re-checks what it reads from them.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,58 +111,36 @@ class NoiseBank:
         return self.increments.shape[2]
 
 
-def _child_words(seed: int, n_paths: int) -> np.ndarray:
-    """Seed words of the children of numpy's ``SeedSequence(seed)``.
+def _hashmix(values, hash_const: int, mult: int):
+    """Yield numpy SeedSequence's hashmix of each uint32 array, the constant stepping by mult."""
+    for value in values:
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        yield value ^ (value >> np.uint32(16))
 
-    Row i is ``SeedSequence(seed).spawn(n_paths)[i].generate_state(4,
-    np.uint64)``, the words PCG64 seeds itself from.  The entropy of
-    child i is seed's 32-bit words, zero-padded to the pool size, followed
-    by the spawn key i; each word is a uint32 array over i, and the hash
-    is numpy's, step for step.  The key i is one word because the bank
+
+def _child_words(parent, n_paths: int) -> np.ndarray:
+    """Row i is ``parent.spawn(n_paths)[i].generate_state(4, np.uint64)``, PCG64's seed.
+
+    Child i's entropy is the parent's, zero-padded to the pool size, then
+    the spawn key i, so its pool is ``parent.pool`` mixed with i, after
+    the parent's 4 hashmix calls per entropy word (at least 4 words).
+    Each word is a uint32 array over i; i is one word because the bank
     size limit keeps n_paths below 2**32.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    words = []
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.full(n_paths, w, dtype=np.uint32) for w in words]
-    entropy.append(np.arange(n_paths, dtype=np.uint32))
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return r ^ (r >> np.uint32(16))
-
-    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, len(entropy)):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
-
+    n_words = max(_POOL_SIZE, (int(parent.entropy).bit_length() + 31) // 32)
+    hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * n_words, 1 << 32) & _MASK32
+    keys = _hashmix([np.arange(n_paths, dtype=np.uint32)] * _POOL_SIZE, hash_const, _MULT_A)
+    pool = []
+    for word, key in zip(parent.pool.tolist(), keys):
+        mixed = np.full(n_paths, _MIX_MULT_L * word & _MASK32, dtype=np.uint32)
+        mixed -= np.uint32(_MIX_MULT_R) * key
+        pool.append(mixed ^ (mixed >> np.uint32(16)))
     state = np.empty((n_paths, 8), dtype="<u4")
-    hash_const = _INIT_B
-    for j in range(8):
-        value = pool[j % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, j] = value ^ (value >> np.uint32(16))
-    return state.view("<u8").astype(np.uint64)
+    for j, word in enumerate(_hashmix(pool * 2, _INIT_B, _MULT_B)):
+        state[:, j] = word
+    return state.view("<u8").astype(np.uint64, copy=False)
 
 
 def make_noise(grid: TimeGrid, n_paths: int, noise_dim: int, seed: int) -> NoiseBank:
@@ -182,9 +160,9 @@ def make_noise(grid: TimeGrid, n_paths: int, noise_dim: int, seed: int) -> Noise
             f"noise bank would need {total} bytes "
             f"(M={n_paths}, N={grid.n_steps}, d'={noise_dim}); refusing"
         )
-    words = _child_words(seed, n_paths)
-    # defined here, not at module level, so that importing msacontrol
-    # does not load numpy.random
+    # numpy.random is loaded here, not at module level, so that importing
+    # msacontrol does not load it
+    words = _child_words(np.random.SeedSequence(seed), n_paths)
     from numpy.random.bit_generator import ISeedSequence
 
     class _Precomputed(ISeedSequence):

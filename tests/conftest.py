@@ -17,10 +17,8 @@ import pytest
 import msacontrol
 from msacontrol import (
     MsaConfig,
-    TimeGrid,
     brute_force_optimal,
     get_benchmark,
-    make_noise,
     run_msa,
 )
 
@@ -96,9 +94,7 @@ def small_results():
         bench = get_benchmark(name)
         cfg = MsaConfig(n_paths=2000, n_steps=5, control_mode="deterministic")
         control, trace = run_msa(bench.problem, cfg)
-        grid = TimeGrid(n_steps=cfg.n_steps, horizon=bench.problem.horizon)
-        noise = make_noise(grid, cfg.n_paths, bench.problem.noise_dim, cfg.seed)
-        bf = brute_force_optimal(bench.problem, noise)
+        bf = brute_force_optimal(bench.problem, cfg.bank(bench.problem))
         out[name] = (control, trace, bf)
     return out
 

@@ -15,10 +15,8 @@ from msacontrol import (
     IterationTrace,
     MsaConfig,
     RegressionBasis,
-    TimeGrid,
     adjoint_residual,
     driverless_problem,
-    make_noise,
     rate_fit,
     simulate_forward,
     solve_adjoint_linear_y0,
@@ -170,9 +168,7 @@ def test_criterion_08_pontryagin_certificate_after_convergence(lq_bench, lq_run)
     control, trace = lq_run
     cfg = MsaConfig()
     p = lq_bench.problem
-    grid = TimeGrid(n_steps=cfg.n_steps, horizon=p.horizon)
-    noise = make_noise(grid, cfg.n_paths, p.noise_dim, cfg.seed)
-    states = simulate_forward(p, noise, control)
+    states = simulate_forward(p, cfg.bank(p), control)
     adjoint = solve_adjoint_lsmc(states, cfg.basis)
     rho = trace.rows[-1].rho
     gaps = pontryagin_gaps(adjoint, control, rho=rho, n_samples=10_000)

@@ -6,7 +6,8 @@ by name; a refactor that removes one of those names breaks
 ``perfbench/run.py --trace 1`` without failing any other test.  Likewise
 ``perfbench/run.py``'s Riccati-band check, which runs only at seeds with
 no stored reference, reads ``Benchmark.lq`` and ``riccati_lq``.  A
-traced solve reads the iteration trace's ``n_rows`` and ``backtracks``.
+traced solve reads the iteration trace's ``n_rows`` and ``backtracks``,
+and its one noise bank is drawn inside ``msa.run_msa``.
 """
 
 import io
@@ -70,3 +71,7 @@ def test_traced_solve_counts_the_trace_rows(monkeypatch, tmp_path):
     counts = tracer.counts()
     assert counts["rows"] == int(summary["iterations"])
     assert counts["backtracks"] == int(summary["total_backtracks"]) >= 1
+    # the sde.make_noise.* metrics time the one bank, made inside the solve
+    assert tracer.calls["sde.make_noise"] == 1
+    (noise,) = [s for s in tracer.spans if s.name == "sde.make_noise"]
+    assert tracer.spans[noise.parent].name == "msa.run_msa"

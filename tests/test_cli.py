@@ -571,8 +571,9 @@ class TestRate:
         assert code == 1
         assert "no Riccati oracle" in status
 
-    def test_blown_up_ode_oracle_exits_one(self, tmp_path, capsys, monkeypatch):
-        # a stiff spec whose value ODE overflows under fixed-step RK4
+    def test_stiff_ode_oracle_gets_its_value(self, tmp_path, capsys, monkeypatch):
+        # a stiff spec that overflowed fixed-step RK4 at 4000 steps; its
+        # exact value is sqrt(q r) / gain = 1/300, as tanh(300) = 1
         mod_dir = tmp_path / "mods"
         mod_dir.mkdir()
         (mod_dir / "stiff_bench_mod.py").write_text(
@@ -591,31 +592,47 @@ class TestRate:
                 msa={"n_paths": 200, "n_steps": 5},
                 output={"directory": str(tmp_path / "r")},
             )
-            assert main(["rate", "--config", cfg]) == 1
+            main(["rate", "--config", cfg])
         finally:
             oracle_mod._FACTORIES.pop("stiff", None)
         status, out = status_line(capsys)
         assert out.count("STATUS ") == 1
-        assert status.startswith("STATUS command=rate exit=1 error=")
-        assert "RK4 integration blew up" in status
+        assert status.startswith("STATUS command=rate exit=")
+        assert "j_star=0.00333333" in status
+        assert "blew up" not in status and "error=" not in status
 
-    def test_invalid_lq_spec_exits_one(self, tmp_path, capsys, monkeypatch):
-        # the spec is checked when the benchmark is built, before any oracle runs
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("r=0.0", "r must be positive"),
+            ("x0=np.inf", "x0 must be finite, got inf"),
+            ("q=np.nan", "q must be finite, got nan"),
+            ("beta=np.nan", "beta must be finite, got nan"),
+            ("sigma_gain=np.nan", "sigma_gain must be finite, got nan"),
+        ],
+        ids=["r", "x0", "q", "beta", "sigma_gain"],
+    )
+    def test_invalid_lq_spec_exits_one(self, tmp_path, capsys, monkeypatch, spec, message):
+        # the spec is checked when the benchmark is built, before any oracle
+        # runs; the problem comes from a valid spec, as a non-finite
+        # coefficient would fail the problem's own probe first
+        # one module per case: an imported module is not run again
+        module = f"bad_lq_{spec.split('=')[0]}_mod"
         mod_dir = tmp_path / "mods"
         mod_dir.mkdir()
-        (mod_dir / "bad_lq_mod.py").write_text(
+        (mod_dir / f"{module}.py").write_text(
             "import numpy as np\n"
             "from msacontrol import Benchmark, register_benchmark\n"
             "from msacontrol.oracle import LqSpec, scalar_quadratic_problem\n"
-            "_spec = LqSpec(r=0.0)\n"
-            "_p = scalar_quadratic_problem('bad_lq', _spec, 1.0, np.array([-1.0, 0.0, 1.0]))\n"
+            f"_spec = LqSpec({spec})\n"
+            "_p = scalar_quadratic_problem('bad_lq', LqSpec(), 1.0, np.array([-1.0, 0.0, 1.0]))\n"
             "register_benchmark('bad_lq', lambda: Benchmark('bad_lq', _p, lq=_spec))\n"
         )
         monkeypatch.syspath_prepend(str(mod_dir))
         try:
             cfg = write_config(
                 tmp_path,
-                problem={"name": "bad_lq", "module": "bad_lq_mod"},
+                problem={"name": "bad_lq", "module": module},
                 msa={"n_paths": 200, "n_steps": 5},
                 output={"directory": str(tmp_path / "r")},
             )
@@ -625,7 +642,7 @@ class TestRate:
         status, out = status_line(capsys)
         assert out.count("STATUS ") == 1
         assert status.startswith("STATUS command=rate exit=1 error=")
-        assert "problem 'bad_lq': r must be positive" in status
+        assert f"problem 'bad_lq': {message}" in status
 
     def test_brute_force_budget_guard(self, tmp_path, capsys):
         cfg = write_config(

@@ -9,6 +9,8 @@ import pytest
 import msacontrol.oracle as oracle_mod
 from msacontrol import (
     Benchmark,
+    EvaluationError,
+    ProblemDefinitionError,
     SimulationError,
     TimeGrid,
     benchmark_names,
@@ -56,6 +58,28 @@ class TestRiccati:
             riccati_lq(LqSpec(q=-1.0), TimeGrid(n_steps=10, horizon=1.0))
         with pytest.raises(ValueError):
             riccati_lq(LqSpec(nu=-0.1), TimeGrid(n_steps=10, horizon=1.0))
+
+    @pytest.mark.parametrize("field", ["beta", "control_gain", "nu", "sigma_gain", "q", "r", "q_t", "x0"])
+    def test_spec_fields_must_be_finite(self, field):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ProblemDefinitionError, match=f"^{field} must be finite"):
+                LqSpec(**{field: value}).validate()
+
+    def test_stiff_spec_gets_its_value(self):
+        # P falls from q_t = 1 to sqrt(q r) / gain within a few hundredths of
+        # the horizon, where 4000 fixed RK4 steps overflowed; tanh(300) = 1
+        spec = LqSpec(control_gain=30.0, r=0.01, q_t=1.0)
+        got = riccati_lq(spec, TimeGrid(n_steps=5, horizon=1.0)).optimal_value
+        assert abs(got - 1.0 / 300.0) <= 1e-12
+
+    def test_refuses_a_spec_too_stiff_for_the_step_budget(self):
+        with pytest.raises(EvaluationError, match="too stiff"):
+            riccati_lq(LqSpec(control_gain=1e3, r=1e-6, q_t=1.0), TimeGrid(n_steps=5, horizon=1.0))
+
+    def test_rk4_reports_a_blow_up(self):
+        # u' = u^2 from u(0) = 1 is 1 / (1 - t), which escapes at t = 1
+        with pytest.raises(EvaluationError, match="blew up near t="):
+            oracle_mod._rk4(lambda t, u: u * u, 0.0, 1.0, 0.01, 200)
 
     @pytest.mark.parametrize(
         "spec, want",

@@ -123,3 +123,24 @@ def test_kernels_take_one_ensemble():
             if len(roles - {None}) > 1:
                 mixed.append((stem, node.name, sorted(roles - {None})))
     assert mixed == []
+
+
+def _calls_to(node, name):
+    return [sub for sub in ast.walk(node) if isinstance(sub, ast.Call) and name in _names_read([sub.func])]
+
+
+def test_one_owner_makes_the_noise_bank():
+    """``src/`` calls ``make_noise`` once, in ``MsaConfig.bank``.
+
+    The solver and its oracles then price on one bank, and the benchmark's
+    tracer, which patches ``msacontrol.msa.make_noise``, sees every bank.
+    """
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "msacontrol").glob("*.py"))
+    }
+    counts = {stem: len(_calls_to(tree, "make_noise")) for stem, tree in trees.items()}
+    assert {stem: n for stem, n in counts.items() if n} == {"msa": 1}
+    (config,) = [n for n in trees["msa"].body if isinstance(n, ast.ClassDef) and n.name == "MsaConfig"]
+    (bank,) = [n for n in config.body if isinstance(n, ast.FunctionDef) and n.name == "bank"]
+    assert len(_calls_to(bank, "make_noise")) == 1

@@ -118,7 +118,8 @@ def spawned_bank(grid, n_paths, noise_dim, seed):
 class TestNoiseStream:
     """make_noise computes the spawned seeds itself; the stream is numpy's."""
 
-    SEEDS = [0, 1, 12345, 2**32 - 1, 2**32 + 5, 2**70 + 3]
+    # 2**130 + 7 has five 32-bit words, more than the pool's four
+    SEEDS = [0, 1, 12345, 2**32 - 1, 2**32 + 5, 2**70 + 3, 2**130 + 7]
     SEEDS += [np.int64(s) for s in SEEDS if s < 2**63]
 
     @pytest.mark.parametrize("seed", SEEDS, ids=repr)
