@@ -21,14 +21,7 @@ from .bsde import (
     solve_adjoint_lsmc,
 )
 from .diagnostics import export_csv, rate_fit, upward_jumps
-from .msa import (
-    DescentFailureError,
-    IterationTrace,
-    MsaConfig,
-    compute_mu,
-    run_msa,
-    update_control,
-)
+from .msa import IterationTrace, MsaConfig, compute_mu, run_msa, update_control
 from .oracle import (
     Benchmark,
     StructuredProblem,
@@ -66,7 +59,6 @@ __all__ = [
     "ActionTerms",
     "Benchmark",
     "ControlProblem",
-    "DescentFailureError",
     "EvaluationError",
     "IterationTrace",
     "MsaConfig",

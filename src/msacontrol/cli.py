@@ -3,7 +3,8 @@
 Configuration is a strict INI file with one section per module; unknown
 sections or keys are rejected.  Every invocation ends with a single
 machine-parseable STATUS line.  Exit codes: 0 success, 2 descent
-failure, 1 usage, configuration and solver errors and failed checks.
+failure (a solve's trace status), 1 usage errors, failed checks and any
+exception from a step or a user problem.
 """
 
 from __future__ import annotations
@@ -16,21 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bsde import (
-    RegressionBasis,
-    RegressionError,
-    adjoint_residual,
-    solve_adjoint_linear_y0,
-    solve_adjoint_lsmc,
-)
+from .bsde import RegressionBasis, adjoint_residual, solve_adjoint_linear_y0, solve_adjoint_lsmc
 from .diagnostics import export_csv, rate_fit, upward_jumps
-from .msa import (
-    DescentFailureError,
-    IterationTrace,
-    MsaConfig,
-    TraceRow,
-    run_msa,
-)
+from .msa import IterationTrace, MsaConfig, TraceRow, run_msa
 from .oracle import (
     benchmark_names,
     benchmark_suite,
@@ -38,8 +27,8 @@ from .oracle import (
     driverless_problem,
     get_benchmark,
 )
-from .problem import ControlProblem, EvaluationError, ProblemDefinitionError, check_derivatives
-from .sde import SimulationError, constant_control, simulate_forward
+from .problem import ControlProblem, ProblemDefinitionError, check_derivatives
+from .sde import constant_control, simulate_forward
 
 
 class ConfigError(Exception):
@@ -154,22 +143,28 @@ def load_config(path: str) -> RunConfig:
 
 
 def _require_problem(cfg: RunConfig):
-    if not cfg.problem_name:
+    name = cfg.problem_name
+    if not name:
         raise ConfigError("problem.name is required for this command")
+    if name not in benchmark_names():
+        raise ConfigError(f"unknown problem {name!r}; known: {', '.join(benchmark_names())}")
     try:
-        return get_benchmark(cfg.problem_name)
-    except KeyError:
-        raise ConfigError(
-            f"unknown problem {cfg.problem_name!r}; known: {', '.join(benchmark_names())}"
-        ) from None
+        return get_benchmark(name)
     except ProblemDefinitionError as exc:
-        raise ConfigError(f"problem {cfg.problem_name!r}: {exc}") from None
+        raise ConfigError(f"problem {name!r}: {exc}") from None
+    except Exception as exc:  # whatever a user factory raises, name the problem
+        raise ConfigError(f"problem {name!r}: {type(exc).__name__}: {exc}") from None
 
 
 def _status(command: str, code: int, **kv) -> None:
     parts = [f"STATUS command={command}", f"exit={code}"]
     parts += [f"{k}={v}" for k, v in kv.items()]
     print(" ".join(parts))
+
+
+def _exit_code(trace: IterationTrace) -> int:
+    """A solve's exit code: 2 for a descent failure, else 0."""
+    return 2 if trace.status == "descent_failure" else 0
 
 
 def _fmt(x: float) -> str:
@@ -202,15 +197,13 @@ def cmd_run(cfg: RunConfig) -> int:
     os.makedirs(cfg.output_directory, exist_ok=True)
     trace_path = os.path.join(cfg.output_directory, f"{bench.name}_trace.csv")
     summary_path = os.path.join(cfg.output_directory, f"{bench.name}_summary.txt")
-    try:
-        _, trace = run_msa(bench.problem, cfg.msa)
-        code = 0
+    _, trace = run_msa(bench.problem, cfg.msa)
+    code = _exit_code(trace)
+    if code:  # the rho the rejected candidate was computed at
+        outcome = dict(rho=_fmt(trace.rows[-1].rho))
+    else:
         j, j_se, mu = trace.final
         outcome = dict(J=_fmt(j), J_se=_fmt(j_se), mu=_fmt(mu), trace=trace_path)
-    except DescentFailureError as exc:
-        trace = exc.trace
-        code = 2
-        outcome = dict(rho=_fmt(trace.rows[-1].rho) if trace.rows else "0")
     export_csv(trace, trace_path)
     _write_summary(summary_path, _trace_summary_lines(bench.name, trace))
     _status("run", code, problem=bench.name, status=trace.status, iterations=trace.n_rows, **outcome)
@@ -272,16 +265,13 @@ def cmd_bench(cfg: RunConfig) -> int:
     """Run the benchmark suite plus the unpenalised stress demonstration."""
     os.makedirs(cfg.output_directory, exist_ok=True)
     lines: list[str] = []
-    descent_failed = False
+    solve_code = 0
 
     for bench in benchmark_suite():
-        try:
-            _, trace = run_msa(bench.problem, cfg.msa)
-        except DescentFailureError as exc:
-            trace = exc.trace
+        _, trace = run_msa(bench.problem, cfg.msa)
         export_csv(trace, os.path.join(cfg.output_directory, f"{bench.name}_trace.csv"))
-        if trace.status == "descent_failure":
-            descent_failed = True
+        if code := _exit_code(trace):
+            solve_code = code
             lines.append(f"FAIL {bench.name} descent_failure after {trace.n_rows} rows")
             continue
         ok = True
@@ -324,7 +314,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         print(line)
     _write_summary(os.path.join(cfg.output_directory, "bench_summary.txt"), lines)
     n_failed = sum(1 for line in lines if line.startswith("FAIL"))
-    code = 0 if n_failed == 0 else (2 if descent_failed else 1)
+    code = max(solve_code, 1) if n_failed else 0
     _status("bench", code, problems=len(lines), failed=n_failed, out=cfg.output_directory)
     return code
 
@@ -357,11 +347,10 @@ def cmd_rate(cfg: RunConfig) -> int:
                 j_star = brute_force_optimal(p, cfg.msa.bank(p)).j_star
             except ValueError as exc:
                 raise ConfigError(f"brute force: {exc}; shrink n_steps or the action grid") from None
-        try:
-            _, trace = run_msa(p, cfg.msa)
-        except DescentFailureError as exc:
-            _status("rate", 2, problem=name, status=exc.trace.status)
-            return 2
+        _, trace = run_msa(p, cfg.msa)
+        if code := _exit_code(trace):
+            _status("rate", code, problem=name, status=trace.status)
+            return code
 
     accepted_n = [row.n for row in trace.accepted_rows]
     if not accepted_n or max(accepted_n) < cfg.rate_n_min:
@@ -414,11 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Load the config, apply --out and --seed, run the command.
 
-    A ConfigError, a RegressionError, a non-finite state, coefficient or
-    value-ODE oracle (SimulationError, EvaluationError), a refused noise
-    bank (MemoryError) or an unwritable output path (OSError) from any
-    step ends the command with exit code 1 and a STATUS line naming the
-    problem.
+    Any exception from a step or from a user problem (a bad config, a
+    singular regression, a non-finite state or coefficient, a refused
+    noise bank, an unwritable output path, a bug in a problem module)
+    ends the command with exit code 1 and one STATUS line whose error=
+    names it.  A descent failure is not an exception: the command reads
+    it from the trace's status.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -431,7 +421,7 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"--seed {args.seed}: {exc}") from None
         return args.fn(cfg)
-    except (ConfigError, RegressionError, SimulationError, EvaluationError, MemoryError, OSError) as exc:
+    except Exception as exc:
         _status(args.command, 1, error=repr(str(exc)))
         return 1
 

@@ -11,17 +11,19 @@ the same states and adjoint.  The expected integrated Hamiltonian
 decrease mu is nonpositive by construction and its convergence to zero
 is the stopping signal.
 
-There is one Hamiltonian evaluator, in ``problem.py``: ``hamiltonian``
-at given actions and ``augmented_hamiltonian`` over every (action, path)
-pair share one contraction; ``compute_mu`` always uses it.
-``update_control`` is one loop over time steps that writes the new
-control one step row at a time.  Step k's (actions x paths) value
-table is what a plain function of (adjoint, rho, k) returns:
-``augmented_hamiltonian``'s or, for a problem with ``action_terms``
-(every ``StructuredProblem``), one matrix product of the action terms
-plus a (previous, candidate) penalty table.  One helper applies the tie
-rule to either, by row-wise passes over the table: a minimum, a maximum
-of reversed ranks over the attaining rows, and an any over the rows that
+Hamiltonian values come from two places.  In ``problem.py``,
+``hamiltonian`` at given actions and ``augmented_hamiltonian`` over
+every (action, path) pair share one contraction; ``compute_mu`` always
+uses it.  For a problem with ``action_terms`` (every
+``StructuredProblem``), ``_term_values`` here evaluates H's action
+terms, C_a . [y, vec z] + f2, itself.  ``update_control`` is one loop
+over time steps that writes the new control one step row at a time.
+Step k's (actions x paths) value table is what a plain function of
+(adjoint, rho, k) returns: ``augmented_hamiltonian``'s or
+``_term_values``' one matrix product of the action terms plus a
+(previous, candidate) penalty table.  One helper applies the tie rule
+to either, by row-wise passes over the table: a minimum, a maximum of
+reversed ranks over the attaining rows, and an any over the rows that
 hold the previous action, with no argmax down the actions axis and no
 gather.  Controls and the kernels that read them live in ``sde.py``;
 this module reads a control by step row.
@@ -74,11 +76,10 @@ from .sde import (
 
 
 class DescentFailureError(RuntimeError):
-    """Penalty growth exhausted without an acceptable descent step."""
+    """Never raised: run_msa returns a descent failure as trace.status.
 
-    def __init__(self, message: str, trace: "IterationTrace"):
-        super().__init__(message)
-        self.trace = trace
+    Kept only because perfbench/tracing.py still imports it.
+    """
 
 
 @dataclass(frozen=True)
@@ -280,8 +281,9 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
     """Full solver loop on a fixed noise bank.
 
     Starts from the centroid action in cfg.control_mode.  Returns the
-    final control and the iteration trace.  Raises DescentFailureError
-    (carrying the trace) when no acceptable step exists below rho_max.
+    last accepted control and the iteration trace, whose status says why
+    the loop stopped; "descent_failure", when no acceptable step exists
+    below rho_max, ends the trace with the rejected row.
     """
     noise = cfg.bank(p)
     # only the states hold their control, so a superseded control is freed with them
@@ -331,9 +333,7 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
                 # the row reports the rho its candidate and mu were computed at
                 trace.rows.append(TraceRow(n, j_cur, j_se, mu, mu_se, rho, n_backtracks, False))
                 trace.status = "descent_failure"
-                raise DescentFailureError(
-                    f"no descent step found below rho_max={cfg.rho_max}", trace
-                )
+                return prev, trace
             rho = grown
             # replay the iterate's paths: the same bank and control give the same bits
             states = simulate_forward(p, noise, prev)

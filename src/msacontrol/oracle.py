@@ -156,7 +156,7 @@ class LqSpec:
 _RICCATI_REFINE = 10  # RK4 steps per solver step
 _RK4_STABILITY = 2.78  # RK4 is stable for h lambda in [-2.785, 0]
 _RICCATI_BUDGET = 1_000_000  # RK4 steps
-_ORACLE_STEPS = 400  # grid of a benchmark's continuous_optimum: 4000 RK4 steps
+_ORACLE_STEPS = 400  # continuous_optimum's grid and riccati_lq's coarsest: 4000 RK4 steps
 _BRUTE_FORCE_BUDGET = 1_000_000  # action sequences
 _BRUTE_FORCE_ROWS = 50_000  # (sequence, path) rows simulated at once
 
@@ -181,9 +181,11 @@ def riccati_lq(spec: LqSpec, grid: TimeGrid) -> RiccatiSolution:
     gain sigma_gain nu != 0.  The action is unconstrained here; for a
     bounded grid the value is a lower bound plus quantisation allowance.
     Integrates on a grid _RICCATI_REFINE times finer than the solver
-    grid, or finer where the ODE is stiff: h (2 |beta| + 2 gain^2 P_bar / r)
-    stays within RK4's stability limit, P_bar bounding P.  P is monotone,
-    as an autonomous scalar ODE's solution, and P' D = -(a P^2 + b P + q r):
+    grid or than _ORACLE_STEPS steps, whichever is finer (a coarse grid
+    alone errs: 7% low on msa_stress at N=5), and finer still where the
+    ODE is stiff: h (2 |beta| + 2 gain^2 P_bar / r) stays within RK4's
+    stability limit, P_bar bounding P.  P is monotone, as an autonomous
+    scalar ODE's solution, and P' D = -(a P^2 + b P + q r):
     with a < 0 it stays between q_t and the positive root, and otherwise
     below (q_t + q T) e^{2 max(beta, 0) T}.
     """
@@ -207,7 +209,7 @@ def riccati_lq(spec: LqSpec, grid: TimeGrid) -> RiccatiSolution:
         dc = -(nu * nu * p_val - k * k / d)
         return np.array([dp, ds, dc])
 
-    n_fine = max(grid.n_steps * _RICCATI_REFINE, int(np.ceil(n_stable)))
+    n_fine = max(max(grid.n_steps, _ORACLE_STEPS) * _RICCATI_REFINE, int(np.ceil(n_stable)))
     p0, s0, c0 = _rk4(rhs, horizon, (spec.q_t, 0.0, 0.0), -horizon / n_fine, n_fine)
     x0 = spec.x0
     return RiccatiSolution(optimal_value=float(p0) * x0 * x0 + 2.0 * float(s0) * x0 + float(c0))

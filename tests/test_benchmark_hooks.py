@@ -6,8 +6,9 @@ by name; a refactor that removes one of those names breaks
 ``perfbench/run.py --trace 1`` without failing any other test.  Likewise
 ``perfbench/run.py``'s Riccati-band check, which runs only at seeds with
 no stored reference, reads ``Benchmark.lq`` and ``riccati_lq``.  A
-traced solve reads the iteration trace's ``n_rows`` and ``backtracks``,
-and its one noise bank is drawn inside ``msa.run_msa``.
+traced solve, one that fails to descend too, reads the iteration
+trace's ``n_rows`` and ``backtracks``, and its one noise bank is drawn
+inside ``msa.run_msa``.
 """
 
 import io
@@ -53,21 +54,19 @@ def test_riccati_band_check_accepts_stored_outputs(monkeypatch):
     assert check.riccati_band() == []
 
 
-def test_traced_solve_counts_the_trace_rows(monkeypatch, tmp_path):
-    # msa_stress rejects a candidate here, so the replay path runs under the tracer
+def traced_run(monkeypatch, tmp_path, msa):
+    """A traced ``msactl run`` of msa_stress: exit code, tracer and summary."""
     tracing = load(monkeypatch, "perfbench_tracing", TRACING)
     config = tmp_path / "run.ini"
-    config.write_text(
-        "[problem]\nname = msa_stress\n"
-        "[msa]\nn_paths = 2000\nn_steps = 10\ncontrol_mode = deterministic\n",
-        encoding="utf-8",
-    )
+    config.write_text(f"[problem]\nname = msa_stress\n[msa]\n{msa}", encoding="utf-8")
     tracer = tracing.Tracer()
     with redirect_stdout(io.StringIO()):
         code = tracer.run(cli.main, ["run", "--config", str(config), "--out", str(tmp_path)])
-    assert code == 0
     lines = (tmp_path / "msa_stress_summary.txt").read_text(encoding="utf-8").splitlines()
-    summary = dict(line.split(": ", 1) for line in lines)
+    return code, tracer, dict(line.split(": ", 1) for line in lines)
+
+
+def assert_counts_match(tracer, summary):
     counts = tracer.counts()
     assert counts["rows"] == int(summary["iterations"])
     assert counts["backtracks"] == int(summary["total_backtracks"]) >= 1
@@ -75,3 +74,21 @@ def test_traced_solve_counts_the_trace_rows(monkeypatch, tmp_path):
     assert tracer.calls["sde.make_noise"] == 1
     (noise,) = [s for s in tracer.spans if s.name == "sde.make_noise"]
     assert tracer.spans[noise.parent].name == "msa.run_msa"
+
+
+def test_traced_solve_counts_the_trace_rows(monkeypatch, tmp_path):
+    # msa_stress rejects a candidate here, so the replay path runs under the tracer
+    msa = "n_paths = 2000\nn_steps = 10\ncontrol_mode = deterministic\n"
+    code, tracer, summary = traced_run(monkeypatch, tmp_path, msa)
+    assert code == 0
+    assert_counts_match(tracer, summary)
+
+
+def test_traced_descent_failure_counts_the_trace_rows(monkeypatch, tmp_path):
+    # as configs/msa_stress_failure.ini: no penalty may be tried, so the solve
+    # returns a descent failure, which the tracer reads like any other trace
+    msa = "n_paths = 500\nn_steps = 10\nrho_initial = 0\nrho_max = 0\nmax_iterations = 5\n"
+    code, tracer, summary = traced_run(monkeypatch, tmp_path, msa)
+    assert code == 2
+    assert summary["status"] == "descent_failure"
+    assert_counts_match(tracer, summary)

@@ -415,6 +415,65 @@ class TestRun:
         assert f"cannot import problem.module '{module}': {kind}" in status
         assert not (tmp_path / "broken_out").exists()
 
+    @pytest.mark.parametrize(
+        "module, source, named",
+        [
+            (
+                "buggy_lookup_mod",
+                "register_benchmark('buggy', lambda: 1 / 0)\n",
+                "problem 'buggy': ZeroDivisionError: division by zero",
+            ),
+            (
+                "buggy_solve_mod",
+                "import numpy as np\n"
+                "from msacontrol import ActionSpace, ControlProblem\n"
+                "def drift(t, x, a):\n"
+                "    if t > 0.5:\n"
+                "        raise TypeError('drift broke after t = 0.5')\n"
+                "    return 0.2 * x + a\n"
+                "_p = ControlProblem(\n"
+                "    state_dim=1, noise_dim=1, horizon=1.0, initial_state=np.array([1.0]),\n"
+                "    drift=drift,\n"
+                "    diffusion=lambda t, x, a: (0.2 + 0.0 * (x + a))[..., None],\n"
+                "    running_cost=lambda t, x, a: x[..., 0] ** 2 + a[..., 0] ** 2,\n"
+                "    terminal_cost=lambda x: 0.5 * x[..., 0] ** 2,\n"
+                "    drift_jac_x=lambda t, x, a: (0.2 + 0.0 * (x + a))[..., None],\n"
+                "    diffusion_jac_x=lambda t, x, a: (0.0 * (x + a))[..., None, None],\n"
+                "    running_cost_grad_x=lambda t, x, a: 2.0 * x + 0.0 * a,\n"
+                "    terminal_cost_grad_x=lambda x: x,\n"
+                "    action_space=ActionSpace(points=np.linspace(-1.0, 1.0, 3)),\n"
+                ")\n"
+                "register_benchmark('buggy', lambda: Benchmark('buggy', _p))\n",
+                "drift broke after t = 0.5",
+            ),
+        ],
+        ids=["lookup", "solve"],
+    )
+    def test_problem_module_bug_exits_one(self, tmp_path, capsys, monkeypatch, module, source, named):
+        # any exception from a user problem, when it is looked up or partway
+        # through a solve, ends the command with one STATUS line
+        mod_dir = tmp_path / "mods"
+        mod_dir.mkdir()
+        (mod_dir / f"{module}.py").write_text(
+            "from msacontrol import Benchmark, register_benchmark\n" + source
+        )
+        monkeypatch.syspath_prepend(str(mod_dir))
+        try:
+            cfg = write_config(
+                tmp_path,
+                problem={"name": "buggy", "module": module},
+                msa={"n_paths": 200, "n_steps": 10},
+                output={"directory": str(tmp_path / "buggy_out")},
+            )
+            assert main(["run", "--config", cfg]) == 1
+        finally:
+            oracle_mod._FACTORIES.pop("buggy", None)
+        out, err = capsys.readouterr()
+        assert [l for l in out.splitlines() if l.startswith("STATUS ")] == out.splitlines()[-1:]
+        assert out.splitlines()[-1].startswith("STATUS command=run exit=1 error=")
+        assert named in out
+        assert "Traceback" not in out + err
+
 
 class TestValidate:
     def test_benchmark_passes_all_checks(self, tmp_path, capsys):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msacontrol import (
-    DescentFailureError,
     EvaluationError,
     MsaConfig,
     RegressionBasis,
@@ -31,10 +30,10 @@ from msacontrol.bsde import AdjointEnsemble
 from msacontrol.msa import _keep_or_lowest
 from msacontrol.oracle import LqSpec, scalar_quadratic_problem
 from msacontrol.problem import augmented_hamiltonian
-from msacontrol.sde import ControlEnsemble, NoiseBank, StateEnsemble
+from msacontrol.sde import ControlEnsemble, NoiseBank, StateEnsemble, mean_and_se
 
 from references import keep_or_lowest_reference, pontryagin_gaps
-from test_problem import quadratic_drift_problem
+from test_problem import make_problem, quadratic_drift_problem
 
 
 def hand_built(p, prev, x, y, z, horizon=1.0):
@@ -501,7 +500,7 @@ class TestRunMsa:
         assert a.rows == b.rows
         assert np.array_equal(a_control.by_step, b_control.by_step)
 
-    def test_descent_failure_raises_with_trace(self, stress_bench):
+    def test_descent_failure_returns_its_trace(self, stress_bench):
         cfg = MsaConfig(
             n_paths=500,
             n_steps=10,
@@ -509,20 +508,57 @@ class TestRunMsa:
             rho_max=0.0,
             max_iterations=5,
         )
-        with pytest.raises(DescentFailureError) as exc:
-            run_msa(stress_bench.problem, cfg)
-        trace = exc.value.trace
+        p = stress_bench.problem
+        control, trace = run_msa(p, cfg)
         assert trace.status == "descent_failure"
         assert trace.rows[-1].accepted is False
         assert trace.n_rows >= 1
         assert {row.rho for row in trace.rows} == {0.0}  # no candidate is computed at another rho
+        # the returned control is the last accepted one: it prices at the trace's final J
+        j, _ = mean_and_se(cost_per_path(simulate_forward(p, cfg.bank(p), control)))
+        assert j == trace.final[0]
+
+    def test_general_update_with_action_dependent_grad_x(self):
+        # b = a x makes grad_x H = a y + f_x depend on the action, so the
+        # penalty's |delta grad_x H|^2 term is live in a whole solve
+        p = make_problem(
+            b=lambda t, x, a: a * x,
+            sigma=lambda t, x, a: 0.3 + 0.0 * (x + a),
+            f=lambda t, x, a: x * x + 0.1 * a * a,
+            g=lambda x: x * x,
+            b_jac=lambda t, x, a: a + 0.0 * x,
+            sigma_jac=lambda t, x, a: 0.0 * (x + a),
+            f_grad=lambda t, x, a: 2.0 * x + 0.0 * a,
+            g_grad=lambda x: 2.0 * x,
+            actions=np.linspace(-2.0, 1.0, 7),
+            x0=1.0,
+        )
+        assert p.action_terms is None  # the update takes augmented_hamiltonian's path
+        m, n = 2000, 20
+        cfg = MsaConfig(n_paths=m, n_steps=n)
+        control, trace = run_msa(p, cfg)
+        js = [trace.initial_cost] + [row.J for row in trace.accepted_rows]
+        assert len(js) > 1 and all(b < a for a, b in zip(js, js[1:])), js
+        again_control, again = run_msa(p, cfg)
+        assert again.rows == trace.rows
+        assert np.array_equal(again_control.by_step, control.by_step)
+        # along the initial iterate and the solved one, the update at every
+        # step is the tie rule on the augmented Hamiltonian table
+        for prev in (constant_control(p, m, n), control):
+            adjoint = solve_adjoint_lsmc(simulate_forward(p, cfg.bank(p), prev), cfg.basis)
+            new, states = update_control(adjoint, 1.0), adjoint.states
+            for k in range(n):
+                x, y, z = states.values[k], adjoint.y_values[k], adjoint.z_values[k]
+                idx = prev.indices(k, m)
+                vals = augmented_hamiltonian(p, float(states.grid.nodes[k]), x, y, z, idx, 1.0)
+                assert np.array_equal(new.by_step[k], keep_or_lowest_reference(vals, idx)), k
 
     def test_failure_row_reports_its_candidates_rho(self, stress_bench):
         # candidates at rho 0.25, then 0.5 on the replayed iterate; 1.0 is never tried
         cfg = MsaConfig(n_paths=500, n_steps=10, rho_initial=0.25, rho_max=0.5, max_iterations=5)
-        with pytest.raises(DescentFailureError) as exc:
-            run_msa(stress_bench.problem, cfg)
-        assert [(row.rho, row.backtracks) for row in exc.value.trace.rows] == [(0.5, 2)]
+        _, trace = run_msa(stress_bench.problem, cfg)
+        assert trace.status == "descent_failure"
+        assert [(row.rho, row.backtracks) for row in trace.rows] == [(0.5, 2)]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
