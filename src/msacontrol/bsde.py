@@ -12,6 +12,17 @@ from it: the solvers a ``StateEnsemble``, ``adjoint_residual`` an
 ``AdjointEnsemble``, which carries the states it was solved along.  The
 adjoint is stored step-major like the states and the bank, so every
 step of a sweep reads one contiguous (M, ...) slab of each.
+
+The basis powers u ** e (e >= 2) equal numpy's array pow to the bit,
+though pow computes only some lanes: numpy sends each lane whose base has
+the sign bit set to a scalar path about thirty times slower than the
+rest.  Such a lane takes h from an exact double-double h + lo = u ** e
+instead.  Where |lo| is below 0.45 of the gap to h's neighbour, u ** e
+lies more than 0.05 ulp from every rounding midpoint, so every pow that
+errs by less than 0.05 ulp before its final rounding (0.55 ulp after it;
+glibc's bound is 0.54) must return h.  The other sign-bit lanes, the
+tenth or so near a rounding midpoint and the special values, still call
+pow.
 """
 
 from __future__ import annotations
@@ -29,6 +40,87 @@ from .sde import StateEnsemble, mean_and_se
 
 class RegressionError(RuntimeError):
     """Raised when a backward regression step cannot be solved."""
+
+
+# Dekker's splitter 2**27 + 1: hi = x * _SPLIT - (x * _SPLIT - x) keeps the
+# top 26 bits of x, so products of the halves are exact (Dekker, Numer. Math.
+# 18, 1971)
+_SPLIT = 134217729.0
+# a sign-bit lane keeps its double-double power h only where |lo| is below
+# this fraction of the gap from h to its neighbour on lo's side
+_TIE_BAND = 0.45
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    hi = x * _SPLIT
+    hi -= hi - x
+    return hi, x - hi
+
+
+def _rounded_power(c: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """(h, exact) for the double-double h + lo = |c| ** e; c becomes |c|.
+
+    Dekker's two-product squares exactly; each further factor adds its
+    exact product and the rounded lo * |c|.  exact marks the lanes whose
+    |lo| is below _TIE_BAND of the gap from h to its neighbour on lo's
+    side.  The clip keeps every product clear of overflow and of lost
+    underflow bits; a clipped or NaN lane is not exact.
+    """
+    np.abs(c, out=c)
+    lim = 2.0 ** min(100, 900 // e)
+    exact = c >= 1.0 / lim
+    exact &= c <= lim
+    np.clip(c, 1.0 / lim, lim, out=c)
+    ch, cl = _split(c)
+    h = c * c
+    lo = ch * ch
+    lo -= h
+    t = ch * cl
+    lo += t
+    lo += t
+    np.multiply(cl, cl, out=t)
+    lo += t
+    for _ in range(e - 2):
+        hh, hl = _split(h)
+        p = h * c
+        err = ((hh * ch - p) + hh * cl + hl * ch) + hl * cl
+        err += lo * c
+        h = p + err
+        lo = err - (h - p)
+    # h + lo / (2 _TIE_BAND) rounds back to h iff |lo| < _TIE_BAND gap, where
+    # the gap is the one on lo's side (half of ulp(h) below a power of two)
+    lo *= 0.5 / _TIE_BAND
+    lo += h
+    exact &= lo == h
+    return h, exact
+
+
+def _int_power(u: np.ndarray, e: int) -> np.ndarray:
+    """np.power(u, np.full(len(u), float(e))) bit for bit, for an integer e >= 2.
+
+    A lane whose base has the sign bit clear takes pow(|u|, e), its own
+    pow.  A sign-bit lane takes h, the double nearest |u| ** e by an exact
+    double-double h + lo (_rounded_power), negated for odd e.  Where
+    |lo| < _TIE_BAND gap, u ** e lies more than 0.05 ulp from every
+    rounding midpoint, so any pow within 0.05 ulp of u ** e before its
+    final rounding (0.55 ulp after it; glibc's bound is 0.54) returns
+    h.  The sign-bit lanes that fail this test, zeros, subnormals, NaNs
+    and |u| ** e outside [2**-900, 2**900] call pow.  The exponent is an
+    array, not a scalar: numpy evaluates pow(u, 2.0) with a scalar
+    exponent as u*u, which differs from pow in the last bit.
+    """
+    neg = np.flatnonzero(np.signbit(u))
+    # first and in its own frame: its temporaries are freed before the
+    # full-length output exists, so features' peak memory does not grow
+    h, exact = _rounded_power(u[neg], e)
+    if e % 2:
+        np.negative(h, out=h)
+    out = np.abs(u)
+    np.power(out, np.full(len(u), float(e)), out=out)
+    out[neg] = h
+    slow = neg[~exact]
+    out[slow] = np.power(u[slow], np.full(len(slow), float(e)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -72,17 +164,21 @@ class RegressionBasis:
         Column b is the product over j of u_j ** e_bj, in increasing j,
         with the factors e = 0 left out and u_j itself for e = 1: both are
         exact, so this is bitwise np.prod(u ** exps, axis=2).  Each power
-        with e >= 2 is numpy's pow, computed once per (j, e).
+        with e >= 2 is computed once per (j, e) by _int_power, which
+        returns numpy's array pow to the bit: pow itself on the lanes with
+        the sign bit clear, and on the rest an exact double-double product
+        wherever it lies farther than 0.05 ulp from a rounding midpoint.
+        That leaves u ** e unchanged under any pow erring by less than
+        0.05 ulp before its final rounding; the remaining lanes call pow.
+        sd is x.std's value: the root of the mean square of the same
+        centred u.
         """
-        mu = x.mean(axis=0)
-        sd = x.std(axis=0)
-        sd = np.where(sd > 0, sd, 1.0)
-        u = (x - mu) / sd
+        u = x - x.mean(axis=0)
+        sd = np.sqrt(np.mean(u * u, axis=0))
+        u /= np.where(sd > 0, sd, 1.0)
         m, d = u.shape
-        # an exponent array, not a scalar: numpy evaluates pow(u, 2.0) with
-        # a scalar exponent as u*u, which differs from pow in the last bit
         powers = {
-            (j, e): np.power(u[:, j], np.full(m, float(e)))
+            (j, e): _int_power(u[:, j], e)
             for j in range(d)
             for e in range(2, self.degree + 1)
         }

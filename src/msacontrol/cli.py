@@ -13,6 +13,7 @@ import argparse
 import configparser
 import importlib
 import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -407,8 +408,9 @@ def main(argv=None) -> int:
     singular regression, a non-finite state or coefficient, a refused
     noise bank, an unwritable output path, a bug in a problem module)
     ends the command with exit code 1 and one STATUS line whose error=
-    names it.  A descent failure is not an exception: the command reads
-    it from the trace's status.
+    names it: the message of an exception msacontrol defines, any other
+    prefixed by its type, as in "KeyError: 'x'".  A descent failure is
+    not an exception: the command reads it from the trace's status.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -422,8 +424,16 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--seed {args.seed}: {exc}") from None
         return args.fn(cfg)
     except Exception as exc:
-        _status(args.command, 1, error=repr(str(exc)))
+        _status(args.command, 1, error=repr(_error_text(exc)))
         return 1
+
+
+def _error_text(exc: Exception) -> str:
+    # by package, not module name: under `python -m` this module is __main__
+    module = sys.modules.get(type(exc).__module__)
+    if getattr(module, "__package__", None) == __package__:
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
 
 
 if __name__ == "__main__":

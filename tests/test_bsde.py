@@ -17,7 +17,7 @@ from msacontrol import (
     solve_adjoint_linear_y0,
     solve_adjoint_lsmc,
 )
-from msacontrol.bsde import AdjointEnsemble
+from msacontrol.bsde import _TIE_BAND, AdjointEnsemble, _int_power
 from msacontrol.oracle import scalar_quadratic_problem
 from msacontrol.sde import ControlEnsemble, NoiseBank, StateEnsemble
 
@@ -61,7 +61,7 @@ class TestRegressionBasis:
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
     def test_features_equal_their_definition(self, rng, d, degree):
         # the solver passes xs[k], a contiguous step slab of the state array
-        xs = np.ascontiguousarray((1.0 + 3.0 * rng.normal(size=(5000, 4, d))).swapaxes(0, 1))
+        xs = np.ascontiguousarray((1.0 + 3.0 * rng.normal(size=(100_000, 4, d))).swapaxes(0, 1))
         xs[3, :, d - 1] = 2.5  # a zero-variance coordinate
         basis = RegressionBasis(degree=degree)
         exps = basis.exponents(d)
@@ -79,6 +79,71 @@ class TestRegressionBasis:
         states = solve_setup(p, m=20, n=4)
         with pytest.raises(RegressionError):
             solve_adjoint_lsmc(states, RegressionBasis(degree=9))
+
+
+def same_bits_as_pow(u, e):
+    ref = np.power(u, np.full(len(u), float(e)))
+    return np.array_equal(_int_power(u, e).view(np.uint64), ref.view(np.uint64))
+
+
+def ulps_from_nearest(v, e):
+    """(|v| ** e - RN(|v| ** e)) / ulp, from exact integer arithmetic."""
+    p, q = abs(v).as_integer_ratio()
+    num, den = p**e, q**e
+    h = num / den  # int true division rounds correctly
+    hp, hq = h.as_integer_ratio()
+    up, uq = math.ulp(h).as_integer_ratio()
+    return (num * hq - hp * den) * uq / (den * hq * up)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+class TestIntPower:
+    """_int_power is numpy's array pow to the bit, warnings included."""
+
+    def test_normal_draws_at_every_scale(self, rng, e):
+        for scale in np.logspace(-3, 3, 7):
+            u = scale * rng.normal(size=150_000)
+            assert same_bits_as_pow(u, e)
+
+    def test_special_values(self, e):
+        tiny = np.finfo(float).tiny
+        u = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, tiny / 3,
+             -tiny / 3, tiny, -tiny, 2.0**-100, -(2.0**-100), 2.0**-101, -(2.0**-101),
+             2.0**100, -(2.0**100), 2.0**101, -(2.0**101), 1.0, -1.0, -2.0, -0.5]
+        )
+        # raises no warning (it would be an error) where pow raises none
+        assert same_bits_as_pow(u, e)
+        big = np.array([1e300, -1e300, -1e200, 3.0, -3.0])
+        with np.errstate(over="ignore"):
+            assert same_bits_as_pow(big, e)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            _int_power(big, e)
+
+    def test_draws_near_a_midpoint_or_the_tie_band(self, rng, e):
+        u = rng.normal(size=100_000)
+        off = np.abs([ulps_from_nearest(v, e) for v in u.tolist()])
+        for centre in (0.5, _TIE_BAND):
+            near = u[np.abs(off - centre) < 0.01]
+            assert len(near) > 500
+            assert same_bits_as_pow(near, e)
+
+
+def test_few_sign_bit_lanes_reach_pow(rng, monkeypatch):
+    # numpy's pow is ~30x slower on a sign-bit lane: only the lanes near a
+    # rounding midpoint (about a tenth of the negative ones) may reach it
+    x = rng.normal(size=(10_000, 1))
+    u = (x - x.mean()) / x.std()
+    power, lanes = np.power, []
+
+    def counting_power(base, exponent, *args, **kwargs):
+        lanes.append(np.count_nonzero(np.asarray(base) < 0))
+        return power(base, exponent, *args, **kwargs)
+
+    monkeypatch.setattr(np, "power", counting_power)
+    RegressionBasis(degree=2).features(x)
+    assert lanes
+    assert sum(lanes) <= 0.15 * np.count_nonzero(u < 0)
 
 
 class TestAdjointEnsembleType:

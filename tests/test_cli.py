@@ -1,6 +1,9 @@
 """Command-line interface: config parsing, exit codes, output files."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +162,30 @@ class TestLoadConfig:
         path = write_config(tmp_path, problem={"module": "no_such_module_xyz"})
         with pytest.raises(ConfigError, match="no_such_module_xyz"):
             load_config(path)
+
+
+# a problem module whose drift raises {exc} partway through a solve
+BUGGY_DRIFT_MODULE = (
+    "import numpy as np\n"
+    "from msacontrol import ActionSpace, ControlProblem\n"
+    "def drift(t, x, a):\n"
+    "    if t > 0.5:\n"
+    "        raise {exc}\n"
+    "    return 0.2 * x + a\n"
+    "_p = ControlProblem(\n"
+    "    state_dim=1, noise_dim=1, horizon=1.0, initial_state=np.array([1.0]),\n"
+    "    drift=drift,\n"
+    "    diffusion=lambda t, x, a: (0.2 + 0.0 * (x + a))[..., None],\n"
+    "    running_cost=lambda t, x, a: x[..., 0] ** 2 + a[..., 0] ** 2,\n"
+    "    terminal_cost=lambda x: 0.5 * x[..., 0] ** 2,\n"
+    "    drift_jac_x=lambda t, x, a: (0.2 + 0.0 * (x + a))[..., None],\n"
+    "    diffusion_jac_x=lambda t, x, a: (0.0 * (x + a))[..., None, None],\n"
+    "    running_cost_grad_x=lambda t, x, a: 2.0 * x + 0.0 * a,\n"
+    "    terminal_cost_grad_x=lambda x: x,\n"
+    "    action_space=ActionSpace(points=np.linspace(-1.0, 1.0, 3)),\n"
+    ")\n"
+    "register_benchmark('buggy', lambda: Benchmark('buggy', _p))\n"
+)
 
 
 class TestRun:
@@ -425,29 +452,16 @@ class TestRun:
             ),
             (
                 "buggy_solve_mod",
-                "import numpy as np\n"
-                "from msacontrol import ActionSpace, ControlProblem\n"
-                "def drift(t, x, a):\n"
-                "    if t > 0.5:\n"
-                "        raise TypeError('drift broke after t = 0.5')\n"
-                "    return 0.2 * x + a\n"
-                "_p = ControlProblem(\n"
-                "    state_dim=1, noise_dim=1, horizon=1.0, initial_state=np.array([1.0]),\n"
-                "    drift=drift,\n"
-                "    diffusion=lambda t, x, a: (0.2 + 0.0 * (x + a))[..., None],\n"
-                "    running_cost=lambda t, x, a: x[..., 0] ** 2 + a[..., 0] ** 2,\n"
-                "    terminal_cost=lambda x: 0.5 * x[..., 0] ** 2,\n"
-                "    drift_jac_x=lambda t, x, a: (0.2 + 0.0 * (x + a))[..., None],\n"
-                "    diffusion_jac_x=lambda t, x, a: (0.0 * (x + a))[..., None, None],\n"
-                "    running_cost_grad_x=lambda t, x, a: 2.0 * x + 0.0 * a,\n"
-                "    terminal_cost_grad_x=lambda x: x,\n"
-                "    action_space=ActionSpace(points=np.linspace(-1.0, 1.0, 3)),\n"
-                ")\n"
-                "register_benchmark('buggy', lambda: Benchmark('buggy', _p))\n",
-                "drift broke after t = 0.5",
+                BUGGY_DRIFT_MODULE.format(exc="TypeError('drift broke after t = 0.5')"),
+                "error='TypeError: drift broke after t = 0.5'",
+            ),
+            (
+                "buggy_key_mod",
+                BUGGY_DRIFT_MODULE.format(exc="KeyError('x')"),
+                "error=\"KeyError: 'x'\"",
             ),
         ],
-        ids=["lookup", "solve"],
+        ids=["lookup", "solve", "key"],
     )
     def test_problem_module_bug_exits_one(self, tmp_path, capsys, monkeypatch, module, source, named):
         # any exception from a user problem, when it is looked up or partway
@@ -752,6 +766,20 @@ class TestUsage:
         status, _ = status_line(capsys)
         assert "command=usage" in status
 
+    def test_own_error_keeps_its_message_under_python_m(self, tmp_path):
+        # run as a script, cli is __main__ and defines its own ConfigError
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-m", "msacontrol.cli", "run", "--config",
+             str(CONFIG_DIR / "rate_synthetic.ini"), "--out", str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 1
+        assert out.stdout.splitlines() == [
+            "STATUS command=run exit=1 error='problem.name is required for this command'"
+        ]
+
     def test_missing_config_file_exits_one(self, capsys):
         assert main(["run", "--config", "/no/such/file.ini"]) == 1
         status, _ = status_line(capsys)
@@ -764,5 +792,5 @@ class TestUsage:
         assert main(["rate", "--config", config, "--out", str(blocker / "x")]) == 1
         status, out = status_line(capsys)
         assert out.count("STATUS ") == 1
-        assert status.startswith("STATUS command=rate exit=1 error=")
+        assert status.startswith('STATUS command=rate exit=1 error="NotADirectoryError: ')
         assert "Not a directory" in status
