@@ -127,7 +127,6 @@ def _int_power(u: np.ndarray, e: int) -> np.ndarray:
 class RegressionBasis:
     """Polynomial regression basis for conditional expectations.
 
-    ridge = None selects the default penalty 1e-8 * n_paths at fit time.
     Features are built from per-step standardised coordinates, which
     leaves the fitted projection unchanged (the polynomial span is
     invariant under affine maps) but keeps the normal equations well
@@ -135,13 +134,10 @@ class RegressionBasis:
     """
 
     degree: int = 2
-    ridge: float | None = None
 
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        if self.ridge is not None and not 0 <= self.ridge < np.inf:
-            raise ValueError("ridge must be nonnegative and finite")
 
     def n_functions(self, state_dim: int) -> int:
         return comb(state_dim + self.degree, self.degree)
@@ -250,7 +246,7 @@ def solve_adjoint_lsmc(states: StateEnsemble, basis: RegressionBasis) -> Adjoint
             f"degree-{basis.degree} basis has {n_basis} functions for {m} paths;"
             " need n_basis <= M/10"
         )
-    lam = basis.ridge if basis.ridge is not None else 1e-8 * m
+    lam = 1e-8 * m  # the ridge penalty of every regression
     dt = states.grid.dt
     nodes = states.grid.nodes
     points = p.action_space.points

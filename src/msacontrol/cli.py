@@ -20,7 +20,7 @@ import numpy as np
 
 from .bsde import RegressionBasis, adjoint_residual, solve_adjoint_linear_y0, solve_adjoint_lsmc
 from .diagnostics import export_csv, rate_fit, upward_jumps
-from .msa import IterationTrace, MsaConfig, TraceRow, run_msa
+from .msa import IterationTrace, MsaConfig, run_msa
 from .oracle import (
     benchmark_names,
     benchmark_suite,
@@ -62,10 +62,6 @@ def _to_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _optional_float(raw: str) -> float | None:
-    return float(raw) if raw.strip() else None
-
-
 def _import_module(name: str) -> str:
     # imported for its side effect: the module registers its problems
     try:
@@ -76,9 +72,6 @@ def _import_module(name: str) -> str:
     return name
 
 
-# rate.oracle values that replay a synthetic gap sequence instead of solving
-_SYNTHETIC = ("one_over_n", "one_over_log")
-
 # section -> key -> converter of the raw value.  [msa] keys are MsaConfig
 # arguments and [bsde] keys RegressionBasis arguments.
 _SCHEMA = {
@@ -88,7 +81,6 @@ _SCHEMA = {
         "n_steps": int,
         "seed": int,
         "rho_initial": float,
-        "rho_growth": float,
         "rho_max": float,
         "tol_mu": float,
         "tol_dj": float,
@@ -96,7 +88,7 @@ _SCHEMA = {
         "control_mode": str,
         "classical": _to_bool,
     },
-    "bsde": {"degree": int, "ridge": _optional_float},
+    "bsde": {"degree": int},
     "output": {"directory": str},
     "validate": {"n_samples": int, "step": float, "tolerance": float},
     "rate": {"n_min": int, "n_max": int, "oracle": str},
@@ -130,8 +122,8 @@ def load_config(path: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     cfg = RunConfig(msa=msa, **{f"{s}_{k}": v for s, keys in values.items() for k, v in keys.items()})
-    if cfg.rate_oracle not in ("riccati", "brute_force") + _SYNTHETIC:
-        raise ConfigError(f"rate.oracle must be riccati|brute_force|one_over_n|one_over_log, got {cfg.rate_oracle!r}")
+    if cfg.rate_oracle not in ("riccati", "brute_force"):
+        raise ConfigError(f"rate.oracle must be riccati|brute_force, got {cfg.rate_oracle!r}")
     if cfg.rate_n_min < 1 or cfg.rate_n_max < cfg.rate_n_min:
         raise ConfigError(f"bad rate window [{cfg.rate_n_min}, {cfg.rate_n_max}]")
     if cfg.validate_n_samples < 1:
@@ -320,38 +312,24 @@ def cmd_bench(cfg: RunConfig) -> int:
     return code
 
 
-def _synthetic_trace(kind: str, n_min: int, n_max: int) -> IterationTrace:
-    trace = IterationTrace(status="synthetic")
-    for n in range(n_min, n_max + 1):
-        gap = 1.0 / n if kind == "one_over_n" else 1.0 / np.log(n + 1.0)
-        trace.rows.append(TraceRow(n, gap, 0.0, 0.0, 0.0, 0.0, 0, True))
-    return trace
-
-
 def cmd_rate(cfg: RunConfig) -> int:
     """Fit the optimality-gap decay against an oracle value."""
-    bench = None if cfg.rate_oracle in _SYNTHETIC else _require_problem(cfg)
+    bench = _require_problem(cfg)
     os.makedirs(cfg.output_directory, exist_ok=True)
-    if bench is None:
-        name = f"synthetic_{cfg.rate_oracle}"
-        trace = _synthetic_trace(cfg.rate_oracle, cfg.rate_n_min, cfg.rate_n_max)
-        j_star = 0.0
+    name, p = bench.name, bench.problem
+    if cfg.rate_oracle == "riccati":
+        j_star = bench.continuous_optimum
+        if j_star is None:
+            raise ConfigError(f"problem {name} has no Riccati oracle")
     else:
-        name = bench.name
-        p = bench.problem
-        if cfg.rate_oracle == "riccati":
-            j_star = bench.continuous_optimum
-            if j_star is None:
-                raise ConfigError(f"problem {name} has no Riccati oracle")
-        else:
-            try:
-                j_star = brute_force_optimal(p, cfg.msa.bank(p)).j_star
-            except ValueError as exc:
-                raise ConfigError(f"brute force: {exc}; shrink n_steps or the action grid") from None
-        _, trace = run_msa(p, cfg.msa)
-        if code := _exit_code(trace):
-            _status("rate", code, problem=name, status=trace.status)
-            return code
+        try:
+            j_star = brute_force_optimal(p, cfg.msa.bank(p)).j_star
+        except ValueError as exc:
+            raise ConfigError(f"brute force: {exc}; shrink n_steps or the action grid") from None
+    _, trace = run_msa(p, cfg.msa)
+    if code := _exit_code(trace):
+        _status("rate", code, problem=name, status=trace.status)
+        return code
 
     accepted_n = [row.n for row in trace.accepted_rows]
     if not accepted_n or max(accepted_n) < cfg.rate_n_min:

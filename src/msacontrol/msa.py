@@ -75,6 +75,10 @@ from .sde import (
 )
 
 
+# a rejected candidate's rho is multiplied by this; a rho of 0 becomes 1
+_RHO_GROWTH = 2.0
+
+
 class DescentFailureError(RuntimeError):
     """Never raised: run_msa returns a descent failure as trace.status.
 
@@ -86,16 +90,17 @@ class DescentFailureError(RuntimeError):
 class MsaConfig:
     """Solver configuration.
 
-    classical = True freezes the penalty at rho_initial and accepts
-    every candidate (no descent test, no backtracking); used to
-    demonstrate how the unpenalised update can drive the cost up.
+    A rejected candidate doubles rho, up to rho_max, so a penalised
+    solve needs rho_initial <= rho_max.  classical = True freezes the
+    penalty at rho_initial and accepts every candidate (no descent test,
+    no backtracking); used to demonstrate how the unpenalised update can
+    drive the cost up.
     """
 
     n_paths: int = 10000
     n_steps: int = 50
     seed: int = 12345
     rho_initial: float = 1.0
-    rho_growth: float = 2.0
     rho_max: float = 65536.0
     tol_mu: float = 1e-3
     tol_dj: float = 1e-6
@@ -109,13 +114,13 @@ class MsaConfig:
             raise ValueError("n_paths and n_steps must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        for name in ("rho_initial", "rho_growth", "rho_max", "tol_mu", "tol_dj"):
+        for name in ("rho_initial", "rho_max", "tol_mu", "tol_dj"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rho_initial < 0:
             raise ValueError("rho_initial must be nonnegative")
-        if self.rho_growth <= 1:
-            raise ValueError("rho_growth must be > 1")
+        if not self.classical and self.rho_initial > self.rho_max:
+            raise ValueError(f"rho_initial {self.rho_initial} exceeds rho_max {self.rho_max}")
         if self.tol_mu <= 0 or self.tol_dj <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
@@ -328,7 +333,7 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
                 break
             del cand_states
             n_backtracks += 1
-            grown = rho * cfg.rho_growth if rho > 0 else 1.0
+            grown = rho * _RHO_GROWTH if rho > 0 else 1.0
             if grown > cfg.rho_max:
                 # the row reports the rho its candidate and mu were computed at
                 trace.rows.append(TraceRow(n, j_cur, j_se, mu, mu_se, rho, n_backtracks, False))

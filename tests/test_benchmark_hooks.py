@@ -8,7 +8,8 @@ by name; a refactor that removes one of those names breaks
 no stored reference, reads ``Benchmark.lq`` and ``riccati_lq``.  A
 traced solve, one that fails to descend too, reads the iteration
 trace's ``n_rows`` and ``backtracks``, and its one noise bank is drawn
-inside ``msa.run_msa``.
+inside ``msa.run_msa``.  And the INIs that ``perfbench/run.py`` writes
+must still load, so a config-schema cut cannot break the benchmark.
 """
 
 import io
@@ -52,6 +53,19 @@ def test_riccati_band_check_accepts_stored_outputs(monkeypatch):
     assert check.reference is None  # no stored reference at seed 1
     check.first = bench.read_outputs(w, bench.REFERENCES / "desk_lq" / "12345")
     assert check.riccati_band() == []
+
+
+def test_benchmark_configs_load(monkeypatch, tmp_path):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    load(monkeypatch, "tracing", TRACING)
+    bench = load(monkeypatch, "perfbench_run", PERFBENCH / "run.py")
+    assert len(bench.WORKLOADS) == 3
+    for w in bench.WORKLOADS:
+        path = tmp_path / f"{w.name}.ini"
+        bench.write_config(w, 12345, path)
+        cfg = cli.load_config(str(path))
+        got = (cfg.problem_name, cfg.msa.n_paths, cfg.msa.n_steps, cfg.msa.seed, cfg.msa.control_mode)
+        assert got == (w.problem, w.n_paths, bench.N_STEPS, 12345, w.control_mode), w.name
 
 
 def traced_run(monkeypatch, tmp_path, msa):

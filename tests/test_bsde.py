@@ -47,8 +47,6 @@ class TestRegressionBasis:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             RegressionBasis(degree=-1)
-        with pytest.raises(ValueError):
-            RegressionBasis(ridge=-1e-3)
 
     def test_features_shape_and_constant_column(self, rng):
         basis = RegressionBasis(degree=2)

@@ -58,7 +58,6 @@ class TestLoadConfig:
                 "n_steps": 7,
                 "seed": 3,
                 "rho_initial": 0.5,
-                "rho_growth": 3.0,
                 "rho_max": 99.0,
                 "tol_mu": 1e-4,
                 "tol_dj": 1e-7,
@@ -66,10 +65,10 @@ class TestLoadConfig:
                 "control_mode": "deterministic",
                 "classical": "true",
             },
-            bsde={"degree": 3, "ridge": 1e-6},
+            bsde={"degree": 3},
             output={"directory": "elsewhere"},
             validate={"n_samples": 17, "step": 1e-6, "tolerance": 1e-3},
-            rate={"n_min": 4, "n_max": 40, "oracle": "one_over_log"},
+            rate={"n_min": 4, "n_max": 40, "oracle": "brute_force"},
         )
         # every key the loader knows is set here, so a dropped key fails below
         assert {s: set(kv) for s, kv in sections.items()} == {
@@ -82,7 +81,6 @@ class TestLoadConfig:
         assert cfg.msa.n_steps == 7
         assert cfg.msa.seed == 3
         assert cfg.msa.rho_initial == 0.5
-        assert cfg.msa.rho_growth == 3.0
         assert cfg.msa.rho_max == 99.0
         assert cfg.msa.tol_mu == 1e-4
         assert cfg.msa.tol_dj == 1e-7
@@ -90,14 +88,13 @@ class TestLoadConfig:
         assert cfg.msa.control_mode == "deterministic"
         assert cfg.msa.classical is True
         assert cfg.msa.basis.degree == 3
-        assert cfg.msa.basis.ridge == 1e-6
         assert cfg.output_directory == "elsewhere"
         assert cfg.validate_n_samples == 17
         assert cfg.validate_step == 1e-6
         assert cfg.validate_tolerance == 1e-3
         assert cfg.rate_n_min == 4
         assert cfg.rate_n_max == 40
-        assert cfg.rate_oracle == "one_over_log"
+        assert cfg.rate_oracle == "brute_force"
 
     def test_shipped_configs_load(self):
         paths = sorted(CONFIG_DIR.glob("*.ini"))
@@ -129,14 +126,24 @@ class TestLoadConfig:
             ("validate", "tolerance", "nan", r"validate\.tolerance"),
             ("validate", "tolerance", "inf", r"validate\.tolerance"),
             ("msa", "rho_initial", "nan", "rho_initial"),
-            ("msa", "rho_growth", "inf", "rho_growth"),
             ("msa", "rho_max", "inf", "rho_max"),
             ("msa", "tol_mu", "nan", "tol_mu"),
             ("msa", "tol_dj", "inf", "tol_dj"),
-            ("bsde", "ridge", "nan", "ridge"),
         ):
             path = write_config(tmp_path, **{section: {key: value}})
             with pytest.raises(ConfigError, match=named):
+                load_config(path)
+
+    def test_removed_settings_are_refused_by_their_own_message(self, tmp_path):
+        # the unknown-key message names the key whatever its value, so each
+        # case pins the message, not just the key's name
+        for section, key, value, message in (
+            ("msa", "rho_growth", 2.0, r"^unknown config key msa\.rho_growth$"),
+            ("bsde", "ridge", 1e-6, r"^unknown config key bsde\.ridge$"),
+            ("rate", "oracle", "one_over_n", r"^rate\.oracle must be riccati\|brute_force, got 'one_over_n'$"),
+        ):
+            path = write_config(tmp_path, **{section: {key: value}})
+            with pytest.raises(ConfigError, match=message):
                 load_config(path)
 
     def test_solver_validation_surfaces_as_config_error(self, tmp_path):
@@ -269,6 +276,7 @@ class TestRun:
             ("validate", {"validate": {"step": -1e-5}}, [], "validate.step"),
             ("run", {"msa": {"n_paths": 200, "n_steps": 5}, "bsde": {"degree": 30}}, [], "degree"),
             ("run", {"msa": {"n_paths": 100_000_000}}, [], "noise bank"),
+            ("run", {"msa": {"rho_initial": 4.0, "rho_max": 2.0}}, [], "'rho_initial 4.0 exceeds rho_max 2.0'"),
         ],
     )
     def test_bad_value_exits_one_naming_it(self, tmp_path, capsys, command, sections, flags, named):
@@ -567,31 +575,6 @@ class TestBench:
 
 
 class TestRate:
-    def test_synthetic_one_over_n_passes(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            rate={"oracle": "one_over_n", "n_min": 10, "n_max": 100},
-            output={"directory": str(tmp_path / "r")},
-        )
-        code = main(["rate", "--config", cfg])
-        status, _ = status_line(capsys)
-        assert code == 0
-        assert "status=rate-ok" in status
-        assert "passed=True" in status
-        assert len(csv_rows(tmp_path / "r" / "synthetic_one_over_n_rate.csv")) == 91
-
-    def test_synthetic_log_decay_fails(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            rate={"oracle": "one_over_log", "n_min": 10, "n_max": 100},
-            output={"directory": str(tmp_path / "r")},
-        )
-        code = main(["rate", "--config", cfg])
-        status, _ = status_line(capsys)
-        assert code == 1
-        assert "status=rate-fail" in status
-        assert "passed=False" in status
-
     def test_riccati_oracle_on_drift_benchmark(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -769,9 +752,9 @@ class TestUsage:
     def test_own_error_keeps_its_message_under_python_m(self, tmp_path):
         # run as a script, cli is __main__ and defines its own ConfigError
         src = str(Path(cli.__file__).resolve().parents[1])
+        config = write_config(tmp_path, output={"directory": str(tmp_path / "o")})
         out = subprocess.run(
-            [sys.executable, "-m", "msacontrol.cli", "run", "--config",
-             str(CONFIG_DIR / "rate_synthetic.ini"), "--out", str(tmp_path / "o")],
+            [sys.executable, "-m", "msacontrol.cli", "run", "--config", config],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, timeout=120,
         )
@@ -788,9 +771,11 @@ class TestUsage:
     def test_unwritable_output_directory_exits_one(self, tmp_path, capsys):
         blocker = tmp_path / "a_file"
         blocker.write_text("", encoding="utf-8")
-        config = str(CONFIG_DIR / "rate_synthetic.ini")
-        assert main(["rate", "--config", config, "--out", str(blocker / "x")]) == 1
+        config = write_config(
+            tmp_path, problem={"name": "lq_drift_small"}, msa={"n_paths": 200, "n_steps": 5}
+        )
+        assert main(["run", "--config", config, "--out", str(blocker / "x")]) == 1
         status, out = status_line(capsys)
         assert out.count("STATUS ") == 1
-        assert status.startswith('STATUS command=rate exit=1 error="NotADirectoryError: ')
+        assert status.startswith('STATUS command=run exit=1 error="NotADirectoryError: ')
         assert "Not a directory" in status

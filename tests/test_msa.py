@@ -564,17 +564,18 @@ class TestRunMsa:
         with pytest.raises(ValueError):
             MsaConfig(rho_initial=-1.0)
         with pytest.raises(ValueError):
-            MsaConfig(rho_growth=1.0)
-        with pytest.raises(ValueError):
             MsaConfig(tol_mu=0.0)
         with pytest.raises(ValueError):
             MsaConfig(control_mode="average")
-        for name in ("rho_initial", "rho_growth", "rho_max", "tol_mu", "tol_dj"):
+        for name in ("rho_initial", "rho_max", "tol_mu", "tol_dj"):
             for bad in (np.nan, np.inf):
                 with pytest.raises(ValueError, match=name):
                     MsaConfig(**{name: bad})
-        with pytest.raises(ValueError, match="ridge"):
-            MsaConfig(basis=RegressionBasis(ridge=np.nan))
+        # a penalised solve only grows rho, so it may not start above the cap
+        with pytest.raises(ValueError, match=r"rho_initial 4\.0 exceeds rho_max 2\.0"):
+            MsaConfig(rho_initial=4.0, rho_max=2.0)
+        MsaConfig(rho_initial=2.0, rho_max=2.0)
+        MsaConfig(rho_initial=4.0, rho_max=2.0, classical=True)  # rho never grows
 
     def test_accepted_steps_descend_exactly(self, lq_bench):
         cfg = MsaConfig(n_paths=2000, n_steps=20)
