@@ -130,8 +130,10 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"validate.n_samples must be >= 1, got {cfg.validate_n_samples}")
     if not 0 < cfg.validate_step < np.inf:
         raise ConfigError(f"validate.step must be positive and finite, got {cfg.validate_step}")
-    if not np.isfinite(cfg.validate_tolerance):
-        raise ConfigError(f"validate.tolerance must be finite, got {cfg.validate_tolerance}")
+    if not 0 <= cfg.validate_tolerance < np.inf:
+        raise ConfigError(
+            f"validate.tolerance must be nonnegative and finite, got {cfg.validate_tolerance}"
+        )
     return cfg
 
 

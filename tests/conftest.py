@@ -15,12 +15,9 @@ import numpy as np
 import pytest
 
 import msacontrol
-from msacontrol import (
-    MsaConfig,
-    brute_force_optimal,
-    get_benchmark,
-    run_msa,
-)
+from msacontrol import get_benchmark
+from msacontrol.msa import MsaConfig, run_msa
+from msacontrol.oracle import brute_force_optimal
 
 
 @pytest.fixture(scope="session")

@@ -11,20 +11,17 @@ import math
 
 import numpy as np
 
-from msacontrol import (
-    IterationTrace,
-    MsaConfig,
+from msacontrol.bsde import (
     RegressionBasis,
     adjoint_residual,
-    driverless_problem,
-    rate_fit,
-    simulate_forward,
     solve_adjoint_linear_y0,
     solve_adjoint_lsmc,
-    upward_jumps,
 )
 from msacontrol.cli import main
-from msacontrol.msa import TraceRow
+from msacontrol.diagnostics import rate_fit, upward_jumps
+from msacontrol.msa import IterationTrace, MsaConfig, TraceRow
+from msacontrol.oracle import driverless_problem
+from msacontrol.sde import simulate_forward
 
 from conftest import combined_se
 from references import check_recursive_bound, pontryagin_gaps

@@ -5,21 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from msacontrol import (
+from msacontrol.bsde import (
+    _TIE_BAND,
+    AdjointEnsemble,
     RegressionBasis,
     RegressionError,
-    TimeGrid,
+    _int_power,
     adjoint_residual,
-    constant_control,
-    driverless_problem,
-    make_noise,
-    simulate_forward,
     solve_adjoint_linear_y0,
     solve_adjoint_lsmc,
 )
-from msacontrol.bsde import _TIE_BAND, AdjointEnsemble, _int_power
-from msacontrol.oracle import scalar_quadratic_problem
-from msacontrol.sde import ControlEnsemble, NoiseBank, StateEnsemble
+from msacontrol.oracle import driverless_problem, scalar_quadratic_problem
+from msacontrol.sde import (
+    ControlEnsemble,
+    NoiseBank,
+    StateEnsemble,
+    TimeGrid,
+    constant_control,
+    make_noise,
+    simulate_forward,
+)
 
 from references import lq_adjoint_y0
 from test_problem import make_problem

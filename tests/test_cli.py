@@ -125,6 +125,7 @@ class TestLoadConfig:
             ("validate", "step", "inf", r"validate\.step"),
             ("validate", "tolerance", "nan", r"validate\.tolerance"),
             ("validate", "tolerance", "inf", r"validate\.tolerance"),
+            ("validate", "tolerance", "-1", r"validate\.tolerance"),
             ("msa", "rho_initial", "nan", "rho_initial"),
             ("msa", "rho_max", "inf", "rho_max"),
             ("msa", "tol_mu", "nan", "tol_mu"),

@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msacontrol import IterationTrace, export_csv, rate_fit, upward_jumps
-from msacontrol.diagnostics import _NOISE_FLOOR_FACTOR, RATE_COLUMNS, TRACE_COLUMNS
-from msacontrol.msa import TraceRow
+from msacontrol.diagnostics import (
+    _NOISE_FLOOR_FACTOR,
+    RATE_COLUMNS,
+    TRACE_COLUMNS,
+    export_csv,
+    rate_fit,
+    upward_jumps,
+)
+from msacontrol.msa import IterationTrace, TraceRow
 
 from conftest import csv_rows
 from references import check_recursive_bound

@@ -8,29 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msacontrol import (
-    EvaluationError,
-    MsaConfig,
+from msacontrol import get_benchmark
+from msacontrol.bsde import (
+    AdjointEnsemble,
     RegressionBasis,
-    TimeGrid,
     adjoint_residual,
-    benchmark_names,
-    compute_mu,
-    constant_control,
-    cost_per_path,
-    get_benchmark,
-    make_noise,
-    run_msa,
-    simulate_forward,
     solve_adjoint_linear_y0,
     solve_adjoint_lsmc,
-    update_control,
 )
-from msacontrol.bsde import AdjointEnsemble
-from msacontrol.msa import _keep_or_lowest
-from msacontrol.oracle import LqSpec, scalar_quadratic_problem
-from msacontrol.problem import augmented_hamiltonian
-from msacontrol.sde import ControlEnsemble, NoiseBank, StateEnsemble, mean_and_se
+from msacontrol.msa import MsaConfig, _keep_or_lowest, compute_mu, run_msa, update_control
+from msacontrol.oracle import LqSpec, benchmark_names, scalar_quadratic_problem
+from msacontrol.problem import EvaluationError, augmented_hamiltonian
+from msacontrol.sde import (
+    ControlEnsemble,
+    NoiseBank,
+    StateEnsemble,
+    TimeGrid,
+    constant_control,
+    cost_per_path,
+    make_noise,
+    mean_and_se,
+    simulate_forward,
+)
 
 from references import keep_or_lowest_reference, pontryagin_gaps
 from test_problem import make_problem, quadratic_drift_problem

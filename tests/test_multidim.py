@@ -9,19 +9,11 @@ import math
 
 import numpy as np
 
-from msacontrol import (
-    ActionSpace,
-    MsaConfig,
-    StructuredProblem,
-    TimeGrid,
-    check_derivatives,
-    make_noise,
-    simulate_forward,
-    solve_adjoint_linear_y0,
-    solve_adjoint_lsmc,
-    update_control,
-)
-from msacontrol.sde import ControlEnsemble
+from msacontrol import ActionSpace, StructuredProblem
+from msacontrol.bsde import solve_adjoint_linear_y0, solve_adjoint_lsmc
+from msacontrol.msa import MsaConfig, update_control
+from msacontrol.problem import check_derivatives
+from msacontrol.sde import ControlEnsemble, TimeGrid, make_noise, simulate_forward
 
 from conftest import combined_se
 from test_bsde import solve_setup

@@ -7,25 +7,24 @@ import numpy as np
 import pytest
 
 import msacontrol.oracle as oracle_mod
-from msacontrol import (
-    Benchmark,
-    EvaluationError,
-    ProblemDefinitionError,
-    SimulationError,
-    TimeGrid,
+from msacontrol import Benchmark, get_benchmark, register_benchmark
+from msacontrol.oracle import (
+    LqSpec,
     benchmark_names,
     benchmark_suite,
     brute_force_optimal,
-    check_derivatives,
-    cost_per_path,
-    get_benchmark,
-    make_noise,
-    register_benchmark,
     riccati_lq,
+)
+from msacontrol.problem import EvaluationError, ProblemDefinitionError, check_derivatives
+from msacontrol.sde import (
+    ControlEnsemble,
+    SimulationError,
+    TimeGrid,
+    cost_per_path,
+    make_noise,
+    mean_and_se,
     simulate_forward,
 )
-from msacontrol.oracle import LqSpec
-from msacontrol.sde import ControlEnsemble, mean_and_se
 
 from references import diffusion_lq_reference, euler_lq_value, lq_adjoint_y0, unit_gain_lq_value
 

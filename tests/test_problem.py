@@ -8,19 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msacontrol import (
-    ActionSpace,
-    ActionTerms,
-    ControlProblem,
+from msacontrol import ActionSpace, ActionTerms, ControlProblem, get_benchmark
+from msacontrol.oracle import LqSpec, benchmark_names, scalar_quadratic_problem
+from msacontrol.problem import (
     ProblemDefinitionError,
     augmented_hamiltonian,
-    benchmark_names,
     check_derivatives,
-    get_benchmark,
     hamiltonian,
+    hamiltonian_grad_x,
 )
-from msacontrol.oracle import LqSpec, scalar_quadratic_problem
-from msacontrol.problem import hamiltonian_grad_x
 
 from conftest import fresh_interpreter_loads
 from references import lq_hamiltonian_reference
@@ -110,10 +106,22 @@ class TestActionSpace:
             with pytest.raises(ProblemDefinitionError, match="distinct"):
                 ActionSpace(points=np.array(points))
 
-    def test_building_a_problem_does_not_load_numpy_ma(self):
-        # np.unique(axis=0) imports numpy.ma, which every msactl call would pay for
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "numpy.ma",
+            "msacontrol.bsde",
+            "msacontrol.msa",
+            "msacontrol.diagnostics",
+            "msacontrol.cli",
+            "csv",
+        ],
+    )
+    def test_building_a_problem_loads_only_what_it_needs(self, module):
+        # a problem module and the benchmark's set-up need no solver, no csv
+        # (which diagnostics imports) and no numpy.ma (which np.unique(axis=0) imports)
         code = "import msacontrol\nmsacontrol.get_benchmark('lq_drift')"
-        assert not fresh_interpreter_loads(code, "numpy.ma")
+        assert not fresh_interpreter_loads(code, module)
 
     def test_points_immutable(self):
         sp = ActionSpace(points=np.array([0.0, 1.0]))

@@ -1,12 +1,12 @@
 """The package exports only names that a non-test caller uses, and its
 modules import in one direction.
 
-Every name in ``msacontrol.__all__`` must be used by the ``msactl``
-command, by the benchmark under ``perfbench/`` or be documented for user
-code in the README, and every public function and class of a submodule
-must have a caller outside the tests.  A function that only tests call
-belongs in ``tests/references.py`` when it is a reference the tests
-compare against, and nowhere otherwise.
+Every name in ``msacontrol.__all__`` must be documented for user code in
+the README, the only caller that imports from the package itself, and
+every public function and class of a submodule must have a caller outside
+the tests.  A function that only tests call belongs in
+``tests/references.py`` when it is a reference the tests compare against,
+and nowhere otherwise.
 """
 
 import ast
@@ -18,13 +18,13 @@ import msacontrol
 
 ROOT = Path(__file__).resolve().parent.parent
 OUTSIDE = [ROOT / "README.md"] + sorted((ROOT / "perfbench").glob("*.py"))
-CALLERS = OUTSIDE + [ROOT / "src" / "msacontrol" / "cli.py"]
 # each module may import only from modules before it; the package imports last
 LAYERS = ["problem", "sde", "bsde", "msa", "oracle", "diagnostics", "cli", "__init__"]
 
 
 def test_every_exported_name_has_a_non_test_caller():
-    text = "\n".join(path.read_text(encoding="utf-8") for path in CALLERS)
+    """``msactl`` and ``perfbench/`` import submodules, so only the README counts."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
     orphans = [n for n in msacontrol.__all__ if not re.search(rf"\b{n}\b", text)]
     assert orphans == []
 

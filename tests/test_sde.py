@@ -8,20 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msacontrol import (
-    ActionSpace,
+from msacontrol import ActionSpace, StructuredProblem, get_benchmark
+from msacontrol.oracle import riccati_lq, scalar_quadratic_problem
+from msacontrol.sde import (
+    ControlEnsemble,
+    NoiseBank,
     SimulationError,
-    StructuredProblem,
+    StateEnsemble,
     TimeGrid,
     constant_control,
     cost_per_path,
-    get_benchmark,
     make_noise,
-    riccati_lq,
+    mean_and_se,
     simulate_forward,
 )
-from msacontrol.oracle import scalar_quadratic_problem
-from msacontrol.sde import ControlEnsemble, NoiseBank, StateEnsemble, mean_and_se
 
 from conftest import fresh_interpreter_loads
 from references import unit_gain_riccati_p
