@@ -19,10 +19,11 @@ the sign bit set to a scalar path about thirty times slower than the
 rest.  Such a lane takes h from an exact double-double h + lo = u ** e
 instead.  Where |lo| is below 0.45 of the gap to h's neighbour, u ** e
 lies more than 0.05 ulp from every rounding midpoint, so every pow that
-errs by less than 0.05 ulp before its final rounding (0.55 ulp after it;
-glibc's bound is 0.54) must return h.  The other sign-bit lanes, the
-tenth or so near a rounding midpoint and the special values, still call
-pow.
+errs by less than 0.05 ulp before its final rounding must return h.
+numpy's sign-bit path is not glibc's pow, so no library bound vouches
+for it: the tests compare the result with numpy's pow bit for bit.  The
+other sign-bit lanes, the tenth or so near a rounding midpoint and the
+special values, still call pow.
 """
 
 from __future__ import annotations
@@ -103,11 +104,11 @@ def _int_power(u: np.ndarray, e: int) -> np.ndarray:
     double-double h + lo (_rounded_power), negated for odd e.  Where
     |lo| < _TIE_BAND gap, u ** e lies more than 0.05 ulp from every
     rounding midpoint, so any pow within 0.05 ulp of u ** e before its
-    final rounding (0.55 ulp after it; glibc's bound is 0.54) returns
-    h.  The sign-bit lanes that fail this test, zeros, subnormals, NaNs
-    and |u| ** e outside [2**-900, 2**900] call pow.  The exponent is an
-    array, not a scalar: numpy evaluates pow(u, 2.0) with a scalar
-    exponent as u*u, which differs from pow in the last bit.
+    final rounding returns h; the tests, not a library bound, check that
+    numpy's pow is one.  The sign-bit lanes that fail this test, zeros,
+    subnormals, NaNs and |u| ** e outside [2**-900, 2**900] call pow.
+    The exponent is an array, not a scalar: numpy evaluates pow(u, 2.0)
+    with a scalar exponent as u*u, which differs from pow in the last bit.
     """
     neg = np.flatnonzero(np.signbit(u))
     # first and in its own frame: its temporaries are freed before the

@@ -19,13 +19,12 @@ uses it.  For a problem with ``action_terms`` (every
 terms, C_a . [y, vec z] + f2, itself.  ``update_control`` is one loop
 over time steps that writes the new control one step row at a time.
 Step k's (actions x paths) value table is what a plain function of
-(adjoint, rho, k) returns: ``augmented_hamiltonian``'s or
-``_term_values``' one matrix product of the action terms plus a
-(previous, candidate) penalty table.  One helper applies the tie rule
-to either, by row-wise passes over the table: a minimum, a maximum of
-reversed ranks over the attaining rows, and an any over the rows that
-hold the previous action, with no argmax down the actions axis and no
-gather.  Controls and the kernels that read them live in ``sde.py``;
+(adjoint, rho, k) returns: ``augmented_hamiltonian``'s, or
+``_term_values``' one matrix product with the penalty expanded against
+each path's previous action.  One helper applies the tie rule to either,
+by row-wise passes over the table: a minimum, a maximum of reversed
+ranks over the attaining rows, and an any over the rows that hold the
+previous action, with no argmax down the actions axis and no gather.  Controls and the kernels that read them live in ``sde.py``;
 this module reads a control by step row.
 The candidate's indices have the action space's ``index_dtype`` (uint8
 up to 256 actions) whatever the previous control's dtype, so an
@@ -77,6 +76,8 @@ from .sde import (
 
 # a rejected candidate's rho is multiplied by this; a rho of 0 becomes 1
 _RHO_GROWTH = 2.0
+# rho max_a |C_a|^2 above this could overflow the action-terms table's penalty
+_PENALTY_MAX = float(np.finfo(float).max) / 4
 
 
 class DescentFailureError(RuntimeError):
@@ -180,9 +181,12 @@ def update_control(adjoint: AdjointEnsemble, rho: float) -> ControlEnsemble:
     """Pointwise argmin of the augmented Hamiltonian against prev = adjoint.states.control.
 
     Ties keep the previous action when it attains the minimum, else the
-    lowest action index wins.  For a deterministic (one-column) prev the
-    argmin is taken over the path-averaged augmented Hamiltonian at each
-    step, and the result is again one column.
+    lowest action index wins, on the computed table: the action-terms
+    table differs from the textbook one by a per-path constant, so it
+    ties where that one does up to rounding.  For a deterministic
+    (one-column) prev the argmin is taken over the path-averaged
+    augmented Hamiltonian at each step, and the result is again one
+    column.
     """
     if not 0 <= rho < np.inf:
         raise ValueError(f"rho must be nonnegative and finite, got {rho}")
@@ -238,8 +242,12 @@ def _term_values(adjoint, rho, k):
 
     Under the ActionTerms contract H(a) = [y, vec z] . C_a + f2(a) plus
     terms free of a, where C_a = [b2(a), vec sigma2(a)].  The grad_x H
-    part of the penalty vanishes, so the penalty against the previous
-    action is the table (rho/2) |C_a - C_prev|^2.
+    part of the penalty vanishes, leaving (rho/2) |C_a - C_p|^2 against
+    the previous action p, one row for a shared prev.  Per path, less its
+    action-free term (rho/2) |C_p|^2, the table is the one product
+    C (w - rho C_prev) + f2 + (rho/2) |C_a|^2, so its values resolve to
+    about eps rho |C|^2 where the textbook table compares f2 exactly
+    between actions with equal C.  Raises ValueError if it could overflow.
     """
     states = adjoint.states
     p, m, prev = states.problem, states.n_paths, states.control
@@ -249,19 +257,19 @@ def _term_values(adjoint, rho, k):
     s2 = np.asarray(terms.diffusion(t, points)).reshape(len(points), -1)
     c = _check_finite("action terms", np.concatenate([b2, s2], axis=1))
     f2 = _check_finite("action terms", np.asarray(terms.running_cost(t, points)))
-    diff = c[:, None, :] - c[None, :, :]
-    half_pen = 0.5 * rho * np.einsum("apq,apq->ap", diff, diff)
+    sq = np.einsum("aq,aq->a", c, c)
+    if float(rho) * float(sq.max()) > _PENALTY_MAX:  # Python floats overflow to inf quietly
+        raise ValueError(f"rho {rho} times max |C_a|^2 {sq.max():.3g} could overflow the table")
     # [y, vec z] per path, transposed
     w = np.concatenate([adjoint.y_values[k].T, adjoint.z_values[k].reshape(m, -1).T])
     if prev.shared:  # path mean first: a matrix-vector product
-        return (c @ w.mean(axis=1) + f2)[:, None] + half_pen[:, prev.indices(k, 1)]
+        d = c - c[prev.indices(k, 1)]
+        return (c @ w.mean(axis=1) + f2 + 0.5 * rho * np.einsum("aq,aq->a", d, d))[:, None]
+    if rho > 0:  # one (q, m) gather; the states validated their control
+        w -= (rho * c.T).take(prev.indices(k, m), axis=1)
+        f2 = f2 + 0.5 * rho * sq
     vals = c @ w  # (actions, m): a reduction over actions is a row-wise pass
     vals += f2[:, None]
-    if rho > 0:
-        idx = prev.indices(k, m).astype(np.intp)  # take() gathers fastest with intp
-        for a, pen in enumerate(half_pen):  # one path-length gather at a time
-            # in range: the states validated their control when they were built
-            vals[a] += pen.take(idx, mode="clip")
     return vals
 
 

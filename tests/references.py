@@ -4,7 +4,8 @@ Closed-form linear-quadratic values and Riccati curves coded apart from
 the problem and oracle modules, the exact Bellman recursion of the
 Euler-discretised scalar LQ problem,
 the exact checker of the recursive bound b_{k+1} <= b_k - q b_k^2, the
-control update's tie rule in its direct column-wise form, and a sampled
+control update's tie rule in its direct column-wise form, its action-terms
+table with the penalty gathered per action, and a sampled
 check of the extended Pontryagin condition built on the public
 ``augmented_hamiltonian``.
 """
@@ -210,6 +211,35 @@ def keep_or_lowest_reference(vals, prev):
     at_prev = vals[prev, np.arange(vals.shape[1])]
     lowest = (vals == mins).argmax(axis=0)  # equals argmin on finite tables
     return np.where(at_prev == mins, prev, lowest)
+
+
+def term_values_reference(adjoint, rho, k):
+    """Step k's action-terms table with the textbook penalty (rho/2) |C_a - C_prev|^2.
+
+    C_a . [y, vec z] + f2(a) per (action, path), plus the penalty read
+    from an (actions, actions) table, one path-length gather per action;
+    a shared prev gives the path mean as one column.
+    """
+    states = adjoint.states
+    p, m, prev = states.problem, states.n_paths, states.control
+    terms, points = p.action_terms, p.action_space.points
+    t = float(states.grid.nodes[k])
+    b2 = np.asarray(terms.drift(t, points))
+    s2 = np.asarray(terms.diffusion(t, points)).reshape(len(points), -1)
+    c = np.concatenate([b2, s2], axis=1)
+    f2 = np.asarray(terms.running_cost(t, points))
+    diff = c[:, None, :] - c[None, :, :]
+    half_pen = 0.5 * rho * np.einsum("apq,apq->ap", diff, diff)
+    w = np.concatenate([adjoint.y_values[k].T, adjoint.z_values[k].reshape(m, -1).T])
+    if prev.shared:
+        return (c @ w.mean(axis=1) + f2)[:, None] + half_pen[:, prev.indices(k, 1)]
+    vals = c @ w
+    vals += f2[:, None]
+    if rho > 0:
+        idx = prev.indices(k, m).astype(np.intp)
+        for a, pen in enumerate(half_pen):
+            vals[a] += pen.take(idx, mode="clip")
+    return vals
 
 
 def pontryagin_gaps(adjoint, control, rho, n_samples):

@@ -31,7 +31,7 @@ from msacontrol.sde import (
     simulate_forward,
 )
 
-from references import keep_or_lowest_reference, pontryagin_gaps
+from references import keep_or_lowest_reference, pontryagin_gaps, term_values_reference
 from test_problem import make_problem, quadratic_drift_problem
 
 
@@ -414,6 +414,42 @@ class TestSeparableUpdate:
                 slow = update_control(paired(adjoint, generic, prev), rho)
                 assert fast.by_step.shape == slow.by_step.shape == prev.by_step.shape
                 assert np.array_equal(fast.by_step, slow.by_step), (prev.by_step.shape, rho)
+
+    @pytest.mark.parametrize("name", [*benchmark_names(), "planar"])
+    def test_expanded_table_picks_the_reference_actions(self, name):
+        # the penalty expanded against the previous action chooses what the
+        # (actions, actions) penalty table, gathered per action, chooses
+        if name == "planar":
+            from test_multidim import planar_problem  # test_multidim imports this module
+
+            p = planar_problem()
+        else:
+            p = get_benchmark(name).problem
+        n_act = p.action_space.n_actions
+        m, n = 2000, 10
+        rng = np.random.default_rng(29)
+        noise = make_noise(TimeGrid(n_steps=n, horizon=p.horizon), m, p.noise_dim, seed=29)
+        rough = ControlEnsemble(rng.integers(n_act, size=(n, m), dtype=np.uint8))
+        adjoint = solve_adjoint_lsmc(simulate_forward(p, noise, rough), MsaConfig().basis)
+        shared = ControlEnsemble(rng.integers(n_act, size=(n, 1), dtype=np.uint8))
+        for prev in (rough, shared):
+            a = paired(adjoint, p, prev)
+            for rho in (0.25, 1.0, 2.0, 64.0, 65536.0, 1e12):
+                new = update_control(a, rho).by_step
+                for k in range(n):
+                    ref = _keep_or_lowest(term_values_reference(a, rho, k), prev.by_step[k])
+                    assert np.array_equal(new[k], ref), (prev.shared, rho, k)
+
+    def test_rho_that_could_overflow_the_table_raises(self):
+        # rho max |C_a|^2 = 3.7e309: the expanded table would hold inf and NaN
+        p = get_benchmark("msa_stress").problem
+        m, n = 2000, 10
+        rng = np.random.default_rng(5)
+        noise = make_noise(TimeGrid(n_steps=n, horizon=p.horizon), m, p.noise_dim, seed=5)
+        prev = ControlEnsemble(rng.integers(p.action_space.n_actions, size=(n, m), dtype=np.uint8))
+        adjoint = solve_adjoint_lsmc(simulate_forward(p, noise, prev), MsaConfig().basis)
+        with pytest.raises(ValueError, match="rho"):
+            update_control(adjoint, 1e308)
 
     def test_non_finite_action_terms_raise_on_both_paths(self):
         # b2 blows up at t = 0.25, which the construction probe (t = 0 and
