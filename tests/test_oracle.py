@@ -193,21 +193,26 @@ class TestBruteForce:
 
         small = get_benchmark("lq_drift_small").problem
         grid = TimeGrid(n_steps=3, horizon=1.0)
-        noise = make_noise(grid, 50, 1, seed=7)
-        res = brute_force_optimal(small, noise)
-        best = np.inf
-        arg = None
-        # reversed order: the minimum value must not depend on enumeration
-        for seq in reversed(list(itertools.product(range(3), repeat=3))):
-            ctrl = ControlEnsemble(by_step=np.array(seq, dtype=np.int64)[:, None])
-            states = simulate_forward(small, noise, ctrl)
-            est, _ = mean_and_se(cost_per_path(states))
-            if est < best:
-                best = est
-                arg = seq
-        # brute force prices sequences with the same kernels: equal, not close
-        assert res.j_star == best
-        assert tuple(res.best_sequence) == arg
+        # 27 sequences of 50 paths fit one chunk of _BRUTE_FORCE_ROWS; at
+        # 20,000 paths a chunk holds 2, so 14 chunks, the last one partial
+        assert oracle_mod._BRUTE_FORCE_ROWS // 20_000 == 2
+        for n_paths in (50, 20_000):
+            noise = make_noise(grid, n_paths, 1, seed=7)
+            res = brute_force_optimal(small, noise)
+            best = np.inf
+            arg = None
+            # reversed order, so the minimum value must not depend on
+            # enumeration; <= keeps, of tied sequences, the first enumerated
+            for seq in reversed(list(itertools.product(range(3), repeat=3))):
+                ctrl = ControlEnsemble(by_step=np.array(seq, dtype=np.int64)[:, None])
+                states = simulate_forward(small, noise, ctrl)
+                est, _ = mean_and_se(cost_per_path(states))
+                if est <= best:
+                    best = est
+                    arg = seq
+            # brute force prices sequences with the same kernels: equal, not close
+            assert res.j_star == best, n_paths
+            assert tuple(res.best_sequence) == arg, n_paths
 
     def test_non_finite_cost_raises(self):
         from test_problem import make_problem
