@@ -13,25 +13,22 @@ from it: the solvers a ``StateEnsemble``, ``adjoint_residual`` an
 adjoint is stored step-major like the states and the bank, so every
 step of a sweep reads one contiguous (M, ...) slab of each.
 
-The basis powers u ** e (e >= 2) equal numpy's array pow to the bit,
-though pow computes only some lanes: numpy sends each lane whose base has
-the sign bit set to a scalar path about thirty times slower than the
-rest.  Such a lane takes h from an exact double-double h + lo = u ** e
-instead.  Where |lo| is below 0.45 of the gap to h's neighbour, u ** e
-lies more than 0.05 ulp from every rounding midpoint, so every pow that
-errs by less than 0.05 ulp before its final rounding must return h.
-numpy's sign-bit path is not glibc's pow, so no library bound vouches
-for it: the tests compare the result with numpy's pow bit for bit.  The
-other sign-bit lanes, the tenth or so near a rounding midpoint and the
-special values, still call pow.
+The basis is the fixed degree-2 polynomial.  Its squares u ** 2 equal
+numpy's array pow to the bit, though pow computes only some lanes: numpy
+sends each lane whose base has the sign bit set to a scalar path about
+thirty times slower than the rest.  Such a lane takes h from Dekker's
+exact square h + lo = u ** 2 instead.  Where |lo| is below 0.45 of the
+gap to h's neighbour, u ** 2 lies more than 0.05 ulp from every rounding
+midpoint, so every pow that errs by less than 0.05 ulp before its final
+rounding must return h.  numpy's sign-bit path is not glibc's pow, so no
+library bound vouches for it: the tests compare the result with numpy's
+pow bit for bit.  The other sign-bit lanes, the tenth or so near a
+rounding midpoint and the special values, still call pow.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -47,7 +44,7 @@ class RegressionError(RuntimeError):
 # top 26 bits of x, so products of the halves are exact (Dekker, Numer. Math.
 # 18, 1971)
 _SPLIT = 134217729.0
-# a sign-bit lane keeps its double-double power h only where |lo| is below
+# a sign-bit lane keeps its double-double square h only where |lo| is below
 # this fraction of the gap from h to its neighbour on lo's side
 _TIE_BAND = 0.45
 
@@ -58,17 +55,17 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x - hi
 
 
-def _rounded_power(c: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """(h, exact) for the double-double h + lo = |c| ** e; c becomes |c|.
+def _rounded_square(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h, exact) for the double-double h + lo = c ** 2; c becomes |c|.
 
-    Dekker's two-product squares exactly; each further factor adds its
-    exact product and the rounded lo * |c|.  exact marks the lanes whose
+    Dekker's two-product squares exactly.  exact marks the lanes whose
     |lo| is below _TIE_BAND of the gap from h to its neighbour on lo's
-    side.  The clip keeps every product clear of overflow and of lost
-    underflow bits; a clipped or NaN lane is not exact.
+    side.  The clip to [2**-100, 2**100] keeps every product clear of
+    overflow and of lost underflow bits; a clipped or NaN lane is not
+    exact.
     """
     np.abs(c, out=c)
-    lim = 2.0 ** min(100, 900 // e)
+    lim = 2.0**100
     exact = c >= 1.0 / lim
     exact &= c <= lim
     np.clip(c, 1.0 / lim, lim, out=c)
@@ -81,13 +78,6 @@ def _rounded_power(c: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
     lo += t
     np.multiply(cl, cl, out=t)
     lo += t
-    for _ in range(e - 2):
-        hh, hl = _split(h)
-        p = h * c
-        err = ((hh * ch - p) + hh * cl + hl * ch) + hl * cl
-        err += lo * c
-        h = p + err
-        lo = err - (h - p)
     # h + lo / (2 _TIE_BAND) rounds back to h iff |lo| < _TIE_BAND gap, where
     # the gap is the one on lo's side (half of ulp(h) below a power of two)
     lo *= 0.5 / _TIE_BAND
@@ -96,97 +86,64 @@ def _rounded_power(c: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
     return h, exact
 
 
-def _int_power(u: np.ndarray, e: int) -> np.ndarray:
-    """np.power(u, np.full(len(u), float(e))) bit for bit, for an integer e >= 2.
+def _square(u: np.ndarray) -> np.ndarray:
+    """np.power(u, np.full(len(u), 2.0)) bit for bit.
 
-    A lane whose base has the sign bit clear takes pow(|u|, e), its own
-    pow.  A sign-bit lane takes h, the double nearest |u| ** e by an exact
-    double-double h + lo (_rounded_power), negated for odd e.  Where
-    |lo| < _TIE_BAND gap, u ** e lies more than 0.05 ulp from every
-    rounding midpoint, so any pow within 0.05 ulp of u ** e before its
-    final rounding returns h; the tests, not a library bound, check that
-    numpy's pow is one.  The sign-bit lanes that fail this test, zeros,
-    subnormals, NaNs and |u| ** e outside [2**-900, 2**900] call pow.
-    The exponent is an array, not a scalar: numpy evaluates pow(u, 2.0)
-    with a scalar exponent as u*u, which differs from pow in the last bit.
+    A lane whose base has the sign bit clear takes pow(|u|, 2), its own
+    pow.  A sign-bit lane takes h, the double nearest u ** 2 by an exact
+    double-double h + lo (_rounded_square).  Where |lo| < _TIE_BAND gap,
+    u ** 2 lies more than 0.05 ulp from every rounding midpoint, so any
+    pow within 0.05 ulp of u ** 2 before its final rounding returns h;
+    the tests, not a library bound, check that numpy's pow is one.  The
+    sign-bit lanes that fail this test, zeros, subnormals, NaNs and |u|
+    outside [2**-100, 2**100] call pow.  The exponent is an array, not a
+    scalar: numpy evaluates pow(u, 2.0) with a scalar exponent as u*u,
+    which differs from pow in the last bit.
     """
     neg = np.flatnonzero(np.signbit(u))
     # first and in its own frame: its temporaries are freed before the
     # full-length output exists, so features' peak memory does not grow
-    h, exact = _rounded_power(u[neg], e)
-    if e % 2:
-        np.negative(h, out=h)
+    h, exact = _rounded_square(u[neg])
     out = np.abs(u)
-    np.power(out, np.full(len(u), float(e)), out=out)
+    np.power(out, np.full(len(u), 2.0), out=out)
     out[neg] = h
     slow = neg[~exact]
-    out[slow] = np.power(u[slow], np.full(len(slow), float(e)))
+    out[slow] = np.power(u[slow], np.full(len(slow), 2.0))
     return out
 
 
-@dataclass(frozen=True)
-class RegressionBasis:
-    """Polynomial regression basis for conditional expectations.
+def basis_size(state_dim: int) -> int:
+    """Columns of features for a state of state_dim coordinates: (d+1)(d+2)/2."""
+    return (state_dim + 1) * (state_dim + 2) // 2
 
-    Features are built from per-step standardised coordinates, which
-    leaves the fitted projection unchanged (the polynomial span is
-    invariant under affine maps) but keeps the normal equations well
-    conditioned.
+
+def features(x: np.ndarray) -> np.ndarray:
+    """Design matrix (M, basis_size(d)) of the degree-2 polynomial in the standardised state.
+
+    Columns are 1, then u_j, then u_i u_j for i <= j in increasing (i, j).
+    Standardising per step leaves the fitted projection unchanged (the
+    polynomial span is invariant under affine maps) but keeps the normal
+    equations well conditioned; sd is x.std's value, the root of the mean
+    square of the same centred u.  u_j ** 2 comes from _square, numpy's
+    array pow to the bit, so each column equals np.prod(u ** e, axis=1)
+    for its exponent row e to the bit.  The squares are computed before
+    phi is allocated, which keeps their temporaries out of features' peak
+    memory.
     """
-
-    degree: int = 2
-
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
-
-    def n_functions(self, state_dim: int) -> int:
-        return comb(state_dim + self.degree, self.degree)
-
-    def exponents(self, state_dim: int) -> np.ndarray:
-        rows = []
-        for total in range(self.degree + 1):
-            for combo in itertools.combinations_with_replacement(
-                range(state_dim), total
-            ):
-                e = np.zeros(state_dim, dtype=int)
-                for i in combo:
-                    e[i] += 1
-                rows.append(e)
-        return np.array(rows)
-
-    def features(self, x: np.ndarray) -> np.ndarray:
-        """Design matrix (M, B) of monomials of the standardised state.
-
-        Column b is the product over j of u_j ** e_bj, in increasing j,
-        with the factors e = 0 left out and u_j itself for e = 1: both are
-        exact, so this is bitwise np.prod(u ** exps, axis=2).  Each power
-        with e >= 2 is computed once per (j, e) by _int_power, which
-        returns numpy's array pow to the bit: pow itself on the lanes with
-        the sign bit clear, and on the rest an exact double-double product
-        wherever it lies farther than 0.05 ulp from a rounding midpoint.
-        That leaves u ** e unchanged under any pow erring by less than
-        0.05 ulp before its final rounding; the remaining lanes call pow.
-        sd is x.std's value: the root of the mean square of the same
-        centred u.
-        """
-        u = x - x.mean(axis=0)
-        sd = np.sqrt(np.mean(u * u, axis=0))
-        u /= np.where(sd > 0, sd, 1.0)
-        m, d = u.shape
-        powers = {
-            (j, e): _int_power(u[:, j], e)
-            for j in range(d)
-            for e in range(2, self.degree + 1)
-        }
-        exps = self.exponents(d)
-        phi = np.empty((m, exps.shape[0]))
-        for b, row in enumerate(exps):
-            factors = [
-                u[:, j] if e == 1 else powers[j, e] for j, e in enumerate(row) if e
-            ]
-            phi[:, b] = functools.reduce(np.multiply, factors) if factors else 1.0
-        return phi
+    u = x - x.mean(axis=0)
+    sd = np.sqrt(np.mean(u * u, axis=0))
+    u /= np.where(sd > 0, sd, 1.0)
+    m, d = u.shape
+    squares = [_square(u[:, j]) for j in range(d)]
+    phi = np.empty((m, basis_size(d)))
+    phi[:, 0] = 1.0
+    phi[:, 1 : d + 1] = u
+    b = d + 1
+    for i in range(d):
+        phi[:, b] = squares[i]
+        np.multiply(u[:, i, None], u[:, i + 1 :], out=phi[:, b + 1 : b + d - i])
+        b += d - i
+    return phi
 
 
 @dataclass(frozen=True)
@@ -227,7 +184,7 @@ def _ridge_solve(gram: np.ndarray, phi: np.ndarray, targets: np.ndarray, step: i
     return coef
 
 
-def solve_adjoint_lsmc(states: StateEnsemble, basis: RegressionBasis) -> AdjointEnsemble:
+def solve_adjoint_lsmc(states: StateEnsemble) -> AdjointEnsemble:
     """Backward induction for the adjoint pair along the states, under their control.
 
     Y_N = grad g(X_N); for k = N-1 .. 0:
@@ -241,11 +198,10 @@ def solve_adjoint_lsmc(states: StateEnsemble, basis: RegressionBasis) -> Adjoint
     """
     p, xs, inc = states.problem, states.values, states.noise.increments
     m, n, d, dn = states.n_paths, states.n_steps, p.state_dim, p.noise_dim
-    n_basis = basis.n_functions(d)
+    n_basis = basis_size(d)
     if n_basis > m / 10:
         raise RegressionError(
-            f"degree-{basis.degree} basis has {n_basis} functions for {m} paths;"
-            " need n_basis <= M/10"
+            f"the basis has {n_basis} functions for {m} paths; need n_basis <= M/10"
         )
     lam = 1e-8 * m  # the ridge penalty of every regression
     dt = states.grid.dt
@@ -261,7 +217,7 @@ def solve_adjoint_lsmc(states: StateEnsemble, basis: RegressionBasis) -> Adjoint
     y_work = np.empty((m, d + 1))
     y_next = y_work[:, :d]
     for k in range(n - 1, -1, -1):
-        phi = basis.features(xs[k])
+        phi = features(xs[k])
         # one ridge Gram matrix per step serves the Y and the Z solve
         gram = phi.T @ phi
         gram[np.diag_indices_from(gram)] += lam

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bsde import RegressionBasis, adjoint_residual, solve_adjoint_linear_y0, solve_adjoint_lsmc
+from .bsde import adjoint_residual, solve_adjoint_linear_y0, solve_adjoint_lsmc
 from .diagnostics import export_csv, rate_fit, upward_jumps
 from .msa import IterationTrace, MsaConfig, run_msa
 from .oracle import (
@@ -39,8 +39,8 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     """A loaded config: field <section>_<key> holds INI key section.key,
-    except [msa] and [bsde], which build the solver's MsaConfig, and
-    problem.module, which is imported, not kept."""
+    except [msa], which builds the solver's MsaConfig, and problem.module,
+    which is imported, not kept."""
 
     msa: MsaConfig = field(default_factory=MsaConfig)
     problem_name: str = ""
@@ -75,7 +75,7 @@ def _import_module(name: str) -> str:
 
 
 # section -> key -> converter of the raw value.  [msa] keys are MsaConfig
-# arguments and [bsde] keys RegressionBasis arguments.
+# arguments.
 _SCHEMA = {
     "problem": {"name": str, "module": _import_module},
     "msa": {
@@ -90,7 +90,6 @@ _SCHEMA = {
         "control_mode": str,
         "classical": _to_bool,
     },
-    "bsde": {"degree": int},
     "output": {"directory": str},
     "rate": {"oracle": str},
 }
@@ -123,7 +122,7 @@ def load_config(path: str) -> RunConfig:
                 raise ConfigError(f"invalid value for {section}.{key}: {raw!r}") from None
 
     try:
-        msa = MsaConfig(basis=RegressionBasis(**values.pop("bsde")), **values.pop("msa"))
+        msa = MsaConfig(**values.pop("msa"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     values["problem"].pop("module", None)
@@ -205,7 +204,7 @@ def _centroid_solve(p: ControlProblem, msa: MsaConfig):
     """LSMC adjoint along the forward paths of the constant centroid control."""
     control = constant_control(p, msa.n_paths, msa.n_steps, mode=msa.control_mode)
     states = simulate_forward(p, msa.bank(p), control)
-    return solve_adjoint_lsmc(states, msa.basis)
+    return solve_adjoint_lsmc(states)
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -313,8 +312,8 @@ def cmd_bench(cfg: RunConfig) -> int:
 def cmd_rate(cfg: RunConfig) -> int:
     """Fit the optimality-gap decay of every accepted iteration against an oracle value."""
     bench = _require_problem(cfg)
-    os.makedirs(cfg.output_directory, exist_ok=True)
     name, p = bench.name, bench.problem
+    # the oracle first: a run refused for its oracle leaves no directory
     if cfg.rate_oracle == "riccati":
         j_star = bench.continuous_optimum
         if j_star is None:
@@ -324,6 +323,7 @@ def cmd_rate(cfg: RunConfig) -> int:
             j_star = brute_force_optimal(p, cfg.msa.bank(p)).j_star
         except ValueError as exc:
             raise ConfigError(f"brute force: {exc}; shrink n_steps or the action grid") from None
+    os.makedirs(cfg.output_directory, exist_ok=True)
     _, trace = run_msa(p, cfg.msa)
     if code := _exit_code(trace):
         _status("rate", code, problem=name, status=trace.status)

@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bsde import AdjointEnsemble, RegressionBasis, solve_adjoint_lsmc
+from .bsde import AdjointEnsemble, solve_adjoint_lsmc
 from .problem import ControlProblem, _check_finite, augmented_hamiltonian, hamiltonian
 from .sde import (
     CONTROL_MODES,
@@ -95,7 +95,8 @@ class MsaConfig:
     solve needs rho_initial <= rho_max.  classical = True freezes the
     penalty at rho_initial and accepts every candidate (no descent test,
     no backtracking); used to demonstrate how the unpenalised update can
-    drive the cost up.
+    drive the cost up.  The adjoint regresses on one fixed basis, the
+    degree-2 polynomial of bsde.features.
     """
 
     n_paths: int = 10000
@@ -106,7 +107,6 @@ class MsaConfig:
     tol_mu: float = 1e-3
     tol_dj: float = 1e-6
     max_iterations: int = 100
-    basis: RegressionBasis = field(default_factory=RegressionBasis)
     control_mode: str = "per_path"
     classical: bool = False
 
@@ -310,7 +310,7 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
 
     rho = cfg.rho_initial
     for n in range(1, cfg.max_iterations + 1):
-        adjoint = solve_adjoint_lsmc(states, cfg.basis)
+        adjoint = solve_adjoint_lsmc(states)
         n_backtracks = 0
         while True:
             candidate = update_control(adjoint, rho)

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from msacontrol.bsde import (
-    RegressionBasis,
     adjoint_residual,
     solve_adjoint_linear_y0,
     solve_adjoint_lsmc,
@@ -120,7 +119,7 @@ def test_criterion_06_classical_jumps_modified_descends(stress_classical_run, st
 def test_criterion_07a_driverless_adjoint_is_constant(lq_bench):
     p = driverless_problem(2.5)
     states = solve_setup(p, m=10_000, n=50, rng_actions=False)
-    adjoint = solve_adjoint_lsmc(states, RegressionBasis())
+    adjoint = solve_adjoint_lsmc(states)
     y_dev = float(np.max(np.abs(adjoint.y_values - 2.5)))
     z_max = float(np.max(np.abs(adjoint.z_values)))
     emit(
@@ -136,7 +135,7 @@ def test_criterion_07b_linear_representation_matches_lsmc(suite_benches):
     for bench in suite_benches:
         p = bench.problem
         states = solve_setup(p, m=10_000, n=50, rng_actions=False)
-        adjoint = solve_adjoint_lsmc(states, RegressionBasis())
+        adjoint = solve_adjoint_lsmc(states)
         y0_lin, se_lin = solve_adjoint_linear_y0(states)
         y = adjoint.y_values[0, :, 0]
         se_lsmc = float(y.std(ddof=1) / math.sqrt(y.shape[0]))
@@ -152,7 +151,7 @@ def test_criterion_07c_residual_stable_under_step_doubling(lq_bench):
     residuals = {}
     for n in (50, 100):
         states = solve_setup(p, m=10_000, n=n, rng_actions=False)
-        adjoint = solve_adjoint_lsmc(states, RegressionBasis())
+        adjoint = solve_adjoint_lsmc(states)
         residuals[n] = adjoint_residual(adjoint)
     emit(
         "07c",
@@ -166,7 +165,7 @@ def test_criterion_08_pontryagin_certificate_after_convergence(lq_bench, lq_run)
     cfg = MsaConfig()
     p = lq_bench.problem
     states = simulate_forward(p, cfg.bank(p), control)
-    adjoint = solve_adjoint_lsmc(states, cfg.basis)
+    adjoint = solve_adjoint_lsmc(states)
     rho = trace.rows[-1].rho
     gaps = pontryagin_gaps(adjoint, control, rho=rho, n_samples=10_000)
     violation_fraction = float(np.mean(gaps > TOL_MU))

@@ -8,10 +8,11 @@ import pytest
 from msacontrol.bsde import (
     _TIE_BAND,
     AdjointEnsemble,
-    RegressionBasis,
     RegressionError,
-    _int_power,
+    _square,
     adjoint_residual,
+    basis_size,
+    features,
     solve_adjoint_linear_y0,
     solve_adjoint_lsmc,
 )
@@ -43,72 +44,83 @@ def solve_setup(p, m, n, seed=17, mode="per_path", rng_actions=True):
     return simulate_forward(p, noise, ctrl)
 
 
+# the degree-2 basis's exponent rows for d = 4, in column order: 1, u_j,
+# then u_i u_j for i <= j in increasing (i, j)
+DEGREE_2_EXPONENTS = np.array(
+    [
+        [0, 0, 0, 0],
+        [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+        [2, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1],
+        [0, 2, 0, 0], [0, 1, 1, 0], [0, 1, 0, 1],
+        [0, 0, 2, 0], [0, 0, 1, 1],
+        [0, 0, 0, 2],
+    ]
+)
+
+
+def degree_2_exponents(d):
+    """The rows for d <= 4 coordinates: those that leave the later ones out, in the same order."""
+    return DEGREE_2_EXPONENTS[~DEGREE_2_EXPONENTS[:, d:].any(axis=1), :d]
+
+
 class TestRegressionBasis:
     def test_function_count(self):
-        assert RegressionBasis(degree=2).n_functions(1) == 3
-        assert RegressionBasis(degree=2).n_functions(3) == 10
-        assert RegressionBasis(degree=0).n_functions(5) == 1
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            RegressionBasis(degree=-1)
+        assert [basis_size(d) for d in (1, 2, 3, 4)] == [3, 6, 10, 15]
+        assert [len(degree_2_exponents(d)) for d in (1, 2, 3, 4)] == [3, 6, 10, 15]
 
     def test_features_shape_and_constant_column(self, rng):
-        basis = RegressionBasis(degree=2)
         x = rng.normal(size=(40, 2))
-        phi = basis.features(x)
+        phi = features(x)
         assert phi.shape == (40, 6)
         assert np.all(phi[:, 0] == 1.0)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
-    def test_features_equal_their_definition(self, rng, d, degree):
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_features_equal_their_definition(self, rng, d):
         # the solver passes xs[k], a contiguous step slab of the state array
         xs = np.ascontiguousarray((1.0 + 3.0 * rng.normal(size=(100_000, 4, d))).swapaxes(0, 1))
         xs[3, :, d - 1] = 2.5  # a zero-variance coordinate
-        basis = RegressionBasis(degree=degree)
-        exps = basis.exponents(d)
+        exps = degree_2_exponents(d)
         for x in (xs[1], xs[2, :7], xs[3]):
             mu = x.mean(axis=0)
             sd = x.std(axis=0)
             u = (x - mu) / np.where(sd > 0, sd, 1.0)
             ref = np.prod(u[:, None, :] ** exps[None, :, :], axis=2)
-            phi = basis.features(x)
+            phi = features(x)
             assert phi.shape == ref.shape
             assert np.array_equal(phi.view(np.uint64), ref.view(np.uint64))
 
     def test_overdetermination_guard(self, lq_bench):
+        # d = 1 has 3 functions, more than M/10 = 2
         p = lq_bench.problem
         states = solve_setup(p, m=20, n=4)
-        with pytest.raises(RegressionError):
-            solve_adjoint_lsmc(states, RegressionBasis(degree=9))
+        with pytest.raises(RegressionError, match=r"3 functions for 20 paths"):
+            solve_adjoint_lsmc(states)
 
 
-def same_bits_as_pow(u, e):
-    ref = np.power(u, np.full(len(u), float(e)))
-    return np.array_equal(_int_power(u, e).view(np.uint64), ref.view(np.uint64))
+def same_bits_as_pow(u):
+    ref = np.power(u, np.full(len(u), 2.0))
+    return np.array_equal(_square(u).view(np.uint64), ref.view(np.uint64))
 
 
-def ulps_from_nearest(v, e):
-    """(|v| ** e - RN(|v| ** e)) / ulp, from exact integer arithmetic."""
+def ulps_from_nearest(v):
+    """(v ** 2 - RN(v ** 2)) / ulp, from exact integer arithmetic."""
     p, q = abs(v).as_integer_ratio()
-    num, den = p**e, q**e
+    num, den = p**2, q**2
     h = num / den  # int true division rounds correctly
     hp, hq = h.as_integer_ratio()
     up, uq = math.ulp(h).as_integer_ratio()
     return (num * hq - hp * den) * uq / (den * hq * up)
 
 
-@pytest.mark.parametrize("e", [2, 3, 4])
-class TestIntPower:
-    """_int_power is numpy's array pow to the bit, warnings included."""
+class TestSquare:
+    """_square is numpy's array pow to the bit, warnings included."""
 
-    def test_normal_draws_at_every_scale(self, rng, e):
+    def test_normal_draws_at_every_scale(self, rng):
         for scale in np.logspace(-3, 3, 7):
             u = scale * rng.normal(size=150_000)
-            assert same_bits_as_pow(u, e)
+            assert same_bits_as_pow(u)
 
-    def test_special_values(self, e):
+    def test_special_values(self):
         tiny = np.finfo(float).tiny
         u = np.array(
             [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, tiny / 3,
@@ -116,20 +128,20 @@ class TestIntPower:
              2.0**100, -(2.0**100), 2.0**101, -(2.0**101), 1.0, -1.0, -2.0, -0.5]
         )
         # raises no warning (it would be an error) where pow raises none
-        assert same_bits_as_pow(u, e)
+        assert same_bits_as_pow(u)
         big = np.array([1e300, -1e300, -1e200, 3.0, -3.0])
         with np.errstate(over="ignore"):
-            assert same_bits_as_pow(big, e)
+            assert same_bits_as_pow(big)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            _int_power(big, e)
+            _square(big)
 
-    def test_draws_near_a_midpoint_or_the_tie_band(self, rng, e):
+    def test_draws_near_a_midpoint_or_the_tie_band(self, rng):
         u = rng.normal(size=100_000)
-        off = np.abs([ulps_from_nearest(v, e) for v in u.tolist()])
+        off = np.abs([ulps_from_nearest(v) for v in u.tolist()])
         for centre in (0.5, _TIE_BAND):
             near = u[np.abs(off - centre) < 0.01]
             assert len(near) > 500
-            assert same_bits_as_pow(near, e)
+            assert same_bits_as_pow(near)
 
 
 def test_few_sign_bit_lanes_reach_pow(rng, monkeypatch):
@@ -144,7 +156,7 @@ def test_few_sign_bit_lanes_reach_pow(rng, monkeypatch):
         return power(base, exponent, *args, **kwargs)
 
     monkeypatch.setattr(np, "power", counting_power)
-    RegressionBasis(degree=2).features(x)
+    features(x)
     assert lanes
     assert sum(lanes) <= 0.15 * np.count_nonzero(u < 0)
 
@@ -187,7 +199,7 @@ class TestStepMajorLayout:
         p = lq_bench.problem
         m, n = 300, 5
         states = solve_setup(p, m=m, n=n)
-        adj = solve_adjoint_lsmc(states, RegressionBasis())
+        adj = solve_adjoint_lsmc(states)
         inc = states.noise.increments
         assert inc.shape == (n, m, p.noise_dim)
         assert states.values.shape == adj.y_values.shape == (n + 1, m, p.state_dim)
@@ -217,7 +229,7 @@ class TestSolveAdjointLsmc:
     def test_terminal_slice_exact(self, lq_bench):
         p = lq_bench.problem
         states = solve_setup(p, m=400, n=10)
-        adj = solve_adjoint_lsmc(states, RegressionBasis())
+        adj = solve_adjoint_lsmc(states)
         want = np.asarray(p.terminal_cost_grad_x(states.values[-1]))
         assert np.array_equal(adj.y_values[-1], want)
 
@@ -225,7 +237,7 @@ class TestSolveAdjointLsmc:
         c = 2.5
         p = driverless_problem(c)
         states = solve_setup(p, m=10_000, n=50)
-        adj = solve_adjoint_lsmc(states, RegressionBasis())
+        adj = solve_adjoint_lsmc(states)
         assert np.max(np.abs(adj.y_values - c)) <= 1e-5
         assert np.max(np.abs(adj.z_values)) <= 1e-2
         res = adjoint_residual(adj)
@@ -234,8 +246,8 @@ class TestSolveAdjointLsmc:
     def test_deterministic(self, lq_bench):
         p = lq_bench.problem
         states = solve_setup(p, m=500, n=10)
-        a = solve_adjoint_lsmc(states, RegressionBasis())
-        b = solve_adjoint_lsmc(states, RegressionBasis())
+        a = solve_adjoint_lsmc(states)
+        b = solve_adjoint_lsmc(states)
         assert np.array_equal(a.y_values, b.y_values)
         assert np.array_equal(a.z_values, b.z_values)
 
@@ -263,7 +275,7 @@ class TestSolveAdjointLsmc:
             values[k + 1, :, 0] = x
         ctrl = ControlEnsemble(by_step=idx)
         states = StateEnsemble(values, p, noise, ctrl)
-        adj = solve_adjoint_lsmc(states, RegressionBasis())
+        adj = solve_adjoint_lsmc(states)
         y0_mean = float(adj.y_values[0, :, 0].mean())
         y0_se = float(adj.y_values[0, :, 0].std(ddof=1) / math.sqrt(m))
         oracle = lq_adjoint_y0(lq, horizon=1.0, action=0.0, feedback=gain)
@@ -319,7 +331,7 @@ class TestLinearRepresentation:
         for bench in suite_benches:
             p = bench.problem
             states = solve_setup(p, m=4000, n=50, rng_actions=False)
-            adj = solve_adjoint_lsmc(states, RegressionBasis())
+            adj = solve_adjoint_lsmc(states)
             y0_lin, se_lin = solve_adjoint_linear_y0(states)
             y = adj.y_values[0, :, 0]
             y0_lsmc = float(y.mean())
@@ -332,7 +344,7 @@ class TestAdjointResidual:
     def test_lq_baseline(self, lq_bench):
         p = lq_bench.problem
         states = solve_setup(p, m=10_000, n=50, rng_actions=False)
-        adj = solve_adjoint_lsmc(states, RegressionBasis())
+        adj = solve_adjoint_lsmc(states)
         res = adjoint_residual(adj)
         # recorded healthy-solver level for this scale
         assert res <= 1e-5
@@ -342,6 +354,6 @@ class TestAdjointResidual:
         res = {}
         for n in (50, 100):
             states = solve_setup(p, m=10_000, n=n, rng_actions=False)
-            adj = solve_adjoint_lsmc(states, RegressionBasis())
+            adj = solve_adjoint_lsmc(states)
             res[n] = adjoint_residual(adj)
         assert res[100] <= 1.10 * res[50]

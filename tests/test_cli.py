@@ -68,7 +68,6 @@ class TestLoadConfig:
                 "control_mode": "deterministic",
                 "classical": "true",
             },
-            bsde={"degree": 3},
             output={"directory": "elsewhere"},
             rate={"oracle": "brute_force"},
         )
@@ -88,13 +87,13 @@ class TestLoadConfig:
         assert cfg.msa.max_iterations == 11
         assert cfg.msa.control_mode == "deterministic"
         assert cfg.msa.classical is True
-        assert cfg.msa.basis.degree == 3
         assert cfg.output_directory == "elsewhere"
         assert cfg.rate_oracle == "brute_force"
-        # and nothing else is kept
+        # and nothing else is kept, and every solver setting has its key
         assert [f.name for f in dataclasses.fields(cfg)] == [
             "msa", "problem_name", "output_directory", "rate_oracle"
         ]
+        assert [f.name for f in dataclasses.fields(cfg.msa)] == list(cli._SCHEMA["msa"])
 
     def test_shipped_configs_load(self):
         paths = sorted(CONFIG_DIR.glob("*.ini"))
@@ -133,7 +132,8 @@ class TestLoadConfig:
         # case pins the message, not just the key's name
         for section, key, value, message in (
             ("msa", "rho_growth", 2.0, r"^unknown config key msa\.rho_growth$"),
-            ("bsde", "ridge", 1e-6, r"^unknown config key bsde\.ridge$"),
+            ("bsde", "ridge", 1e-6, r"^unknown config section \[bsde\]$"),
+            ("bsde", "degree", 2, r"^unknown config section \[bsde\]$"),
             ("validate", "n_samples", 50, r"^unknown config section \[validate\]$"),
             ("rate", "n_min", 4, r"^unknown config key rate\.n_min$"),
             ("rate", "n_max", 40, r"^unknown config key rate\.n_max$"),
@@ -266,7 +266,7 @@ class TestRun:
             ("run", {}, ["--seed", "-5"], "--seed"),
             ("validate", {"validate": {"n_samples": 50}}, [], "unknown config section [validate]"),
             ("rate", {"rate": {"n_max": 40}}, [], "unknown config key rate.n_max"),
-            ("run", {"msa": {"n_paths": 200, "n_steps": 5}, "bsde": {"degree": 30}}, [], "degree"),
+            ("run", {"msa": {"n_paths": 20, "n_steps": 5}}, [], "3 functions for 20 paths"),
             ("run", {"msa": {"n_paths": 100_000_000}}, [], "noise bank"),
             ("run", {"msa": {"rho_initial": 4.0, "rho_max": 2.0}}, [], "'rho_initial 4.0 exceeds rho_max 2.0'"),
         ],
@@ -604,6 +604,14 @@ class TestRate:
         assert code == 1
         assert "no Riccati oracle" in status
 
+    def test_refused_oracle_leaves_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        config = str(CONFIG_DIR / "msa_stress_failure.ini")
+        assert main(["rate", "--config", config, "--out", str(out)]) == 1
+        status, _ = status_line(capsys)
+        assert "problem msa_stress has no Riccati oracle" in status
+        assert not out.exists()
+
     def test_stiff_ode_oracle_gets_its_value(self, tmp_path, capsys, monkeypatch):
         # a stiff spec that overflowed fixed-step RK4 at 4000 steps; its
         # exact value is sqrt(q r) / gain = 1/300, as tanh(300) = 1
@@ -689,6 +697,7 @@ class TestRate:
         status, _ = status_line(capsys)
         assert code == 1
         assert "brute force" in status
+        assert not (tmp_path / "r").exists()
 
     def test_brute_force_oracle_on_small_instance(self, tmp_path, capsys):
         cfg = write_config(

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from msacontrol import get_benchmark
 from msacontrol.bsde import (
     AdjointEnsemble,
-    RegressionBasis,
     adjoint_residual,
     solve_adjoint_linear_y0,
     solve_adjoint_lsmc,
@@ -142,7 +141,7 @@ class TestControlEnsemble:
         p = get_benchmark("lq_drift_small").problem
         noise = make_noise(TimeGrid(n_steps=4, horizon=p.horizon), 100, 1, seed=3)
         good = constant_control(p, 100, 4)
-        adjoint = solve_adjoint_lsmc(simulate_forward(p, noise, good), RegressionBasis())
+        adjoint = solve_adjoint_lsmc(simulate_forward(p, noise, good))
         bad = ControlEnsemble(by_step=idx)
 
         def mismatched(q=p):
@@ -152,7 +151,7 @@ class TestControlEnsemble:
         calls = {
             "simulate_forward": lambda: simulate_forward(p, noise, bad),
             "cost_per_path": lambda: cost_per_path(mismatched().states),
-            "solve_adjoint_lsmc": lambda: solve_adjoint_lsmc(mismatched().states, RegressionBasis()),
+            "solve_adjoint_lsmc": lambda: solve_adjoint_lsmc(mismatched().states),
             "solve_adjoint_linear_y0": lambda: solve_adjoint_linear_y0(mismatched().states),
             "adjoint_residual": lambda: adjoint_residual(mismatched()),
             "compute_mu_new": lambda: compute_mu(adjoint, bad),
@@ -184,7 +183,7 @@ class TestOneRowControl:
             new = ControlEnsemble(by_step=np.broadcast_to(new_row.T, (n, rows)))
             assert prev.by_step.shape == (n, rows)
             states = simulate_forward(p, noise, prev)
-            adjoint = solve_adjoint_lsmc(states, RegressionBasis())
+            adjoint = solve_adjoint_lsmc(states)
             results.append(
                 (
                     states.values,
@@ -225,7 +224,7 @@ class TestCompactIndices:
         assert p.action_space.n_actions == 21
         noise = make_noise(TimeGrid(n_steps=n, horizon=p.horizon), m, p.noise_dim, seed=3)
         start = constant_control(p, m, n)
-        adjoint = solve_adjoint_lsmc(simulate_forward(p, noise, start), RegressionBasis())
+        adjoint = solve_adjoint_lsmc(simulate_forward(p, noise, start))
         solved, _ = run_msa(p, MsaConfig(n_paths=m, n_steps=n))
         for ctrl in (start, update_control(adjoint, 1.0), solved):
             assert ctrl.by_step.dtype == np.uint8
@@ -250,7 +249,7 @@ class TestCompactIndices:
         news = []
         for idx in (wide, wide.astype(np.uint8)):
             states = simulate_forward(p, noise, ControlEnsemble(idx))
-            news.append(update_control(solve_adjoint_lsmc(states, RegressionBasis()), 1.0))
+            news.append(update_control(solve_adjoint_lsmc(states), 1.0))
         assert [new.by_step.dtype for new in news] == [np.uint8, np.uint8]
         assert np.array_equal(news[0].by_step, news[1].by_step)
 
@@ -303,7 +302,7 @@ class TestUpdateControl:
         if mode == "per_path":
             n_act = p.action_space.n_actions
             prev = ControlEnsemble(np.random.default_rng(3).integers(n_act, size=(n, m), dtype=np.uint8))
-        adjoint = solve_adjoint_lsmc(simulate_forward(p, noise, prev), RegressionBasis())
+        adjoint = solve_adjoint_lsmc(simulate_forward(p, noise, prev))
         s, y, z = adjoint.states, adjoint.y_values, adjoint.z_values
 
         def one_step():
@@ -405,7 +404,7 @@ class TestSeparableUpdate:
         noise = make_noise(grid, m, p.noise_dim, seed=7)
         rough = ControlEnsemble(by_step=rng.integers(0, n_act, size=(m, n)).T)
         states = simulate_forward(p, noise, rough)
-        adjoint = solve_adjoint_lsmc(states, MsaConfig().basis)
+        adjoint = solve_adjoint_lsmc(states)
         steps = rng.integers(0, n_act, size=n)
         # the rough control, and the same values paired with one column: deterministic
         for prev in (rough, ControlEnsemble(by_step=steps[:, None])):
@@ -430,7 +429,7 @@ class TestSeparableUpdate:
         rng = np.random.default_rng(29)
         noise = make_noise(TimeGrid(n_steps=n, horizon=p.horizon), m, p.noise_dim, seed=29)
         rough = ControlEnsemble(rng.integers(n_act, size=(n, m), dtype=np.uint8))
-        adjoint = solve_adjoint_lsmc(simulate_forward(p, noise, rough), MsaConfig().basis)
+        adjoint = solve_adjoint_lsmc(simulate_forward(p, noise, rough))
         shared = ControlEnsemble(rng.integers(n_act, size=(n, 1), dtype=np.uint8))
         for prev in (rough, shared):
             a = paired(adjoint, p, prev)
@@ -447,7 +446,7 @@ class TestSeparableUpdate:
         rng = np.random.default_rng(5)
         noise = make_noise(TimeGrid(n_steps=n, horizon=p.horizon), m, p.noise_dim, seed=5)
         prev = ControlEnsemble(rng.integers(p.action_space.n_actions, size=(n, m), dtype=np.uint8))
-        adjoint = solve_adjoint_lsmc(simulate_forward(p, noise, prev), MsaConfig().basis)
+        adjoint = solve_adjoint_lsmc(simulate_forward(p, noise, prev))
         with pytest.raises(ValueError, match="rho"):
             update_control(adjoint, 1e308)
 
@@ -580,7 +579,7 @@ class TestRunMsa:
         # along the initial iterate and the solved one, the update at every
         # step is the tie rule on the augmented Hamiltonian table
         for prev in (constant_control(p, m, n), control):
-            adjoint = solve_adjoint_lsmc(simulate_forward(p, cfg.bank(p), prev), cfg.basis)
+            adjoint = solve_adjoint_lsmc(simulate_forward(p, cfg.bank(p), prev))
             new, states = update_control(adjoint, 1.0), adjoint.states
             for k in range(n):
                 x, y, z = states.values[k], adjoint.y_values[k], adjoint.z_values[k]

@@ -11,7 +11,7 @@ import numpy as np
 
 from msacontrol import ActionSpace, StructuredProblem
 from msacontrol.bsde import solve_adjoint_linear_y0, solve_adjoint_lsmc
-from msacontrol.msa import MsaConfig, update_control
+from msacontrol.msa import update_control
 from msacontrol.problem import check_derivatives
 from msacontrol.sde import ControlEnsemble, TimeGrid, make_noise, simulate_forward
 
@@ -74,7 +74,7 @@ def test_separable_update_matches_generic():
     noise = make_noise(grid, m, planar.noise_dim, seed=11)
     rough = ControlEnsemble(by_step=rng.integers(0, n_act, size=(m, n)).T)
     states = simulate_forward(planar, noise, rough)
-    adjoint = solve_adjoint_lsmc(states, MsaConfig().basis)
+    adjoint = solve_adjoint_lsmc(states)
     steps = rng.integers(0, n_act, size=n)
     # the rough control, and the same values paired with one column: deterministic
     for prev in (rough, ControlEnsemble(by_step=steps[:, None])):
@@ -87,7 +87,7 @@ def test_separable_update_matches_generic():
 def test_linear_representation_matches_lsmc_per_component():
     planar = planar_problem()
     states = solve_setup(planar, m=4000, n=20, rng_actions=False)
-    adj = solve_adjoint_lsmc(states, MsaConfig().basis)
+    adj = solve_adjoint_lsmc(states)
     y0_lin, se_lin = solve_adjoint_linear_y0(states)
     y = adj.y_values[0]
     for i in range(planar.state_dim):
