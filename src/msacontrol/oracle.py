@@ -2,17 +2,16 @@
 
 Every suite problem is one constant-coefficient scalar ``LqSpec``; the
 solver's problem (``scalar_quadratic_problem``) and its oracle read the
-same spec.  Independent of the MSA iteration and the LSMC adjoint: one
-value ODE (riccati_lq) for control in the drift, the diffusion or both, which
-a benchmark's ``lq`` spec turns into its ``continuous_optimum``, and,
-for small instances, exhaustive enumeration of the deterministic action
-sequences of the discretised problem, each priced with the solver's own
-simulation and cost kernels.
+same spec.  Independent of the MSA iteration and the LSMC adjoint: the
+exact optimum of a spec's Euler scheme on a time grid (riccati_lq, a
+backward Riccati recursion) for control in the drift, the diffusion or
+both, and, for small instances, exhaustive enumeration of the
+deterministic action sequences of the discretised problem, each priced
+with the solver's own simulation and cost kernels.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import KW_ONLY, dataclass
 from typing import Callable
@@ -34,27 +33,6 @@ from .sde import (
     mean_and_se,
     simulate_forward,
 )
-
-
-def _rk4(rhs, t0: float, u0, h: float, n_steps: int) -> np.ndarray:
-    """Classical RK4 from (t0, u0) in n_steps steps of signed size h.
-
-    A negative h integrates backward in time.  Returns the state at
-    t0 + n_steps h; a non-finite state on the way raises EvaluationError,
-    with numpy's overflow warnings silenced so that error is the report.
-    """
-    u = np.asarray(u0, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            t = t0 + h * i
-            k1 = rhs(t, u)
-            k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, u + 0.5 * h * k2)
-            k4 = rhs(t + h, u + h * k3)
-            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(u)):
-                raise EvaluationError(f"RK4 integration blew up near t={t + h}")
-    return u
 
 
 @dataclass(frozen=True)
@@ -153,66 +131,53 @@ class LqSpec:
             raise ProblemDefinitionError("q, q_t and nu must be nonnegative")
 
 
-_RICCATI_REFINE = 10  # RK4 steps per solver step
-_RK4_STABILITY = 2.78  # RK4 is stable for h lambda in [-2.785, 0]
-_RICCATI_BUDGET = 1_000_000  # RK4 steps
-_ORACLE_STEPS = 400  # continuous_optimum's grid and riccati_lq's coarsest: 4000 RK4 steps
 _BRUTE_FORCE_BUDGET = 1_000_000  # action sequences
 _BRUTE_FORCE_ROWS = 50_000  # (sequence, path) rows simulated at once
 
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Backward value-ODE solve: J* = P(0) x0^2 + 2 S(0) x0 + c(0)."""
+    """The Euler scheme's optimal cost: J* = P_0 x0^2 + 2 S_0 x0 + c_0."""
 
     optimal_value: float
 
 
 def riccati_lq(spec: LqSpec, grid: TimeGrid) -> RiccatiSolution:
-    """Solve the scalar value ODE backward with classical RK4.
+    """Exact optimum of spec's Euler scheme on grid, by the backward Riccati recursion.
 
-    The value is V = P x^2 + 2 S x + c.  With D = sigma_gain^2 P + r
-    and k = gain S + nu sigma_gain P,
-    P' = -2 beta P + (gain^2 / D) P^2 - q,         P(T) = q_t
-    S' = -beta S + gain P k / D,                    S(T) = 0
-    c' = -(nu^2 P - k^2 / D),                       c(T) = 0
-    and the minimising action a* = -(gain P x + k) / D.  Control may
-    enter the drift, the diffusion or both; S stays 0 unless
-    gain sigma_gain nu != 0.  The action is unconstrained here; for a
-    bounded grid the value is a lower bound plus quantisation allowance.
-    Integrates on a grid _RICCATI_REFINE times finer than the solver
-    grid or than _ORACLE_STEPS steps, whichever is finer (a coarse grid
-    alone errs: 7% low on msa_stress at N=5), and finer still where the
-    ODE is stiff: h (2 |beta| + 2 gain^2 P_bar / r) stays within RK4's
-    stability limit, P_bar bounding P.  P is monotone, as an autonomous
-    scalar ODE's solution, and P' D = -(a P^2 + b P + q r):
-    with a < 0 it stays between q_t and the positive root, and otherwise
-    below (q_t + q T) e^{2 max(beta, 0) T}.
+    The scheme is the solver's: x' = A x + gain h a + (nu + sigma_gain a)
+    sqrt(h) xi with A = 1 + beta h, E xi = 0, E xi^2 = 1, stage cost
+    (q x^2 + r a^2) h and terminal cost q_t x^2.  The value
+    V_k = P x^2 + 2 S x + c is quadratic at every step (discrete-time LQ
+    with multiplicative noise; Bertsekas, Dynamic Programming and Optimal
+    Control, vol. 1, ch. 4), so the Bellman minimum over a is closed
+    form: with D = r h + P gain^2 h^2 + P sigma_gain^2 h,
+    L1 = P A gain h and L0 = (P nu sigma_gain + S gain) h, the minimiser
+    is a = -(L1 x + L0) / D and one step back maps (P, S, c) to
+    (q h + P A^2 - L1^2 / D, S A - L1 L0 / D, c + P nu^2 h - L0^2 / D)
+    from (q_t, 0, 0).  D >= r h > 0, so there is no step size to pick and
+    nothing to go stiff.  The action is unconstrained, so on a bounded
+    action grid the value is a lower bound on the scheme's optimum.  A
+    non-finite value raises EvaluationError.
     """
     spec.validate()
-    beta, g, nu, s, q, r = spec.beta, spec.control_gain, spec.nu, spec.sigma_gain, spec.q, spec.r
-    horizon, a, b = grid.horizon, 2.0 * beta * s * s - g * g, 2.0 * beta * r + q * s * s
-    if a < 0:
-        p_bar = max(spec.q_t, (b + np.sqrt(b * b - 4.0 * a * q * r)) / (-2.0 * a))
-    else:
-        p_bar = (spec.q_t + q * horizon) * np.exp(2.0 * max(beta, 0.0) * horizon)
-    n_stable = horizon * (2.0 * abs(beta) + 2.0 * g * g * p_bar / r) / _RK4_STABILITY
-    if not n_stable <= _RICCATI_BUDGET:
-        raise EvaluationError(f"value ODE too stiff for RK4: {n_stable:.3g} steps needed")
-
-    def rhs(t, u):
-        p_val, s_val, c_val = u
-        d = p_val * s * s + r
-        k = g * s_val + p_val * nu * s
-        dp = -2.0 * beta * p_val + g * g * p_val * p_val / d - q
-        ds = -beta * s_val + g * p_val * k / d
-        dc = -(nu * nu * p_val - k * k / d)
-        return np.array([dp, ds, dc])
-
-    n_fine = max(max(grid.n_steps, _ORACLE_STEPS) * _RICCATI_REFINE, int(np.ceil(n_stable)))
-    p0, s0, c0 = _rk4(rhs, horizon, (spec.q_t, 0.0, 0.0), -horizon / n_fine, n_fine)
-    x0 = spec.x0
-    return RiccatiSolution(optimal_value=float(p0) * x0 * x0 + 2.0 * float(s0) * x0 + float(c0))
+    h = grid.dt
+    a_h = 1.0 + spec.beta * h
+    g, nu, s = spec.control_gain, spec.nu, spec.sigma_gain
+    p, s_lin, c = spec.q_t, 0.0, 0.0
+    for _ in range(grid.n_steps):
+        d = spec.r * h + p * g * g * h * h + p * s * s * h
+        l1 = p * a_h * g * h
+        l0 = (p * nu * s + s_lin * g) * h
+        p, s_lin, c = (
+            spec.q * h + p * a_h * a_h - l1 * l1 / d,
+            s_lin * a_h - l1 * l0 / d,
+            c + p * nu * nu * h - l0 * l0 / d,
+        )
+    value = p * spec.x0 * spec.x0 + 2.0 * s_lin * spec.x0 + c
+    if not np.isfinite(value):
+        raise EvaluationError(f"the Riccati recursion's value is {value} on {grid.n_steps} steps")
+    return RiccatiSolution(optimal_value=value)
 
 
 @dataclass(frozen=True)
@@ -268,17 +233,13 @@ def brute_force_optimal(p: ControlProblem, noise: NoiseBank) -> BruteForceResult
 
 @dataclass(frozen=True)
 class Benchmark:
-    """A named problem plus, when lq is given, its value-ODE oracle.
+    """A named problem plus, when lq is given, the spec of its LQ oracle.
 
     lq is the LqSpec the problem was built from, checked when the
     benchmark is built (an invalid one raises ProblemDefinitionError).
-    With it, continuous_optimum is the optimal cost of the
-    continuous-time, unconstrained-action problem on the problem's
-    horizon (riccati_lq on _ORACLE_STEPS steps); the solver's
-    grid-restricted value sits above it by discretisation bias.  msactl
-    bench holds the problem to a band about it and rate.oracle = riccati
-    fits against it.  It is integrated on its first read and kept, so
-    building a benchmark or dataclasses.replace-ing one integrates nothing.
+    msactl bench and rate.oracle = riccati price it with riccati_lq on the
+    run's own time grid: the exact optimum of the Euler scheme the solver
+    runs, with the action unconstrained.
     """
 
     name: str
@@ -289,13 +250,6 @@ class Benchmark:
     def __post_init__(self) -> None:
         if self.lq is not None:
             self.lq.validate()
-
-    @functools.cached_property
-    def continuous_optimum(self) -> float | None:
-        """The value-ODE optimum, integrated on first read; None without lq."""
-        if self.lq is None:
-            return None
-        return riccati_lq(self.lq, TimeGrid(_ORACLE_STEPS, self.problem.horizon)).optimal_value
 
 
 def scalar_quadratic_problem(
@@ -390,7 +344,7 @@ _SMALL_GRID = np.linspace(-1.0, 1.0, 3)
 
 
 def _suite_benchmark(name: str, spec: LqSpec, points: np.ndarray) -> Benchmark:
-    """A suite problem held to its value-ODE optimum."""
+    """A suite problem held to its Euler scheme's LQ optimum."""
     return Benchmark(name, scalar_quadratic_problem(name, spec, _HORIZON, points), lq=spec)
 
 

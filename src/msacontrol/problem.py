@@ -32,7 +32,7 @@ class ProblemDefinitionError(ValueError):
 
 
 class EvaluationError(RuntimeError):
-    """Raised when a coefficient function or an ODE oracle produces non-finite values."""
+    """Raised when a coefficient function or the LQ oracle produces non-finite values."""
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:

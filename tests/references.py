@@ -1,8 +1,10 @@
 """Independent references the tests compare the library against.
 
 Closed-form linear-quadratic values and Riccati curves coded apart from
-the problem and oracle modules, the exact Bellman recursion of the
-Euler-discretised scalar LQ problem,
+the problem and oracle modules, the continuous-time LQ value and the LQ
+adjoint by classical RK4, the exact Bellman recursion of the
+Euler-discretised scalar LQ problem with its optimal feedback, the exact
+expected cost of a linear feedback on that scheme by its first two moments,
 the exact checker of the recursive bound b_{k+1} <= b_k - q b_k^2, the
 control update's tie rule in its direct column-wise form, its action-terms
 table with the penalty gathered per action, and a sampled
@@ -15,8 +17,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from msacontrol.oracle import LqSpec, _rk4
+from msacontrol.oracle import LqSpec
 from msacontrol.problem import augmented_hamiltonian
+
+
+def _rk4(rhs, t0: float, u0, h: float, n_steps: int) -> np.ndarray:
+    """Classical RK4 from (t0, u0) in n_steps steps of signed size h (h < 0 runs backward)."""
+    u = np.asarray(u0, dtype=float)
+    for i in range(n_steps):
+        t = t0 + h * i
+        k1 = rhs(t, u)
+        k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, u + 0.5 * h * k2)
+        k4 = rhs(t + h, u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return u
+
+
+def continuous_lq_value(spec: LqSpec, horizon: float, n_steps: int = 4000) -> float:
+    """Optimal cost of the continuous-time problem, unconstrained action.
+
+    The value is V = P x^2 + 2 S x + c.  With D = sigma_gain^2 P + r and
+    k = gain S + nu sigma_gain P,
+    P' = -2 beta P + (gain^2 / D) P^2 - q,         P(T) = q_t
+    S' = -beta S + gain P k / D,                    S(T) = 0
+    c' = -(nu^2 P - k^2 / D),                       c(T) = 0
+    integrated backward by RK4 in n_steps steps; the Euler scheme's
+    optimum tends to it as its step shrinks.  Not for stiff specs: the
+    step is fixed.
+    """
+    beta, g, nu, s, q, r = spec.beta, spec.control_gain, spec.nu, spec.sigma_gain, spec.q, spec.r
+
+    def rhs(t, u):
+        p_val, s_val, c_val = u
+        d = p_val * s * s + r
+        k = g * s_val + p_val * nu * s
+        dp = -2.0 * beta * p_val + g * g * p_val * p_val / d - q
+        ds = -beta * s_val + g * p_val * k / d
+        dc = -(nu * nu * p_val - k * k / d)
+        return np.array([dp, ds, dc])
+
+    p0, s0, c0 = _rk4(rhs, horizon, (spec.q_t, 0.0, 0.0), -horizon / n_steps, n_steps)
+    return float(p0) * spec.x0 * spec.x0 + 2.0 * float(s0) * spec.x0 + float(c0)
 
 
 def lq_hamiltonian_reference(spec: LqSpec, t, x, y, z, a):
@@ -115,8 +157,8 @@ def diffusion_lq_reference(spec: LqSpec, horizon: float, n_intervals: int = 20_0
     return float(p[0]) * spec.x0 * spec.x0 + c0
 
 
-def euler_lq_value(spec: LqSpec, horizon: float, n_steps: int) -> float:
-    """Optimal cost of the Euler scheme of spec's problem, unconstrained action.
+def euler_lq_recursion(spec: LqSpec, horizon: float, n_steps: int):
+    """Optimal cost and feedback of the Euler scheme of spec's problem, unconstrained action.
 
     x' = (1 + beta h) x + gain h a + (nu + sigma_gain a) sqrt(h) xi with
     E xi = 0, E xi^2 = 1, and stage cost (q x^2 + r a^2) h.  The value
@@ -125,22 +167,56 @@ def euler_lq_value(spec: LqSpec, horizon: float, n_steps: int) -> float:
     D = r h + P gain^2 h^2 + P sigma_gain^2 h, L1 = P A gain h and
     L0 = (P nu sigma_gain + S gain) h, the step maps (P, S, c) to
     (q h + P A^2 - L1^2 / D, S A - L1 L0 / D, c + P nu^2 h - L0^2 / D)
-    from (q_t, 0, 0).  It differs from the continuous value by O(h).
+    from (q_t, 0, 0), and its minimiser is a = -(L1 x + L0) / D.
+    Returns (value, gains, offsets), the optimal action at step k being
+    gains[k] x + offsets[k].  It differs from the continuous value by O(h).
     """
     h = horizon / n_steps
     a_h = 1.0 + spec.beta * h
     g, nu, s = spec.control_gain, spec.nu, spec.sigma_gain
     p, s_lin, c = spec.q_t, 0.0, 0.0
-    for _ in range(n_steps):
+    gains, offsets = np.empty(n_steps), np.empty(n_steps)
+    for k in reversed(range(n_steps)):
         d = spec.r * h + p * g * g * h * h + p * s * s * h
         l1 = p * a_h * g * h
         l0 = (p * nu * s + s_lin * g) * h
+        gains[k], offsets[k] = -l1 / d, -l0 / d
         p, s_lin, c = (
             spec.q * h + p * a_h * a_h - l1 * l1 / d,
             s_lin * a_h - l1 * l0 / d,
             c + p * nu * nu * h - l0 * l0 / d,
         )
-    return p * spec.x0 * spec.x0 + 2.0 * s_lin * spec.x0 + c
+    return p * spec.x0 * spec.x0 + 2.0 * s_lin * spec.x0 + c, gains, offsets
+
+
+def euler_lq_value(spec: LqSpec, horizon: float, n_steps: int) -> float:
+    """The Euler scheme's optimal cost, from euler_lq_recursion."""
+    return euler_lq_recursion(spec, horizon, n_steps)[0]
+
+
+def linear_feedback_cost(spec: LqSpec, h: float, gains, offsets, mean: float, second: float):
+    """Exact expected cost of a = gains[j] x + offsets[j] on the Euler scheme.
+
+    Starts from E x = mean and E x^2 = second and runs len(gains) steps of
+    size h, carrying the first two moments exactly: with a = G x + F,
+    x' = (A + gain h G) x + gain h F + (nu + sigma_gain F + sigma_gain G x)
+    sqrt(h) xi, and the stage cost is (q E x^2 + r E a^2) h.  Returns the
+    cost and the (E x, E x^2) at the start of every step.
+    """
+    a_h = 1.0 + spec.beta * h
+    g, nu, s = spec.control_gain, spec.nu, spec.sigma_gain
+    cost, moments = 0.0, []
+    for gk, fk in zip(gains, offsets):
+        moments.append((mean, second))
+        cost += (spec.q * second + spec.r * (gk * gk * second + 2.0 * gk * fk * mean + fk * fk)) * h
+        alpha, shift = a_h + g * h * gk, g * h * fk
+        noise, noise_x = nu + s * fk, s * gk
+        mean, second = (
+            alpha * mean + shift,
+            alpha * alpha * second + 2.0 * alpha * shift * mean + shift * shift
+            + h * (noise_x * noise_x * second + 2.0 * noise * noise_x * mean + noise * noise),
+        )
+    return cost + spec.q_t * second, moments
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from msacontrol.bsde import (
 from msacontrol.cli import main
 from msacontrol.diagnostics import rate_fit, upward_jumps
 from msacontrol.msa import IterationTrace, MsaConfig, TraceRow
-from msacontrol.oracle import driverless_problem
-from msacontrol.sde import simulate_forward
+from msacontrol.oracle import driverless_problem, riccati_lq
+from msacontrol.sde import TimeGrid, simulate_forward
 
 from conftest import combined_se
 from references import check_recursive_bound, pontryagin_gaps
@@ -67,18 +67,16 @@ def test_criterion_02_mu_nonpositive_and_converges(suite_runs):
 
 
 def test_criterion_03_lq_cost_in_riccati_band(lq_bench, lq_run, lq_run_n200):
-    j_star = lq_bench.continuous_optimum
+    # each run is held to the optimum of the Euler scheme it solves
     ok = lq_bench.problem.action_space.n_actions == 21
-    details = [f"j*={j_star:.6f}"]
-    for label, (_, tr), dt_frac in (
-        ("N=50", lq_run, 0.05),
-        ("N=200", lq_run_n200, 0.025),
-    ):
+    details = []
+    for n_steps, (_, tr), dt_frac in ((50, lq_run, 0.05), (200, lq_run_n200, 0.025)):
+        j_star = riccati_lq(lq_bench.lq, TimeGrid(n_steps, lq_bench.problem.horizon)).optimal_value
         j_fin, se_fin, _ = tr.final
         band = max(0.02 * abs(j_star), 3.0 * se_fin + dt_frac * abs(j_star))
         gap = abs(j_fin - j_star)
         ok = ok and gap <= band
-        details.append(f"{label} gap={gap:.4f} band={band:.4f}")
+        details.append(f"N={n_steps} j*={j_star:.6f} gap={gap:.4f} band={band:.4f}")
     emit("03", ok, "; ".join(details))
 
 
@@ -96,7 +94,8 @@ def test_criterion_04_small_instances_reach_brute_force_optimum(small_results):
 def test_criterion_05_rate_fit_passes_and_log_control_fails(lq_bench, lq_run):
     _, tr = lq_run
     last = max(row.n for row in tr.accepted_rows)
-    rep = rate_fit(tr, lq_bench.continuous_optimum, 1, min(last, 100))
+    j_star = riccati_lq(lq_bench.lq, TimeGrid(50, lq_bench.problem.horizon)).optimal_value
+    rep = rate_fit(tr, j_star, 1, min(last, 100))
     rows = [TraceRow(n, 1.0 / math.log(n + 1.0), 0.0, 0.0, 0.0, 0.0, 0, True) for n in range(1, 101)]
     synthetic = IterationTrace(rows, initial_cost=2.0, initial_cost_se=0.0)
     bad = rate_fit(synthetic, 0.0, 10, 100)

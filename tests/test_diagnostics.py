@@ -16,6 +16,8 @@ from msacontrol.diagnostics import (
     upward_jumps,
 )
 from msacontrol.msa import IterationTrace, TraceRow
+from msacontrol.oracle import riccati_lq
+from msacontrol.sde import TimeGrid
 
 from conftest import csv_rows
 from references import check_recursive_bound
@@ -118,7 +120,8 @@ class TestRateFit:
     def test_solver_trace_passes(self, lq_bench, lq_run):
         _, trace = lq_run
         last = max(row.n for row in trace.accepted_rows)
-        rep = rate_fit(trace, lq_bench.continuous_optimum, 1, last)
+        j_star = riccati_lq(lq_bench.lq, TimeGrid(50, lq_bench.problem.horizon)).optimal_value
+        rep = rate_fit(trace, j_star, 1, last)
         assert rep.passed, rep.status
 
 

@@ -1,4 +1,4 @@
-"""Ground-truth oracles: Riccati, adjoint ODE, enumeration, benchmarks."""
+"""Ground-truth oracles: the Euler LQ recursion, adjoint ODE, enumeration, benchmarks."""
 
 import dataclasses
 import math
@@ -26,17 +26,47 @@ from msacontrol.sde import (
     simulate_forward,
 )
 
-from references import diffusion_lq_reference, euler_lq_value, lq_adjoint_y0, unit_gain_lq_value
+from references import (
+    continuous_lq_value,
+    diffusion_lq_reference,
+    euler_lq_recursion,
+    euler_lq_value,
+    linear_feedback_cost,
+    lq_adjoint_y0,
+    unit_gain_lq_value,
+)
 
+# the continuous-time optima, from the tests' own RK4 on 4000 steps
 LQ_DRIFT_OPTIMUM = 1.1188145592568133
 CTRL_DIFFUSION_OPTIMUM = 1.955913960085863
+# the Euler scheme's optima at the solver's default N = 50
+LQ_DRIFT_EULER_50 = 1.1274341901096405
+CTRL_DIFFUSION_EULER_50 = 1.9460259157393516
+
+STIFF = LqSpec(control_gain=30.0, r=0.01, q_t=1.0)
+BOTH = LqSpec(0.2, 1.0, 0.4, 0.5, 1.0, 0.3, 0.5, 1.0)  # control in the drift and the diffusion
+SUITE_SPECS = {
+    "lq_drift": oracle_mod._LQ_DRIFT,
+    "ctrl_diffusion": oracle_mod._CTRL_DIFFUSION,
+    "msa_stress": oracle_mod._MSA_STRESS,
+}
+
+
+def euler_value(spec, n_steps, horizon=1.0):
+    return riccati_lq(spec, TimeGrid(n_steps=n_steps, horizon=horizon)).optimal_value
+
+
+def richardson(spec, n_steps, horizon=1.0):
+    """2 V(2N) - V(N): the Euler value is first order in h, so this cancels that term."""
+    return 2.0 * euler_value(spec, 2 * n_steps, horizon) - euler_value(spec, n_steps, horizon)
 
 
 class TestRiccati:
     def test_tanh_case(self):
+        # the continuous value is tanh(1); V_euler tends to it
         spec = LqSpec(beta=0.0, control_gain=1.0, nu=0.0, q=1.0, r=1.0, q_t=0.0, x0=1.0)
-        sol = riccati_lq(spec, TimeGrid(n_steps=50, horizon=1.0))
-        assert abs(sol.optimal_value - math.tanh(1.0)) <= 2e-12
+        assert abs(richardson(spec, 10_000) - math.tanh(1.0)) <= 1e-10
+        assert abs(continuous_lq_value(spec, 1.0) - math.tanh(1.0)) <= 2e-12
 
     def test_no_state_cost_means_zero_value(self):
         spec = LqSpec(beta=0.4, nu=0.3, q=0.0, r=1.0, q_t=0.0, x0=2.0)
@@ -45,10 +75,72 @@ class TestRiccati:
 
     def test_matches_closed_form_on_drift_benchmark(self, lq_bench):
         want = unit_gain_lq_value(lq_bench.lq, horizon=1.0)
-        sol = riccati_lq(lq_bench.lq, TimeGrid(n_steps=50, horizon=1.0))
-        assert abs(sol.optimal_value - want) <= 1e-9
-        assert abs(lq_bench.continuous_optimum - LQ_DRIFT_OPTIMUM) <= 1e-10
-        assert abs(lq_bench.continuous_optimum - want) <= 1e-14
+        assert abs(richardson(lq_bench.lq, 10_000) - want) <= 1e-10
+        assert abs(euler_value(lq_bench.lq, 50) - LQ_DRIFT_EULER_50) <= 1e-14
+        assert abs(continuous_lq_value(lq_bench.lq, 1.0) - LQ_DRIFT_OPTIMUM) <= 1e-10
+        assert abs(continuous_lq_value(lq_bench.lq, 1.0) - want) <= 1e-14
+
+    @pytest.mark.parametrize("n_steps", [5, 50, 200])
+    @pytest.mark.parametrize("name", list(SUITE_SPECS))
+    def test_is_the_euler_scheme_value(self, name, n_steps):
+        spec = SUITE_SPECS[name]
+        want = euler_lq_value(spec, 1.0, n_steps)
+        assert abs(euler_value(spec, n_steps) - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("name", list(SUITE_SPECS))
+    def test_tends_to_the_continuous_value(self, name):
+        # first order in h, with no step size to choose: the gap shrinks
+        # with N and one Richardson step leaves a second-order remainder
+        spec = SUITE_SPECS[name]
+        want = continuous_lq_value(spec, 1.0)
+        gaps = [abs(euler_value(spec, n) - want) for n in (5, 50, 200, 4000)]
+        assert gaps == sorted(gaps, reverse=True)
+        assert gaps[-1] <= 2e-4
+        assert abs(richardson(spec, 10_000) - want) <= 1e-7  # 3.7e-8 on msa_stress
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            oracle_mod._LQ_DRIFT,
+            oracle_mod._CTRL_DIFFUSION,
+            oracle_mod._MSA_STRESS,
+            STIFF,
+            BOTH,
+        ],
+        ids=["lq_drift", "ctrl_diffusion", "msa_stress", "stiff", "both"],
+    )
+    def test_euler_feedback_prices_to_the_value_and_is_optimal(self, spec):
+        # the reference's feedback a_k = gains[k] x + offsets[k], priced by
+        # its exact first two moments, costs the recursion's value; moving
+        # any one step's gain costs more from that step on, the earlier
+        # steps being unchanged (on the stiff spec E x^2 falls to ~1e-90 by
+        # the last step, so the whole cost could not show a late step's change)
+        n = 20
+        h = 1.0 / n
+        value = euler_value(spec, n)
+        _, gains, offsets = euler_lq_recursion(spec, 1.0, n)
+        cost, moments = linear_feedback_cost(spec, h, gains, offsets, spec.x0, spec.x0 * spec.x0)
+        assert abs(cost - value) <= 1e-12
+        for k in range(n):
+            own, _ = linear_feedback_cost(spec, h, gains[k:], offsets[k:], *moments[k])
+            for step in (-1e-3, 1e-3):
+                moved = gains[k:].copy()
+                moved[0] += step
+                cost_moved, _ = linear_feedback_cost(spec, h, moved, offsets[k:], *moments[k])
+                assert cost_moved > own, (k, step)
+
+    def test_stiff_spec_gets_its_value(self):
+        # P falls from q_t = 1 towards sqrt(q r) / gain = 1/300 within a few
+        # hundredths of the horizon (tanh(300) = 1): there is no step size
+        # to pick, and V_euler tends to 1/300
+        got = euler_value(STIFF, 50)
+        assert abs(got - euler_lq_value(STIFF, 1.0, 50)) <= 1e-14 * got
+        assert abs(got - 0.0205409) <= 1e-7
+        assert abs(richardson(STIFF, 20_000) - 1.0 / 300.0) <= 1e-7
+
+    def test_non_finite_value_raises(self):
+        with pytest.raises(EvaluationError, match="Riccati recursion's value is nan on 5 steps"):
+            riccati_lq(LqSpec(beta=1e200, q_t=1.0), TimeGrid(n_steps=5, horizon=1.0))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -64,34 +156,10 @@ class TestRiccati:
             with pytest.raises(ProblemDefinitionError, match=f"^{field} must be finite"):
                 LqSpec(**{field: value}).validate()
 
-    def test_stiff_spec_gets_its_value(self):
-        # P falls from q_t = 1 to sqrt(q r) / gain within a few hundredths of
-        # the horizon, where 4000 fixed RK4 steps overflowed; tanh(300) = 1
-        spec = LqSpec(control_gain=30.0, r=0.01, q_t=1.0)
-        got = riccati_lq(spec, TimeGrid(n_steps=5, horizon=1.0)).optimal_value
-        assert abs(got - 1.0 / 300.0) <= 1e-12
-
-    def test_coarse_grid_integrates_on_the_oracle_grid(self):
-        # 50 RK4 steps alone put msa_stress's value 7.4% below the 4000-step one
-        spec = oracle_mod._MSA_STRESS
-        coarse = riccati_lq(spec, TimeGrid(n_steps=5, horizon=1.0)).optimal_value
-        fine = riccati_lq(spec, TimeGrid(n_steps=oracle_mod._ORACLE_STEPS, horizon=1.0)).optimal_value
-        assert coarse == fine
-        assert abs(coarse - 0.0611097) <= 1e-7
-
-    def test_refuses_a_spec_too_stiff_for_the_step_budget(self):
-        with pytest.raises(EvaluationError, match="too stiff"):
-            riccati_lq(LqSpec(control_gain=1e3, r=1e-6, q_t=1.0), TimeGrid(n_steps=5, horizon=1.0))
-
-    def test_rk4_reports_a_blow_up(self):
-        # u' = u^2 from u(0) = 1 is 1 / (1 - t), which escapes at t = 1
-        with pytest.raises(EvaluationError, match="blew up near t="):
-            oracle_mod._rk4(lambda t, u: u * u, 0.0, 1.0, 0.01, 200)
-
     @pytest.mark.parametrize(
         "spec, want",
         [
-            (LqSpec(0.2, 1.0, 0.4, 0.5, 1.0, 0.3, 0.5, 1.0), 0.6404017),
+            (BOTH, 0.6404017),
             (LqSpec(0.0, 3.0, 1.0, 0.5, 0.0, 0.1, 1.0, 1.0), 0.0496031),
             (LqSpec(control_gain=1.0, nu=0.0, sigma_gain=0.3), 0.7709641),
         ],
@@ -99,11 +167,9 @@ class TestRiccati:
     )
     def test_control_in_drift_and_diffusion(self, spec, want):
         # V = P x^2 + 2 S x + c, where S moves only if control_gain * sigma_gain * nu != 0
-        got = riccati_lq(spec, TimeGrid(n_steps=400, horizon=1.0)).optimal_value
-        # the Euler scheme's value is first order in h; one Richardson step cancels that term
-        ref = 2.0 * euler_lq_value(spec, 1.0, 20_000) - euler_lq_value(spec, 1.0, 10_000)
-        assert abs(got - ref) <= 1e-8
-        assert abs(got - want) <= 1e-7
+        cont = continuous_lq_value(spec, 1.0)
+        assert abs(richardson(spec, 10_000) - cont) <= 1e-8
+        assert abs(cont - want) <= 1e-7
 
 
 class TestAdjointOdeOracle:
@@ -130,7 +196,8 @@ class TestAdjointOdeOracle:
 class TestDiffusionControlOracle:
     def test_matches_closed_form_reference(self, ctrl_bench):
         want = diffusion_lq_reference(oracle_mod._CTRL_DIFFUSION, horizon=1.0)
-        assert abs(ctrl_bench.continuous_optimum - want) <= 1e-12
+        assert abs(continuous_lq_value(ctrl_bench.lq, 1.0) - want) <= 1e-12
+        assert abs(richardson(ctrl_bench.lq, 10_000) - want) <= 1e-8
 
     def test_control_never_hurts(self):
         spec = oracle_mod._CTRL_DIFFUSION
@@ -140,7 +207,8 @@ class TestDiffusionControlOracle:
         assert with_ctrl <= without + 1e-12
 
     def test_pinned_benchmark_value(self, ctrl_bench):
-        assert abs(ctrl_bench.continuous_optimum - CTRL_DIFFUSION_OPTIMUM) <= 1e-9
+        assert abs(euler_value(ctrl_bench.lq, 50) - CTRL_DIFFUSION_EULER_50) <= 1e-14
+        assert abs(continuous_lq_value(ctrl_bench.lq, 1.0) - CTRL_DIFFUSION_OPTIMUM) <= 1e-9
 
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
@@ -247,10 +315,12 @@ class TestBruteForce:
             brute_force_optimal(small, noise)
 
     def test_small_grid_sits_above_continuous_optimum(self, small_results, lq_bench):
+        # the grid-restricted optimum of the 5-step scheme sits above that
+        # scheme's unconstrained optimum, which sits above the continuous one
         _, _, bf = small_results["lq_drift_small"]
-        j_cont = lq_bench.continuous_optimum
-        allowance = 0.15 * abs(j_cont) + 3.0 * bf.standard_error
-        assert bf.j_star >= j_cont - allowance
+        j_euler = euler_value(lq_bench.lq, 5)
+        assert j_euler >= continuous_lq_value(lq_bench.lq, 1.0)
+        assert bf.j_star >= j_euler - 3.0 * bf.standard_error
         assert bf.standard_error > 0.0
 
 
@@ -323,33 +393,19 @@ class TestBenchmarkRegistry:
         for name in ("ctrl_diffusion", "ctrl_diffusion_small"):
             assert benches[name].lq is oracle_mod._CTRL_DIFFUSION
         assert benches["msa_stress"].lq is None
-        optima = {name: b.continuous_optimum for name, b in benches.items()}
-        # the pinned optima, to the last bit
-        assert optima["lq_drift"] == optima["lq_drift_small"] == LQ_DRIFT_OPTIMUM
-        assert optima["ctrl_diffusion"] == optima["ctrl_diffusion_small"] == CTRL_DIFFUSION_OPTIMUM
-        assert optima["ctrl_diffusion"] == riccati_lq(
-            oracle_mod._CTRL_DIFFUSION, TimeGrid(n_steps=400, horizon=1.0)
-        ).optimal_value
-        assert optima["msa_stress"] is None
-
-    @pytest.mark.parametrize(
-        "name, want",
-        [("lq_drift", LQ_DRIFT_OPTIMUM), ("ctrl_diffusion", CTRL_DIFFUSION_OPTIMUM)],
-        ids=["lq_drift", "ctrl_diffusion"],
-    )
-    def test_ode_oracle_runs_on_first_read(self, monkeypatch, name, want):
-        calls = []
-        real = oracle_mod.riccati_lq
-        monkeypatch.setattr(oracle_mod, "riccati_lq", lambda *args: calls.append(args) or real(*args))
-        bench = get_benchmark(name)
-        assert calls == []
-        assert bench.continuous_optimum == want
-        assert bench.continuous_optimum == want
-        assert len(calls) == 1
+        optima = {
+            name: euler_value(b.lq, 50, b.problem.horizon)
+            for name, b in benches.items()
+            if b.lq is not None
+        }
+        # the pinned optima at N = 50, to the last bit
+        assert optima["lq_drift"] == optima["lq_drift_small"] == LQ_DRIFT_EULER_50
+        assert optima["ctrl_diffusion"] == optima["ctrl_diffusion_small"] == CTRL_DIFFUSION_EULER_50
 
     @pytest.mark.parametrize("name", ["lq_drift", "ctrl_diffusion"])
     def test_replace_runs_no_ode_oracle(self, monkeypatch, name):
-        # the benchmark tracer's get_benchmark swaps in a wrapped problem this way
+        # the benchmark tracer's get_benchmark swaps in a wrapped problem this
+        # way; neither building nor replacing a benchmark runs its oracle
         calls = []
         real = oracle_mod.riccati_lq
         monkeypatch.setattr(oracle_mod, "riccati_lq", lambda *args: calls.append(args) or real(*args))
@@ -359,7 +415,8 @@ class TestBenchmarkRegistry:
         assert traced.lq is bench.lq
 
     def test_optimum_given_by_lq_spec(self, monkeypatch, lq_bench):
-        # a user problem with lq= gets its value ODE, run once on first read
+        # a user problem with lq= carries its spec, checked when built; the
+        # oracle runs only when a command prices it on the run's grid
         calls = []
         real = oracle_mod.riccati_lq
         monkeypatch.setattr(oracle_mod, "riccati_lq", lambda *args: calls.append(args) or real(*args))
@@ -367,20 +424,37 @@ class TestBenchmarkRegistry:
         p = oracle_mod.scalar_quadratic_problem("tanh", spec, 1.0, np.linspace(-1.0, 1.0, 3))
         bench = Benchmark("tanh", p, lq=spec)
         assert calls == []
-        assert abs(bench.continuous_optimum - math.tanh(1.0)) <= 2e-12
-        assert abs(bench.continuous_optimum - math.tanh(1.0)) <= 2e-12
-        assert len(calls) == 1
-        assert Benchmark("none", p).continuous_optimum is None
+        assert bench.lq is spec
+        assert Benchmark("none", p).lq is None
+        with pytest.raises(ProblemDefinitionError, match="r must be positive"):
+            Benchmark("bad", p, lq=LqSpec(r=0.0))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            lq_bench.continuous_optimum = 0.0
+            lq_bench.lq = None
 
-    def test_optimum_is_on_the_problem_horizon(self):
+    def test_optimum_is_on_the_problem_horizon(self, tmp_path, capsys):
+        # msactl rate prices the oracle on the problem's horizon and the run's N
+        from msacontrol.cli import main
+        from test_cli import status_line, write_config
+
         spec = oracle_mod._LQ_DRIFT
         p = oracle_mod.scalar_quadratic_problem("long", spec, 2.0, np.linspace(-1.0, 1.0, 3))
-        got = Benchmark("long", p, lq=spec).continuous_optimum
-        assert got == riccati_lq(spec, TimeGrid(n_steps=400, horizon=2.0)).optimal_value
-        assert got != LQ_DRIFT_OPTIMUM
-        assert abs(got - unit_gain_lq_value(spec, horizon=2.0)) <= 1e-12
+        register_benchmark("long", lambda: Benchmark("long", p, lq=spec))
+        try:
+            cfg = write_config(
+                tmp_path,
+                problem={"name": "long"},
+                msa={"n_paths": 200, "n_steps": 8},
+                output={"directory": str(tmp_path / "r")},
+            )
+            main(["rate", "--config", cfg])
+        finally:
+            oracle_mod._FACTORIES.pop("long", None)
+        status, _ = status_line(capsys)
+        want = euler_value(spec, 8, horizon=2.0)
+        assert f"j_star={want:.6g}" in status, status
+        assert want != euler_value(spec, 8)
+        closed_form = unit_gain_lq_value(spec, horizon=2.0)
+        assert abs(richardson(spec, 10_000, horizon=2.0) - closed_form) <= 1e-8
 
     def test_wide_grid_centroid_is_zero_action(self, lq_bench):
         space = lq_bench.problem.action_space
