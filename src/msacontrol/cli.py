@@ -2,7 +2,9 @@
 
 Configuration is a strict INI file with one section per module; unknown
 sections or keys are rejected.  Every invocation ends with a single
-machine-parseable STATUS line.  Exit codes: 0 success, 2 descent
+machine-parseable STATUS line of key=value fields, each value quoted
+for a POSIX shell (shlex.split reads it back) except error=, a Python
+repr.  Exit codes: 0 success, 2 descent
 failure (a solve's trace status), 1 usage errors, failed checks and any
 exception from a step or a user problem.
 """
@@ -13,6 +15,7 @@ import argparse
 import configparser
 import importlib
 import os
+import shlex
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -49,10 +52,7 @@ class RunConfig:
     rate_oracle: str = "riccati"
 
 
-# msactl validate's derivative audit: samples, central-difference step and
-# the largest relative error that passes
-_AUDIT_SAMPLES = 200
-_AUDIT_STEP = 1e-5
+# the largest relative error msactl validate's derivative audit passes
 _AUDIT_TOLERANCE = 1e-4
 
 
@@ -75,8 +75,8 @@ def _import_module(name: str) -> str:
     return name
 
 
-# section -> key -> converter of the raw value.  [msa] keys are MsaConfig
-# arguments.
+# section -> key -> converter of the raw value.  [msa] keys are
+# MsaConfig's fields, one each; the stopping tolerances are msa constants.
 _SCHEMA = {
     "problem": {"name": str, "module": _import_module},
     "msa": {
@@ -85,8 +85,6 @@ _SCHEMA = {
         "seed": int,
         "rho_initial": float,
         "rho_max": float,
-        "tol_mu": float,
-        "tol_dj": float,
         "max_iterations": int,
         "control_mode": str,
         "classical": _to_bool,
@@ -148,8 +146,9 @@ def _require_problem(cfg: RunConfig):
 
 
 def _status(command: str, code: int, **kv) -> None:
+    # error= is already a repr; a path or a name may hold a space
     parts = [f"STATUS command={command}", f"exit={code}"]
-    parts += [f"{k}={v}" for k, v in kv.items()]
+    parts += [f"{k}={v if k == 'error' else shlex.quote(str(v))}" for k, v in kv.items()]
     print(" ".join(parts))
 
 
@@ -214,7 +213,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     p = bench.problem
     checks: list[tuple[str, bool, str]] = []
 
-    errors = check_derivatives(p, n_samples=_AUDIT_SAMPLES, step=_AUDIT_STEP)
+    errors = check_derivatives(p)
     for key, err in sorted(errors.items()):
         checks.append((f"derivative:{key}", err <= _AUDIT_TOLERANCE, f"max_rel_err={err:.3e}"))
 
@@ -257,7 +256,10 @@ def cmd_bench(cfg: RunConfig) -> int:
 
     A suite problem with an LQ spec is held to a band about its Euler
     scheme's optimum on the run's grid, and its line shows the signed gap
-    in SE, gap_se = (J - j*) / J_se.
+    in SE, gap_se = (J - j*) / J_se.  The demonstration is msa_stress
+    under the classical update (rho 0, every candidate accepted) for at
+    most 20 iterations; its |mu| and |dJ| stay far above the solver's
+    stopping tolerances, so it runs to its iteration cap.
     """
     os.makedirs(cfg.output_directory, exist_ok=True)
     lines: list[str] = []
@@ -293,12 +295,7 @@ def cmd_bench(cfg: RunConfig) -> int:
 
     stress = get_benchmark("msa_stress")
     classical_cfg = replace(
-        cfg.msa,
-        classical=True,
-        rho_initial=0.0,
-        max_iterations=min(20, cfg.msa.max_iterations),
-        tol_mu=1e-12,
-        tol_dj=1e-15,
+        cfg.msa, classical=True, rho_initial=0.0, max_iterations=min(20, cfg.msa.max_iterations)
     )
     _, demo = run_msa(stress.problem, classical_cfg)
     export_csv(demo, os.path.join(cfg.output_directory, "msa_stress_classical_trace.csv"))
@@ -339,7 +336,7 @@ def cmd_rate(cfg: RunConfig) -> int:
 
     # a trace that exits 0 has an accepted row: every finished iteration
     # appends one, a fixed point too, and max_iterations >= 1
-    report = rate_fit(trace, j_star, 1, max(row.n for row in trace.accepted_rows))
+    report = rate_fit(trace, j_star)
     export_csv(report, os.path.join(cfg.output_directory, f"{name}_rate.csv"))
     slope = "none" if report.slope is None else _fmt(report.slope)
     sup = "none" if report.sup_n_times_bn is None else _fmt(report.sup_n_times_bn)

@@ -15,12 +15,12 @@ _NOISE_FLOOR_FACTOR = 5.0  # gaps within this many standard errors are noise
 
 @dataclass(frozen=True)
 class RateReport:
-    """Optimality-gap decay fitted over a window of accepted iterations.
+    """Optimality-gap decay fitted over a trace's accepted iterations.
 
-    gaps holds b_n = J_n - j_star for every accepted iteration in the
-    window; kept marks the entries above the noise floor that enter the
-    fit.  passed is true when either the log-log slope is at most -0.8
-    or sup n*b_n stays within twice its value at the first kept point.
+    gaps holds b_n = J_n - j_star for every accepted iteration; kept
+    marks the entries above the noise floor that enter the fit.  passed
+    is true when either the log-log slope is at most -0.8 or sup n*b_n
+    stays within twice its value at the first kept point.
     """
 
     n_values: np.ndarray
@@ -33,24 +33,18 @@ class RateReport:
     status: str
 
 
-def rate_fit(
-    trace: IterationTrace,
-    j_star: float,
-    n_min: int,
-    n_max: int,
-) -> RateReport:
-    """Fit the decay of b_n = J_n - j_star on accepted iterations.
+def rate_fit(trace: IterationTrace, j_star: float) -> RateReport:
+    """Fit the decay of b_n = J_n - j_star on every accepted iteration.
 
     Iterations with b_n <= _NOISE_FLOOR_FACTOR * se are excluded from the
-    fit; if everything is excluded the run converged before the window
-    and the report passes vacuously.  A gap below -3 se marks the oracle
-    and the run as mutually inconsistent.
+    fit; if everything is excluded the run converged before a gap could
+    be fitted ("converged-before-rate-window") and the report passes
+    vacuously.  A gap below -3 se marks the oracle and the run as
+    mutually inconsistent.  Raises ValueError without an accepted row.
     """
-    if n_min < 1 or n_max < n_min:
-        raise ValueError(f"bad rate window [{n_min}, {n_max}]")
-    rows = [row for row in trace.accepted_rows if n_min <= row.n <= n_max]
+    rows = trace.accepted_rows
     if not rows:
-        raise ValueError(f"trace has no accepted iterations in [{n_min}, {n_max}]")
+        raise ValueError("trace has no accepted iterations")
     n_values = np.array([row.n for row in rows], dtype=float)
     gaps = np.array([row.J - j_star for row in rows])
     gap_ses = np.array([row.J_se for row in rows])

@@ -78,6 +78,9 @@ from .sde import (
 _RHO_GROWTH = 2.0
 # rho max_a |C_a|^2 above this could overflow the action-terms table's penalty
 _PENALTY_MAX = float(np.finfo(float).max) / 4
+# an accepted candidate with |mu| at most _TOL_MU, else |dJ| at most _TOL_DJ, ends the solve
+_TOL_MU = 1e-3
+_TOL_DJ = 1e-6
 
 
 class DescentFailureError(RuntimeError):
@@ -96,7 +99,8 @@ class MsaConfig:
     penalty at rho_initial and accepts every candidate (no descent test,
     no backtracking); used to demonstrate how the unpenalised update can
     drive the cost up.  The adjoint regresses on one fixed basis, the
-    degree-2 polynomial of bsde.features.
+    degree-2 polynomial of bsde.features, and the stopping tolerances
+    are the constants _TOL_MU and _TOL_DJ.
     """
 
     n_paths: int = 10000
@@ -104,8 +108,6 @@ class MsaConfig:
     seed: int = 12345
     rho_initial: float = 1.0
     rho_max: float = 65536.0
-    tol_mu: float = 1e-3
-    tol_dj: float = 1e-6
     max_iterations: int = 100
     control_mode: str = "per_path"
     classical: bool = False
@@ -115,15 +117,13 @@ class MsaConfig:
             raise ValueError("n_paths and n_steps must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        for name in ("rho_initial", "rho_max", "tol_mu", "tol_dj"):
+        for name in ("rho_initial", "rho_max"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rho_initial < 0:
             raise ValueError("rho_initial must be nonnegative")
         if not self.classical and self.rho_initial > self.rho_max:
             raise ValueError(f"rho_initial {self.rho_initial} exceeds rho_max {self.rho_max}")
-        if self.tol_mu <= 0 or self.tol_dj <= 0:
-            raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.control_mode not in CONTROL_MODES:
@@ -295,8 +295,10 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
 
     Starts from the centroid action in cfg.control_mode.  Returns the
     last accepted control and the iteration trace, whose status says why
-    the loop stopped; "descent_failure", when no acceptable step exists
-    below rho_max, ends the trace with the rejected row.
+    the loop stopped: "converged_mu" once an accepted row has |mu| <=
+    _TOL_MU, "converged_dj" once its |dJ| <= _TOL_DJ, "fixed_point",
+    "max_iterations", or "descent_failure", when no acceptable step
+    exists below rho_max, which ends the trace with the rejected row.
     """
     noise = cfg.bank(p)
     # only the states hold their control, so a superseded control is freed with them
@@ -332,10 +334,10 @@ def run_msa(p: ControlProblem, cfg: MsaConfig) -> tuple[ControlEnsemble, Iterati
                 del cand_states, y, z, prev  # the next solve runs without them
                 j_cur, j_se = mean_and_se(costs)
                 trace.rows.append(TraceRow(n, j_cur, j_se, mu, mu_se, rho, n_backtracks, True))
-                if abs(mu) <= cfg.tol_mu:
+                if abs(mu) <= _TOL_MU:
                     trace.status = "converged_mu"
                     return states.control, trace
-                if abs(dj) <= cfg.tol_dj:
+                if abs(dj) <= _TOL_DJ:
                     trace.status = "converged_dj"
                     return states.control, trace
                 break

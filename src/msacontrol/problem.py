@@ -342,27 +342,29 @@ def _rel_error(analytic: np.ndarray, fd: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - fd))) / scale
 
 
-def check_derivatives(p: ControlProblem, n_samples: int, step: float) -> dict[str, float]:
+# check_derivatives' sample count and central-difference step
+_AUDIT_SAMPLES = 200
+_AUDIT_STEP = 1e-5
+
+
+def check_derivatives(p: ControlProblem) -> dict[str, float]:
     """Compare supplied x-derivatives with central finite differences.
 
-    Samples (t, x, a) uniformly from [0, T] x [x0 - 5, x0 + 5]^d x action
-    points, drawn from default_rng(0).  Returns the maximum relative error
-    of each derivative, keyed by the name of its callable; a non-finite
-    analytic or finite-difference value makes that error inf.
+    Samples _AUDIT_SAMPLES points (t, x, a) uniformly from [0, T] x
+    [x0 - 5, x0 + 5]^d x action points, drawn from default_rng(0), and
+    differences with step _AUDIT_STEP.  Returns the maximum relative
+    error of each derivative, keyed by the name of its callable; a
+    non-finite analytic or finite-difference value makes that error inf.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if not 0 < step < np.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
-    d = p.state_dim
+    d, step = p.state_dim, _AUDIT_STEP
     rng = np.random.default_rng(0)
-    ts = rng.uniform(0.0, p.horizon, size=n_samples)
-    xs = rng.uniform(p.initial_state - 5.0, p.initial_state + 5.0, size=(n_samples, d))
-    a_idx = rng.integers(0, p.action_space.n_actions, size=n_samples)
+    ts = rng.uniform(0.0, p.horizon, size=_AUDIT_SAMPLES)
+    xs = rng.uniform(p.initial_state - 5.0, p.initial_state + 5.0, size=(_AUDIT_SAMPLES, d))
+    a_idx = rng.integers(0, p.action_space.n_actions, size=_AUDIT_SAMPLES)
 
     errors = dict.fromkeys(_DERIVATIVES, 0.0)
     eye = np.eye(d)
-    for s in range(n_samples):
+    for s in range(_AUDIT_SAMPLES):
         t, x = float(ts[s]), xs[s]
         a = p.action_space.points[a_idx[s]]
         # (2d, d) probe block: first d rows x + step*e_i, then x - step*e_i

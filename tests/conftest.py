@@ -64,13 +64,7 @@ def suite_runs(lq_run, ctrl_run, stress_run):
 @pytest.fixture(scope="session")
 def stress_classical_run(stress_bench):
     """Plain successive approximations: penalty pinned at zero, no backtracking."""
-    cfg = MsaConfig(
-        classical=True,
-        rho_initial=0.0,
-        max_iterations=20,
-        tol_mu=1e-12,
-        tol_dj=1e-15,
-    )
+    cfg = MsaConfig(classical=True, rho_initial=0.0, max_iterations=20)
     return run_msa(stress_bench.problem, cfg)
 
 

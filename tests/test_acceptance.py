@@ -93,12 +93,11 @@ def test_criterion_04_small_instances_reach_brute_force_optimum(small_results):
 
 def test_criterion_05_rate_fit_passes_and_log_control_fails(lq_bench, lq_run):
     _, tr = lq_run
-    last = max(row.n for row in tr.accepted_rows)
     j_star = riccati_lq(lq_bench.lq, TimeGrid(50, lq_bench.problem.horizon)).optimal_value
-    rep = rate_fit(tr, j_star, 1, min(last, 100))
-    rows = [TraceRow(n, 1.0 / math.log(n + 1.0), 0.0, 0.0, 0.0, 0.0, 0, True) for n in range(1, 101)]
+    rep = rate_fit(tr, j_star)
+    rows = [TraceRow(n, 1.0 / math.log(n + 1.0), 0.0, 0.0, 0.0, 0.0, 0, True) for n in range(10, 101)]
     synthetic = IterationTrace(rows, initial_cost=2.0, initial_cost_se=0.0)
-    bad = rate_fit(synthetic, 0.0, 10, 100)
+    bad = rate_fit(synthetic, 0.0)
     emit(
         "05",
         rep.passed and not bad.passed,

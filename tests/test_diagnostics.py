@@ -23,20 +23,20 @@ from conftest import csv_rows
 from references import check_recursive_bound
 
 
-def trace_from_costs(costs, ses=None, accepted=None):
-    """Accepted-by-default synthetic trace with iterations numbered from 1."""
+def trace_from_costs(costs, ses=None, accepted=None, first=1):
+    """Accepted-by-default synthetic trace with iterations numbered from first."""
     m = len(costs)
     ses = [0.0] * m if ses is None else ses
     accepted = [True] * m if accepted is None else accepted
-    rows = [TraceRow(i + 1, costs[i], ses[i], 0.0, 0.0, 1.0, 0, accepted[i]) for i in range(m)]
+    rows = [TraceRow(first + i, costs[i], ses[i], 0.0, 0.0, 1.0, 0, accepted[i]) for i in range(m)]
     initial = float(costs[0]) + 1.0 if m else 1.0
     return IterationTrace(rows, initial_cost=initial, initial_cost_se=0.0, status="converged_mu")
 
 
 class TestRateFit:
     def test_one_over_n_recovers_slope_minus_one(self):
-        trace = trace_from_costs([1.0 / n for n in range(1, 101)])
-        rep = rate_fit(trace, 0.0, 10, 100)
+        trace = trace_from_costs([1.0 / n for n in range(10, 101)], first=10)
+        rep = rate_fit(trace, 0.0)
         assert rep.status == "rate-ok"
         assert rep.passed
         assert bool(rep.kept.all())
@@ -46,8 +46,8 @@ class TestRateFit:
         assert np.allclose(rep.n_values * rep.gaps, 1.0, rtol=0.0, atol=1e-12)
 
     def test_one_over_log_decay_fails(self):
-        trace = trace_from_costs([1.0 / math.log(n + 1.0) for n in range(1, 101)])
-        rep = rate_fit(trace, 0.0, 10, 100)
+        trace = trace_from_costs([1.0 / math.log(n + 1.0) for n in range(10, 101)], first=10)
+        rep = rate_fit(trace, 0.0)
         assert rep.status == "rate-fail"
         assert not rep.passed
         assert rep.slope > -0.8
@@ -56,8 +56,8 @@ class TestRateFit:
         assert rep.sup_n_times_bn > rep.sup_reference
 
     def test_slope_matches_direct_least_squares(self):
-        trace = trace_from_costs([1.0 / math.log(n + 1.0) for n in range(1, 101)])
-        rep = rate_fit(trace, 0.0, 10, 100)
+        trace = trace_from_costs([1.0 / math.log(n + 1.0) for n in range(10, 101)], first=10)
+        rep = rate_fit(trace, 0.0)
         x = np.log(rep.n_values[rep.kept])
         y = np.log(rep.gaps[rep.kept])
         xc = x - x.mean()
@@ -66,7 +66,7 @@ class TestRateFit:
 
     def test_cost_below_oracle_is_flagged(self):
         trace = trace_from_costs([0.5] * 5, ses=[0.01] * 5)
-        rep = rate_fit(trace, 1.0, 1, 5)
+        rep = rate_fit(trace, 1.0)
         assert rep.status == "oracle-inconsistent"
         assert rep.passed is False
         assert rep.slope is None
@@ -75,21 +75,21 @@ class TestRateFit:
 
     def test_noise_floor_gives_vacuous_pass(self):
         trace = trace_from_costs([2.0 + 1e-6] * 8, ses=[1e-3] * 8)
-        rep = rate_fit(trace, 2.0, 1, 8)
+        rep = rate_fit(trace, 2.0)
         assert rep.status == "converged-before-rate-window"
         assert rep.passed is True
         assert rep.slope is None
 
     def test_rejected_rows_are_excluded(self):
-        trace = trace_from_costs([1.0 / n for n in range(1, 101)])
+        trace = trace_from_costs([1.0 / n for n in range(10, 101)], first=10)
         trace.rows.append(TraceRow(55, 50.0, 0.0, 0.0, 0.0, 4.0, 2, False))
-        rep = rate_fit(trace, 0.0, 10, 100)
+        rep = rate_fit(trace, 0.0)
         assert rep.slope == pytest.approx(-1.0, abs=1e-9)
         assert rep.gaps.max() < 0.2
 
     def test_single_kept_point_passes_by_sup(self):
-        trace = trace_from_costs([1.0 / n for n in range(1, 101)])
-        rep = rate_fit(trace, 0.0, 10, 10)
+        trace = trace_from_costs([1.0 / 10], first=10)
+        rep = rate_fit(trace, 0.0)
         assert rep.slope is None
         assert rep.sup_n_times_bn == pytest.approx(1.0, abs=1e-12)
         assert rep.passed
@@ -97,31 +97,23 @@ class TestRateFit:
 
     def test_noise_floor_factor_controls_inclusion(self):
         trace = trace_from_costs([1.0, 0.5], ses=[0.3, 0.3])
-        assert rate_fit(trace, 0.0, 1, 2).status == "converged-before-rate-window"
+        assert rate_fit(trace, 0.0).status == "converged-before-rate-window"
         # only gaps strictly above the floor of _NOISE_FLOOR_FACTOR se are fitted
         floor = _NOISE_FLOOR_FACTOR * 0.3
         above = float(np.nextafter(floor, np.inf))
-        rep = rate_fit(trace_from_costs([2.0 * floor, above, floor], ses=[0.3] * 3), 0.0, 1, 3)
+        rep = rate_fit(trace_from_costs([2.0 * floor, above, floor], ses=[0.3] * 3), 0.0)
         assert rep.kept.tolist() == [True, True, False]
         assert rep.slope is not None
 
-    def test_window_validation(self):
-        trace = trace_from_costs([1.0, 0.5])
-        with pytest.raises(ValueError):
-            rate_fit(trace, 0.0, 0, 10)
-        with pytest.raises(ValueError):
-            rate_fit(trace, 0.0, 5, 4)
-        with pytest.raises(ValueError):
-            rate_fit(trace, 0.0, 10, 20)
+    def test_trace_without_accepted_rows_is_refused(self):
         all_rejected = trace_from_costs([1.0, 0.5], accepted=[False, False])
-        with pytest.raises(ValueError):
-            rate_fit(all_rejected, 0.0, 1, 2)
+        with pytest.raises(ValueError, match="no accepted iterations"):
+            rate_fit(all_rejected, 0.0)
 
     def test_solver_trace_passes(self, lq_bench, lq_run):
         _, trace = lq_run
-        last = max(row.n for row in trace.accepted_rows)
         j_star = riccati_lq(lq_bench.lq, TimeGrid(50, lq_bench.problem.horizon)).optimal_value
-        rep = rate_fit(trace, j_star, 1, last)
+        rep = rate_fit(trace, j_star)
         assert rep.passed, rep.status
 
 
@@ -261,7 +253,7 @@ class TestCsvExport:
 
     def test_rate_report_round_trip(self, tmp_path):
         trace = trace_from_costs([1.0 / n for n in range(1, 21)])
-        rep = rate_fit(trace, 0.0, 1, 20)
+        rep = rate_fit(trace, 0.0)
         path = tmp_path / "rate.csv"
         export_csv(rep, path)
         rows = csv_rows(path)

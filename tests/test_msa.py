@@ -15,7 +15,15 @@ from msacontrol.bsde import (
     solve_adjoint_linear_y0,
     solve_adjoint_lsmc,
 )
-from msacontrol.msa import MsaConfig, _keep_or_lowest, compute_mu, run_msa, update_control
+from msacontrol.msa import (
+    _TOL_DJ,
+    _TOL_MU,
+    MsaConfig,
+    _keep_or_lowest,
+    compute_mu,
+    run_msa,
+    update_control,
+)
 from msacontrol.oracle import LqSpec, benchmark_names, scalar_quadratic_problem
 from msacontrol.problem import EvaluationError, augmented_hamiltonian
 from msacontrol.sde import (
@@ -528,7 +536,7 @@ class TestRunMsa:
         assert np.all(control.by_step == 1)
 
     def test_trace_is_reproducible(self, lq_bench):
-        cfg = MsaConfig(n_paths=400, n_steps=10, max_iterations=3, tol_mu=1e-9)
+        cfg = MsaConfig(n_paths=400, n_steps=10, max_iterations=3)
         a_control, a = run_msa(lq_bench.problem, cfg)
         b_control, b = run_msa(lq_bench.problem, cfg)
         assert a.rows == b.rows
@@ -594,14 +602,23 @@ class TestRunMsa:
         assert trace.status == "descent_failure"
         assert [(row.rho, row.backtracks) for row in trace.rows] == [(0.5, 2)]
 
+    def test_classical_demo_stays_far_from_the_stopping_tolerances(self, stress_classical_run):
+        # msactl bench's demonstration runs on the solver's tolerances: were
+        # they raised towards its |mu| or |dJ|, it would stop before its cap
+        _, demo = stress_classical_run
+        assert demo.status == "max_iterations"
+        assert [row.n for row in demo.rows] == list(range(1, 21))
+        costs = [demo.initial_cost] + [row.J for row in demo.rows]
+        for row, j_prev in zip(demo.rows, costs):
+            assert abs(row.mu) > 1000 * _TOL_MU, row
+            assert abs(row.J - j_prev) > 1000 * _TOL_DJ, row
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             MsaConfig(rho_initial=-1.0)
         with pytest.raises(ValueError):
-            MsaConfig(tol_mu=0.0)
-        with pytest.raises(ValueError):
             MsaConfig(control_mode="average")
-        for name in ("rho_initial", "rho_max", "tol_mu", "tol_dj"):
+        for name in ("rho_initial", "rho_max"):
             for bad in (np.nan, np.inf):
                 with pytest.raises(ValueError, match=name):
                     MsaConfig(**{name: bad})

@@ -60,7 +60,7 @@ def planar_problem():
 
 def test_derivatives_match_finite_differences():
     planar = planar_problem()
-    errors = check_derivatives(planar, n_samples=200, step=1e-5)
+    errors = check_derivatives(planar)
     assert max(errors.values()) <= 1e-6, errors
 
 

@@ -354,7 +354,7 @@ class TestBenchmarkRegistry:
 
     def test_suite_derivatives_validate(self, suite_benches):
         for bench in suite_benches:
-            errors = check_derivatives(bench.problem, n_samples=200, step=1e-5)
+            errors = check_derivatives(bench.problem)
             assert max(errors.values()) <= 1e-6, (bench.name, errors)
 
     def test_structured_split_matches_assembled_problem(self, rng):
