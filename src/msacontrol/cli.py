@@ -3,10 +3,9 @@
 Configuration is a strict INI file with one section per module; unknown
 sections or keys are rejected.  Every invocation ends with a single
 machine-parseable STATUS line of key=value fields, each value quoted
-for a POSIX shell (shlex.split reads it back) except error=, a Python
-repr.  Exit codes: 0 success, 2 descent
-failure (a solve's trace status), 1 usage errors, failed checks and any
-exception from a step or a user problem.
+for a POSIX shell, so shlex.split reads it back.  Exit codes: 0 success,
+2 descent failure (a solve's trace status), 1 usage errors, failed checks
+and any exception from a step or a user problem.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import importlib
 import os
 import shlex
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,12 +43,12 @@ class ConfigError(Exception):
 class RunConfig:
     """A loaded config: field <section>_<key> holds INI key section.key,
     except [msa], which builds the solver's MsaConfig, and problem.module,
-    which is imported, not kept."""
+    which is imported, not kept.  msactl rate takes its oracle from
+    msa.control_mode, so no key names one."""
 
     msa: MsaConfig = field(default_factory=MsaConfig)
     problem_name: str = ""
     output_directory: str = "out"
-    rate_oracle: str = "riccati"
 
 
 # the largest relative error msactl validate's derivative audit passes
@@ -76,21 +75,14 @@ def _import_module(name: str) -> str:
 
 
 # section -> key -> converter of the raw value.  [msa] keys are
-# MsaConfig's fields, one each; the stopping tolerances are msa constants.
+# MsaConfig's fields, one each, read by their default's type.
 _SCHEMA = {
     "problem": {"name": str, "module": _import_module},
     "msa": {
-        "n_paths": int,
-        "n_steps": int,
-        "seed": int,
-        "rho_initial": float,
-        "rho_max": float,
-        "max_iterations": int,
-        "control_mode": str,
-        "classical": _to_bool,
+        f.name: _to_bool if isinstance(f.default, bool) else type(f.default)
+        for f in fields(MsaConfig)
     },
     "output": {"directory": str},
-    "rate": {"oracle": str},
 }
 
 
@@ -125,10 +117,7 @@ def load_config(path: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     values["problem"].pop("module", None)
-    cfg = RunConfig(msa=msa, **{f"{s}_{k}": v for s, keys in values.items() for k, v in keys.items()})
-    if cfg.rate_oracle not in ("riccati", "brute_force"):
-        raise ConfigError(f"rate.oracle must be riccati|brute_force, got {cfg.rate_oracle!r}")
-    return cfg
+    return RunConfig(msa=msa, **{f"{s}_{k}": v for s, keys in values.items() for k, v in keys.items()})
 
 
 def _require_problem(cfg: RunConfig):
@@ -146,9 +135,9 @@ def _require_problem(cfg: RunConfig):
 
 
 def _status(command: str, code: int, **kv) -> None:
-    # error= is already a repr; a path or a name may hold a space
+    # a path, a name or an error message may hold a space or a quote
     parts = [f"STATUS command={command}", f"exit={code}"]
-    parts += [f"{k}={v if k == 'error' else shlex.quote(str(v))}" for k, v in kv.items()]
+    parts += [f"{k}={shlex.quote(str(v))}" for k, v in kv.items()]
     print(" ".join(parts))
 
 
@@ -315,19 +304,25 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 
 def cmd_rate(cfg: RunConfig) -> int:
-    """Fit the optimality-gap decay of every accepted iteration against an oracle value."""
+    """Fit the optimality-gap decay of every accepted iteration against the optimum.
+
+    j* is the optimum of the control class the solver runs: for a
+    deterministic control, the brute-force minimum over every action
+    sequence on the run's own bank; for a per-path one, the Euler
+    scheme's LQ optimum on the run's grid, refused without an lq spec.
+    """
     bench = _require_problem(cfg)
     name, p = bench.name, bench.problem
     # the oracle first: a run refused for its oracle leaves no directory
-    if cfg.rate_oracle == "riccati":
-        if bench.lq is None:
-            raise ConfigError(f"problem {name} has no Riccati oracle")
-        j_star = riccati_lq(bench.lq, TimeGrid(cfg.msa.n_steps, p.horizon)).optimal_value
-    else:
+    if cfg.msa.control_mode == "deterministic":
         try:
             j_star = brute_force_optimal(p, cfg.msa.bank(p)).j_star
         except ValueError as exc:
             raise ConfigError(f"brute force: {exc}; shrink n_steps or the action grid") from None
+    else:
+        if bench.lq is None:
+            raise ConfigError(f"problem {name} has no Riccati oracle")
+        j_star = riccati_lq(bench.lq, TimeGrid(cfg.msa.n_steps, p.horizon)).optimal_value
     os.makedirs(cfg.output_directory, exist_ok=True)
     _, trace = run_msa(p, cfg.msa)
     if code := _exit_code(trace):
@@ -357,7 +352,7 @@ def cmd_rate(cfg: RunConfig) -> int:
 class _Parser(argparse.ArgumentParser):
     # usage problems must exit 1 with a STATUS line, not argparse's default 2
     def error(self, message):
-        _status("usage", 1, error=repr(message))
+        _status("usage", 1, error=message)
         raise SystemExit(1)
 
 
@@ -402,7 +397,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--seed {args.seed}: {exc}") from None
         return args.fn(cfg)
     except Exception as exc:
-        _status(args.command, 1, error=repr(_error_text(exc)))
+        _status(args.command, 1, error=_error_text(exc))
         return 1
 
 

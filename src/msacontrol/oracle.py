@@ -237,9 +237,9 @@ class Benchmark:
 
     lq is the LqSpec the problem was built from, checked when the
     benchmark is built (an invalid one raises ProblemDefinitionError).
-    msactl bench and rate.oracle = riccati price it with riccati_lq on the
-    run's own time grid: the exact optimum of the Euler scheme the solver
-    runs, with the action unconstrained.
+    msactl bench, and msactl rate on a per-path solve, price it with
+    riccati_lq on the run's own time grid: the exact optimum of the Euler
+    scheme the solver runs, with the action unconstrained.
     """
 
     name: str

@@ -186,11 +186,17 @@ def make_noise(grid: TimeGrid, n_paths: int, noise_dim: int, seed: int) -> Noise
     return NoiseBank(out, grid)
 
 
-def _check_horizon(noise: NoiseBank, p: ControlProblem) -> None:
+def _check_inputs(p: ControlProblem, noise: NoiseBank, control: ControlEnsemble) -> None:
+    """Raise ValueError unless the bank's d' and horizon and the control fit the problem."""
+    if noise.noise_dim != p.noise_dim:
+        raise ValueError(
+            f"bank noise dimension {noise.noise_dim} is not the problem's {p.noise_dim}"
+        )
     if noise.grid.horizon != p.horizon:
         raise ValueError(
             f"bank grid horizon {noise.grid.horizon} is not the problem's {p.horizon}"
         )
+    control.validate(noise.n_paths, noise.n_steps, p.action_space.n_actions)
 
 
 @dataclass(frozen=True)
@@ -211,16 +217,13 @@ class StateEnsemble:
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
-        p, (n, m, dn) = self.problem, self.noise.increments.shape
+        p, (n, m, _) = self.problem, self.noise.increments.shape
         if vals.shape != (n + 1, m, p.state_dim):
             raise ValueError(
                 f"values of shape {vals.shape} do not match (N + 1, M, d) = "
                 f"({n + 1}, {m}, {p.state_dim})"
             )
-        if dn != p.noise_dim:
-            raise ValueError(f"bank noise dimension {dn} is not the problem's {p.noise_dim}")
-        _check_horizon(self.noise, p)
-        self.control.validate(m, n, p.action_space.n_actions)
+        _check_inputs(p, self.noise, self.control)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -329,10 +332,7 @@ def simulate_forward(
     """
     m, n, d = noise.n_paths, noise.n_steps, p.state_dim
     # checked before the walk, which would fail on a mismatch part-way through
-    if noise.noise_dim != p.noise_dim:
-        raise ValueError("noise bank dimension does not match the problem")
-    _check_horizon(noise, p)
-    control.validate(m, n, p.action_space.n_actions)
+    _check_inputs(p, noise, control)
 
     dt = noise.grid.dt
     inc = noise.increments

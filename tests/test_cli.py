@@ -45,6 +45,13 @@ def status_line(capsys):
     return lines[-1], out
 
 
+def status_fields(status):
+    """A STATUS line's key=value fields, read back through shlex.split."""
+    words = shlex.split(status)
+    assert words[0] == "STATUS"
+    return dict(word.split("=", 1) for word in words[1:])
+
+
 class TestLoadConfig:
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.ini"
@@ -54,7 +61,6 @@ class TestLoadConfig:
         assert cfg.msa.n_paths == 10000
         assert cfg.msa.n_steps == 50
         assert cfg.output_directory == "out"
-        assert cfg.rate_oracle == "riccati"
 
     def test_values_are_applied(self, tmp_path):
         sections = dict(
@@ -70,7 +76,6 @@ class TestLoadConfig:
                 "classical": "true",
             },
             output={"directory": "elsewhere"},
-            rate={"oracle": "brute_force"},
         )
         # every key the loader knows is set here, so a dropped key fails below
         assert {s: set(kv) for s, kv in sections.items()} == {
@@ -87,12 +92,16 @@ class TestLoadConfig:
         assert cfg.msa.control_mode == "deterministic"
         assert cfg.msa.classical is True
         assert cfg.output_directory == "elsewhere"
-        assert cfg.rate_oracle == "brute_force"
         # and nothing else is kept, and every solver setting has its key
         assert [f.name for f in dataclasses.fields(cfg)] == [
-            "msa", "problem_name", "output_directory", "rate_oracle"
+            "msa", "problem_name", "output_directory"
         ]
         assert [f.name for f in dataclasses.fields(cfg.msa)] == list(cli._SCHEMA["msa"])
+        assert sum(map(len, cli._SCHEMA.values())) == 11
+        # the oracle comes from msa.control_mode, so no section names one
+        sections["rate"] = {"oracle": "brute_force"}
+        with pytest.raises(ConfigError, match=r"^unknown config section \[rate\]$"):
+            load_config(write_config(tmp_path, **sections))
 
     def test_shipped_configs_load(self):
         paths = sorted(CONFIG_DIR.glob("*.ini"))
@@ -134,9 +143,10 @@ class TestLoadConfig:
             ("bsde", "ridge", 1e-6, r"^unknown config section \[bsde\]$"),
             ("bsde", "degree", 2, r"^unknown config section \[bsde\]$"),
             ("validate", "n_samples", 50, r"^unknown config section \[validate\]$"),
-            ("rate", "n_min", 4, r"^unknown config key rate\.n_min$"),
-            ("rate", "n_max", 40, r"^unknown config key rate\.n_max$"),
-            ("rate", "oracle", "one_over_n", r"^rate\.oracle must be riccati\|brute_force, got 'one_over_n'$"),
+            ("rate", "n_min", 4, r"^unknown config section \[rate\]$"),
+            ("rate", "n_max", 40, r"^unknown config section \[rate\]$"),
+            ("rate", "oracle", "one_over_n", r"^unknown config section \[rate\]$"),
+            ("rate", "oracle", "brute_force", r"^unknown config section \[rate\]$"),
         ):
             path = write_config(tmp_path, **{section: {key: value}})
             with pytest.raises(ConfigError, match=message):
@@ -145,11 +155,6 @@ class TestLoadConfig:
     def test_solver_validation_surfaces_as_config_error(self, tmp_path):
         path = write_config(tmp_path, msa={"control_mode": "sideways"})
         with pytest.raises(ConfigError, match="control_mode"):
-            load_config(path)
-
-    def test_bad_rate_oracle_rejected(self, tmp_path):
-        path = write_config(tmp_path, rate={"oracle": "tea_leaves"})
-        with pytest.raises(ConfigError, match="tea_leaves"):
             load_config(path)
 
     def test_missing_file_rejected(self, tmp_path):
@@ -227,9 +232,8 @@ class TestRun:
         out = str(tmp_path / "out dir")
         assert main(["run", "--config", cfg, "--out", out]) == 0
         status, _ = status_line(capsys)
-        words = shlex.split(status)
-        assert words[:3] == ["STATUS", "command=run", "exit=0"]
-        fields = dict(word.split("=", 1) for word in words[1:])
+        assert status.startswith("STATUS command=run exit=0 ")
+        fields = status_fields(status)
         assert fields["trace"] == os.path.join(out, "lq_drift_small_trace.csv")
         assert fields["problem"] == "lq_drift_small"
         assert float(fields["J"]) > 0
@@ -278,10 +282,11 @@ class TestRun:
             ("run", {"msa": {"seed": -1}}, [], "seed"),
             ("run", {}, ["--seed", "-5"], "--seed"),
             ("validate", {"validate": {"n_samples": 50}}, [], "unknown config section [validate]"),
-            ("rate", {"rate": {"n_max": 40}}, [], "unknown config key rate.n_max"),
+            ("rate", {"msa": {"oracle": "brute_force"}}, [], "unknown config key msa.oracle"),
             ("run", {"msa": {"n_paths": 20, "n_steps": 5}}, [], "3 functions for 20 paths"),
             ("run", {"msa": {"n_paths": 100_000_000}}, [], "noise bank"),
             ("run", {"msa": {"rho_initial": 4.0, "rho_max": 2.0}}, [], "'rho_initial 4.0 exceeds rho_max 2.0'"),
+            ("rate", {"rate": {"oracle": "brute_force"}}, [], "'unknown config section [rate]'"),
         ],
     )
     def test_bad_value_exits_one_naming_it(self, tmp_path, capsys, command, sections, flags, named):
@@ -428,8 +433,9 @@ class TestRun:
         status, out = status_line(capsys)
         assert out.count("STATUS ") == 1
         assert status.startswith("STATUS command=run exit=1 error=")
-        assert "action points must be distinct" in status
-        assert (f"'bad_{where}_mod'" if where == "import" else "problem 'bad'") in status
+        error = status_fields(status)["error"]
+        assert "action points must be distinct" in error
+        assert (f"'bad_{where}_mod'" if where == "import" else "problem 'bad'") in error
 
     @pytest.mark.parametrize(
         "kind, source",
@@ -452,7 +458,7 @@ class TestRun:
         status, out = status_line(capsys)
         assert out.count("STATUS ") == 1
         assert status.startswith("STATUS command=run exit=1 error=")
-        assert f"cannot import problem.module '{module}': {kind}" in status
+        assert f"cannot import problem.module '{module}': {kind}" in status_fields(status)["error"]
         assert not (tmp_path / "broken_out").exists()
 
     @pytest.mark.parametrize(
@@ -461,7 +467,7 @@ class TestRun:
             (
                 "buggy_lookup_mod",
                 "register_benchmark('buggy', lambda: 1 / 0)\n",
-                "problem 'buggy': ZeroDivisionError: division by zero",
+                "error='problem '\"'\"'buggy'\"'\"': ZeroDivisionError: division by zero'",
             ),
             (
                 "buggy_solve_mod",
@@ -471,7 +477,7 @@ class TestRun:
             (
                 "buggy_key_mod",
                 BUGGY_DRIFT_MODULE.format(exc="KeyError('x')"),
-                "error=\"KeyError: 'x'\"",
+                "error='KeyError: '\"'\"'x'\"'\"''",
             ),
         ],
         ids=["lookup", "solve", "key"],
@@ -498,7 +504,7 @@ class TestRun:
         out, err = capsys.readouterr()
         assert [l for l in out.splitlines() if l.startswith("STATUS ")] == out.splitlines()[-1:]
         assert out.splitlines()[-1].startswith("STATUS command=run exit=1 error=")
-        assert named in out
+        assert out.splitlines()[-1].endswith(named)
         assert "Traceback" not in out + err
 
 
@@ -705,14 +711,13 @@ class TestRate:
         status, out = status_line(capsys)
         assert out.count("STATUS ") == 1
         assert status.startswith("STATUS command=rate exit=1 error=")
-        assert f"problem 'bad_lq': {message}" in status
+        assert f"problem 'bad_lq': {message}" in status_fields(status)["error"]
 
     def test_brute_force_budget_guard(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
             problem={"name": "lq_drift"},
-            msa={"n_paths": 500, "n_steps": 30},
-            rate={"oracle": "brute_force"},
+            msa={"n_paths": 500, "n_steps": 30, "control_mode": "deterministic"},
             output={"directory": str(tmp_path / "r")},
         )
         code = main(["rate", "--config", cfg])
@@ -726,13 +731,51 @@ class TestRate:
             tmp_path,
             problem={"name": "lq_drift_small"},
             msa={"n_paths": 500, "n_steps": 5, "control_mode": "deterministic"},
-            rate={"oracle": "brute_force"},
             output={"directory": str(tmp_path / "r")},
         )
         code = main(["rate", "--config", cfg])
         status, _ = status_line(capsys)
         assert code == 0, status
         assert "passed=True" in status
+
+    def test_shipped_deterministic_config_is_rated_by_brute_force(self, tmp_path, capsys):
+        # the config names no oracle: a deterministic solve is priced against
+        # every action sequence on its own bank, j* = 1.32128
+        config = CONFIG_DIR / "small_brute_force.ini"
+        assert "[rate]" not in config.read_text(encoding="utf-8")
+        assert main(["rate", "--config", str(config), "--out", str(tmp_path / "r")]) == 0
+        status, _ = status_line(capsys)
+        fields = status_fields(status)
+        assert fields["problem"] == "lq_drift_small"
+        assert fields["status"] == "rate-ok"
+        assert fields["j_star"] == "1.32128"
+
+    @pytest.mark.parametrize("mode", ["per_path", "deterministic"])
+    def test_oracle_follows_the_control_mode(self, tmp_path, capsys, monkeypatch, mode):
+        # per-path solves are priced by the Euler scheme's LQ optimum, and
+        # deterministic ones by brute force on the run's bank, never the other
+        calls = []
+        for name in ("riccati_lq", "brute_force_optimal"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            )
+        cfg = write_config(
+            tmp_path,
+            problem={"name": "lq_drift_small"},
+            msa={"n_paths": 500, "n_steps": 5, "control_mode": mode},
+            output={"directory": str(tmp_path / "r")},
+        )
+        assert main(["rate", "--config", cfg]) == 0
+        status, _ = status_line(capsys)
+        assert calls == (["riccati_lq"] if mode == "per_path" else ["brute_force_optimal"])
+        bench = get_benchmark("lq_drift_small")
+        if mode == "per_path":
+            j_star = riccati_lq(bench.lq, TimeGrid(5, 1.0)).optimal_value
+        else:
+            bank = load_config(cfg).msa.bank(bench.problem)
+            j_star = oracle_mod.brute_force_optimal(bench.problem, bank).j_star
+        assert status_fields(status)["j_star"] == cli._fmt(j_star)
 
 
 class TestUsage:
@@ -742,6 +785,8 @@ class TestUsage:
         assert exc.value.code == 1
         status, _ = status_line(capsys)
         assert "STATUS command=usage exit=1" in status
+        fields = status_fields(status)
+        assert fields["error"] == "the following arguments are required: command"
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -776,6 +821,18 @@ class TestUsage:
         status, _ = status_line(capsys)
         assert "not found" in status
 
+    def test_error_with_quotes_in_it_parses_back(self, tmp_path, capsys):
+        # error= is shell-quoted like every other field, so shlex.split reads
+        # a message holding both quote characters and a backslash back intact
+        path = str(tmp_path / "no'such\"file\\x.ini")
+        assert main(["run", "--config", path]) == 1
+        status, _ = status_line(capsys)
+        assert status_fields(status) == {
+            "command": "run",
+            "exit": "1",
+            "error": f"config file not found: {path}",
+        }
+
     def test_unreadable_config_file_exits_one(self, tmp_path, capsys, monkeypatch):
         # a config that exists but cannot be read must not run on defaults;
         # open() is patched, as chmod 000 does not stop root
@@ -794,6 +851,7 @@ class TestUsage:
         status, out = status_line(capsys)
         assert out.count("STATUS ") == 1
         assert status == f"STATUS command=run exit=1 error='cannot read {path}: Permission denied'"
+        assert status_fields(status)["error"] == f"cannot read {path}: Permission denied"
         assert not (tmp_path / "o").exists()
 
     def test_unwritable_output_directory_exits_one(self, tmp_path, capsys):
@@ -805,5 +863,6 @@ class TestUsage:
         assert main(["run", "--config", config, "--out", str(blocker / "x")]) == 1
         status, out = status_line(capsys)
         assert out.count("STATUS ") == 1
-        assert status.startswith('STATUS command=run exit=1 error="NotADirectoryError: ')
-        assert "Not a directory" in status
+        assert status.startswith("STATUS command=run exit=1 error='NotADirectoryError: ")
+        error = status_fields(status)["error"]
+        assert error == f"NotADirectoryError: [Errno 20] Not a directory: '{blocker / 'x'}'"

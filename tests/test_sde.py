@@ -279,26 +279,28 @@ class TestSimulateForward:
             StateEnsemble(states.values[:, :3], p, noise, states.control)
 
 
+# the inputs' mismatches: StateEnsemble and simulate_forward share one check
+INPUT_MISMATCHES = [
+    ("bank_noise_dim", "bank noise dimension 2 is not the problem's 1"),
+    ("bank_horizon", "bank grid horizon 2.0 is not the problem's 1.0"),
+    ("control_rows", r"control shape \(4, 2\) does not match"),
+    ("control_steps", r"control shape \(3, 100\) does not match"),
+    ("control_index", "out of range"),
+]
+
+
 class TestStateEnsemble:
     """The constructor checks values, bank and control against the problem."""
 
-    @pytest.mark.parametrize(
-        "case, message",
-        [
-            ("state_dim", r"\(N \+ 1, M, d\) = \(5, 100, 1\)"),
-            ("bank_noise_dim", "bank noise dimension 2 is not the problem's 1"),
-            ("bank_horizon", "bank grid horizon 2.0 is not the problem's 1.0"),
-            ("control_rows", r"control shape \(4, 2\) does not match"),
-            ("control_steps", r"control shape \(3, 100\) does not match"),
-            ("control_index", "out of range"),
-        ],
-    )
-    def test_each_mismatch_is_refused(self, case, message):
+    @staticmethod
+    def mismatched(case):
+        """A good ensemble's fields, with the one named by case made not to fit."""
         p = get_benchmark("lq_drift_small").problem
         m, n = 100, 4
         grid = TimeGrid(n_steps=n, horizon=p.horizon)
         noise = make_noise(grid, m, 1, seed=3)
         good = simulate_forward(p, noise, constant_control(p, m, n))
+        StateEnsemble(good.values, p, noise, good.control)  # the good set is accepted
         args = dict(values=good.values, problem=p, noise=noise, control=good.control)
         if case == "state_dim":
             # d = 2 states, which a scalar problem's cost reads as the d = 1 ones
@@ -313,9 +315,22 @@ class TestStateEnsemble:
             args["control"] = ControlEnsemble(np.ones((n - 1, m), dtype=np.int64))
         else:
             args["control"] = ControlEnsemble(np.full((n, m), 3))
-        StateEnsemble(good.values, p, noise, good.control)  # the good set is accepted
+        return args
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [("state_dim", r"\(N \+ 1, M, d\) = \(5, 100, 1\)"), *INPUT_MISMATCHES],
+    )
+    def test_each_mismatch_is_refused(self, case, message):
+        args = self.mismatched(case)
         with pytest.raises(ValueError, match=message):
             StateEnsemble(**args)
+
+    @pytest.mark.parametrize("case, message", INPUT_MISMATCHES)
+    def test_simulate_forward_refuses_with_the_same_message(self, case, message):
+        args = self.mismatched(case)
+        with pytest.raises(ValueError, match=message):
+            simulate_forward(args["problem"], args["noise"], args["control"])
 
 
 class TestEstimateCost:
